@@ -40,16 +40,17 @@ for subset, normal in zip(da.subsets, da.normals):
           ("".join(map(str, subset)),
            ", ".join(rational_str(a) for a in normal)))
 
-# The characteristic polynomial of the wall arrangement.  The poset method
-# walks the intersection lattice; the subset expansion sums over all 2^10
-# subsets of walls; the combinatorial method never touches the matrix and
-# applies verbatim to every concurrency-free system of this shape.
-chi = poset_charpoly(da)
+# The characteristic polynomial of the wall arrangement.  The subset
+# expansion sums over all 2^10 subsets of walls, by a deletion recursion
+# memoised on flats; the poset method walks the intersection lattice; the
+# combinatorial method never touches the matrix and applies verbatim to
+# every concurrency-free system of this shape.
+chi = whitney_charpoly(da)
 print("\nchi(t) =", chi.as_str())
 print("       =", chi.factored_str())
-assert chi == whitney_charpoly(da)
+assert chi == poset_charpoly(da)
 assert chi == combinatorial_charpoly(ns.n, ns.m)
-print("subset expansion and matrix-free recursion both agree")
+print("poset walk and matrix-free recursion both agree")
 
 # Zaslavsky: number of cones = (-1)^n chi(-1).  Cones come in antipodal
 # pairs (b and -b give mirror images), so classes = cones / 2.

@@ -385,10 +385,11 @@ def verify_catalog(da, catalog):
 
     Confirms witness signs by re-evaluation, antipodal pairing and class-id
     consistency, and the chamber count against the Zaslavsky count of the
-    poset characteristic polynomial.  Returns a report dict; the "ok" key is
-    the conjunction of all checks.
+    characteristic polynomial from the deletion recursion (whitney).
+    Returns a report dict; the "ok" key is the conjunction of all checks.
     """
-    from .charpoly import iso_class_count, poset_charpoly, zaslavsky_regions
+    from .charpoly import (iso_class_count, whitney_charpoly,
+                           zaslavsky_regions)
     witnesses_ok = True
     for c in catalog:
         got = classify_b(da, c.witness)
@@ -403,7 +404,7 @@ def verify_catalog(da, catalog):
                 break
     except UnpairedChamber:
         pairing_ok = False
-    chi = poset_charpoly(da)
+    chi = whitney_charpoly(da)
     expected = zaslavsky_regions(chi)
     report = {
         "count": len(catalog),

@@ -1,22 +1,22 @@
 """Characteristic polynomials of central arrangements, three ways.
 
-whitney_charpoly sums (-1)^|B| x^(n - rank B) over all 2^N subsets of
-hyperplanes, sharing work through a memoized DFS keyed by row-space.
-poset_charpoly crawls the lattice of flats and runs the Mobius recursion.
-combinatorial_charpoly never touches a matrix: it walks the concurrency
-closed collections, so it speaks only about concurrency-free systems.
-All three must agree wherever their domains overlap; the cone census
-rests on that agreement.
+whitney_charpoly is the production engine: the subset sum of (-1)^|B|
+x^(n - rank B) over all 2^N subsets of hyperplanes, evaluated by the
+deletion recursion memoised on flats.  poset_charpoly crawls the lattice of
+flats and runs the Mobius recursion; it is kept as a cross-check.  Both
+key flats by the integer echelon bases of exact_linalg and share one
+budget, FLAT_LIMIT.  combinatorial_charpoly never touches a matrix: it
+walks the concurrency closed collections, so it speaks only about
+concurrency-free systems.  All three must agree wherever their domains
+overlap; the cone census rests on that agreement.
 """
-
-from fractions import Fraction
 
 from .concurrency import _check_universe, _closed_ints, _rank_of_closed
 from .errors import OddRegionCount, TooLarge
-from .exact_linalg import rref
+from .exact_linalg import (echelon_insert, echelon_residual,
+                           primitive_int_rows)
 
-WHITNEY_LIMIT = 22
-POSET_FLAT_LIMIT = 200000
+FLAT_LIMIT = 200000  # distinct flats either matrix engine may hold
 
 
 class CharPolynomial:
@@ -124,94 +124,72 @@ def _from_exponents(n, by_exp):
     return CharPolynomial([by_exp[n - i] for i in range(n + 1)])
 
 
-def _reduce_against(basis, vec):
-    """Reduce vec against rref basis rows; None if it lands in the span."""
-    v = [Fraction(x) for x in vec]
-    for row in basis:
-        p = next(i for i, x in enumerate(row) if x == 1)
-        if v[p] != 0:
-            f = v[p]
-            v = [a - f * b for a, b in zip(v, row)]
-    if any(x != 0 for x in v):
-        return tuple(v)
-    return None
-
-
-def _extend_basis(basis, vec):
-    """rref basis of span(basis + vec); basis itself if vec is inside."""
-    if _reduce_against(basis, vec) is None:
-        return basis
-    rows, _ = rref(list(basis) + [list(vec)])
-    return tuple(rows)
-
-
 def whitney_charpoly(da):
-    """Subset-sum characteristic polynomial (the brute-force oracle).
+    """Characteristic polynomial by the memoised deletion recursion.
 
-    G(i, V) = sum over B in rows i.. of (-1)^|B| x^(n - rank(V u B)),
-    computed as G(i+1, V) - G(i+1, V + row_i) and memoized on the row
-    space of V, which collapses the 2^N subsets to (row, flat) states.
+    G(i, V) = sum over B in rows i.. of (-1)^|B| x^(n - rank(V u B)) obeys
+    G(i, V) = G(i+1, V) - G(i+1, V + row_i), and G(i, V) = 0 as soon as
+    some row j >= i lies in V (B and B xor {j} cancel).  Unrolling the
+    first identity and dropping the vanishing terms gives
+
+        G(i, V) = x^(n - rank V) - sum over j >= i of G(j+1, V + row_j),
+
+    where a term survives only if row_j is the last row inside V + row_j:
+    the last of the rows whose residuals against V agree.  So every state
+    is a flat evaluated one past its last row, the memo is keyed by the
+    flat alone and the recursion is at most rank deep.  chi = G(0, {0}).
     """
-    rows = da.normals
+    rows = primitive_int_rows(da.normals)
     N = len(rows)
     n = da.n
-    if N > WHITNEY_LIMIT:
-        raise TooLarge("subset sum limited to %d hyperplanes"
-                       % WHITNEY_LIMIT, hyperplanes=N, limit=WHITNEY_LIMIT)
+    if not all(any(row) for row in rows):
+        return _from_exponents(n, [0] * (n + 1))  # a zero row is in {0}
     memo = {}
 
-    def go(i, basis):
-        if i == N:
+    def go(flat, start):
+        out = memo.get(flat)
+        if out is None:
+            if len(memo) >= FLAT_LIMIT:
+                raise TooLarge("flat states exceed the memory guard",
+                               limit=FLAT_LIMIT)
             out = [0] * (n + 1)
-            out[n - len(basis)] = 1
-            return out
-        key = (i, basis)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        skip = go(i + 1, basis)
-        take = go(i + 1, _extend_basis(basis, rows[i]))
-        out = [a - b for a, b in zip(skip, take)]
-        memo[key] = out
+            out[n - len(flat)] = 1
+            last = {}  # residual -> last row giving it
+            for j in range(start, N):
+                last[echelon_residual(flat, rows[j])] = j
+            for w, j in last.items():
+                sub = go(echelon_insert(flat, w), j + 1)
+                out = [a - b for a, b in zip(out, sub)]
+            memo[flat] = out
         return out
 
-    return _from_exponents(n, go(0, ()))
+    return _from_exponents(n, go((), 0))
 
 
 def _flat_lattice(da):
-    """All flats: (hyperplane index mask, rank), plus the mask order."""
-    rows = da.normals
+    """All flats: hyperplane index mask -> rank."""
+    rows = primitive_int_rows(da.normals)
     N = len(rows)
-    # span key -> (member mask, rank)
-    def close(basis):
-        mask = 0
-        for j in range(N):
-            if _reduce_against(basis, rows[j]) is None:
-                mask |= 1 << j
-        return mask
-
-    flats = {0: ((), 0)}  # mask -> (basis, rank)
+    flats = {0: ()}  # mask -> echelon basis
     frontier = [0]
     while frontier:
         nxt = []
         for mask in frontier:
-            basis, _ = flats[mask]
-            rest = ~mask & ((1 << N) - 1)
-            j = rest
-            while j:
-                b = j & -j
-                p = b.bit_length() - 1
-                j ^= b
-                grown = _extend_basis(basis, rows[p])
-                gmask = close(grown)
+            basis = flats[mask]
+            covers = {}  # residual -> mask of the cover it spans
+            for p in range(N):
+                if not mask >> p & 1:
+                    w = echelon_residual(basis, rows[p])
+                    covers[w] = covers.get(w, mask) | 1 << p
+            for w, gmask in covers.items():
                 if gmask not in flats:
-                    if len(flats) >= POSET_FLAT_LIMIT:
+                    if len(flats) >= FLAT_LIMIT:
                         raise TooLarge("flat lattice exceeds memory guard",
-                                       limit=POSET_FLAT_LIMIT)
-                    flats[gmask] = (grown, len(grown))
+                                       limit=FLAT_LIMIT)
+                    flats[gmask] = echelon_insert(basis, w)
                     nxt.append(gmask)
         frontier = nxt
-    return {mask: rank for mask, (basis, rank) in flats.items()}
+    return {mask: len(basis) for mask, basis in flats.items()}
 
 
 def poset_charpoly(da):

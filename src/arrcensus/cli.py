@@ -32,7 +32,7 @@ from .concurrency import (SubsetCollection, base_collection,
                           concurrency_orders, is_concurrency_free)
 from .discriminantal import build, da_to_dict
 from .errors import ArrangementError, TooLarge
-from .exact_linalg import rational
+from .exact_linalg import parse_rational
 from .normal_system import (Arrangement, arrangement_from_b, ns_from_dict,
                             ns_to_dict, random_normal_system)
 
@@ -56,7 +56,8 @@ def _load_ns(path):
 
 
 def _parse_b(text):
-    return tuple(rational(part.strip()) for part in text.split(","))
+    return tuple(parse_rational(part.strip(), position=i)
+                 for i, part in enumerate(text.split(","), start=1))
 
 
 def _parse_members(text):
@@ -174,7 +175,7 @@ def cmd_count(args, timer):
     ns, dig = _load_ns(args.ns)
     timer.mark("load")
     _guard_subsets(ns.n, ns.m, args.max_subsets)
-    chi = poset_charpoly(build(ns))
+    chi = whitney_charpoly(build(ns))
     timer.mark("compute")
     return {"coefficients": list(chi.coefficients),
             "cones": zaslavsky_regions(chi),
@@ -331,7 +332,7 @@ def cmd_census(args, timer):
             raise ArrangementError("census needs --ns in ns-file mode")
         ns, dig = _load_ns(args.ns)
         _guard_subsets(ns.n, ns.m, args.max_subsets)
-        chi = poset_charpoly(build(ns))
+        chi = whitney_charpoly(build(ns))
         n, m = ns.n, ns.m
         digests["ns"] = dig
     timer.mark("compute")
@@ -384,7 +385,7 @@ def _build_parser():
     p.set_defaults(func=cmd_charpoly)
 
     p = sub.add_parser("count", parents=[common],
-                       help="cone and class counts via the poset method")
+                       help="cone and class counts via the deletion recursion")
     p.add_argument("--ns", required=True)
     p.set_defaults(func=cmd_count)
 

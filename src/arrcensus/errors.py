@@ -20,6 +20,14 @@ class BadShape(ArrangementError):
     """Input dimensions violate n > m > 1 or matrix shape constraints."""
 
 
+class BadRational(ArrangementError):
+    """A value is not an exact rational 'p' or 'p/q' with q != 0."""
+
+
+class BadArtifact(ArrangementError):
+    """A JSON artifact lacks a required field or has the wrong layout."""
+
+
 class DependentRows(ArrangementError):
     """Some subset of at most m rows is linearly dependent."""
 

@@ -1,15 +1,18 @@
 """Exact rational linear algebra: rank, determinant, nullspace, feasibility.
 
-All scalars are fractions.Fraction (always reduced, positive denominator).
-Matrices are plain sequences of rows; rows are sequences of Fractions or
-ints.  No floating point anywhere: region counts downstream hinge on exact
-degeneracies that rounding destroys.
+Scalars are fractions.Fraction (always reduced, positive denominator) or
+plain ints: the flat kernel (primitive_int_rows, echelon_residual,
+echelon_insert) and the elimination inside rank, determinant and
+feasible_strict run on integers only.  Matrices are plain sequences of
+rows; rows are sequences of Fractions or ints.  No floating point
+anywhere: region counts downstream hinge on exact degeneracies that
+rounding destroys.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import BadShape
+from .errors import BadRational, BadShape
 
 
 def rational(s):
@@ -19,6 +22,18 @@ def rational(s):
     if isinstance(s, int):
         return Fraction(s)
     return Fraction(str(s))  # Fraction('p/0') raises ZeroDivisionError
+
+
+def parse_rational(s, **where):
+    """rational() for input values: BadRational instead of a raw error.
+
+    where names the place of the value in its input, for the message.
+    """
+    try:
+        return rational(s)
+    except (ValueError, ZeroDivisionError):
+        raise BadRational("not an exact rational p or p/q with q != 0",
+                          got=str(s), **where) from None
 
 
 def rational_str(q):
@@ -127,10 +142,63 @@ def rref(mat):
     return [tuple(row) for row in a[:r]], pivots
 
 
-def row_space_key(mat):
-    """Canonical hashable key of the row space (the RREF rows)."""
-    rows, _ = rref(mat)
-    return tuple(rows)
+def primitive_int_rows(mat):
+    """Each row scaled by a positive factor to coprime integers.
+
+    Spans, flats and signs are unchanged, so everything downstream of a
+    flat key can run on these rows in integer arithmetic.
+    """
+    out = []
+    for row in _int_rows(mat):
+        g = gcd(*row)
+        out.append(tuple(x // g for x in row) if g > 1 else tuple(row))
+    return out
+
+
+# A flat (a row space) is keyed by its canonical integer echelon basis: a
+# tuple of (pivot column, row) pairs in pivot order, every row primitive
+# with a positive pivot entry and zeros in the other rows' pivot columns.
+# That is the RREF scaled row by row to coprime integers, so it is unique.
+# Rows are reduced and inserted by cross-multiplication plus gcd; no
+# Fraction is made.
+
+
+def echelon_residual(basis, vec):
+    """vec reduced against an echelon basis, or None if it is in the span.
+
+    The residual is primitive with its first nonzero entry positive.  It
+    is zero in every pivot column and the map is linear up to a positive
+    factor, so two vectors outside the span give the same residual
+    exactly when they span the same flat together with the basis.
+    """
+    v = vec
+    for p, row in basis:
+        c = v[p]
+        if c:
+            a = row[p]
+            v = [a * x - c * y for x, y in zip(v, row)]
+    g = gcd(*v)
+    if not g:
+        return None
+    if next(x for x in v if x) < 0:
+        g = -g
+    return tuple([x // g for x in v])
+
+
+def echelon_insert(basis, w):
+    """Echelon basis of span(basis + w) for a residual w of that basis."""
+    q = next(i for i, x in enumerate(w) if x)
+    a = w[q]
+    out = []
+    for p, row in basis:
+        c = row[q]  # zero unless p < q
+        if c:
+            r = [a * x - c * y for x, y in zip(row, w)]
+            h = gcd(*r)
+            row = tuple([x // h for x in r])
+        out.append((p, row))
+    out.insert(sum(1 for p, _ in basis if p < q), (q, w))
+    return tuple(out)
 
 
 def nullspace_basis(mat):

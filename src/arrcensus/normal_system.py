@@ -11,8 +11,9 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import BadShape, DependentRows, GivesUp, LengthMismatch
-from .exact_linalg import rank, rational, rational_str
+from .errors import (BadArtifact, BadShape, DependentRows, GivesUp,
+                     LengthMismatch)
+from .exact_linalg import parse_rational, rank, rational_str
 
 
 class NormalSystem:
@@ -141,8 +142,18 @@ def ns_to_dict(ns):
 
 
 def ns_from_dict(data):
-    rows = [[rational(a) for a in row] for row in data["rows"]]
-    return validate(rows, data["m"])
+    """Validated NormalSystem from {"m": int, "rows": [[rational, ...]]}."""
+    try:
+        m, rows = int(data["m"]), data["rows"]
+    except (KeyError, TypeError, ValueError):
+        raise BadArtifact('normal system needs an integer "m" and "rows"'
+                          ) from None
+    if not (isinstance(rows, list)
+            and all(isinstance(row, list) for row in rows)):
+        raise BadArtifact('"rows" must be a list of lists')
+    return validate([[parse_rational(a, row=i, column=j)
+                      for j, a in enumerate(row, start=1)]
+                     for i, row in enumerate(rows, start=1)], m)
 
 
 def arrangement_to_dict(arr):
@@ -153,4 +164,5 @@ def arrangement_to_dict(arr):
 
 def arrangement_from_dict(data):
     ns = ns_from_dict(data)
-    return arrangement_from_b(ns, [rational(x) for x in data["b"]])
+    return arrangement_from_b(ns, [parse_rational(x, position=i)
+                                   for i, x in enumerate(data["b"], start=1)])

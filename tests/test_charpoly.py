@@ -7,6 +7,7 @@ combinatorial_charpoly.
 """
 
 import random
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -26,7 +27,8 @@ from arrcensus.concurrency import SubsetCollection, combinatorial_rank
 from arrcensus.discriminantal import build
 from arrcensus.errors import OddRegionCount, TooLarge
 from arrcensus.exact_linalg import rank
-from arrcensus.normal_system import random_normal_system
+from arrcensus.normal_system import (first_dependent_subset, ns_from_dict,
+                                     random_normal_system, validate)
 
 
 @lru_cache(maxsize=None)
@@ -115,6 +117,32 @@ def test_whitney_matches_brute_oracle():
     assert whitney_charpoly(da) == brute_whitney(da)
 
 
+def rational_system(n, m, seed):
+    # entries p/q with q up to 4, so the walls carry non-integer rationals
+    rng = random.Random(seed)
+    while True:
+        rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                 for _ in range(m)] for _ in range(n)]
+        if first_dependent_subset(rows, m) is None:
+            return validate(rows, m)
+
+
+def test_engines_match_brute_oracle_on_seeded_systems():
+    systems = [rational_system(n, m, seed)
+               for seed, (n, m) in enumerate([(4, 2), (5, 2), (5, 2),
+                                              (5, 3), (5, 4), (6, 4)])]
+    systems.append(ns_from_dict({"m": 2, "rows": [
+        ["3/2", "1"], ["-1/3", "2"], ["5", "-7/4"], ["1", "1"],
+        ["2/9", "-1"]]}))
+    # bound 1 forces concurrencies: 132 cones, not the free 140
+    systems.append(random_normal_system(6, 3, seed=0, bound=1))
+    for ns in systems:
+        da = build(ns)
+        w = whitney_charpoly(da)
+        assert w == poset_charpoly(da) == brute_whitney(da), ns.rows
+    assert zaslavsky_regions(w) == 132
+
+
 def test_combinatorial_matches_brute_oracle():
     assert combinatorial_charpoly(4, 2) == brute_combinatorial(4, 2)
     assert combinatorial_charpoly(4, 3) == brute_combinatorial(4, 3)
@@ -191,14 +219,25 @@ def test_iso_class_count_rejects_odd():
 
 
 def test_whitney_too_large_guard():
-    da = build(random_normal_system(8, 2, seed=1, bound=9))  # 56 rows
+    # 56 rows and more than 200000 flats: trips the default flat budget
+    da = build(random_normal_system(8, 2, seed=1, bound=9))
+    with pytest.raises(TooLarge):
+        whitney_charpoly(da)
+
+
+def test_whitney_flat_guard(monkeypatch):
+    import arrcensus.charpoly as mod
+    da = build(gallery.four_lines())  # 6 flats: {0}, 4 walls, the top
+    monkeypatch.setattr(mod, "FLAT_LIMIT", 6)
+    assert whitney_charpoly(da).coefficients == (1, -4, 3, 0, 0)
+    monkeypatch.setattr(mod, "FLAT_LIMIT", 3)
     with pytest.raises(TooLarge):
         whitney_charpoly(da)
 
 
 def test_poset_flat_guard(monkeypatch):
     import arrcensus.charpoly as mod
-    monkeypatch.setattr(mod, "POSET_FLAT_LIMIT", 3)
+    monkeypatch.setattr(mod, "FLAT_LIMIT", 3)
     with pytest.raises(TooLarge):
         poset_charpoly(build(gallery.four_lines()))
 

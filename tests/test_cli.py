@@ -255,6 +255,45 @@ def test_domain_error_exit_1(capsys, ns_files):
     assert err["error"]["expected"] == 4
 
 
+@pytest.mark.parametrize("b", ["1,2,x,4,5", "1,2,3,4,5/0"])
+@pytest.mark.parametrize("command", ["classify", "regions", "signature",
+                                     "iso"])
+def test_bad_b_exit_1(capsys, ns_files, command, b):
+    args = (["--b1", b, "--b2", "1,2,3,4,5"] if command == "iso"
+            else ["--b", b])
+    code, _, err, cap = run(capsys, command, "--ns", ns_files["five_lines"],
+                            *args)
+    assert code == 1 and cap.out == ""
+    assert err["error"]["type"] == "BadRational"
+    assert err["error"]["got"] == b.split(",")[2 if "x" in b else 4]
+
+
+@pytest.mark.parametrize("data,kind", [
+    ({"m": 2}, "BadArtifact"),
+    ({"rows": [["1", "0"], ["0", "1"], ["1", "1"]]}, "BadArtifact"),
+    ({"m": 2, "rows": "1,0;0,1;1,1"}, "BadArtifact"),
+    ([["1", "0"], ["0", "1"], ["1", "1"]], "BadArtifact"),
+    ({"m": 2, "rows": [["1", "0"], ["0", "x"], ["1", "1"]]}, "BadRational"),
+])
+def test_bad_ns_file_exit_1(capsys, tmp_path, data, kind):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, _, err, cap = run(capsys, "count", "--ns", str(path))
+    assert code == 1 and cap.out == ""
+    assert err["error"]["type"] == kind
+
+
+def test_count_beyond_22_walls(capsys, tmp_path):
+    # a random 7-line planar system has 35 walls
+    path = str(tmp_path / "ns.json")
+    run(capsys, "gen", "--n", "7", "--m", "2", "--seed", "1", "--out", path)
+    code, rep, _, _ = run(capsys, "count", "--ns", path)
+    assert code == 0
+    assert rep["payload"] == {
+        "coefficients": [1, -35, 490, -3381, 10815, -7890, 0, 0],
+        "cones": 22612, "classes": 11306}
+
+
 def test_missing_file_exit_1(capsys, tmp_path):
     code, _, err, _ = run(capsys, "count",
                           "--ns", str(tmp_path / "absent.json"))

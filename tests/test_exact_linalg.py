@@ -8,19 +8,24 @@ extreme-ray oracle that needs no LP at all.
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd
 
 import pytest
 
-from arrcensus.errors import BadShape
+from arrcensus.errors import BadRational, BadShape
 from arrcensus.exact_linalg import (
     determinant,
     dot,
+    echelon_insert,
+    echelon_residual,
     feasible_strict,
     find_interior_point,
     integer_primitive,
     lex_independent_columns,
     matvec,
     nullspace_basis,
+    parse_rational,
+    primitive_int_rows,
     rank,
     rational,
     rational_str,
@@ -112,6 +117,67 @@ def test_rref_idempotent_and_consistent_with_rank():
         again, pivots2 = rref(rows)
         assert list(again) == list(rows)
         assert pivots2 == pivots
+
+
+def echelon_of(rows):
+    basis = ()
+    for row in primitive_int_rows(rows):
+        w = echelon_residual(basis, row)
+        if w is not None:
+            basis = echelon_insert(basis, w)
+    return basis
+
+
+def test_echelon_kernel_is_rref_scaled_row_by_row():
+    rng = random.Random(414)
+    for _ in range(80):
+        m = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
+        basis = echelon_of(m)
+        rows, pivots = rref(m)
+        assert [p for p, _ in basis] == pivots
+        for (p, row), want in zip(basis, rows):
+            assert row[p] > 0
+            assert [Fraction(x, row[p]) for x in row] == list(want)
+            assert gcd(*row) == 1
+        # the key depends on the span only: order and scale do not matter
+        shuffled = [[t * x for x in r]
+                    for r, t in zip(rng.sample(m, len(m)),
+                                    rng.choices([-3, Fraction(1, 2), 5],
+                                                k=len(m)))]
+        assert echelon_of(shuffled) == basis
+
+
+def test_echelon_residual_detects_span_membership():
+    rng = random.Random(415)
+    for _ in range(80):
+        m = random_matrix(rng, rng.randint(1, 4), rng.randint(2, 5))
+        basis = echelon_of(m)
+        a, b = (primitive_int_rows([random_matrix(rng, 1, len(m[0]))[0]])[0]
+                for _ in range(2))
+        inside = [sum(x) for x in zip(*(r for _, r in basis), a)]
+        wa = echelon_residual(basis, a)
+        assert (wa is None) == (rank(m + [a]) == rank(m))
+        if wa is not None:
+            assert all(wa[p] == 0 for p, _ in basis)
+            # equal residuals exactly when both vectors give the same flat
+            wb = echelon_residual(basis, b)
+            same = rank(m + [a, b]) == rank(m + [a])
+            assert (wa == wb) == same
+            assert echelon_residual(basis, [2 * x for x in inside]) == wa
+            assert echelon_residual(basis, [-x for x in a]) == wa
+
+
+def test_primitive_int_rows_keep_signs_and_spans():
+    rows = [[Fraction(3, 2), Fraction(-6, 4)], [0, Fraction(-2, 3)], [0, 0]]
+    assert primitive_int_rows(rows) == [(1, -1), (0, -1), (0, 0)]
+
+
+def test_parse_rational_names_the_bad_value():
+    assert parse_rational("3/2") == Fraction(3, 2)
+    for bad in ["x", "5/0", "", "1.2.3"]:
+        with pytest.raises(BadRational) as exc:
+            parse_rational(bad, position=3)
+        assert exc.value.payload == {"got": bad, "position": 3}
 
 
 def test_nullspace_vectors_annihilate_and_count():
