@@ -199,7 +199,9 @@ def special_point(arr):
         pair = line.order[1]
         middles[i] = pair[0] if pair[1] == i else pair[1]
     found = [(i, j) for i, j in middles.items() if i < j and middles[j] == i]
-    assert len(found) == 1, "generic four-line arrangements have one"
+    if len(found) != 1:
+        raise NotGeneric("generic four-line arrangements have exactly one "
+                         "special point", found=[list(p) for p in found])
     return found[0]
 
 

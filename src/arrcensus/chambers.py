@@ -16,9 +16,11 @@ than n, and witnesses are lifted back by zero-filling the dropped coordinates.
 
 from fractions import Fraction
 
-from .errors import LengthMismatch, NotInCatalog, TooLarge, UnpairedChamber
+from .errors import (BadArtifact, LengthMismatch, NotInCatalog, TooLarge,
+                     UnpairedChamber)
 from .exact_linalg import (dot, feasible_strict, lex_independent_columns,
-                           nullspace_basis, rank, rational_str)
+                           nullspace_basis, parse_rational, rank,
+                           rational_str)
 
 DEFAULT_MAX_CHAMBERS = 10 ** 4
 
@@ -371,12 +373,29 @@ def catalog_to_dict(catalog):
 
 
 def catalog_from_dict(da, data):
-    from .exact_linalg import rational
-    if data["n"] != da.n or data["m"] != da.m:
+    """Catalog of da read back from catalog_to_dict output.
+
+    A missing key or a wrong layout raises BadArtifact; a witness entry
+    that is not an exact rational raises BadRational.
+    """
+    try:
+        n, m = data["n"], data["m"]
+        entries = [(e["signs"], e["witness"], e["class"])
+                   for e in data["chambers"]]
+    except (KeyError, TypeError):
+        raise BadArtifact('catalog needs "n", "m" and "chambers" entries '
+                          'with "signs", "witness" and "class"') from None
+    if n != da.n or m != da.m:
         raise NotInCatalog("catalog shape does not match arrangement",
-                           n=data["n"], m=data["m"])
-    chambers = [Chamber(e["signs"], [rational(x) for x in e["witness"]],
-                        e["class"]) for e in data["chambers"]]
+                           n=n, m=m)
+    chambers = []
+    for k, (signs, witness, class_id) in enumerate(entries, start=1):
+        if not (isinstance(signs, str) and isinstance(witness, list)):
+            raise BadArtifact('"signs" must be a string and "witness" a '
+                              'list', chamber=k)
+        chambers.append(Chamber(
+            signs, [parse_rational(x, chamber=k, position=i)
+                    for i, x in enumerate(witness, start=1)], class_id))
     return ChamberCatalog(da, chambers)
 
 

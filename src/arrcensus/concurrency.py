@@ -17,9 +17,9 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from .discriminantal import build, stack_normals
+from .discriminantal import build
 from .errors import BadSubsetSize, NotClosed, TooLarge
-from .exact_linalg import rank
+from .exact_linalg import echelon_insert, echelon_residual, primitive_int_rows
 
 MAX_UNIVERSE = 36  # largest C(n, m+1) the enumeration strategies accept
 
@@ -267,6 +267,7 @@ def _rank_int(n, m, dint):
 
 def concurrency_closure(col):
     """Smallest superset of col stable under the forcing criterion."""
+    _check_universe(col.n, col.m)
     return _from_int(col.n, col.m, _closure_int(col.n, col.m, _to_int(col)))
 
 
@@ -280,6 +281,7 @@ def concurrency_orders(col):
 
     Returns [(index_tuple, order)] sorted; order = cardinality >= m+1.
     """
+    _check_universe(col.n, col.m)
     dint = _to_int(col)
     if _closure_int(col.n, col.m, dint) != dint:
         raise NotClosed("collection is not concurrency closed",
@@ -310,6 +312,7 @@ def base_collection(col):
 
 def combinatorial_rank(col):
     """Sum of (order - m) over concurrency sets of the closure."""
+    _check_universe(col.n, col.m)
     return _rank_int(col.n, col.m, _to_int(col))
 
 
@@ -405,35 +408,48 @@ def is_concurrency_free(ns):
     discriminantal arrangement are linearly independent for every such B.
     The search runs breadth-first by cardinality, so a returned witness
     has minimal size (lex-first among those).
+
+    Rank is tracked incrementally on the integer echelon kernel: the
+    normals become primitive integer rows once, and a node carries the
+    echelon basis of its parent's rows, which passed the level before and
+    so are independent.  The node is dependent exactly when its last row
+    leaves no residual against that basis.  The last level, k = n - m,
+    is only checked: it builds no children and keeps no bases.
     """
     n, m = ns.n, ns.m
     _check_universe(n, m)
     subsets, _, _ = _universe(n, m)
-    da = build(ns)
+    rows = primitive_int_rows(build(ns).normals)
     kmax = n - m
 
-    # nodes carry (member positions, closure of those members)
-    level = [((p,), _closure_int(n, m, 1 << p))
+    # nodes carry (member positions, closure of those members, echelon
+    # basis of every member row but the last)
+    level = [((p,), _closure_int(n, m, 1 << p), ())
              for p in range(len(subsets))]
     k = 1
-    while level and k <= kmax:
+    while level:
         bad = []
-        for tup, _ in level:
-            rows = [da.normals[p] for p in tup]
-            if rank(rows) < len(tup):
+        grown_bases = []
+        for tup, _, basis in level:
+            res = echelon_residual(basis, rows[tup[-1]])
+            if res is None:
                 bad.append(tup)
+            elif k < kmax and not bad:
+                grown_bases.append(echelon_insert(basis, res))
         if bad:
             witness = min(tuple(subsets[p] for p in t) for t in bad)
             return FreeVerdict(False,
                                SubsetCollection(n, m, witness))
+        if k == kmax:
+            break
         nxt = []
-        for tup, closed in level:
+        for (tup, closed, _), basis in zip(level, grown_bases):
             for q in range(tup[-1] + 1, len(subsets)):
                 if closed & (1 << q):
                     continue  # inside the closure: rank cannot grow
                 grown = _closure_step(n, m, closed, q)
                 if _rank_of_closed(n, m, grown) == k + 1:
-                    nxt.append((tup + (q,), grown))
+                    nxt.append((tup + (q,), grown, basis))
         level = nxt
         k += 1
     return FreeVerdict(True)

@@ -11,8 +11,8 @@ order, fix the sign conventions used by every census downstream.
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import BadSubsetSize
-from .exact_linalg import determinant, rank, rational, rational_str
+from .errors import BadArtifact, BadSubsetSize
+from .exact_linalg import determinant, parse_rational, rank, rational_str
 
 
 class DiscriminantalArrangement:
@@ -105,7 +105,24 @@ def da_to_dict(da):
 
 
 def da_from_dict(data):
-    subsets = [tuple(h["subset"]) for h in data["hyperplanes"]]
-    normals = [tuple(rational(a) for a in h["normal"])
-               for h in data["hyperplanes"]]
-    return DiscriminantalArrangement(data["n"], data["m"], subsets, normals)
+    """Arrangement read back from da_to_dict output.
+
+    A missing key or a wrong layout raises BadArtifact; a normal entry
+    that is not an exact rational raises BadRational.
+    """
+    try:
+        n, m = int(data["n"]), int(data["m"])
+        planes = [(h["subset"], h["normal"]) for h in data["hyperplanes"]]
+    except (KeyError, TypeError, ValueError):
+        raise BadArtifact('arrangement needs integer "n", "m" and '
+                          '"hyperplanes" entries with "subset" and "normal"'
+                          ) from None
+    normals = []
+    for k, (subset, normal) in enumerate(planes, start=1):
+        if not (isinstance(subset, list) and isinstance(normal, list)
+                and len(normal) == n):
+            raise BadArtifact('"subset" must be a list and "normal" a list '
+                              'of n entries', hyperplane=k, n=n)
+        normals.append(tuple(parse_rational(a, hyperplane=k, position=i)
+                             for i, a in enumerate(normal, start=1)))
+    return DiscriminantalArrangement(n, m, [s for s, _ in planes], normals)

@@ -7,6 +7,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
+from types import SimpleNamespace
 
 import pytest
 
@@ -179,6 +180,25 @@ def test_special_point_shape_and_symmetry():
         q = special_point(Arrangement(ns, tuple(-x for x in c.witness)))
         assert p == q
         assert p in {(1, 2), (2, 3), (3, 4), (1, 4)}
+
+
+@pytest.mark.parametrize("middles", [
+    {1: 2, 2: 3, 3: 4, 4: 1},  # no mutual pair
+    {1: 2, 2: 1, 3: 4, 4: 3},  # two mutual pairs
+])
+def test_special_point_not_unique_is_domain_error(monkeypatch, middles):
+    # special_point rests on a theorem about generic four-line pictures;
+    # a vertex order table that breaks it must raise, also under -O
+    ns, reps = class_reps("four_lines")
+    table = {}
+    for i, j in middles.items():
+        others = sorted(set(range(1, 5)) - {i, j})
+        order = ((i, others[0]), tuple(sorted((i, j))), (i, others[1]))
+        table[(i,)] = SimpleNamespace(order=order)
+    monkeypatch.setattr("arrcensus.affine_geometry.vertex_orders",
+                        lambda arr: table)
+    with pytest.raises(NotGeneric):
+        special_point(Arrangement(ns, reps[0].witness))
 
 
 def test_special_point_random_sweep():

@@ -190,6 +190,15 @@ def test_closure_from_file(capsys, tmp_path):
     assert rep["payload"]["closure"]["members"] == [[1, 2, 3]]
 
 
+def test_closure_universe_guard(capsys):
+    # C(30, 3) = 4060 subsets: refused before any closure work
+    code, _, err, cap = run(capsys, "closure", "--n", "30", "--m", "2",
+                            "--members", "123")
+    assert code == 1 and cap.out == ""
+    assert err["error"]["type"] == "TooLarge"
+    assert err["error"]["subsets"] == 4060
+
+
 def test_closure_needs_input(capsys):
     code, _, err, _ = run(capsys, "closure")
     assert code == 1
@@ -281,6 +290,31 @@ def test_bad_ns_file_exit_1(capsys, tmp_path, data, kind):
     code, _, err, cap = run(capsys, "count", "--ns", str(path))
     assert code == 1 and cap.out == ""
     assert err["error"]["type"] == kind
+
+
+@pytest.mark.parametrize("command", ["classify", "catalog-verify"])
+@pytest.mark.parametrize("damage,kind", [
+    (lambda cat: cat.pop("chambers"), "BadArtifact"),
+    (lambda cat: cat["chambers"][0].update(witness="1,2"), "BadArtifact"),
+    (lambda cat: cat["chambers"][2]["witness"].__setitem__(1, "x"),
+     "BadRational"),
+], ids=["no_chambers", "witness_not_list", "witness_x"])
+def test_bad_catalog_file_exit_1(capsys, ns_files, tmp_path, command,
+                                 damage, kind):
+    path = tmp_path / "catalog.json"
+    run(capsys, "chambers", "--ns", ns_files["four_lines"],
+        "--out", str(path))
+    cat = json.loads(path.read_text())
+    damage(cat)
+    path.write_text(json.dumps(cat))
+    extra = ["--b", "1,2,4,8"] if command == "classify" else []
+    code, _, err, cap = run(capsys, command, "--ns", ns_files["four_lines"],
+                            "--catalog", str(path), *extra)
+    assert code == 1 and cap.out == ""
+    assert err["error"]["type"] == kind
+    if kind == "BadRational":
+        assert (err["error"]["got"], err["error"]["chamber"],
+                err["error"]["position"]) == ("x", 3, 2)
 
 
 def test_count_beyond_22_walls(capsys, tmp_path):

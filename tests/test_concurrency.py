@@ -255,6 +255,41 @@ def test_six_line_degeneracy_appears_at_small_bounds():
         6, 2, [(1, 2, 3), (1, 5, 6), (2, 4, 6), (3, 4, 5)])
 
 
+def rank_bfs_oracle(ns):
+    """The freeness search with one exact rank of the stacked normals per
+    node, written on the public closure API; (free, witness)."""
+    n, m = ns.n, ns.m
+    da = build(ns)
+    pool = list(combinations(range(1, n + 1), m + 1))
+    level = [(s,) for s in pool]
+    for k in range(1, n - m + 1):
+        bad = [t for t in level if subset_rank(da, t) < k]
+        if bad:
+            return False, SubsetCollection(n, m, min(bad))
+        nxt = []
+        for t in level:
+            closed = concurrency_closure(SubsetCollection(n, m, t))
+            for s in pool[pool.index(t[-1]) + 1:]:
+                if s not in closed and combinatorial_rank(
+                        SubsetCollection(n, m, t + (s,))) == k + 1:
+                    nxt.append(t + (s,))
+        level = nxt
+    return True, None
+
+
+@pytest.mark.parametrize("n,m", [(5, 2), (6, 2), (6, 3), (7, 4)])
+def test_freeness_matches_rank_oracle_on_seeded_systems(n, m):
+    non_free = 0
+    for bound, seeds in ((2, 4), (3, 2), (9, 2)):
+        for seed in range(seeds):
+            ns = random_normal_system(n, m, seed=seed, bound=bound)
+            v = is_concurrency_free(ns)
+            assert (v.free, v.witness) == rank_bfs_oracle(ns), (bound, seed)
+            non_free += not v.free
+    if (n, m) != (5, 2):
+        assert non_free  # bound 2 gives non-free verdicts to compare
+
+
 def test_free_verdict_repr_and_bool():
     assert bool(FreeVerdict(True))
     assert not bool(FreeVerdict(False, D1))

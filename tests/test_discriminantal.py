@@ -5,6 +5,7 @@ six-line perpendicular-pairs system, transcribed coefficient by
 coefficient; build() must reproduce it bit-exactly.
 """
 
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -20,7 +21,7 @@ from arrcensus.discriminantal import (
     da_to_dict,
     subset_rank,
 )
-from arrcensus.errors import BadSubsetSize
+from arrcensus.errors import BadArtifact, BadRational, BadSubsetSize
 from arrcensus.exact_linalg import matvec
 from arrcensus.normal_system import random_normal_system, validate
 
@@ -166,3 +167,19 @@ def test_json_round_trip():
     assert d["n"] == 5 and d["m"] == 2
     assert len(d["hyperplanes"]) == 10
     assert da_from_dict(d) == da
+
+
+def test_da_from_dict_rejects_malformed_artifacts():
+    good = da_to_dict(build(gallery.four_lines()))
+    missing = {"n": 4, "m": 2}
+    not_dicts = dict(good, hyperplanes=[["1", "2", "3"]])
+    short = json.loads(json.dumps(good))
+    short["hyperplanes"][0]["normal"] = ["1", "2"]
+    for data in (missing, not_dicts, short, [good], dict(good, n="x")):
+        with pytest.raises(BadArtifact):
+            da_from_dict(data)
+    bad = json.loads(json.dumps(good))
+    bad["hyperplanes"][2]["normal"][1] = "x"
+    with pytest.raises(BadRational) as err:
+        da_from_dict(bad)
+    assert err.value.payload == {"got": "x", "hyperplane": 3, "position": 2}
