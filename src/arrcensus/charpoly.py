@@ -6,12 +6,14 @@ deletion recursion memoised on flats.  poset_charpoly crawls the lattice of
 flats and runs the Mobius recursion; it is kept as a cross-check.  Both
 key flats by the integer echelon bases of exact_linalg and share one
 budget, FLAT_LIMIT.  combinatorial_charpoly never touches a matrix: it
-walks the concurrency closed collections, so it speaks only about
-concurrency-free systems.  All three must agree wherever their domains
-overlap; the cone census rests on that agreement.
+sums a product formula over the closed families of concurrency sets, so
+it speaks only about concurrency-free systems.  All three must agree
+wherever their domains overlap; the cone census rests on that agreement.
 """
 
-from .concurrency import _check_universe, _closed_ints, _rank_of_closed
+from math import prod
+
+from .concurrency import _check_universe, _families, _rank
 from .errors import OddRegionCount, TooLarge
 from .exact_linalg import (echelon_insert, echelon_residual,
                            primitive_int_rows)
@@ -214,25 +216,25 @@ def poset_charpoly(da):
 def combinatorial_charpoly(n, m):
     """Matrix-free characteristic polynomial for concurrency-free systems.
 
-    Mobius recursion over concurrency closed collections with the
-    combinatorial rank in place of matrix rank.  Must agree with the
-    poset method on any concurrency-free normal system of shape (n, m).
+    The flats are the closed families X = {S_1..S_p} of concurrency sets,
+    with rank sum (|S_i| - m).  Two members share fewer than m indices, so
+    the interval below X is the product of the intervals below its members
+    and mu(0, X) = prod c(|S_i|), where c(s) = mu(0, [s]) in shape (s, m)
+    is minus the sum of the same products over the other families on [s].
+    So chi = sum over X of prod c(|S_i|) x^(n - rank X): one pass over the
+    families, no Mobius pass over pairs.  Must agree with the matrix
+    engines on any concurrency-free normal system of shape (n, m).
     """
     _check_universe(n, m)
-    closed = _closed_ints(n, m)  # nonempty, sorted by (size, members)
-    order = [0] + sorted(closed, key=lambda d: (d.bit_count(), d))
-    mu = {}
+    families = _families(n, m)  # sorted member masks; () included
+    c = {}
+    for s in range(m + 1, n + 1):
+        top = (1 << s) - 1
+        c[s] = -sum(prod(c[S.bit_count()] for S in X) for X in families
+                    if (not X or X[-1] <= top) and X != (top,))
     by_exp = [0] * (n + 1)
-    for d in order:
-        below = 0
-        for g in order:
-            if g != d and g & ~d == 0:
-                below += mu[g]
-            if g == d:
-                break
-        mu[d] = 1 if d == 0 else -below
-        rank = 0 if d == 0 else _rank_of_closed(n, m, d)
-        by_exp[n - rank] += mu[d]
+    for X in families:
+        by_exp[n - _rank(m, X)] += prod(c[S.bit_count()] for S in X)
     return _from_exponents(n, by_exp)
 
 

@@ -13,7 +13,6 @@ Exit codes: 0 success, 1 domain error (JSON on stderr), 2 usage error.
 import argparse
 import hashlib
 import json
-import os
 import random
 import sys
 import time
@@ -355,8 +354,6 @@ def _build_parser():
     common.add_argument("--format", choices=["json", "csv", "text"],
                         default="json")
     common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--threads", type=int,
-                        default=int(os.environ.get("ARRCENSUS_THREADS", "1")))
     common.add_argument("--max-subsets", type=int,
                         default=DEFAULT_MAX_SUBSETS)
     common.add_argument("--max-chambers", type=int,

@@ -1,19 +1,26 @@
 """Concurrency combinatorics of (m+1)-subset collections.
 
 A collection D of (m+1)-subsets of {1..n} records which groups of lines
-are forced to meet in a point.  One dependency can force another: if a
-family {S_1..S_r} inside D covers only m + r indices while every
-sub-family J covers at least m + |J|, then every (m+1)-subset of the
-covered index set is forced too.  The closure operator below iterates
-that criterion to a fixpoint.
+are forced to meet in a point.  One dependency can force another, and
+the closure of D adds every forced subset.  A closed collection is
+described by its maximal concurrency sets: a family {S_1..S_p} of index
+sets with |S_i| >= m+1 such that every subfamily I with |I| >= 2 obeys
 
-Internally a collection is a Python int with one bit per (m+1)-subset in
-lexicographic order, and index sets are n-bit ints, so the hot loops are
-pure bit arithmetic.  Closures are memoized globally: they are pure
-combinatorics of (n, m, members), independent of any normal system.
+    |union of the S_i in I| > m + sum over I of (|S_i| - m)
+
+(Bayer and Brandt's conjecture, proved by Athanasiadis 1999).  The
+collection is every (m+1)-subset of some S_i, and its combinatorial
+rank is the sum of |S_i| - m.
+
+Internally a family is a sorted tuple of n-bit index masks, and every
+query runs on it; collections are expanded to (m+1)-subsets only at the
+API boundary.  The closure adds one set t at a time: while some
+subfamily I breaks the inequality together with t, t and I are replaced
+by their union.  That step is memoized in one process-wide dict: it is
+pure combinatorics of (m, family, t), independent of n and of any
+normal system.
 """
 
-from functools import lru_cache
 from itertools import combinations
 from math import comb
 
@@ -23,8 +30,7 @@ from .exact_linalg import echelon_insert, echelon_residual, primitive_int_rows
 
 MAX_UNIVERSE = 36  # largest C(n, m+1) the enumeration strategies accept
 
-_closure_memo = {}
-_max_productive_rounds = {}
+_step_memo = {}  # (m, family, index set) -> closed family
 
 
 class SubsetCollection:
@@ -88,179 +94,92 @@ def collection_from_dict(data):
 
 # ---------------------------------------------------------------- engine
 
-@lru_cache(maxsize=None)
 def _universe(n, m):
-    """Lex-ordered subsets, their index bitmasks, and the position map."""
+    """Lex-ordered (m+1)-subsets and their index bitmasks."""
     subsets = tuple(combinations(range(1, n + 1), m + 1))
-    imasks = tuple(sum(1 << (i - 1) for i in s) for s in subsets)
-    pos = {s: p for p, s in enumerate(subsets)}
-    return subsets, imasks, pos
+    return subsets, tuple(_mask(s) for s in subsets)
 
 
-@lru_cache(maxsize=None)
-def _subsets_within(n, m, union_mask):
-    """Bitmask over E of all (m+1)-subsets inside a given index set."""
-    _, imasks, _ = _universe(n, m)
-    out = 0
-    for p, im in enumerate(imasks):
-        if im & ~union_mask == 0:
-            out |= 1 << p
+def _mask(idx):
+    return sum(1 << (i - 1) for i in idx)
+
+
+def _indices(mask):
+    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _rank(m, family):
+    return sum(s.bit_count() - m for s in family)
+
+
+def _violation(m, t, rest):
+    """Smallest subfamily I of rest breaking the inequality with t, and
+    the union of t and I; None when t may join rest as a new member."""
+    size = t.bit_count()
+    for r in range(1, len(rest) + 1):
+        for grp in combinations(rest, r):
+            u = t
+            for s in grp:
+                u |= s
+            if u.bit_count() <= size + _rank(m, grp):
+                return grp, u
+    return None
+
+
+def _step(m, family, t):
+    """Closed family of a closed family plus one index set t (a mask)."""
+    for s in family:
+        if t & ~s == 0:
+            return family
+    key = (m, family, t)
+    out = _step_memo.get(key)
+    if out is None:
+        rest = family
+        hit = _violation(m, t, rest)
+        while hit is not None:
+            grp, t = hit
+            rest = tuple(s for s in rest if s not in grp)
+            hit = _violation(m, t, rest)
+        out = _step_memo[key] = tuple(sorted(rest + (t,)))
     return out
 
 
-def _bits(x):
-    while x:
-        b = x & -x
-        yield b.bit_length() - 1
-        x ^= b
+def _family(col):
+    """Maximal concurrency sets of the closure of col, as sorted masks."""
+    family = ()
+    for s in col.sorted_members:
+        family = _step(col.m, family, _mask(s))
+    return family
 
 
-def _to_int(col):
-    _, _, pos = _universe(col.n, col.m)
-    out = 0
-    for s in col.members:
-        out |= 1 << pos[s]
-    return out
+def _collection(n, m, family):
+    """Every (m+1)-subset inside a member of family."""
+    return SubsetCollection(n, m, (c for s in family
+                                   for c in combinations(_indices(s), m + 1)))
 
 
-def _from_int(n, m, dint):
-    subsets, _, _ = _universe(n, m)
-    return SubsetCollection(n, m, (subsets[p] for p in _bits(dint)))
+def _families(n, m):
+    """Every closed family over {1..n}, the empty one first.
 
-
-def _spread_ok(chosen, m):
-    # intermediate sub-family coverage: |union(J)| >= m + |J| for every
-    # nonempty J; singletons and the full family hold by construction
-    t = len(chosen)
-    for r in range(2, t):
-        for grp in combinations(chosen, r):
-            u = 0
-            for g in grp:
-                u |= g
-            if u.bit_count() < m + r:
-                return False
-    return True
-
-
-def _close_engine(n, m, start_int, dirty0):
-    """Fixpoint of the forcing criterion from start_int.
-
-    dirty0: masks whose spreads are not yet explored (None = all).  Each
-    round only examines spreads touching a dirty member: spreads among
-    settled members were exhausted in earlier rounds.
+    A depth-first walk over the index sets of size >= m+1 in mask order:
+    a family grows only by later sets, so each is met once.  A candidate
+    c is checked only against the subfamilies that contain it; subs holds
+    (union, rank) of every nonempty subfamily of the current family.
     """
-    _, imasks, _ = _universe(n, m)
-    full_e = (1 << len(imasks)) - 1
-    kmax = n - m
-    members = start_int
-    dirty = dirty0
-    rounds = 0
-    while members != full_e:
-        mlist = [imasks[p] for p in _bits(members)]
-        unions = set()
-        if dirty is None:
-            anchors = [None]
-        else:
-            anchors = dirty
-
-        for a in anchors:
-            others = mlist if a is None else [x for x in mlist if x != a]
-
-            def rec(start, chosen, union, t):
-                if t:
-                    delta = union.bit_count() - m - t
-                    if delta < 0 or delta > kmax - t:
-                        return
-                    if delta == 0 and t >= 2 and _spread_ok(chosen, m):
-                        unions.add(union)
-                if t == kmax:
-                    return
-                for i in range(start, len(others)):
-                    rec(i + 1, chosen + (others[i],),
-                        union | others[i], t + 1)
-
-            if a is None:
-                rec(0, (), 0, 0)
-            else:
-                rec(0, (a,), a, 1)
-
-        add = 0
-        for u in unions:
-            add |= _subsets_within(n, m, u)
-        new_bits = add & ~members
-        if not new_bits:
-            break
-        members |= add
-        dirty = [imasks[p] for p in _bits(new_bits)]
-        rounds += 1
-    return members, rounds
-
-
-def _record_rounds(n, m, rounds):
-    prev = _max_productive_rounds.get((n, m), 0)
-    if rounds > prev:
-        _max_productive_rounds[(n, m)] = rounds
-
-
-def _closure_int(n, m, dint):
-    key = (n, m, dint)
-    hit = _closure_memo.get(key)
-    if hit is not None:
-        return hit
-    members, rounds = _close_engine(n, m, dint, None)
-    _closure_memo[key] = members
-    _closure_memo[(n, m, members)] = members
-    _record_rounds(n, m, rounds)
-    return members
-
-
-def _closure_step(n, m, closed_int, p):
-    """Closure of (a closed collection) + one subset; spreads anchored."""
-    dint = closed_int | (1 << p)
-    key = (n, m, dint)
-    hit = _closure_memo.get(key)
-    if hit is not None:
-        return hit
-    _, imasks, _ = _universe(n, m)
-    members, rounds = _close_engine(n, m, dint, [imasks[p]])
-    _closure_memo[key] = members
-    _closure_memo[(n, m, members)] = members
-    _record_rounds(n, m, rounds)
-    return members
-
-
-def max_productive_rounds(n, m):
-    """Most fixpoint rounds any closure computed so far has needed."""
-    return _max_productive_rounds.get((n, m), 0)
-
-
-@lru_cache(maxsize=None)
-def _clique_candidates(n, m):
-    """(index_mask, subset_mask) for every C of size >= m+1, by size."""
+    cands = [(c, c.bit_count() - m) for c in range(1, 1 << n)
+             if c.bit_count() > m]
     out = []
-    for k in range(m + 1, n + 1):
-        for c in combinations(range(1, n + 1), k):
-            cmask = sum(1 << (i - 1) for i in c)
-            out.append((cmask, _subsets_within(n, m, cmask)))
-    return tuple(out)
 
+    def walk(start, family, subs):
+        out.append(family)
+        for i in range(start, len(cands)):
+            c, rc = cands[i]
+            if all((u | c).bit_count() > m + r + rc for u, r in subs):
+                walk(i + 1, family + (c,),
+                     subs + [(c, rc)] + [(u | c, r + rc) for u, r in subs])
 
-@lru_cache(maxsize=None)
-def _orders_int(n, m, dint):
-    """Maximal index sets all of whose (m+1)-subsets lie in dint."""
-    hits = [cmask for cmask, emask in _clique_candidates(n, m)
-            if emask and emask & ~dint == 0]
-    maximal = [c for c in hits
-               if not any(o != c and c & ~o == 0 for o in hits)]
-    return tuple(sorted(maximal))
-
-
-def _rank_of_closed(n, m, closed_int):
-    return sum(c.bit_count() - m for c in _orders_int(n, m, closed_int))
-
-
-def _rank_int(n, m, dint):
-    return _rank_of_closed(n, m, _closure_int(n, m, dint))
+    walk(0, (), [])
+    return out
 
 
 # ---------------------------------------------------------------- API
@@ -268,12 +187,11 @@ def _rank_int(n, m, dint):
 def concurrency_closure(col):
     """Smallest superset of col stable under the forcing criterion."""
     _check_universe(col.n, col.m)
-    return _from_int(col.n, col.m, _closure_int(col.n, col.m, _to_int(col)))
+    return _collection(col.n, col.m, _family(col))
 
 
 def is_closed(col):
-    dint = _to_int(col)
-    return _closure_int(col.n, col.m, dint) == dint
+    return _collection(col.n, col.m, _family(col)) == col
 
 
 def concurrency_orders(col):
@@ -282,17 +200,12 @@ def concurrency_orders(col):
     Returns [(index_tuple, order)] sorted; order = cardinality >= m+1.
     """
     _check_universe(col.n, col.m)
-    dint = _to_int(col)
-    if _closure_int(col.n, col.m, dint) != dint:
+    family = _family(col)
+    missing = len(_collection(col.n, col.m, family)) - len(col)
+    if missing:
         raise NotClosed("collection is not concurrency closed",
-                        missing=len(_from_int(
-                            col.n, col.m,
-                            _closure_int(col.n, col.m, dint))) - len(col))
-    out = []
-    for cmask in _orders_int(col.n, col.m, dint):
-        idx = tuple(p + 1 for p in _bits(cmask))
-        out.append((idx, len(idx)))
-    return sorted(out)
+                        missing=missing)
+    return sorted((idx, len(idx)) for idx in map(_indices, family))
 
 
 def base_collection(col):
@@ -313,7 +226,7 @@ def base_collection(col):
 def combinatorial_rank(col):
     """Sum of (order - m) over concurrency sets of the closure."""
     _check_universe(col.n, col.m)
-    return _rank_int(col.n, col.m, _to_int(col))
+    return _rank(col.m, _family(col))
 
 
 def _check_universe(n, m):
@@ -321,64 +234,18 @@ def _check_universe(n, m):
     if size > MAX_UNIVERSE:
         raise TooLarge("too many (m+1)-subsets for enumeration",
                        n=n, m=m, subsets=size, limit=MAX_UNIVERSE)
-    return size
 
 
 def enumerate_closed_collections(n, m):
     """Every nonempty concurrency closed collection, each exactly once.
 
-    Lattice crawl: close the singletons, then repeatedly close
-    (closed C) + (one more subset) until no new collection appears.
-    Yields in (cardinality, lex) order; the empty collection is excluded.
+    One per nonempty closed family of _families.  Yields in (cardinality,
+    lex) order; the empty collection is excluded.
     """
     _check_universe(n, m)
-    for dint in _closed_ints(n, m):
-        yield _from_int(n, m, dint)
-
-
-@lru_cache(maxsize=None)
-def _closed_ints(n, m):
-    size = comb(n, m + 1)
-    seen = set()
-    frontier = set()
-    for p in range(size):
-        c = _closure_int(n, m, 1 << p)
-        if c not in seen:
-            seen.add(c)
-            frontier.add(c)
-    while frontier:
-        nxt = set()
-        for d in frontier:
-            rest = ~d & ((1 << size) - 1)
-            for p in _bits(rest):
-                c = _closure_step(n, m, d, p)
-                if c not in seen:
-                    seen.add(c)
-                    nxt.add(c)
-        frontier = nxt
-    subsets, _, _ = _universe(n, m)
-
-    def sort_key(dint):
-        mem = sorted(subsets[p] for p in _bits(dint))
-        return (len(mem), mem)
-
-    return tuple(sorted(seen, key=sort_key))
-
-
-def all_closures_brute(n, m):
-    """Oracle: distinct closures of every subset of E (exponential)."""
-    size = _check_universe(n, m)
-    if size > 22:
-        raise TooLarge("brute enumeration needs C(n, m+1) <= 22",
-                       n=n, m=m, subsets=size, limit=22)
-    seen = {_closure_int(n, m, d) for d in range(1, 1 << size)}
-    subsets, _, _ = _universe(n, m)
-
-    def sort_key(dint):
-        mem = sorted(subsets[p] for p in _bits(dint))
-        return (len(mem), mem)
-
-    return [_from_int(n, m, d) for d in sorted(seen, key=sort_key)]
+    cols = [_collection(n, m, f) for f in _families(n, m) if f]
+    cols.sort(key=lambda col: (len(col), col.sorted_members))
+    yield from cols
 
 
 class FreeVerdict:
@@ -418,14 +285,13 @@ def is_concurrency_free(ns):
     """
     n, m = ns.n, ns.m
     _check_universe(n, m)
-    subsets, _, _ = _universe(n, m)
+    subsets, imasks = _universe(n, m)
     rows = primitive_int_rows(build(ns).normals)
     kmax = n - m
 
-    # nodes carry (member positions, closure of those members, echelon
-    # basis of every member row but the last)
-    level = [((p,), _closure_int(n, m, 1 << p), ())
-             for p in range(len(subsets))]
+    # nodes carry (member positions, closed family of those members,
+    # echelon basis of every member row but the last)
+    level = [((p,), (imasks[p],), ()) for p in range(len(subsets))]
     k = 1
     while level:
         bad = []
@@ -443,12 +309,11 @@ def is_concurrency_free(ns):
         if k == kmax:
             break
         nxt = []
-        for (tup, closed, _), basis in zip(level, grown_bases):
+        for (tup, family, _), basis in zip(level, grown_bases):
             for q in range(tup[-1] + 1, len(subsets)):
-                if closed & (1 << q):
-                    continue  # inside the closure: rank cannot grow
-                grown = _closure_step(n, m, closed, q)
-                if _rank_of_closed(n, m, grown) == k + 1:
+                # a subset inside the closure returns the family: rank k
+                grown = _step(m, family, imasks[q])
+                if _rank(m, grown) == k + 1:
                     nxt.append((tup + (q,), grown, basis))
         level = nxt
         k += 1

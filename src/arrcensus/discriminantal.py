@@ -11,8 +11,8 @@ order, fix the sign conventions used by every census downstream.
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import BadArtifact, BadSubsetSize
-from .exact_linalg import determinant, parse_rational, rank, rational_str
+from .errors import BadArtifact
+from .exact_linalg import determinant, parse_rational, rational_str
 
 
 class DiscriminantalArrangement:
@@ -66,31 +66,6 @@ def build(ns):
             vec[i - 1] = sign * determinant(minor)
         normals.append(tuple(vec))
     return DiscriminantalArrangement(n, m, subsets, normals, source=ns)
-
-
-def common_intersection_dim(da):
-    """Dimension of the intersection of all hyperplanes; always >= m."""
-    return da.n - rank(da.normals)
-
-
-def stack_normals(da, D):
-    """Normal rows of the members of D, in the order given."""
-    rows = []
-    for S in D:
-        s = tuple(sorted(S))
-        if len(s) != da.m + 1 or s not in da.index:
-            raise BadSubsetSize("members must be (m+1)-subsets of {1..n}",
-                                member=list(S), m=da.m, n=da.n)
-        rows.append(da.normals[da.index[s]])
-    return rows
-
-
-def subset_rank(da, D):
-    """Rank of the stacked normals of the members of D (0 for empty D)."""
-    rows = stack_normals(da, D)
-    if not rows:
-        return 0
-    return rank(rows)
 
 
 def da_to_dict(da):

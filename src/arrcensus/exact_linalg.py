@@ -48,10 +48,6 @@ def dot(u, v):
     return sum((Fraction(a) * b for a, b in zip(u, v)), Fraction(0))
 
 
-def matvec(mat, x):
-    return tuple(dot(row, x) for row in mat)
-
-
 def _int_rows(mat):
     # scale each row by the lcm of denominators: rank is unchanged
     out = []
@@ -337,22 +333,3 @@ def feasible_strict(rows):
         elif bv < 2 * d:
             x[bv - d] -= Fraction(tab[i][-1], det)
     return tuple(x)
-
-
-def find_interior_point(mat, signs):
-    """Exact x with sign(row_i . x) = signs_i for all i, or None.
-
-    signs entries are '+'/'-' (or +1/-1).  Deterministic for fixed input.
-    """
-    if len(signs) != len(mat):
-        raise BadShape("one sign per row required",
-                       rows=len(mat), signs=len(signs))
-    folded = []
-    for row, s in zip(mat, signs):
-        if s in ("+", 1):
-            folded.append(tuple(Fraction(a) for a in row))
-        elif s in ("-", -1):
-            folded.append(tuple(-Fraction(a) for a in row))
-        else:
-            raise BadShape("signs must be '+' or '-'", got=repr(s))
-    return feasible_strict(folded)

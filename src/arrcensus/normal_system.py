@@ -9,11 +9,11 @@ matrix, not just on the lines it defines.
 
 import random
 from fractions import Fraction
-from itertools import combinations
 
 from .errors import (BadArtifact, BadShape, DependentRows, GivesUp,
                      LengthMismatch)
-from .exact_linalg import parse_rational, rank, rational_str
+from .exact_linalg import (echelon_insert, echelon_residual, parse_rational,
+                           primitive_int_rows, rational_str)
 
 
 class NormalSystem:
@@ -62,18 +62,28 @@ def first_dependent_subset(rows, m):
     """Lexicographically first dependent row subset of size <= m, or None.
 
     Subsets are 1-based and ordered as tuples, so {1,2} precedes {1,2,3}
-    precedes {1,3}.
+    precedes {1,3}.  That is the preorder of a depth-first walk that
+    extends each tuple by a later index, so the walk meets the subsets in
+    order.  A node carries the echelon basis of its prefix, whose rows
+    are independent, and is dependent exactly when its last row leaves no
+    residual against that basis.
     """
     n = len(rows)
-    subsets = []
-    for k in range(1, m + 1):
-        subsets.extend(combinations(range(1, n + 1), k))
-    subsets.sort()
-    for sub in subsets:
-        picked = [rows[i - 1] for i in sub]
-        if rank(picked) < len(sub):
-            return sub
-    return None
+    ints = primitive_int_rows(rows)
+
+    def walk(prefix, basis):
+        for i in range(prefix[-1] if prefix else 0, n):
+            sub = prefix + (i + 1,)
+            res = echelon_residual(basis, ints[i])
+            if res is None:
+                return sub
+            if len(sub) < m:
+                hit = walk(sub, echelon_insert(basis, res))
+                if hit is not None:
+                    return hit
+        return None
+
+    return walk((), ())
 
 
 def validate(coeffs, m):

@@ -149,6 +149,15 @@ def test_combinatorial_matches_brute_oracle():
     assert combinatorial_charpoly(5, 2) == brute_combinatorial(5, 2)
 
 
+def test_combinatorial_chi_at_m1_is_the_braid_polynomial():
+    # shape (n, 1) is the braid arrangement: chi = x(x - 1)...(x - n + 1)
+    for n in range(2, 7):
+        coeffs = [1]
+        for k in range(n):
+            coeffs = [a - k * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+        assert combinatorial_charpoly(n, 1).coefficients == tuple(coeffs)
+
+
 def test_whitney_equals_poset_everywhere_both_run():
     for name in ["four_lines", "five_lines", "six_lines_perpendicular_pairs",
                  "six_lines_mixed_slopes", "six_lines_free",

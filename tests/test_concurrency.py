@@ -1,12 +1,15 @@
 """Tests for concurrency closure, orders, ranks, and the freeness check.
 
-Golden values come from hand-checkable small cases; the crawl enumeration
-is cross-checked against a brute-force closure of every subset of E where
-that is feasible.
+Golden values come from hand-checkable small cases.  The family engine is
+cross-checked against the forcing-criterion fixpoint below, on every
+collection of the small shapes and on seeded samples of the larger ones,
+and the enumeration against the distinct fixpoint closures of every
+subset of E where that is feasible.
 """
 
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -14,7 +17,6 @@ from arrcensus import gallery
 from arrcensus.concurrency import (
     FreeVerdict,
     SubsetCollection,
-    all_closures_brute,
     base_collection,
     collection_from_dict,
     collection_to_dict,
@@ -25,11 +27,12 @@ from arrcensus.concurrency import (
     full_collection,
     is_closed,
     is_concurrency_free,
-    max_productive_rounds,
 )
-from arrcensus.discriminantal import build, subset_rank
+from arrcensus.discriminantal import build
 from arrcensus.errors import BadSubsetSize, NotClosed, TooLarge
 from arrcensus.normal_system import random_normal_system
+
+from oracles import subset_rank
 
 D1 = SubsetCollection(6, 2, [(1, 2, 6), (1, 3, 5), (2, 3, 4)])
 D2 = SubsetCollection(6, 2, [(1, 2, 6), (1, 3, 5), (2, 3, 4), (4, 5, 6)])
@@ -38,6 +41,84 @@ D2 = SubsetCollection(6, 2, [(1, 2, 6), (1, 3, 5), (2, 3, 4), (4, 5, 6)])
 def random_collection(rng, n, m, k):
     pool = list(combinations(range(1, n + 1), m + 1))
     return SubsetCollection(n, m, rng.sample(pool, min(k, len(pool))))
+
+
+def _spread_ok(chosen, m):
+    # intermediate sub-family coverage: |union(J)| >= m + |J| for every
+    # nonempty J; singletons and the full family hold by construction
+    t = len(chosen)
+    for r in range(2, t):
+        for grp in combinations(chosen, r):
+            u = 0
+            for g in grp:
+                u |= g
+            if u.bit_count() < m + r:
+                return False
+    return True
+
+
+def fixpoint_closure(col):
+    """The forcing criterion iterated to a fixpoint, on index bitmasks.
+
+    A family {S_1..S_r} of members covering only m + r indices, while
+    every sub-family J covers at least m + |J|, forces every (m+1)-subset
+    of the covered set.  After the first round only spreads touching a
+    newly added member are explored: the others were exhausted before.
+    """
+    n, m = col.n, col.m
+    pool = list(combinations(range(1, n + 1), m + 1))
+    imasks = [sum(1 << (i - 1) for i in s) for s in pool]
+    members = {pool.index(s) for s in col.members}
+    kmax = n - m
+    dirty = None
+    while len(members) < len(pool):
+        mlist = [imasks[p] for p in sorted(members)]
+        unions = set()
+        for a in [None] if dirty is None else dirty:
+            others = mlist if a is None else [x for x in mlist if x != a]
+
+            def rec(start, chosen, union, t):
+                if t:
+                    delta = union.bit_count() - m - t
+                    if delta < 0 or delta > kmax - t:
+                        return
+                    if delta == 0 and t >= 2 and _spread_ok(chosen, m):
+                        unions.add(union)
+                if t == kmax:
+                    return
+                for i in range(start, len(others)):
+                    rec(i + 1, chosen + (others[i],),
+                        union | others[i], t + 1)
+
+            if a is None:
+                rec(0, (), 0, 0)
+            else:
+                rec(0, (a,), a, 1)
+        new = {p for p, im in enumerate(imasks) if p not in members
+               and any(im & ~u == 0 for u in unions)}
+        if not new:
+            break
+        members |= new
+        dirty = [imasks[p] for p in new]
+    return SubsetCollection(n, m, (pool[p] for p in members))
+
+
+def every_collection(n, m):
+    pool = list(combinations(range(1, n + 1), m + 1))
+    for mask in range(1 << len(pool)):
+        yield SubsetCollection(
+            n, m, (s for p, s in enumerate(pool) if mask >> p & 1))
+
+
+def all_closures_brute(n, m):
+    """Distinct fixpoint closures of every nonempty subset of E
+    (exponential)."""
+    size = comb(n, m + 1)
+    if size > 22:
+        raise TooLarge("brute enumeration needs C(n, m+1) <= 22",
+                       n=n, m=m, subsets=size, limit=22)
+    seen = {fixpoint_closure(col) for col in every_collection(n, m) if col}
+    return sorted(seen, key=lambda c: (len(c), c.sorted_members))
 
 
 def test_three_altitude_feet_collection_is_closed():
@@ -161,6 +242,27 @@ def test_six_line_collections_sampled_against_crawl():
     for _ in range(60):
         col = random_collection(rng, 6, 2, rng.randint(1, 6))
         assert concurrency_closure(col) in crawl
+
+
+@pytest.mark.parametrize("n,m", [
+    (n, m) for n in range(2, 11) for m in range(1, n)
+    if comb(n, m + 1) <= 10])
+def test_closure_matches_fixpoint_oracle_on_every_collection(n, m):
+    for col in every_collection(n, m):
+        assert concurrency_closure(col) == fixpoint_closure(col), col
+
+
+@pytest.mark.parametrize("n,m", [(6, 2), (6, 3), (7, 3), (7, 4), (7, 2)])
+def test_closure_matches_fixpoint_oracle_on_seeded_samples(n, m):
+    rng = random.Random(n * 10 + m)
+    for _ in range(100):
+        col = random_collection(rng, n, m, rng.randint(1, 7))
+        assert concurrency_closure(col) == fixpoint_closure(col), col
+
+
+def test_closed_collection_counts_at_seven_lines():
+    assert len(list(enumerate_closed_collections(7, 3))) == 2129
+    assert len(list(enumerate_closed_collections(7, 2))) == 6049
 
 
 def test_enumeration_too_large_guard():
@@ -297,12 +399,6 @@ def test_free_verdict_repr_and_bool():
 
 
 def test_closure_one_pass_observation():
-    # fixpoint always iterates until stable; record how many productive
-    # rounds have ever been needed (the criterion is believed to settle
-    # in one)
-    list(enumerate_closed_collections(5, 2))
-    rounds = max_productive_rounds(5, 2)
-    assert rounds >= 0
     col = concurrency_closure(D2)
     assert concurrency_closure(col) == col
 

@@ -14,16 +14,11 @@ import pytest
 import sympy
 
 from arrcensus import gallery
-from arrcensus.discriminantal import (
-    build,
-    common_intersection_dim,
-    da_from_dict,
-    da_to_dict,
-    subset_rank,
-)
+from arrcensus.discriminantal import build, da_from_dict, da_to_dict
 from arrcensus.errors import BadArtifact, BadRational, BadSubsetSize
-from arrcensus.exact_linalg import matvec
 from arrcensus.normal_system import random_normal_system, validate
+
+from oracles import common_intersection_dim, matvec, subset_rank
 
 GOLDEN_SIX_LINE_NORMALS = {
     (1, 2, 3): (-5, -2, 3, 0, 0, 0),

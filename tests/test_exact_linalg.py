@@ -19,10 +19,8 @@ from arrcensus.exact_linalg import (
     echelon_insert,
     echelon_residual,
     feasible_strict,
-    find_interior_point,
     integer_primitive,
     lex_independent_columns,
-    matvec,
     nullspace_basis,
     parse_rational,
     primitive_int_rows,
@@ -32,6 +30,8 @@ from arrcensus.exact_linalg import (
     rref,
     solve_particular,
 )
+
+from oracles import find_interior_point, matvec
 
 
 def cofactor_det(mat):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arrcensus.errors import BadShape, DependentRows, LengthMismatch
-from arrcensus.exact_linalg import determinant
+from arrcensus.exact_linalg import determinant, rank
 from arrcensus.normal_system import (
     Arrangement,
     NormalSystem,
@@ -80,6 +80,33 @@ def test_accepted_system_has_all_maximal_minors_nonzero():
 def test_first_dependent_subset_order_is_lexicographic():
     rows = [(0, 0), (1, 0), (2, 0)]
     assert first_dependent_subset(rows, 2) == (1,)
+
+
+def rank_search_oracle(rows, m):
+    """First dependent subset by one exact rank per subset, in sorted
+    tuple order."""
+    subsets = []
+    for k in range(1, m + 1):
+        subsets.extend(combinations(range(1, len(rows) + 1), k))
+    for sub in sorted(subsets):
+        if rank([rows[i - 1] for i in sub]) < len(sub):
+            return sub
+    return None
+
+
+def test_first_dependent_subset_matches_rank_oracle():
+    rng = random.Random(29)
+    dependent = 0
+    for _ in range(600):
+        m = rng.randint(2, 4)
+        n = rng.randint(m + 1, 7)
+        bound = rng.randint(1, 3)
+        rows = [[Fraction(rng.randint(-bound, bound), rng.choice((1, 2, 3)))
+                 for _ in range(m)] for _ in range(n)]
+        expected = rank_search_oracle(rows, m)
+        assert first_dependent_subset(rows, m) == expected, (rows, m)
+        dependent += expected is not None
+    assert 100 < dependent < 500  # both outcomes are exercised
 
 
 def test_random_normal_system_deterministic():
