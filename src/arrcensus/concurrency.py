@@ -161,13 +161,15 @@ def _collection(n, m, family):
 def _families(n, m):
     """Every closed family over {1..n}, the empty one first.
 
-    A depth-first walk over the index sets of size >= m+1 in mask order:
-    a family grows only by later sets, so each is met once.  A candidate
-    c is checked only against the subfamilies that contain it; subs holds
-    (union, rank) of every nonempty subfamily of the current family.
+    A depth-first walk over the index sets of size >= m+1 in mask order;
+    only those sets are listed, never all 2^n masks, so a shape with m
+    close to n stays small.  A family grows only by later sets, so each
+    is met once.  A candidate c is checked only against the subfamilies
+    that contain it; subs holds (union, rank) of every nonempty
+    subfamily of the current family.
     """
-    cands = [(c, c.bit_count() - m) for c in range(1, 1 << n)
-             if c.bit_count() > m]
+    cands = sorted((_mask(c), k - m) for k in range(m + 1, n + 1)
+                   for c in combinations(range(1, n + 1), k))
     out = []
 
     def walk(start, family, subs):

@@ -158,6 +158,16 @@ def test_combinatorial_chi_at_m1_is_the_braid_polynomial():
         assert combinatorial_charpoly(n, 1).coefficients == tuple(coeffs)
 
 
+def test_combinatorial_chi_with_m_close_to_n_is_immediate():
+    # C(n, m+1) is small here although 2^n is not: the walk must list
+    # only the index sets of size >= m+1.  (n, n-1) has the one family
+    # {[n]}; (n, n-2) adds the n sets of size n-1 below it.
+    assert combinatorial_charpoly(40, 39).coefficients == (1, -1) + (0,) * 39
+    for n in (30, 36):
+        assert combinatorial_charpoly(n, n - 2).coefficients == \
+            (1, -n, n - 1) + (0,) * (n - 2)
+
+
 def test_whitney_equals_poset_everywhere_both_run():
     for name in ["four_lines", "five_lines", "six_lines_perpendicular_pairs",
                  "six_lines_mixed_slopes", "six_lines_free",

@@ -265,6 +265,13 @@ def test_closed_collection_counts_at_seven_lines():
     assert len(list(enumerate_closed_collections(7, 2))) == 6049
 
 
+def test_enumeration_with_m_close_to_n_is_immediate():
+    # one (m+1)-subset in all, so one closed collection, found without
+    # walking the 2^40 index masks
+    assert list(enumerate_closed_collections(40, 39)) == \
+        [full_collection(40, 39)]
+
+
 def test_enumeration_too_large_guard():
     with pytest.raises(TooLarge):
         list(enumerate_closed_collections(10, 2))
