@@ -14,7 +14,6 @@ hyperplane of the discriminantal arrangement of the system.
 """
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
@@ -22,8 +21,9 @@ from .chambers import shared_wall, sign_cells
 from .discriminantal import build
 from .errors import (NotAdjacent, NotGeneric, NotInCatalog,
                      UnsupportedDimension, WrongShape)
-from .exact_linalg import (dot, feasible_strict, integer_primitive,
-                           nullspace_basis, solve_particular)
+from .exact_linalg import (_int_row, dot, feasible_strict,
+                           integer_primitive, nullspace_basis,
+                           solve_particular)
 from .normal_system import Arrangement
 
 MAX_REGIONS = 10 ** 4
@@ -113,52 +113,58 @@ def _affine_cells(arr, max_regions):
     ns = arr.system
     rows = [tuple(a) + (-bi,) for a, bi in zip(ns.rows, arr.b)]
     base = [(0,) * ns.m + (1,)]
-    cells = sign_cells(rows, ns.m + 1, base_rows=base, max_cells=max_regions)
-    out = []
-    for signs, w in cells:
-        t = w[-1]
-        out.append((signs, tuple(x / t for x in w[:-1])))
-    return out
+    return [signs for signs, _ in sign_cells(rows, ns.m + 1, base_rows=base,
+                                             max_cells=max_regions)]
 
 
-def _is_bounded(ns, signs):
+def _left_kernel(ns):
+    # one integer row per hyperplane i: entry k is entry i of the k-th
+    # basis vector of the left kernel of the normals, times the row's lcm
+    kernel = nullspace_basis(list(zip(*ns.rows)))
+    return [_int_row([k[i] for k in kernel])[0] for i in range(ns.n)]
+
+
+def _is_bounded(cols, signs):
     # recession cone {d : sign_i * a_i . d >= 0} is trivial iff some strictly
     # positive combination of the signed rows vanishes (Gordan/Stiemke); the
-    # left kernel of the plain rows is precomputable, signs only rescale it
-    kernel = nullspace_basis(list(zip(*ns.rows)))
-    folded = []
-    for i, s in enumerate(signs):
-        folded.append(tuple(s * k[i] for k in kernel))
-    return feasible_strict(tuple(folded)) is not None
+    # left kernel of the plain rows is computed once, signs only flip it
+    return feasible_strict(tuple(
+        row if s > 0 else [-x for x in row]
+        for row, s in zip(cols, signs))) is not None
 
 
 def region_census(arr, max_regions=MAX_REGIONS):
     """Exact {total, bounded, unbounded} region counts of a generic arr."""
     _require_generic(arr)
     cells = _affine_cells(arr, max_regions)
-    bounded = sum(1 for signs, _ in cells if _is_bounded(arr.system, signs))
+    cols = _left_kernel(arr.system)
+    bounded = sum(1 for signs in cells if _is_bounded(cols, signs))
     return {"total": len(cells), "bounded": bounded,
             "unbounded": len(cells) - bounded}
 
 
-def _facets(ns, b, signs):
-    # indices i whose wall holds an (m-1)-dimensional face of the region:
-    # parametrize the wall, homogenize the affine offsets, ask for a point
-    # of the wall satisfying every other constraint strictly
+def _walls(ns, b):
+    # per wall i, the other hyperplanes j read on a parametrization of the
+    # wall, homogenized: an integer row per j, to be signed by the region
     out = []
     for i in range(1, ns.n + 1):
         rows = [ns.rows[i - 1]]
         p0 = solve_particular(rows, [b[i - 1]])
         d = nullspace_basis(rows)
-        folded = []
-        for j in range(1, ns.n + 1):
-            if j == i:
-                continue
-            aj = ns.rows[j - 1]
-            s = signs[j - 1]
-            folded.append(tuple(s * dot(aj, dv) for dv in d)
-                          + (s * (dot(aj, p0) - b[j - 1]),))
-        hom = (0,) * len(d) + (1,)
+        out.append([(j, _int_row([dot(ns.rows[j - 1], dv) for dv in d]
+                                 + [dot(ns.rows[j - 1], p0) - b[j - 1]])[0])
+                    for j in range(1, ns.n + 1) if j != i])
+    return out
+
+
+def _facets(walls, signs):
+    # indices i whose wall holds an (m-1)-dimensional face of the region:
+    # ask for a point of the wall satisfying every other constraint strictly
+    out = []
+    for i, others in enumerate(walls, start=1):
+        folded = [row if signs[j - 1] > 0 else [-x for x in row]
+                  for j, row in others]
+        hom = [0] * (len(folded[0]) - 1) + [1]
         if feasible_strict(tuple(folded) + (hom,)) is not None:
             out.append(i)
     return out
@@ -176,11 +182,13 @@ def simplex_signature(arr):
         raise UnsupportedDimension("triangle signatures are planar only",
                                    m=ns.m)
     _require_generic(arr)
+    cols = _left_kernel(ns)
+    walls = _walls(ns, arr.b)
     triples = set()
-    for signs, _ in _affine_cells(arr, MAX_REGIONS):
-        if not _is_bounded(ns, signs):
+    for signs in _affine_cells(arr, MAX_REGIONS):
+        if not _is_bounded(cols, signs):
             continue
-        facets = _facets(ns, arr.b, signs)
+        facets = _facets(walls, signs)
         if len(facets) == 3:
             triples.add(tuple(facets))
     return triples

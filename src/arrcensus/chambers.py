@@ -8,6 +8,13 @@ from exact_linalg, so the catalog is complete and witness-certified: no cell
 is reported without a rational interior point, and no realizable sign vector
 is missed because splits are decided by the solver, not by sampling.
 
+The walk runs on integers.  Each row is scaled once by the lcm of its
+denominators (never divided by a gcd: the simplex would then solve another
+program), and a witness is carried as an integer vector W over a positive
+integer denominator D, so every sign test is an integer dot product.
+Fractions are made only for the witnesses returned, and their values are
+those of the same walk done in rationals.
+
 The arrangement is first reduced modulo its common intersection subspace.
 Normals are restricted to the lexicographically first coordinate set on which
 they have full rank; this keeps the simplex dimension at rank(normals) rather
@@ -15,12 +22,14 @@ than n, and witnesses are lifted back by zero-filling the dropped coordinates.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 
 from .errors import (BadArtifact, LengthMismatch, NotInCatalog, TooLarge,
                      UnpairedChamber)
-from .exact_linalg import (dot, feasible_strict, lex_independent_columns,
-                           nullspace_basis, parse_rational, rank,
-                           rational_str)
+from .exact_linalg import (_int_row, dot, feasible_strict,
+                           lex_independent_columns, nullspace_basis,
+                           parse_rational, rank, rational_str)
 
 DEFAULT_MAX_CHAMBERS = 10 ** 4
 
@@ -32,12 +41,23 @@ def opposite_signs(signs):
     return signs.translate(_FLIP)
 
 
-def _scaled(row, s):
-    return row if s > 0 else tuple(-x for x in row)
+def _idot(u, v):
+    return sum(map(mul, u, v))
+
+
+def _homogeneous(pt):
+    """A rational point as (W, D): integers W over the positive lcm D."""
+    den = lcm(*(x.denominator for x in pt))
+    return [x.numerator * (den // x.denominator) for x in pt], den
+
+
+def _reduced(W, D):
+    g = gcd(D, *W)
+    return [x // g for x in W], D // g
 
 
 def _feasible_lazy(folded, flipped, seed=()):
-    """Strict interior point of {folded > 0, flipped > 0}, or None.
+    """Strict interior point (W, D) of {folded > 0, flipped > 0}, or None.
 
     Constraint generation: solve on a working subset (the wall plus any rows
     named in seed), then add whatever the candidate point still violates and
@@ -46,48 +66,57 @@ def _feasible_lazy(folded, flipped, seed=()):
     laziness is sound; it just keeps the simplex tableaus small.
     """
     active = [flipped] + [folded[j] for j in seed]
-    left = set(range(len(folded))) - set(seed)
+    left = sorted(set(range(len(folded))) - set(seed))
     while True:
         pt = feasible_strict(tuple(active))
         if pt is None:
             return None
-        viol = [j for j in sorted(left) if dot(folded[j], pt) <= 0]
+        W, D = _homogeneous(pt)
+        viol = [j for j in left if _idot(folded[j], W) <= 0]
         if not viol:
-            return pt
-        for j in viol:
-            active.append(folded[j])
-            left.discard(j)
+            return W, D
+        active += [folded[j] for j in viol]
+        left = [j for j in left if j not in viol]
 
 
-def _opposite(folded, flipped, w):
-    """Witness for the far side of a wall, or None when the side is empty.
+def _opposite(folded, flipped, scale, w):
+    """Witness (W, D) for the far side of a wall, or None when it is empty.
 
-    w satisfies folded strictly but sits on the wrong side of flipped.  Drop
-    the perpendicular foot p of w onto the wall; when p still satisfies all
-    of folded strictly, stepping from p along flipped by half the largest
-    safe amount gives an exact witness with no simplex run at all.  The foot
-    lies outside the cell only for skinny cells, where we fall back to the
-    lazy solver seeded with the constraints the foot violated.
+    w = (W, D) satisfies folded strictly but sits on the wrong side of
+    flipped, the integer row scale times a rational row r.  Drop the
+    perpendicular foot p of w onto the wall; when p still satisfies all of
+    folded strictly, stepping from p along r by half the largest safe
+    amount gives an exact witness with no simplex run at all.  In integers
+    p = P / (D (f.f)) with P = W (f.f) - (f.W) f for f = flipped; the
+    largest step is the least (g.P) / (-g.f) over the rows g of folded
+    with g.f < 0, compared by cross-multiplication, and an unbounded step
+    is one unit of r.  The foot lies outside the cell only for skinny
+    cells, where we fall back to the lazy solver seeded with the
+    constraints the foot violated.
     """
-    rr = dot(flipped, flipped)
-    t = dot(flipped, w) / rr
-    p = tuple(wi - t * fi for wi, fi in zip(w, flipped))
-    bound = None
+    W, D = w
+    ff = _idot(flipped, flipped)
+    fw = _idot(flipped, W)
+    P = [ff * x - fw * y for x, y in zip(W, flipped)]
+    num = den = None
     bad = []
-    for j, f in enumerate(folded):
-        fp = dot(f, p)
-        if fp <= 0:
+    for j, g in enumerate(folded):
+        gp = _idot(g, P)
+        if gp <= 0:
             bad.append(j)
             continue
-        fd = dot(f, flipped)
-        if fd < 0:
-            b = fp / -fd
-            if bound is None or b < bound:
-                bound = b
-    if not bad:
-        eps = bound / 2 if bound is not None else Fraction(1)
-        return tuple(pi + eps * fi for pi, fi in zip(p, flipped))
-    return _feasible_lazy(folded, flipped, seed=bad)
+        gd = _idot(g, flipped)
+        if gd < 0 and (num is None or gp * den < num * -gd):
+            num, den = gp, -gd
+    if bad:
+        return _feasible_lazy(folded, flipped, seed=bad)
+    Dp = D * ff
+    if num is None:  # p + r
+        return _reduced([scale * x + Dp * y for x, y in zip(P, flipped)],
+                        Dp * scale)
+    # p + (bound / 2) r, with bound = scale * num / (Dp * den)
+    return _reduced([2 * den * x + num * y for x, y in zip(P, flipped)],
+                    2 * Dp * den)
 
 
 def sign_cells(rows, dim, base_rows=(), max_cells=None, half=False):
@@ -96,38 +125,40 @@ def sign_cells(rows, dim, base_rows=(), max_cells=None, half=False):
     Cells are the connected components of {x : base . x > 0} minus the row
     hyperplanes; base_rows are fixed strict constraints (empty for a plain
     central arrangement).  Returns a list of (signs, witness) pairs where
-    signs is a tuple of +-1.  Insertion order is the given row order; a cell
-    splits when both sides of the new hyperplane are feasible.
+    signs is a tuple of +-1 and witness a tuple of Fractions.  Insertion
+    order is the given row order; a cell splits when both sides of the new
+    hyperplane are feasible.
 
     half=True (valid only with empty base_rows) pins the first sign to +,
     producing one cell per antipodal pair; the caller mirrors.
     """
-    rows = [tuple(Fraction(a) for a in r) for r in rows]
-    base = tuple(tuple(Fraction(a) for a in r) for r in base_rows)
+    base = tuple(_int_row(r)[0] for r in base_rows)
     if base:
-        w0 = feasible_strict(base)
-        if w0 is None:
+        pt = feasible_strict(base)
+        if pt is None:
             return []
+        w0 = _homogeneous(pt)
     else:
-        w0 = (Fraction(0),) * dim
+        w0 = ([0] * dim, 1)
     cells = [((), base, w0)]
     for row in rows:
+        plus, scale = _int_row(row)
+        minus = [-x for x in plus]
         grown = []
         for signs, folded, w in cells:
-            v = dot(row, w)
-            if v != 0:
-                s = 1 if v > 0 else -1
-                srow = _scaled(row, s)
-                orow = _scaled(row, -s)
+            v = _idot(plus, w[0])
+            if v:
+                s, srow, orow = (1, plus, minus) if v > 0 else \
+                    (-1, minus, plus)
                 grown.append((signs + (s,), folded + (srow,), w))
-                pt = _opposite(folded, orow, w)
+                pt = _opposite(folded, orow, scale, w)
                 if pt is not None:
                     grown.append((signs + (-s,), folded + (orow,), pt))
             else:
                 # witness sits on the new hyperplane; probe both sides
-                sides = (1,) if half and not signs else (1, -1)
-                for s in sides:
-                    srow = _scaled(row, s)
+                sides = ((1, plus),) if half and not signs else \
+                    ((1, plus), (-1, minus))
+                for s, srow in sides:
                     pt = _feasible_lazy(folded, srow)
                     if pt is not None:
                         grown.append((signs + (s,), folded + (srow,), pt))
@@ -135,7 +166,8 @@ def sign_cells(rows, dim, base_rows=(), max_cells=None, half=False):
             raise TooLarge("cell count exceeds the configured limit",
                            count=len(grown), limit=max_cells)
         cells = grown
-    return [(signs, w) for signs, _, w in cells]
+    return [(signs, tuple(Fraction(x, D) for x in W))
+            for signs, _, (W, D) in cells]
 
 
 class Chamber:
@@ -339,22 +371,23 @@ def adjacency(catalog):
     """Facet-adjacency graph over the catalog's chambers.
 
     Maps each sign vector to the sorted tuple of neighboring sign vectors.
-    Candidate pairs differ in one coordinate; each is kept only when the
-    separating wall really is a shared facet.
+    In a real central arrangement two chambers whose sign vectors differ
+    in exactly one hyperplane are adjacent across it (Edelman 1984;
+    Bjorner et al., Oriented Matroids, ch. 4), so this is a dictionary
+    pass over the pairs at Hamming distance one, with no LP.  It trusts
+    the catalog's sign vectors as chambers of catalog.da: verify_catalog
+    (catalog-verify) re-checks a loaded catalog, and shared_wall decides
+    one pair from the arrangement alone.
     """
-    _, reduced = _quotient(catalog.da.normals)
     out = {c.signs: [] for c in catalog}
-    for c in catalog:
-        for i, ch in enumerate(c.signs):
+    for signs in out:
+        for i, ch in enumerate(signs):
             if ch != "+":
                 continue  # visit each unordered pair from its + side
-            flipped = c.signs[:i] + "-" + c.signs[i + 1:]
-            mate = catalog.find(flipped)
-            if mate is None:
-                continue
-            if _wall_is_facet(reduced, c.signs, i):
-                out[c.signs].append(flipped)
-                out[flipped].append(c.signs)
+            flipped = signs[:i] + "-" + signs[i + 1:]
+            if flipped in out:
+                out[signs].append(flipped)
+                out[flipped].append(signs)
     return {k: tuple(sorted(v)) for k, v in out.items()}
 
 

@@ -25,7 +25,7 @@ from itertools import combinations
 from math import comb
 
 from .discriminantal import build
-from .errors import BadSubsetSize, NotClosed, TooLarge
+from .errors import BadShape, BadSubsetSize, NotClosed, TooLarge
 from .exact_linalg import echelon_insert, echelon_residual, primitive_int_rows
 
 MAX_UNIVERSE = 36  # largest C(n, m+1) the enumeration strategies accept
@@ -232,6 +232,9 @@ def combinatorial_rank(col):
 
 
 def _check_universe(n, m):
+    if m < 1:
+        # with m = 0 every index set is a concurrency set: 2^n of them
+        raise BadShape("concurrency needs m >= 1", n=n, m=m)
     size = comb(n, m + 1)
     if size > MAX_UNIVERSE:
         raise TooLarge("too many (m+1)-subsets for enumeration",
@@ -280,10 +283,11 @@ def is_concurrency_free(ns):
 
     Rank is tracked incrementally on the integer echelon kernel: the
     normals become primitive integer rows once, and a node carries the
-    echelon basis of its parent's rows, which passed the level before and
-    so are independent.  The node is dependent exactly when its last row
-    leaves no residual against that basis.  The last level, k = n - m,
-    is only checked: it builds no children and keeps no bases.
+    echelon basis of its rows, which are independent.  A child is checked
+    as it is made: it is dependent exactly when its last row leaves no
+    residual against its parent's basis, and only independent children
+    are kept, with their grown basis.  The last level, k = n - m, keeps
+    nothing but the dependent tuples, so it is never held in memory.
     """
     n, m = ns.n, ns.m
     _check_universe(n, m)
@@ -292,31 +296,25 @@ def is_concurrency_free(ns):
     kmax = n - m
 
     # nodes carry (member positions, closed family of those members,
-    # echelon basis of every member row but the last)
-    level = [((p,), (imasks[p],), ()) for p in range(len(subsets))]
-    k = 1
-    while level:
+    # echelon basis of the member rows); the root is the empty collection
+    level = [((), (), ())]
+    for k in range(1, kmax + 1):
         bad = []
-        grown_bases = []
-        for tup, _, basis in level:
-            res = echelon_residual(basis, rows[tup[-1]])
-            if res is None:
-                bad.append(tup)
-            elif k < kmax and not bad:
-                grown_bases.append(echelon_insert(basis, res))
+        nxt = []
+        for tup, family, basis in level:
+            for q in range(tup[-1] + 1 if tup else 0, len(subsets)):
+                # a subset inside the closure returns the family: rank k-1
+                grown = _step(m, family, imasks[q])
+                if _rank(m, grown) != k:
+                    continue
+                res = echelon_residual(basis, rows[q])
+                if res is None:
+                    bad.append(tup + (q,))
+                elif k < kmax and not bad:
+                    nxt.append((tup + (q,), grown,
+                                echelon_insert(basis, res)))
         if bad:
             witness = min(tuple(subsets[p] for p in t) for t in bad)
-            return FreeVerdict(False,
-                               SubsetCollection(n, m, witness))
-        if k == kmax:
-            break
-        nxt = []
-        for (tup, family, _), basis in zip(level, grown_bases):
-            for q in range(tup[-1] + 1, len(subsets)):
-                # a subset inside the closure returns the family: rank k
-                grown = _step(m, family, imasks[q])
-                if _rank(m, grown) == k + 1:
-                    nxt.append((tup + (q,), grown, basis))
+            return FreeVerdict(False, SubsetCollection(n, m, witness))
         level = nxt
-        k += 1
     return FreeVerdict(True)

@@ -10,9 +10,11 @@ order, fix the sign conventions used by every census downstream.
 
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
 from .errors import BadArtifact
-from .exact_linalg import determinant, parse_rational, rational_str
+from .exact_linalg import (_int_row, determinant, parse_rational,
+                           rational_str)
 
 
 class DiscriminantalArrangement:
@@ -57,13 +59,17 @@ def build(ns):
     """
     n, m = ns.n, ns.m
     subsets = list(combinations(range(1, n + 1), m + 1))
+    # each row scaled to integers once; a minor is the integer minor over
+    # the product of its rows' scales
+    scaled = [_int_row(row) for row in ns.rows]
     normals = []
     for S in subsets:
         vec = [Fraction(0)] * n
         for k, i in enumerate(S, start=1):
-            minor = [list(ns.rows[j - 1]) for j in S if j != i]
+            minor = [scaled[j - 1][0] for j in S if j != i]
+            scale = prod(scaled[j - 1][1] for j in S if j != i)
             sign = -1 if (m + 1 + k) % 2 else 1
-            vec[i - 1] = sign * determinant(minor)
+            vec[i - 1] = sign * determinant(minor) / scale
         normals.append(tuple(vec))
     return DiscriminantalArrangement(n, m, subsets, normals, source=ns)
 

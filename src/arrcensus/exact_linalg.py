@@ -4,9 +4,10 @@ Scalars are fractions.Fraction (always reduced, positive denominator) or
 plain ints: the flat kernel (primitive_int_rows, echelon_residual,
 echelon_insert) and the elimination inside rank, determinant and
 feasible_strict run on integers only.  Matrices are plain sequences of
-rows; rows are sequences of Fractions or ints.  No floating point
-anywhere: region counts downstream hinge on exact degeneracies that
-rounding destroys.
+rows; rows are sequences of Fractions or ints.  A row whose entries are
+all ints enters those kernels as it is; any other row is scaled once by
+the lcm of its denominators.  No floating point anywhere: region counts
+downstream hinge on exact degeneracies that rounding destroys.
 """
 
 from fractions import Fraction
@@ -48,14 +49,21 @@ def dot(u, v):
     return sum((Fraction(a) * b for a, b in zip(u, v)), Fraction(0))
 
 
+def _int_row(row):
+    """row times the lcm of its denominators, as a list, and that lcm.
+
+    A row of ints is its own scaling (factor 1); the rows it stands for
+    have the same sign at every point, so rank and feasibility hold.
+    """
+    if all(type(a) is int for a in row):
+        return list(row), 1
+    fr = [Fraction(a) for a in row]
+    d = lcm(*(a.denominator for a in fr))
+    return [int(a * d) for a in fr], d
+
+
 def _int_rows(mat):
-    # scale each row by the lcm of denominators: rank is unchanged
-    out = []
-    for row in mat:
-        fr = [Fraction(a) for a in row]
-        d = lcm(*(a.denominator for a in fr)) if fr else 1
-        out.append([int(a * d) for a in fr])
-    return out
+    return [_int_row(row)[0] for row in mat]
 
 
 def rank(mat):
@@ -90,12 +98,11 @@ def determinant(mat):
     if n == 0:
         return Fraction(1)
     a = []
-    scale = Fraction(1)
+    scale = 1
     for row in mat:
-        fr = [Fraction(x) for x in row]
-        d = lcm(*(x.denominator for x in fr))
+        ints, d = _int_row(row)
         scale *= d
-        a.append([int(x * d) for x in fr])
+        a.append(ints)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -110,7 +117,7 @@ def determinant(mat):
                 a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) // prev
             a[i][k] = 0
         prev = a[k][k]
-    return Fraction(sign * a[n - 1][n - 1]) / scale
+    return Fraction(sign * a[n - 1][n - 1], scale)
 
 
 def rref(mat):
@@ -262,74 +269,90 @@ def feasible_strict(rows):
 
     Cones are scale invariant, so strictness is encoded as row . x >= 1 and
     solved by a phase-1 simplex (artificial-variable sum minimized, Bland's
-    smallest-index rule: deterministic and cycle-free).  The tableau is kept
-    as integers under integer pivoting: every entry equals the rational
-    dictionary entry times the current basis determinant, so one pivot costs
-    integer mul/sub plus an exact division, with no per-entry gcd work.
+    smallest-index rule: deterministic and cycle-free).  Each row enters as
+    integers: a row of ints as it is, any other row times the lcm of its
+    denominators, never divided by a gcd, since that would change the
+    program and so the point returned.  The tableau is kept as integers
+    under integer pivoting: every entry equals the rational dictionary
+    entry times the current basis determinant, so one pivot costs integer
+    mul/sub plus an exact division, with no per-entry gcd work.  The ratio
+    test compares by cross-multiplication and the phase-1 value is an
+    integer sum; Fractions are made only for the d coordinates returned.
+
+    The variables are u, v (x = u - v), surplus w and artificial z, in
+    that order for Bland's rule.  The columns of v and z are the negated
+    columns of u and w, and stay so under pivoting, so only u, w and the
+    right-hand side are stored; a z reduced cost is det minus that of its
+    w.  Pivots are those of the full tableau.
     """
     nr = len(rows)
     if nr == 0:
         return ()
     d = len(rows[0])
-    irows = []
-    for r in rows:
-        fr = [Fraction(a) for a in r]
-        den = lcm(*(f.denominator for f in fr)) if fr else 1
-        irows.append([int(f * den) for f in fr])
-    # variables: u_1..u_d, v_1..v_d (x = u - v), surplus w_i, artificial z_i
-    width = 2 * d + 2 * nr + 1
-    tab = [[0] * width for _ in range(nr)]
-    for i, r in enumerate(irows):
-        for j, a in enumerate(r):
-            tab[i][j] = a
-            tab[i][d + j] = -a
-        tab[i][2 * d + i] = -1
-        tab[i][2 * d + nr + i] = 1
-        tab[i][-1] = 1
+    # stored columns: u_1..u_d, w_1..w_nr, right-hand side
+    tab = []
+    for i, r in enumerate(rows):
+        row = _int_row(r)[0] + [0] * nr + [1]
+        row[d + i] = -1
+        tab.append(row)
     basis = [2 * d + nr + i for i in range(nr)]
-    ncols = width - 1
-    # reduced costs for min sum(z): r_j = c_j - sum of column j
-    red = [0] * ncols
-    for j in range(ncols):
-        s = sum(tab[i][j] for i in range(nr))
-        red[j] = (1 if j >= 2 * d + nr else 0) - s
+    # reduced costs of u and w for min sum(z): minus the column sums
+    red = [0] * d + [1] * nr
+    for j in range(d):
+        red[j] = -sum(row[j] for row in tab)
     det = 1
     while True:
         sgn = 1 if det > 0 else -1
-        enter = next((j for j in range(ncols) if sgn * red[j] < 0), None)
+        # Bland: the first variable, in u, v, w, z order, whose reduced
+        # cost has the sign opposite to det, as (variable, stored column,
+        # sign of the column, reduced cost)
+        enter = next(((j, j, 1, c) for j, c in enumerate(red[:d])
+                      if sgn * c < 0), None) \
+            or next(((d + j, j, -1, -c) for j, c in enumerate(red[:d])
+                     if sgn * c > 0), None) \
+            or next(((d + j, j, 1, c) for j, c in enumerate(red[d:], d)
+                     if sgn * c < 0), None) \
+            or next(((d + nr + j, j, -1, det - c)
+                     for j, c in enumerate(red[d:], d)
+                     if sgn * (det - c) < 0), None)
         if enter is None:
             break
+        var, col, sign, f = enter
+        # min ratio tab[i][-1] / b over the entries b of the entering
+        # column with the sign of det; two such b have a positive product
         leave = None
-        best = None
         for i in range(nr):
-            if sgn * tab[i][enter] > 0:
-                ratio = Fraction(tab[i][-1], tab[i][enter])
-                if best is None or ratio < best or (
-                        ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
+            b = sign * tab[i][col]
+            if sgn * b > 0:
+                a = tab[i][-1]
+                if leave is None:
+                    leave, best_a, best_b = i, a, b
+                    continue
+                lhs, rhs = a * best_b, best_a * b
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave, best_a, best_b = i, a, b
         if leave is None:
             break  # unbounded in phase 1 cannot happen; defensive
         prow = tab[leave]
-        piv = prow[enter]
+        piv = best_b
         for i in range(nr):
             if i != leave:
                 ti = tab[i]
-                f = ti[enter]
-                tab[i] = [(x * piv - f * y) // det
-                          for x, y in zip(ti, prow)]
-        f = red[enter]
+                g = sign * ti[col]
+                if g:
+                    tab[i] = [(x * piv - g * y) // det
+                              for x, y in zip(ti, prow)]
+                else:
+                    tab[i] = [x * piv // det for x in ti]
         red = [(x * piv - f * y) // det for x, y in zip(red, prow)]
-        basis[leave] = enter
+        basis[leave] = var
         det = piv
-    value = sum((Fraction(tab[i][-1], det) for i, bv in enumerate(basis)
-                 if bv >= 2 * d + nr), Fraction(0))
-    if value != 0:
+    if sum(tab[i][-1] for i, bv in enumerate(basis) if bv >= 2 * d + nr):
         return None
-    x = [Fraction(0)] * d
+    x = [0] * d
     for i, bv in enumerate(basis):
         if bv < d:
-            x[bv] += Fraction(tab[i][-1], det)
+            x[bv] += tab[i][-1]
         elif bv < 2 * d:
-            x[bv - d] -= Fraction(tab[i][-1], det)
-    return tuple(x)
+            x[bv - d] -= tab[i][-1]
+    return tuple(Fraction(v, det) for v in x)

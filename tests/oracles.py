@@ -5,9 +5,12 @@ against; none of them is part of the library.
 """
 
 from fractions import Fraction
+from itertools import combinations
+from math import lcm
 
-from arrcensus.errors import BadShape, BadSubsetSize
-from arrcensus.exact_linalg import dot, feasible_strict, rank
+from arrcensus.discriminantal import DiscriminantalArrangement
+from arrcensus.errors import BadShape, BadSubsetSize, TooLarge
+from arrcensus.exact_linalg import determinant, dot, feasible_strict, rank
 
 
 def matvec(mat, x):
@@ -56,3 +59,165 @@ def subset_rank(da, D):
     if not rows:
         return 0
     return rank(rows)
+
+
+def build_by_minors(ns):
+    """Discriminantal arrangement with one determinant per Fraction minor."""
+    n, m = ns.n, ns.m
+    subsets = list(combinations(range(1, n + 1), m + 1))
+    normals = []
+    for S in subsets:
+        vec = [Fraction(0)] * n
+        for k, i in enumerate(S, start=1):
+            minor = [list(ns.rows[j - 1]) for j in S if j != i]
+            sign = -1 if (m + 1 + k) % 2 else 1
+            vec[i - 1] = sign * determinant(minor)
+        normals.append(tuple(vec))
+    return DiscriminantalArrangement(n, m, subsets, normals, source=ns)
+
+
+def feasible_strict_full_tableau(rows):
+    """Phase-1 simplex for row . x >= 1 on the full integer tableau.
+
+    Every variable (u, v with x = u - v, surplus w, artificial z) has its
+    own column, the ratio test compares Fractions, and Bland's rule picks
+    the entering and leaving variables.
+    """
+    nr = len(rows)
+    if nr == 0:
+        return ()
+    d = len(rows[0])
+    irows = []
+    for r in rows:
+        fr = [Fraction(a) for a in r]
+        den = lcm(*(f.denominator for f in fr)) if fr else 1
+        irows.append([int(f * den) for f in fr])
+    width = 2 * d + 2 * nr + 1
+    tab = [[0] * width for _ in range(nr)]
+    for i, r in enumerate(irows):
+        for j, a in enumerate(r):
+            tab[i][j] = a
+            tab[i][d + j] = -a
+        tab[i][2 * d + i] = -1
+        tab[i][2 * d + nr + i] = 1
+        tab[i][-1] = 1
+    basis = [2 * d + nr + i for i in range(nr)]
+    ncols = width - 1
+    red = [(1 if j >= 2 * d + nr else 0) - sum(tab[i][j] for i in range(nr))
+           for j in range(ncols)]
+    det = 1
+    while True:
+        sgn = 1 if det > 0 else -1
+        enter = next((j for j in range(ncols) if sgn * red[j] < 0), None)
+        if enter is None:
+            break
+        leave = None
+        best = None
+        for i in range(nr):
+            if sgn * tab[i][enter] > 0:
+                ratio = Fraction(tab[i][-1], tab[i][enter])
+                if best is None or ratio < best or (
+                        ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave is None:
+            break
+        prow = tab[leave]
+        piv = prow[enter]
+        for i in range(nr):
+            if i != leave:
+                f = tab[i][enter]
+                tab[i] = [(x * piv - f * y) // det
+                          for x, y in zip(tab[i], prow)]
+        f = red[enter]
+        red = [(x * piv - f * y) // det for x, y in zip(red, prow)]
+        basis[leave] = enter
+        det = piv
+    value = sum((Fraction(tab[i][-1], det) for i, bv in enumerate(basis)
+                 if bv >= 2 * d + nr), Fraction(0))
+    if value != 0:
+        return None
+    x = [Fraction(0)] * d
+    for i, bv in enumerate(basis):
+        if bv < d:
+            x[bv] += Fraction(tab[i][-1], det)
+        elif bv < 2 * d:
+            x[bv - d] -= Fraction(tab[i][-1], det)
+    return tuple(x)
+
+
+def _feasible_lazy_fraction(folded, flipped, seed=()):
+    active = [flipped] + [folded[j] for j in seed]
+    left = set(range(len(folded))) - set(seed)
+    while True:
+        pt = feasible_strict_full_tableau(tuple(active))
+        if pt is None:
+            return None
+        viol = [j for j in sorted(left) if dot(folded[j], pt) <= 0]
+        if not viol:
+            return pt
+        for j in viol:
+            active.append(folded[j])
+            left.discard(j)
+
+
+def _opposite_fraction(folded, flipped, w):
+    rr = dot(flipped, flipped)
+    t = dot(flipped, w) / rr
+    p = tuple(wi - t * fi for wi, fi in zip(w, flipped))
+    bound = None
+    bad = []
+    for j, f in enumerate(folded):
+        fp = dot(f, p)
+        if fp <= 0:
+            bad.append(j)
+            continue
+        fd = dot(f, flipped)
+        if fd < 0:
+            b = fp / -fd
+            if bound is None or b < bound:
+                bound = b
+    if not bad:
+        eps = bound / 2 if bound is not None else Fraction(1)
+        return tuple(pi + eps * fi for pi, fi in zip(p, flipped))
+    return _feasible_lazy_fraction(folded, flipped, seed=bad)
+
+
+def sign_cells_fraction(rows, dim, base_rows=(), max_cells=None, half=False):
+    """chambers.sign_cells done in Fractions on the full-tableau simplex.
+
+    Rows and witnesses are rational; the foot of the perpendicular, the
+    step bound and every sign test are Fraction arithmetic.
+    """
+    rows = [tuple(Fraction(a) for a in r) for r in rows]
+    base = tuple(tuple(Fraction(a) for a in r) for r in base_rows)
+    if base:
+        w0 = feasible_strict_full_tableau(base)
+        if w0 is None:
+            return []
+    else:
+        w0 = (Fraction(0),) * dim
+    cells = [((), base, w0)]
+    for row in rows:
+        grown = []
+        for signs, folded, w in cells:
+            v = dot(row, w)
+            if v != 0:
+                s = 1 if v > 0 else -1
+                srow = row if s > 0 else tuple(-x for x in row)
+                orow = tuple(-x for x in srow)
+                grown.append((signs + (s,), folded + (srow,), w))
+                pt = _opposite_fraction(folded, orow, w)
+                if pt is not None:
+                    grown.append((signs + (-s,), folded + (orow,), pt))
+            else:
+                for s in ((1,) if half and not signs else (1, -1)):
+                    srow = row if s > 0 else tuple(-x for x in row)
+                    pt = _feasible_lazy_fraction(folded, srow)
+                    if pt is not None:
+                        grown.append((signs + (s,), folded + (srow,), pt))
+        if max_cells is not None and len(grown) > max_cells:
+            raise TooLarge("cell count exceeds the configured limit",
+                           count=len(grown), limit=max_cells)
+        cells = grown
+    return [(signs, w) for signs, _, w in cells]

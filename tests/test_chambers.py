@@ -2,6 +2,9 @@
 antipodal pairing, classification, adjacency, and JSON round trips.
 """
 
+import hashlib
+import json
+import random
 from fractions import Fraction
 from functools import lru_cache
 
@@ -9,8 +12,9 @@ import pytest
 
 from arrcensus import gallery
 from arrcensus.chambers import (Chamber, ChamberCatalog, Classified, OnWall,
-                                adjacency, antipodal_classes, catalog_from_dict,
-                                catalog_to_dict, classify_b, enumerate_chambers,
+                                _wall_is_facet, adjacency, antipodal_classes,
+                                catalog_from_dict, catalog_to_dict,
+                                classify_b, enumerate_chambers,
                                 opposite_signs, shared_wall, sign_cells,
                                 verify_catalog)
 from arrcensus.charpoly import poset_charpoly, zaslavsky_regions
@@ -19,6 +23,18 @@ from arrcensus.errors import (LengthMismatch, NotInCatalog, TooLarge,
                               UnpairedChamber)
 from arrcensus.exact_linalg import (dot, feasible_strict,
                                     lex_independent_columns, rank)
+from arrcensus.normal_system import random_normal_system
+
+from oracles import sign_cells_fraction
+
+# SHA-256 of json.dumps(catalog_to_dict(...), sort_keys=True): any change
+# of a witness, an order or a class id shows here
+CATALOG_SHA256 = {
+    "five_lines":
+        "ba6af0057a1f739aaf5c014217e4b3cb3935661bcdbb10bc8a439a9354546237",
+    "six_planes_free":
+        "5edf4260b9a7e6e91fb19f431c5f41ccab1d5f901b9572fcdb1bad580b47a458",
+}
 
 
 @lru_cache(maxsize=None)
@@ -26,11 +42,15 @@ def catalog(name):
     return enumerate_chambers(build(getattr(gallery, name)()))
 
 
-def brute_sign_set(da):
-    # independent oracle: one feasibility run per candidate sign pattern
+def reduced_normals(da):
     r = rank(da.normals)
     cols = lex_independent_columns(da.normals, r)
-    reduced = [tuple(Fraction(row[j]) for j in cols) for row in da.normals]
+    return [tuple(Fraction(row[j]) for j in cols) for row in da.normals]
+
+
+def brute_sign_set(da):
+    # independent oracle: one feasibility run per candidate sign pattern
+    reduced = reduced_normals(da)
     out = set()
     for bits in range(1 << len(reduced)):
         folded = []
@@ -263,3 +283,67 @@ def test_enumeration_is_deterministic():
     assert [c.signs for c in a] == [c.signs for c in b]
     assert [c.witness for c in a] == [c.witness for c in b]
     assert [c.class_id for c in a] == [c.class_id for c in b]
+
+
+@pytest.mark.parametrize("name", ["three_lines", "four_lines", "five_lines",
+                                  "six_planes_chain", "six_planes_curve",
+                                  "six_planes_free"])
+def test_sign_cells_match_fraction_oracle(name):
+    # the integer walk gives the signs and witnesses, in order, of the same
+    # walk done in Fractions on the full-tableau simplex
+    reduced = reduced_normals(build(getattr(gallery, name)()))
+    dim = len(reduced[0])
+    got = sign_cells(reduced, dim, half=True)
+    assert got == sign_cells_fraction(reduced, dim, half=True)
+    assert all(isinstance(x, Fraction) for _, w in got for x in w)
+
+
+def test_sign_cells_match_fraction_oracle_on_rational_rows():
+    # rows with denominators: an unbounded step across a wall is one unit
+    # of the unscaled row, not of the integer row the walk carries
+    rng = random.Random(17)
+    for _ in range(40):
+        dim = rng.randint(2, 3)
+        rows = [tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+                      for _ in range(dim)) for _ in range(rng.randint(2, 5))]
+        if any(not any(r) for r in rows):
+            continue
+        assert sign_cells(rows, dim) == sign_cells_fraction(rows, dim)
+
+
+@pytest.mark.parametrize("n,m", [(5, 2), (6, 3)])
+def test_affine_cells_match_fraction_oracle(n, m):
+    # affine cells: homogenized rows (a, -b) over the base row t > 0, with
+    # rational b, as region_census walks them
+    rng = random.Random(n * 10 + m)
+    ns = random_normal_system(n, m, seed=rng.randrange(100), bound=9)
+    base = [(0,) * m + (1,)]
+    for _ in range(3):
+        b = [Fraction(rng.randint(-40, 40), rng.randint(1, 3))
+             for _ in range(n)]
+        rows = [tuple(a) + (-bi,) for a, bi in zip(ns.rows, b)]
+        got = sign_cells(rows, m + 1, base_rows=base)
+        assert got == sign_cells_fraction(rows, m + 1, base_rows=base)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_SHA256))
+def test_catalog_json_digest_is_pinned(name):
+    data = catalog_to_dict(catalog(name))
+    digest = hashlib.sha256(json.dumps(data, sort_keys=True).encode())
+    assert digest.hexdigest() == CATALOG_SHA256[name]
+
+
+@pytest.mark.parametrize("name", ["four_lines", "five_lines",
+                                  "six_planes_free"])
+def test_adjacency_matches_facet_lp_oracle(name):
+    # one LP per Hamming-distance-one pair: is the wall a common facet?
+    cat = catalog(name)
+    reduced = reduced_normals(cat.da)
+    expected = {c.signs: [] for c in cat}
+    for a in expected:
+        for b in expected:
+            diff = [i for i, (x, y) in enumerate(zip(a, b)) if x != y]
+            if len(diff) == 1 and _wall_is_facet(reduced, a, diff[0]):
+                expected[a].append(b)
+    assert adjacency(cat) == {k: tuple(sorted(v))
+                              for k, v in expected.items()}

@@ -7,6 +7,7 @@ envelope, artifact round trips, format switches, and error discipline.
 """
 
 import json
+import time
 
 import pytest
 
@@ -264,6 +265,24 @@ def test_census_free_rows_at_seven_lines(capsys, tmp_path, n, m, cones):
     assert verdict["payload"] == {"free": True, "witness": None}
     _, count, _, _ = run(capsys, "count", "--ns", path)
     assert count["payload"]["coefficients"] == rep["payload"]["chi"]
+
+
+def test_census_rejects_m_zero_up_front(capsys):
+    # m = 0 passes the subset guard (C(36, 1) = 36) but would walk 2^36
+    # index sets; it is refused before any work
+    t0 = time.perf_counter()
+    code, out, err, _ = run(capsys, "census", "--n", "36", "--m", "0")
+    assert time.perf_counter() - t0 < 2
+    assert code == 1 and out is None
+    assert err["error"]["type"] == "BadShape" and err["error"]["m"] == 0
+
+
+def test_census_braid_row_at_m_one(capsys):
+    # m = 1: points on a line, the braid arrangement, chi = x(x-1)...(x-4)
+    _, rep, _, _ = run(capsys, "census", "--n", "5", "--m", "1")
+    assert rep["payload"] == {"n": 5, "m": 1,
+                              "chi": [1, -10, 35, -50, 24, 0],
+                              "cones": 120, "classes": 60}
 
 
 def test_census_missing_args(capsys):

@@ -14,6 +14,7 @@ from math import comb
 import pytest
 
 from arrcensus import gallery
+from arrcensus.charpoly import combinatorial_charpoly
 from arrcensus.concurrency import (
     FreeVerdict,
     SubsetCollection,
@@ -29,7 +30,7 @@ from arrcensus.concurrency import (
     is_concurrency_free,
 )
 from arrcensus.discriminantal import build
-from arrcensus.errors import BadSubsetSize, NotClosed, TooLarge
+from arrcensus.errors import BadShape, BadSubsetSize, NotClosed, TooLarge
 from arrcensus.normal_system import random_normal_system
 
 from oracles import subset_rank
@@ -277,6 +278,18 @@ def test_enumeration_too_large_guard():
         list(enumerate_closed_collections(10, 2))
     with pytest.raises(TooLarge):
         all_closures_brute(7, 2)
+
+
+def test_every_entry_point_rejects_m_zero():
+    col = SubsetCollection(12, 0, [(1,), (2,)])
+    for call in (concurrency_closure, concurrency_orders, base_collection,
+                 combinatorial_rank):
+        with pytest.raises(BadShape):
+            call(col)
+    with pytest.raises(BadShape):
+        list(enumerate_closed_collections(12, 0))
+    with pytest.raises(BadShape):
+        combinatorial_charpoly(12, 0)
 
 
 def test_minimal_generating_sets_have_equal_cardinality():

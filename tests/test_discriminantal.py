@@ -16,9 +16,11 @@ import sympy
 from arrcensus import gallery
 from arrcensus.discriminantal import build, da_from_dict, da_to_dict
 from arrcensus.errors import BadArtifact, BadRational, BadSubsetSize
-from arrcensus.normal_system import random_normal_system, validate
+from arrcensus.normal_system import (NormalSystem, random_normal_system,
+                                     validate)
 
-from oracles import common_intersection_dim, matvec, subset_rank
+from oracles import (build_by_minors, common_intersection_dim, matvec,
+                     subset_rank)
 
 GOLDEN_SIX_LINE_NORMALS = {
     (1, 2, 3): (-5, -2, 3, 0, 0, 0),
@@ -42,6 +44,11 @@ GOLDEN_SIX_LINE_NORMALS = {
     (3, 5, 6): (0, 0, -5, 0, 13, -12),
     (4, 5, 6): (0, 0, 0, -5, 2, -3),
 }
+
+GALLERY_SYSTEMS = ("three_lines", "four_lines", "five_lines",
+                   "six_lines_perpendicular_pairs", "six_lines_mixed_slopes",
+                   "six_lines_distinct_slopes", "six_lines_free",
+                   "six_planes_chain", "six_planes_curve", "six_planes_free")
 
 ALTITUDE_QUADRUPLE = [(1, 2, 6), (1, 3, 5), (2, 3, 4), (4, 5, 6)]
 
@@ -178,3 +185,18 @@ def test_da_from_dict_rejects_malformed_artifacts():
     with pytest.raises(BadRational) as err:
         da_from_dict(bad)
     assert err.value.payload == {"got": "x", "hyperplane": 3, "position": 2}
+
+
+def test_build_matches_minor_oracle():
+    # integer minors over the product of the row scales equal the
+    # determinant of every Fraction minor, on integer and rational rows
+    systems = [getattr(gallery, name)() for name in GALLERY_SYSTEMS]
+    rng = random.Random(31)
+    for n, m in ((4, 2), (5, 2), (5, 3), (6, 3)):
+        rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+                 for _ in range(m)] for _ in range(n)]
+        systems.append(NormalSystem(rows, m))
+    for ns in systems:
+        da = build(ns)
+        assert da == build_by_minors(ns)
+        assert all(isinstance(a, Fraction) for v in da.normals for a in v)

@@ -31,7 +31,8 @@ from arrcensus.exact_linalg import (
     solve_particular,
 )
 
-from oracles import find_interior_point, matvec
+from oracles import (feasible_strict_full_tableau, find_interior_point,
+                     matvec)
 
 
 def cofactor_det(mat):
@@ -292,3 +293,36 @@ def test_feasible_strict_known_infeasible():
     # opposite orthant mix that leaves a sliver
     w = feasible_strict([(1, 1), (-1, 1)])
     assert w is not None and w[1] > abs(w[0])
+
+
+def test_feasible_strict_int_rows_match_fraction_rows():
+    # an int row enters the tableau as it is, a Fraction row times its lcm:
+    # equal rows give the same program and so the same point
+    rng = random.Random(91)
+    for _ in range(200):
+        d = rng.randint(1, 4)
+        rows = [tuple(rng.randint(-5, 5) for _ in range(d))
+                for _ in range(rng.randint(1, 7))]
+        got = feasible_strict(rows)
+        assert got == feasible_strict([tuple(Fraction(a) for a in r)
+                                       for r in rows])
+        assert got is None or all(isinstance(x, Fraction) for x in got)
+
+
+def test_feasible_strict_matches_full_tableau_oracle():
+    # the stored tableau drops the negated v and z columns; the pivots and
+    # the point must be those of the full tableau with a Fraction ratio test
+    # (small int entries make ties in the ratio test, where Bland's
+    # tie-break decides the pivot)
+    rng = random.Random(92)
+    feasible = 0
+    for entry in (lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+                  lambda: rng.randint(-2, 2)):
+        for _ in range(300):
+            d = rng.randint(1, 5)
+            rows = [tuple(entry() for _ in range(d))
+                    for _ in range(rng.randint(1, 8))]
+            got = feasible_strict(rows)
+            assert got == feasible_strict_full_tableau(rows), rows
+            feasible += got is not None
+    assert 100 < feasible < 500  # both verdicts exercised
