@@ -16,14 +16,14 @@ hyperplane of the discriminantal arrangement of the system.
 from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 
-from .chambers import shared_wall, sign_cells
+from .chambers import shared_wall
 from .discriminantal import build
-from .errors import (NotAdjacent, NotGeneric, NotInCatalog,
+from .errors import (NotAdjacent, NotGeneric, NotInCatalog, TooLarge,
                      UnsupportedDimension, WrongShape)
-from .exact_linalg import (_int_row, dot, feasible_strict,
-                           integer_primitive, nullspace_basis,
-                           solve_particular)
+from .exact_linalg import (_idot, _int_det, _int_row, dot, integer_primitive,
+                           nullspace_basis, solve_particular)
 from .normal_system import Arrangement
 
 MAX_REGIONS = 10 ** 4
@@ -107,91 +107,119 @@ def are_isomorphic_trivial(a1, a2):
     return True
 
 
-def _affine_cells(arr, max_regions):
-    # homogenize: region sign vectors of {a.x > b} match cone sign vectors
-    # of {(a,-b).(x,t) > 0} on the side t > 0
+def _kernel(rows):
+    # k independent integer rows of length k + 1: entry j is (-1)^j times
+    # the minor without column j, so r . v = det([r; rows]) for every r
+    return [(-1) ** j * _int_det([r[:j] + r[j + 1:] for r in rows])
+            for j in range(len(rows) + 1)]
+
+
+def _submasks(idx):
+    # the 2^len(idx) masks made of bits from idx
+    masks = [0]
+    for i in idx:
+        masks += [x | 1 << i for x in masks]
+    return masks
+
+
+def _regions(arr, max_regions):
+    """Regions of a generic arrangement, read off its vertex table.
+
+    Returns {mask: vertices}, where bit i of mask is set when the region
+    lies on the side a_i . x > b_i, and vertices lists the m-subsets S
+    (0-based, lex order) whose vertex v_S is a vertex of the region.  The
+    normals span R^m, so every region is pointed and has a vertex; around
+    v_S the m hyperplanes of S cut all 2^m sign patterns, and the others
+    keep their sign at v_S.  So the regions are the union of those
+    patterns.  v_S is the signed maximal minors of the homogenized
+    integer rows (a_i, -b_i) of S, last coordinate made positive; the sign
+    of row j there is that of the discriminantal minor of S + {j}, zero
+    exactly when those m + 1 hyperplanes concur.
+    """
     ns = arr.system
-    rows = [tuple(a) + (-bi,) for a, bi in zip(ns.rows, arr.b)]
-    base = [(0,) * ns.m + (1,)]
-    return [signs for signs, _ in sign_cells(rows, ns.m + 1, base_rows=base,
-                                             max_cells=max_regions)]
+    n, m = ns.n, ns.m
+    # a generic arrangement has sum C(n, i), i <= m, regions (Zaslavsky):
+    # at least its C(n, m) vertices and at least 2^m, so past this check
+    # the C(n, m) 2^m patterns below stay under the square of the limit
+    count = sum(comb(n, i) for i in range(m + 1))
+    if count > max_regions:
+        raise TooLarge("region count exceeds the configured limit",
+                       count=count, limit=max_regions)
+    hom = [_int_row(tuple(a) + (-bi,))[0] for a, bi in zip(ns.rows, arr.b)]
+    regions = {}
+    for S in combinations(range(n), m):
+        v = _kernel([hom[i] for i in S])
+        if v[-1] < 0:
+            v = [-x for x in v]
+        side = 0
+        for j, h in enumerate(hom):
+            val = _idot(h, v)
+            if val > 0:
+                side |= 1 << j
+            elif not val and j not in S:
+                # a concurrent (m+1)-subset is first met at S = its first
+                # m members and j its last, so the first one met is the
+                # lex-first
+                raise NotGeneric("m+1 hyperplanes pass through a common "
+                                 "point", subset=[i + 1 for i in S + (j,)])
+        for sub in _submasks(S):
+            regions.setdefault(side | sub, []).append(S)
+    return regions
 
 
-def _left_kernel(ns):
-    # one integer row per hyperplane i: entry k is entry i of the k-th
-    # basis vector of the left kernel of the normals, times the row's lcm
-    kernel = nullspace_basis(list(zip(*ns.rows)))
-    return [_int_row([k[i] for k in kernel])[0] for i in range(ns.n)]
+def _unbounded(ns):
+    """Sign masks of ray-holding regions: a region is unbounded iff its
+    mask is in this set.
 
-
-def _is_bounded(cols, signs):
-    # recession cone {d : sign_i * a_i . d >= 0} is trivial iff some strictly
-    # positive combination of the signed rows vanishes (Gordan/Stiemke); the
-    # left kernel of the plain rows is computed once, signs only flip it
-    return feasible_strict(tuple(
-        row if s > 0 else [-x for x in row]
-        for row, s in zip(cols, signs))) is not None
+    A region is unbounded iff its recession cone has an extreme ray, and
+    each such ray is +-d_A for an (m-1)-subset A, d_A the direction of
+    line A: a region holds it iff its signs off A are those of
+    +-(a_j . d_A), whatever its signs on A.
+    """
+    n, m = ns.n, ns.m
+    normals = [_int_row(a)[0] for a in ns.rows]
+    full = (1 << n) - 1
+    out = set()
+    for A in combinations(range(n), m - 1):
+        d = _kernel([normals[i] for i in A])
+        ahead = sum(1 << j for j, a in enumerate(normals) if _idot(a, d) > 0)
+        behind = full & ~ahead & ~sum(1 << i for i in A)
+        for sub in _submasks(A):
+            out.add(ahead | sub)
+            out.add(behind | sub)
+    return out
 
 
 def region_census(arr, max_regions=MAX_REGIONS):
-    """Exact {total, bounded, unbounded} region counts of a generic arr."""
-    _require_generic(arr)
-    cells = _affine_cells(arr, max_regions)
-    cols = _left_kernel(arr.system)
-    bounded = sum(1 for signs in cells if _is_bounded(cols, signs))
-    return {"total": len(cells), "bounded": bounded,
-            "unbounded": len(cells) - bounded}
+    """Exact {total, bounded, unbounded} region counts of a generic arr.
 
-
-def _walls(ns, b):
-    # per wall i, the other hyperplanes j read on a parametrization of the
-    # wall, homogenized: an integer row per j, to be signed by the region
-    out = []
-    for i in range(1, ns.n + 1):
-        rows = [ns.rows[i - 1]]
-        p0 = solve_particular(rows, [b[i - 1]])
-        d = nullspace_basis(rows)
-        out.append([(j, _int_row([dot(ns.rows[j - 1], dv) for dv in d]
-                                 + [dot(ns.rows[j - 1], p0) - b[j - 1]])[0])
-                    for j in range(1, ns.n + 1) if j != i])
-    return out
-
-
-def _facets(walls, signs):
-    # indices i whose wall holds an (m-1)-dimensional face of the region:
-    # ask for a point of the wall satisfying every other constraint strictly
-    out = []
-    for i, others in enumerate(walls, start=1):
-        folded = [row if signs[j - 1] > 0 else [-x for x in row]
-                  for j, row in others]
-        hom = [0] * (len(folded[0]) - 1) + [1]
-        if feasible_strict(tuple(folded) + (hom,)) is not None:
-            out.append(i)
-    return out
+    Raises TooLarge, before any work, when a generic arrangement of its
+    shape has more than max_regions regions.
+    """
+    regions = _regions(arr, max_regions)
+    unbounded = _unbounded(arr.system)
+    out = sum(1 for r in regions if r in unbounded)
+    return {"total": len(regions), "bounded": len(regions) - out,
+            "unbounded": out}
 
 
 def simplex_signature(arr):
     """Index triples of the triangular regions of a planar arrangement.
 
-    A triangle is a bounded region with exactly three facets; the triple
-    records which hyperplanes carry them.  The multiset of triples is a
-    class invariant of the associated discriminantal cone.
+    A triangle is a bounded region with exactly three vertices; the triple
+    is the union of their pairs, the lines that carry its sides.  The
+    multiset of triples is a class invariant of the associated
+    discriminantal cone.
     """
     ns = arr.system
     if ns.m != 2:
         raise UnsupportedDimension("triangle signatures are planar only",
                                    m=ns.m)
-    _require_generic(arr)
-    cols = _left_kernel(ns)
-    walls = _walls(ns, arr.b)
-    triples = set()
-    for signs in _affine_cells(arr, MAX_REGIONS):
-        if not _is_bounded(cols, signs):
-            continue
-        facets = _facets(walls, signs)
-        if len(facets) == 3:
-            triples.add(tuple(facets))
-    return triples
+    regions = _regions(arr, MAX_REGIONS)
+    unbounded = _unbounded(ns)
+    return {tuple(sorted({i + 1 for S in verts for i in S}))
+            for r, verts in regions.items()
+            if len(verts) == 3 and r not in unbounded}
 
 
 def special_point(arr):
@@ -220,19 +248,27 @@ def swap_check(da, catalog, signs_c, signs_d):
     (m-1)-subset A of S, the two adjacent vertices labeled by A plus one of
     the remaining pair of S; every line with A not inside S keeps its order.
     Returns a report dict; raises NotAdjacent when the chambers do not
-    share a facet.
+    share a facet.  Two chambers of the catalog whose sign vectors differ
+    in one coordinate are adjacent across that wall (see
+    chambers.adjacency), so the wall is read off the signs; any other pair
+    is decided by shared_wall.
     """
     if da.source is None:
         raise WrongShape("arrangement lacks its source normal system")
-    wall = shared_wall(da, signs_c, signs_d)
-    if wall is None:
-        raise NotAdjacent("chambers do not share a facet",
-                          left=signs_c, right=signs_d)
-    S = da.subsets[wall]
     cham_c = catalog.find(signs_c)
     cham_d = catalog.find(signs_d)
-    if cham_c is None or cham_d is None:
-        raise NotInCatalog("chamber missing from catalog")
+    diff = [i for i, (x, y) in enumerate(zip(signs_c, signs_d)) if x != y]
+    if (cham_c is not None and cham_d is not None and len(diff) == 1
+            and len(signs_c) == len(signs_d) == len(da.subsets)):
+        wall = diff[0]
+    else:
+        wall = shared_wall(da, signs_c, signs_d)
+        if wall is None:
+            raise NotAdjacent("chambers do not share a facet",
+                              left=signs_c, right=signs_d)
+        if cham_c is None or cham_d is None:
+            raise NotInCatalog("chamber missing from catalog")
+    S = da.subsets[wall]
     t_c = vertex_orders(Arrangement(da.source, cham_c.witness))
     t_d = vertex_orders(Arrangement(da.source, cham_d.witness))
     swapped, unchanged, failures = [], [], []

@@ -23,11 +23,10 @@ than n, and witnesses are lifted back by zero-filling the dropped coordinates.
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
 
 from .errors import (BadArtifact, LengthMismatch, NotInCatalog, TooLarge,
                      UnpairedChamber)
-from .exact_linalg import (_int_row, dot, feasible_strict,
+from .exact_linalg import (_idot, _int_row, dot, feasible_strict,
                            lex_independent_columns, nullspace_basis,
                            parse_rational, rank, rational_str)
 
@@ -39,10 +38,6 @@ _FLIP = str.maketrans("+-", "-+")
 def opposite_signs(signs):
     """The antipodal sign vector."""
     return signs.translate(_FLIP)
-
-
-def _idot(u, v):
-    return sum(map(mul, u, v))
 
 
 def _homogeneous(pt):
@@ -177,7 +172,8 @@ class Chamber:
 
     def __init__(self, signs, witness, class_id=None):
         self.signs = signs
-        self.witness = tuple(Fraction(x) for x in witness)
+        self.witness = tuple(x if type(x) is Fraction else Fraction(x)
+                             for x in witness)
         self.class_id = class_id
 
     def __eq__(self, other):

@@ -16,6 +16,7 @@ import json
 import random
 import sys
 import time
+from functools import lru_cache
 from math import comb
 
 from . import __version__
@@ -344,7 +345,9 @@ def cmd_census(args, timer):
 # ----------------------------------------------------------------- wiring
 
 
+@lru_cache(maxsize=1)
 def _build_parser():
+    # built on the first call, then shared by every call of the process
     top = argparse.ArgumentParser(
         prog="arrcensus",
         description="Exact census of generic hyperplane arrangements "
@@ -366,43 +369,36 @@ def _build_parser():
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--bound", type=int, default=9)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("disc", parents=[common],
                        help="build the discriminantal arrangement")
     p.add_argument("--ns", required=True)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_disc)
 
     p = sub.add_parser("charpoly", parents=[common],
                        help="characteristic polynomial of the arrangement")
     p.add_argument("--ns", required=True)
     p.add_argument("--method", choices=["poset", "whitney"],
                    default="poset")
-    p.set_defaults(func=cmd_charpoly)
 
     p = sub.add_parser("count", parents=[common],
                        help="cone and class counts via the deletion recursion")
     p.add_argument("--ns", required=True)
-    p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("chambers", parents=[common],
                        help="enumerate all cones with exact witnesses")
     p.add_argument("--ns", required=True)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_chambers)
 
     p = sub.add_parser("classify", parents=[common],
                        help="locate a constant vector b among the cones")
     p.add_argument("--ns", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--catalog")
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("check-cf", parents=[common],
                        help="decide concurrency freeness, with witness")
     p.add_argument("--ns", required=True)
-    p.set_defaults(func=cmd_check_cf)
 
     p = sub.add_parser("closure", parents=[common],
                        help="concurrency closure, orders, base, rank")
@@ -410,33 +406,28 @@ def _build_parser():
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--members")
-    p.set_defaults(func=cmd_closure)
 
     p = sub.add_parser("regions", parents=[common],
                        help="count regions of the affine arrangement at b")
     p.add_argument("--ns", required=True)
     p.add_argument("--b", required=True)
-    p.set_defaults(func=cmd_regions)
 
     p = sub.add_parser("signature", parents=[common],
                        help="triangle signature of a planar arrangement")
     p.add_argument("--ns", required=True)
     p.add_argument("--b", required=True)
-    p.set_defaults(func=cmd_signature)
 
     p = sub.add_parser("iso", parents=[common],
                        help="test two b-vectors for trivial isomorphism")
     p.add_argument("--ns", required=True)
     p.add_argument("--b1", required=True)
     p.add_argument("--b2", required=True)
-    p.set_defaults(func=cmd_iso)
 
     p = sub.add_parser("catalog-verify", parents=[common],
                        help="verify a catalog and cross-validate classes")
     p.add_argument("--ns", required=True)
     p.add_argument("--catalog")
     p.add_argument("--pairs", type=int, default=50)
-    p.set_defaults(func=cmd_catalog_verify)
 
     p = sub.add_parser("census", parents=[common],
                        help="one table row: chi, cones, classes")
@@ -445,17 +436,17 @@ def _build_parser():
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--ns")
-    p.set_defaults(func=cmd_census)
 
     return top
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     timer = _Timer()
+    # looked up at call time, so a rebound cmd_* is the one that runs
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        payload, digests = args.func(args, timer)
+        payload, digests = command(args, timer)
     except ArrangementError as err:
         sys.stderr.write(json.dumps({"error": err.as_dict()},
                                     sort_keys=True) + "\n")

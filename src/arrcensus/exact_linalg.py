@@ -10,8 +10,10 @@ the lcm of its denominators.  No floating point anywhere: region counts
 downstream hinge on exact degeneracies that rounding destroys.
 """
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .errors import BadRational, BadShape
 
@@ -25,12 +27,21 @@ def rational(s):
     return Fraction(str(s))  # Fraction('p/0') raises ZeroDivisionError
 
 
+_CANONICAL = re.compile(r"(-?\d+)(?:/(\d+))?").fullmatch
+
+
 def parse_rational(s, **where):
     """rational() for input values: BadRational instead of a raw error.
 
     where names the place of the value in its input, for the message.
+    The forms rational_str writes, 'p' and 'p/q' with plain digits, are
+    read by int directly; every other input goes through rational().
     """
     try:
+        hit = _CANONICAL(s) if type(s) is str else None
+        if hit:
+            p, q = hit.groups()
+            return Fraction(int(p), int(q) if q else 1)
         return rational(s)
     except (ValueError, ZeroDivisionError):
         raise BadRational("not an exact rational p or p/q with q != 0",
@@ -60,6 +71,10 @@ def _int_row(row):
     fr = [Fraction(a) for a in row]
     d = lcm(*(a.denominator for a in fr))
     return [int(a * d) for a in fr], d
+
+
+def _idot(u, v):
+    return sum(map(mul, u, v))
 
 
 def _int_rows(mat):
@@ -95,29 +110,36 @@ def determinant(mat):
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise BadShape("determinant needs a square matrix", rows=n)
-    if n == 0:
-        return Fraction(1)
     a = []
     scale = 1
     for row in mat:
         ints, d = _int_row(row)
         scale *= d
         a.append(ints)
+    return Fraction(_int_det(a), scale)
+
+
+def _int_det(a):
+    """Determinant of a square list of int rows by Bareiss; a is consumed."""
+    n = len(a)
+    if n == 0:
+        return 1
     sign = 1
     prev = 1
     for k in range(n - 1):
         piv = next((i for i in range(k, n) if a[i][k]), None)
         if piv is None:
-            return Fraction(0)
+            return 0
         if piv != k:
             a[k], a[piv] = a[piv], a[k]
             sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
+                # exact by Sylvester's identity
                 a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) // prev
             a[i][k] = 0
         prev = a[k][k]
-    return Fraction(sign * a[n - 1][n - 1], scale)
+    return sign * a[n - 1][n - 1]
 
 
 def rref(mat):

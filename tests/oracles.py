@@ -8,9 +8,12 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
+from arrcensus.chambers import sign_cells
 from arrcensus.discriminantal import DiscriminantalArrangement
 from arrcensus.errors import BadShape, BadSubsetSize, TooLarge
-from arrcensus.exact_linalg import determinant, dot, feasible_strict, rank
+from arrcensus.exact_linalg import (_int_row, determinant, dot,
+                                    feasible_strict, nullspace_basis, rank,
+                                    solve_particular)
 
 
 def matvec(mat, x):
@@ -221,3 +224,82 @@ def sign_cells_fraction(rows, dim, base_rows=(), max_cells=None, half=False):
                            count=len(grown), limit=max_cells)
         cells = grown
     return [(signs, w) for signs, _, w in cells]
+
+
+def _affine_cells(arr):
+    # homogenize: region sign vectors of {a.x > b} match cone sign vectors
+    # of {(a,-b).(x,t) > 0} on the side t > 0
+    ns = arr.system
+    rows = [tuple(a) + (-bi,) for a, bi in zip(ns.rows, arr.b)]
+    base = [(0,) * ns.m + (1,)]
+    return [signs for signs, _ in sign_cells(rows, ns.m + 1, base_rows=base)]
+
+
+def _left_kernel(ns):
+    # one integer row per hyperplane i: entry k is entry i of the k-th
+    # basis vector of the left kernel of the normals, times the row's lcm
+    kernel = nullspace_basis(list(zip(*ns.rows)))
+    return [_int_row([k[i] for k in kernel])[0] for i in range(ns.n)]
+
+
+def _is_bounded(cols, signs):
+    # recession cone {d : sign_i * a_i . d >= 0} is trivial iff some strictly
+    # positive combination of the signed rows vanishes (Gordan/Stiemke); the
+    # left kernel of the plain rows is computed once, signs only flip it
+    return feasible_strict(tuple(
+        row if s > 0 else [-x for x in row]
+        for row, s in zip(cols, signs))) is not None
+
+
+def _walls(ns, b):
+    # per wall i, the other hyperplanes j read on a parametrization of the
+    # wall, homogenized: an integer row per j, to be signed by the region
+    out = []
+    for i in range(1, ns.n + 1):
+        rows = [ns.rows[i - 1]]
+        p0 = solve_particular(rows, [b[i - 1]])
+        d = nullspace_basis(rows)
+        out.append([(j, _int_row([dot(ns.rows[j - 1], dv) for dv in d]
+                                 + [dot(ns.rows[j - 1], p0) - b[j - 1]])[0])
+                    for j in range(1, ns.n + 1) if j != i])
+    return out
+
+
+def _facets(walls, signs):
+    # indices i whose wall holds an (m-1)-dimensional face of the region:
+    # ask for a point of the wall satisfying every other constraint strictly
+    out = []
+    for i, others in enumerate(walls, start=1):
+        folded = [row if signs[j - 1] > 0 else [-x for x in row]
+                  for j, row in others]
+        hom = [0] * (len(folded[0]) - 1) + [1]
+        if feasible_strict(tuple(folded) + (hom,)) is not None:
+            out.append(i)
+    return out
+
+
+def regions_lp(arr):
+    """{region sign vector (+-1 tuple): bounded?} by the LP cell walk.
+
+    The regions are the cells of the homogenized rows on the side t > 0;
+    a region is bounded iff its signed rows have a strictly positive
+    vanishing combination, one LP on the left kernel of the normals.
+    """
+    cols = _left_kernel(arr.system)
+    return {signs: _is_bounded(cols, signs) for signs in _affine_cells(arr)}
+
+
+def triangles_lp(arr, regions):
+    """affine_geometry.simplex_signature by one facet LP per wall.
+
+    regions is regions_lp(arr); a triangle is a bounded region with
+    exactly three facets, and its triple names the walls that hold them.
+    """
+    walls = _walls(arr.system, arr.b)
+    triples = set()
+    for signs, bounded in regions.items():
+        if bounded:
+            facets = _facets(walls, signs)
+            if len(facets) == 3:
+                triples.add(tuple(facets))
+    return triples

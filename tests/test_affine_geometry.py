@@ -1,8 +1,10 @@
 """Affine readings of generic arrangements: vertex orders, the trivial
-isomorphism oracle, region censuses against the closed formulas, triangle
-signatures, special points, and wall-crossing swaps.
+isomorphism oracle, region censuses against the closed formulas and the
+LP cell walk, triangle signatures, special points, and wall-crossing
+swaps.
 """
 
+import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -11,18 +13,27 @@ from types import SimpleNamespace
 
 import pytest
 
-from arrcensus import gallery
-from arrcensus.affine_geometry import (are_isomorphic_trivial,
+from arrcensus import affine_geometry, gallery
+from arrcensus.affine_geometry import (MAX_REGIONS, _regions, _unbounded,
+                                       are_isomorphic_trivial,
                                        genericity_witness, region_census,
                                        simplex_signature, special_point,
                                        swap_check, vertex_orders)
-from arrcensus.chambers import adjacency, antipodal_classes, enumerate_chambers
+from arrcensus.chambers import (ChamberCatalog, _quotient, _wall_is_facet,
+                                adjacency, antipodal_classes,
+                                enumerate_chambers, shared_wall)
 from arrcensus.discriminantal import build
-from arrcensus.errors import (NotAdjacent, NotGeneric, UnsupportedDimension,
-                              WrongShape)
+from arrcensus.errors import (NotAdjacent, NotGeneric, NotInCatalog,
+                              TooLarge, UnsupportedDimension, WrongShape)
 from arrcensus.normal_system import Arrangement, random_normal_system
 
 from golden_data import FIVE_LINE_CLASS_SIGNATURES
+from oracles import regions_lp, triangles_lp
+
+GALLERY = ["three_lines", "four_lines", "five_lines",
+           "six_lines_perpendicular_pairs", "six_lines_mixed_slopes",
+           "six_lines_distinct_slopes", "six_lines_free",
+           "six_planes_chain", "six_planes_curve", "six_planes_free"]
 
 
 @lru_cache(maxsize=None)
@@ -269,3 +280,134 @@ def test_vertex_orders_on_random_planes():
     for A, line in table.items():
         assert len(line.order) == 3  # n - (m-1)
         assert all(set(A) < set(v) for v in line.order)
+
+
+def check_against_lp(arr):
+    # the vertex table's regions, boundedness, census and triangles equal
+    # those of the LP cell walk
+    lp = regions_lp(arr)
+    unbounded = _unbounded(arr.system)
+    got = {r: r not in unbounded for r in _regions(arr, MAX_REGIONS)}
+    assert got == {sum(1 << i for i, s in enumerate(signs) if s > 0): b
+                   for signs, b in lp.items()}
+    bounded = sum(lp.values())
+    assert region_census(arr) == {"total": len(lp), "bounded": bounded,
+                                  "unbounded": len(lp) - bounded}
+    if arr.system.m == 2:
+        assert simplex_signature(arr) == triangles_lp(arr, lp)
+
+
+@pytest.mark.parametrize("name", GALLERY)
+def test_regions_match_lp_oracle_on_gallery_classes(name):
+    # every class representative; every eighth one of the six-line
+    # systems, whose 442-446 classes would take the LP walk about 40 s
+    ns, reps = class_reps(name)
+    step = 8 if name.startswith("six_lines") else 1
+    for c in reps[::step]:
+        check_against_lp(Arrangement(ns, c.witness))
+
+
+@pytest.mark.parametrize("n,m", [(4, 2), (5, 2), (6, 2), (5, 3), (6, 3),
+                                 (5, 4), (6, 4)])
+def test_regions_match_lp_oracle_on_seeded_systems(n, m):
+    rng = random.Random(100 * n + m)
+    checked = 0
+    for seed in range(1, 4):
+        ns = random_normal_system(n, m, seed=seed, bound=9)
+        while checked < 2 * seed:
+            arr = Arrangement(ns, [Fraction(rng.randint(-20, 20),
+                                            rng.randint(1, 6))
+                                   for _ in range(n)])
+            if genericity_witness(arr) is None:
+                check_against_lp(arr)
+                checked += 1
+
+
+def test_not_generic_names_the_lex_first_subset():
+    # b drawn from a tiny range hits concurrent (m+1)-subsets, often more
+    # than one, not always the first in the vertex table's order
+    rng = random.Random(11)
+    seen = set()
+    for n, m in [(4, 2), (5, 2), (6, 2), (5, 3), (6, 3)]:
+        ns = random_normal_system(n, m, seed=n + m, bound=3)
+        for _ in range(40):
+            arr = Arrangement(ns, [rng.randint(-1, 1) for _ in range(n)])
+            witness = genericity_witness(arr)
+            if witness is None:
+                continue
+            calls = [region_census] + ([simplex_signature] if m == 2 else [])
+            for call in calls:
+                with pytest.raises(NotGeneric) as exc:
+                    call(arr)
+                assert exc.value.payload["subset"] == list(witness)
+            seen.add(witness)
+    assert len(seen) > 10
+
+
+def test_region_guard_comes_before_any_work(monkeypatch):
+    ns, reps = class_reps("five_lines")
+    arr = Arrangement(ns, reps[0].witness)
+    assert region_census(arr, max_regions=16)["total"] == 16
+
+    def no_table(rows):
+        raise AssertionError("vertex table built past the guard")
+
+    monkeypatch.setattr(affine_geometry, "_kernel", no_table)
+    with pytest.raises(TooLarge) as exc:
+        region_census(arr, max_regions=15)
+    # 1 + 5 + 10 regions for five generic lines
+    assert exc.value.payload == {"count": 16, "limit": 15}
+    monkeypatch.setattr(affine_geometry, "MAX_REGIONS", 15)
+    with pytest.raises(TooLarge):
+        simplex_signature(arr)
+
+
+def test_swap_wall_equals_shared_wall_on_every_edge(monkeypatch):
+    # swap_check reads the wall off the signs; shared_wall asks one facet
+    # LP (taken here on the reduced rows computed once, as shared_wall
+    # does per call); vertex orders are memoised per witness
+    orders = {}
+
+    def memo(arr, compute=vertex_orders):
+        if arr.b not in orders:
+            orders[arr.b] = compute(arr)
+        return orders[arr.b]
+
+    monkeypatch.setattr(affine_geometry, "vertex_orders", memo)
+    for name in ["five_lines", "six_lines_free"]:
+        cat = catalog(name)
+        da = cat.da
+        _, reduced = _quotient(da.normals)
+        edges = {tuple(sorted((a, b)))
+                 for a, nbrs in adjacency(cat).items() for b in nbrs}
+        for a, b in sorted(edges):
+            i = next(k for k, (x, y) in enumerate(zip(a, b)) if x != y)
+            assert _wall_is_facet(reduced, a, i), (name, a, b)
+            assert swap_check(da, cat, a, b)["wall"] == da.subsets[i]
+        a, b = min(edges)
+        assert da.subsets[shared_wall(da, a, b)] == \
+            swap_check(da, cat, a, b)["wall"]
+
+
+def test_swap_reads_catalog_edges_without_lp(monkeypatch):
+    cat = catalog("four_lines")
+    a, b = next((a, nbrs[0]) for a, nbrs in adjacency(cat).items())
+    want = swap_check(cat.da, cat, a, b)
+
+    def no_lp(*args):
+        raise AssertionError("facet LP for a catalog edge")
+
+    monkeypatch.setattr(affine_geometry, "shared_wall", no_lp)
+    assert swap_check(cat.da, cat, a, b) == want
+
+
+def test_swap_outside_catalog_keeps_the_lp_path():
+    cat = catalog("four_lines")
+    a, b = next((a, nbrs[0]) for a, nbrs in adjacency(cat).items())
+    part = ChamberCatalog(cat.da, [c for c in cat if c.signs != b])
+    with pytest.raises(NotInCatalog):
+        swap_check(cat.da, part, a, b)
+    far = next(c.signs for c in part
+               if sum(x != y for x, y in zip(a, c.signs)) > 1)
+    with pytest.raises(NotAdjacent):
+        swap_check(cat.da, part, a, far)

@@ -235,6 +235,13 @@ def test_sign_cells_with_base_constraints():
     assert sign_cells([(1, 0)], 2, base_rows=[(0, 1), (0, -1)]) == []
 
 
+def test_chamber_keeps_fraction_witness_entries():
+    half = Fraction(1, 2)
+    c = Chamber("+-", [half, 3])
+    assert c.witness == (half, Fraction(3)) and c.witness[0] is half
+    assert type(c.witness[1]) is Fraction
+
+
 def test_catalog_json_round_trip():
     cat = catalog("five_lines")
     data = catalog_to_dict(cat)

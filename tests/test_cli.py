@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from arrcensus import gallery
+from arrcensus import cli, gallery
 from arrcensus.cli import main
 from arrcensus.normal_system import ns_to_dict
 
@@ -420,3 +420,23 @@ def test_version_flag(capsys):
     assert exc.value.code == 0
     from arrcensus import __version__
     assert capsys.readouterr().out.strip() == __version__
+
+
+def test_parser_is_built_once(capsys, ns_files):
+    run(capsys, "count", "--ns", ns_files["four_lines"])
+    before = cli._build_parser.cache_info()
+    run(capsys, "regions", "--ns", ns_files["four_lines"], "--b", "1,2,4,8")
+    after = cli._build_parser.cache_info()
+    assert after.misses == before.misses == 1
+    assert after.hits == before.hits + 1
+
+
+def test_commands_are_looked_up_at_call_time(capsys, monkeypatch, ns_files):
+    # a wrapper bound at cli.cmd_* after import is the one that runs
+    def stub(args, timer):
+        return {"stub": args.command}, {}
+
+    monkeypatch.setattr(cli, "cmd_catalog_verify", stub)
+    code, rep, _, _ = run(capsys, "catalog-verify", "--ns",
+                          ns_files["four_lines"])
+    assert code == 0 and rep["payload"] == {"stub": "catalog-verify"}

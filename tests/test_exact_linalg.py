@@ -181,6 +181,21 @@ def test_parse_rational_names_the_bad_value():
         assert exc.value.payload == {"got": bad, "position": 3}
 
 
+def test_parse_rational_fast_path_keeps_values_and_errors():
+    # canonical forms take the int fast path; the rest go through
+    # Fraction(str) as before, with the same values and the same errors
+    for text in ["0", "-0", "7", "-12", "3/2", "-3/2", "2/4", "10/5",
+                 "+3", " 1/2", "1.5", "1e2", "-7/1", "1_000"]:
+        got = parse_rational(text)
+        assert type(got) is Fraction and got == Fraction(text), text
+    for bad in ["x", "1/0", "0/0", "-1/0", "1/-2", "--1", "1/", "/2"]:
+        with pytest.raises(BadRational) as exc:
+            parse_rational(bad, position=1)
+        assert exc.value.payload == {"got": bad, "position": 1}
+    assert parse_rational(Fraction(-5, 3)) == Fraction(-5, 3)
+    assert parse_rational(4) == 4
+
+
 def test_nullspace_vectors_annihilate_and_count():
     rng = random.Random(505)
     for _ in range(80):
