@@ -76,7 +76,8 @@ def _subset_codes(subsets):
 
 
 def _guard_subsets(n, m, limit):
-    if comb(n, m + 1) > limit:
+    # a shape with n <= m or m < 1 is refused by the library, as BadShape
+    if n > m >= 0 and comb(n, m + 1) > limit:
         raise TooLarge("subset universe exceeds --max-subsets",
                        count=comb(n, m + 1), limit=limit)
 

@@ -22,11 +22,12 @@ normal system.
 """
 
 from itertools import combinations
-from math import comb
+from math import comb, gcd
+from operator import mul
 
 from .discriminantal import build
 from .errors import BadShape, BadSubsetSize, NotClosed, TooLarge
-from .exact_linalg import echelon_insert, echelon_residual, primitive_int_rows
+from .exact_linalg import primitive_int_rows
 
 MAX_UNIVERSE = 36  # largest C(n, m+1) the enumeration strategies accept
 
@@ -109,7 +110,7 @@ def _indices(mask):
 
 
 def _rank(m, family):
-    return sum(s.bit_count() - m for s in family)
+    return sum(map(int.bit_count, family)) - m * len(family)
 
 
 def _violation(m, t, rest):
@@ -235,6 +236,8 @@ def _check_universe(n, m):
     if m < 1:
         # with m = 0 every index set is a concurrency set: 2^n of them
         raise BadShape("concurrency needs m >= 1", n=n, m=m)
+    if n <= m:
+        raise BadShape("need more hyperplanes than dimensions", n=n, m=m)
     size = comb(n, m + 1)
     if size > MAX_UNIVERSE:
         raise TooLarge("too many (m+1)-subsets for enumeration",
@@ -281,40 +284,78 @@ def is_concurrency_free(ns):
     The search runs breadth-first by cardinality, so a returned witness
     has minimal size (lex-first among those).
 
-    Rank is tracked incrementally on the integer echelon kernel: the
-    normals become primitive integer rows once, and a node carries the
-    echelon basis of its rows, which are independent.  A child is checked
-    as it is made: it is dependent exactly when its last row leaves no
-    residual against its parent's basis, and only independent children
-    are kept, with their grown basis.  The last level, k = n - m, keeps
-    nothing but the dependent tuples, so it is never held in memory.
+    The search runs in n - m coordinates.  The normals span ker(A^T) for
+    the n x m matrix A of ns, a space of dimension n - m; a vector of it
+    that vanishes on the first n - m coordinates is zero, because any m
+    rows of A, the last m among them, are independent.  So keeping only
+    the first n - m entries of each normal changes no linear dependence,
+    and the truncated normals become primitive integer rows once.
+
+    A node with k - 1 independent rows carries an annihilator basis:
+    n - m - k + 1 independent integer vectors orthogonal to its rows, so
+    a row lies in their span exactly when it is orthogonal to every one
+    of them (the root, with no rows, carries the unit vectors).  A child
+    row r is checked as it is made: it is dependent exactly when every
+    dot product d_i = z_i . r is zero.  A kept child pivots on one z_j
+    with d_j != 0 and keeps d_j z_i - d_i z_j for every i != j, made
+    primitive.  At the last level, k = n - m, the annihilator is one
+    vector h, so a child costs one dot product; the closure step and the
+    rank check run only for the children with h . r = 0, and the level
+    keeps nothing but its dependent tuples.
     """
     n, m = ns.n, ns.m
     _check_universe(n, m)
     subsets, imasks = _universe(n, m)
-    rows = primitive_int_rows(build(ns).normals)
     kmax = n - m
+    rows = primitive_int_rows([r[:kmax] for r in build(ns).normals])
+
+    def non_free(bad):
+        witness = min(tuple(subsets[p] for p in t) for t in bad)
+        return FreeVerdict(False, SubsetCollection(n, m, witness))
 
     # nodes carry (member positions, closed family of those members,
-    # echelon basis of the member rows); the root is the empty collection
-    level = [((), (), ())]
-    for k in range(1, kmax + 1):
+    # annihilator basis of the member rows); the root is the empty
+    # collection, whose rows span nothing
+    level = [((), (), tuple(tuple(int(i == j) for i in range(kmax))
+                            for j in range(kmax)))]
+    for k in range(1, kmax):
         bad = []
         nxt = []
-        for tup, family, basis in level:
+        for tup, family, zs in level:
             for q in range(tup[-1] + 1 if tup else 0, len(subsets)):
                 # a subset inside the closure returns the family: rank k-1
                 grown = _step(m, family, imasks[q])
                 if _rank(m, grown) != k:
                     continue
-                res = echelon_residual(basis, rows[q])
-                if res is None:
+                r = rows[q]
+                ds = [sum(map(mul, z, r)) for z in zs]
+                j = next((i for i, d in enumerate(ds) if d), None)
+                if j is None:
                     bad.append(tup + (q,))
-                elif k < kmax and not bad:
-                    nxt.append((tup + (q,), grown,
-                                echelon_insert(basis, res)))
+                elif not bad:
+                    nxt.append((tup + (q,), grown, _pivot(zs, ds, j)))
         if bad:
-            witness = min(tuple(subsets[p] for p in t) for t in bad)
-            return FreeVerdict(False, SubsetCollection(n, m, witness))
+            return non_free(bad)
         level = nxt
-    return FreeVerdict(True)
+    bad = []
+    for tup, family, (h,) in level:
+        zero = [q for q in range(tup[-1] + 1 if tup else 0, len(subsets))
+                if not sum(map(mul, h, rows[q]))]
+        bad += [tup + (q,) for q in zero
+                if _rank(m, _step(m, family, imasks[q])) == kmax]
+    return non_free(bad) if bad else FreeVerdict(True)
+
+
+def _pivot(zs, ds, j):
+    """Annihilator basis of the rows behind zs plus one row r, given the
+    dot products ds of r with zs and a pivot j with ds[j] != 0."""
+    zj, dj = zs[j], ds[j]
+    out = []
+    for i, (z, d) in enumerate(zip(zs, ds)):
+        if i != j:
+            if d:
+                v = [dj * x - d * y for x, y in zip(z, zj)]
+                g = gcd(*v)
+                z = tuple([x // g for x in v])
+            out.append(z)
+    return tuple(out)

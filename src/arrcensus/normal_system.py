@@ -155,7 +155,7 @@ def ns_from_dict(data):
     """Validated NormalSystem from {"m": int, "rows": [[rational, ...]]}."""
     try:
         m, rows = int(data["m"]), data["rows"]
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, OverflowError):
         raise BadArtifact('normal system needs an integer "m" and "rows"'
                           ) from None
     if not (isinstance(rows, list)

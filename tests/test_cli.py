@@ -6,10 +6,14 @@ library facts through the CLI plumbing; the rest checks the report
 envelope, artifact round trips, format switches, and error discipline.
 """
 
+import io
 import json
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arrcensus import cli, gallery
 from arrcensus.cli import main
@@ -277,6 +281,17 @@ def test_census_rejects_m_zero_up_front(capsys):
     assert err["error"]["type"] == "BadShape" and err["error"]["m"] == 0
 
 
+@pytest.mark.parametrize("n,m", [(5, 7), (3, 3), (0, 2), (-1, 2), (5, -2)])
+def test_census_rejects_n_at_most_m(capsys, n, m):
+    # C(n, m+1) = 0 passes the subset guard; the shape is refused, not
+    # counted as one region
+    code, out, err, _ = run(capsys, "census", "--mode", "concurrency-free",
+                            "--n", str(n), "--m", str(m))
+    assert code == 1 and out is None
+    assert err["error"]["type"] == "BadShape"
+    assert (err["error"]["n"], err["error"]["m"]) == (n, m)
+
+
 def test_census_braid_row_at_m_one(capsys):
     # m = 1: points on a line, the braid arrangement, chi = x(x-1)...(x-4)
     _, rep, _, _ = run(capsys, "census", "--n", "5", "--m", "1")
@@ -318,6 +333,8 @@ def test_bad_b_exit_1(capsys, ns_files, command, b):
     ({"m": 2, "rows": "1,0;0,1;1,1"}, "BadArtifact"),
     ([["1", "0"], ["0", "1"], ["1", "1"]], "BadArtifact"),
     ({"m": 2, "rows": [["1", "0"], ["0", "x"], ["1", "1"]]}, "BadRational"),
+    ({"m": float("inf"), "rows": [["1", "0"], ["0", "1"], ["1", "1"]]},
+     "BadArtifact"),
 ])
 def test_bad_ns_file_exit_1(capsys, tmp_path, data, kind):
     path = tmp_path / "bad.json"
@@ -325,6 +342,68 @@ def test_bad_ns_file_exit_1(capsys, tmp_path, data, kind):
     code, _, err, cap = run(capsys, "count", "--ns", str(path))
     assert code == 1 and cap.out == ""
     assert err["error"]["type"] == kind
+
+
+# values of the wrong type or form, in place of an entry, "m" or "rows"
+_ODD = st.one_of(st.none(), st.booleans(), st.floats(),
+                 st.sampled_from(["x", "", "1/0", "3/2", "-1/4", "1.5",
+                                  float("inf"), float("nan")]),
+                 st.text(max_size=3),
+                 st.lists(st.integers(-2, 2), max_size=2),
+                 st.dictionaries(st.text(max_size=2), st.integers(),
+                                 max_size=1))
+
+
+@st.composite
+def ns_documents(draw):
+    """ns documents near the format gen writes, with up to three faults."""
+    m = draw(st.sampled_from([1, 2, 2, 3, 3, 4]))
+    n = draw(st.integers(0, 6))
+    rows = [[draw(st.integers(-9, 9)) for _ in range(m)] for _ in range(n)]
+    doc = {"m": m, "rows": rows}
+    for _ in range(draw(st.integers(0, 3))):
+        fault = draw(st.sampled_from(["entry", "width", "dependent", "row",
+                                      "drop", "extra", "m", "rows", "top"]))
+        full = [i for i, row in enumerate(rows) if isinstance(row, list)
+                and row]
+        if fault in ("entry", "width", "dependent", "row"):
+            if not full:
+                continue
+            i = draw(st.sampled_from(full))
+        if fault == "entry":
+            rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(_ODD)
+        elif fault == "width":
+            rows[i] = rows[i][:-1] if draw(st.booleans()) else rows[i] + [1]
+        elif fault == "dependent":
+            rows.append([2 * a if type(a) is int else a for a in rows[i]])
+        elif fault == "row":
+            rows[i] = draw(_ODD)
+        elif fault == "drop":
+            doc.pop(draw(st.sampled_from(["m", "rows"])), None)
+        elif fault == "extra":
+            doc[draw(st.text(max_size=3))] = draw(_ODD)
+        elif fault in ("m", "rows"):
+            doc[fault] = draw(_ODD)
+        else:
+            return draw(st.sampled_from([rows, m, None, "ns"]))
+    return doc
+
+
+@settings(max_examples=60, deadline=None)
+@given(doc=ns_documents())
+def test_check_cf_fuzzed_ns_documents(tmp_path_factory, doc):
+    # any document either gets a verdict or a JSON error, never a traceback
+    path = tmp_path_factory.mktemp("fuzz") / "ns.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["check-cf", "--ns", str(path)])
+    if code == 0:
+        assert set(json.loads(out.getvalue())["payload"]) == {"free",
+                                                               "witness"}
+    else:
+        assert code == 1 and out.getvalue() == ""
+        assert json.loads(err.getvalue())["error"]["type"]
 
 
 @pytest.mark.parametrize("command", ["classify", "catalog-verify"])

@@ -8,6 +8,7 @@ subset of E where that is feasible.
 """
 
 import random
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 
@@ -31,7 +32,9 @@ from arrcensus.concurrency import (
 )
 from arrcensus.discriminantal import build
 from arrcensus.errors import BadShape, BadSubsetSize, NotClosed, TooLarge
-from arrcensus.normal_system import random_normal_system
+from arrcensus.exact_linalg import rank
+from arrcensus.normal_system import (first_dependent_subset,
+                                     random_normal_system, validate)
 
 from oracles import subset_rank
 
@@ -292,6 +295,17 @@ def test_every_entry_point_rejects_m_zero():
         combinatorial_charpoly(12, 0)
 
 
+@pytest.mark.parametrize("n,m", [(5, 7), (3, 3), (0, 2)])
+def test_every_entry_point_rejects_n_at_most_m(n, m):
+    # C(n, m+1) = 0 passes the universe guard; the shape is refused first
+    for call in (lambda: concurrency_closure(SubsetCollection(n, m, [])),
+                 lambda: list(enumerate_closed_collections(n, m)),
+                 lambda: combinatorial_charpoly(n, m)):
+        with pytest.raises(BadShape,
+                           match="need more hyperplanes than dimensions"):
+            call()
+
+
 def test_minimal_generating_sets_have_equal_cardinality():
     # over every closed collection for n <= 5: all inclusion-minimal
     # generating subsets share one size, the combinatorial rank
@@ -329,17 +343,27 @@ def test_independence_is_hereditary_small_cases():
                         SubsetCollection(n, m, drop)) == k - 1
 
 
+GALLERY_WITNESSES = {
+    "six_lines_perpendicular_pairs": [(1, 2, 3), (1, 5, 6), (2, 4, 6),
+                                      (3, 4, 5)],
+    "six_lines_mixed_slopes": [(1, 2, 3), (1, 5, 6), (2, 4, 6), (3, 4, 5)],
+    "six_lines_distinct_slopes": [(1, 2, 3), (1, 4, 5), (2, 4, 6),
+                                  (3, 5, 6)],
+    "six_planes_chain": [(1, 2, 3, 4), (1, 2, 5, 6), (3, 4, 5, 6)],
+    "six_planes_curve": [(1, 2, 3, 4), (1, 2, 5, 6), (3, 4, 5, 6)],
+}
+FREE_GALLERY = ("three_lines", "four_lines", "five_lines", "six_lines_free",
+                "six_planes_free")
+
+
 def test_freeness_verdicts_for_gallery_systems():
-    v = is_concurrency_free(gallery.six_lines_perpendicular_pairs())
-    assert not v.free
-    assert v.witness == SubsetCollection(
-        6, 2, [(1, 2, 3), (1, 5, 6), (2, 4, 6), (3, 4, 5)])
-    assert not is_concurrency_free(gallery.six_planes_chain()).free
-    assert not is_concurrency_free(gallery.six_lines_mixed_slopes()).free
-    assert not is_concurrency_free(gallery.six_lines_distinct_slopes()).free
-    assert not is_concurrency_free(gallery.six_planes_curve()).free
-    assert is_concurrency_free(gallery.six_lines_free()).free
-    assert is_concurrency_free(gallery.six_planes_free()).free
+    for name, witness in GALLERY_WITNESSES.items():
+        ns = getattr(gallery, name)()
+        v = is_concurrency_free(ns)
+        assert not v.free
+        assert v.witness == SubsetCollection(ns.n, ns.m, witness), name
+    for name in FREE_GALLERY:
+        assert is_concurrency_free(getattr(gallery, name)()).free, name
 
 
 def test_witness_is_a_certificate_of_non_freeness():
@@ -399,7 +423,8 @@ def rank_bfs_oracle(ns):
     return True, None
 
 
-@pytest.mark.parametrize("n,m", [(5, 2), (6, 2), (6, 3), (7, 4)])
+@pytest.mark.parametrize("n,m", [(5, 2), (6, 2), (6, 3), (7, 4), (6, 4),
+                                 (7, 5)])
 def test_freeness_matches_rank_oracle_on_seeded_systems(n, m):
     non_free = 0
     for bound, seeds in ((2, 4), (3, 2), (9, 2)):
@@ -408,8 +433,62 @@ def test_freeness_matches_rank_oracle_on_seeded_systems(n, m):
             v = is_concurrency_free(ns)
             assert (v.free, v.witness) == rank_bfs_oracle(ns), (bound, seed)
             non_free += not v.free
-    if (n, m) != (5, 2):
+    # with m = n - 2 two distinct walls have distinct supports, so their
+    # normals are never parallel and every system is free
+    if (n, m) not in ((5, 2), (6, 4), (7, 5)):
         assert non_free  # bound 2 gives non-free verdicts to compare
+
+
+def rational_draw(n, m, seed, num):
+    # entries p/q with |p| <= num and q up to 4
+    rng = random.Random(seed)
+    while True:
+        rows = [[Fraction(rng.randint(-num, num), rng.randint(1, 4))
+                 for _ in range(m)] for _ in range(n)]
+        if first_dependent_subset(rows, m) is None:
+            return validate(rows, m)
+
+
+def scaled_draw(n, m, seed, bound):
+    # a seeded integer system with each row divided by its own q up to 4;
+    # small bounds keep the concurrencies that make verdicts non-free
+    rng = random.Random(seed)
+    ns = random_normal_system(n, m, seed=seed, bound=bound)
+    qs = [rng.randint(1, 4) for _ in ns.rows]
+    return validate([[a / q for a in row] for row, q in zip(ns.rows, qs)], m)
+
+
+@pytest.mark.parametrize("n,m", [(5, 2), (6, 2), (6, 3), (7, 4)])
+def test_freeness_matches_rank_oracle_on_rational_systems(n, m):
+    non_free = 0
+    draws = ([rational_draw(n, m, seed, num)
+              for num, seeds in ((2, 2), (9, 1)) for seed in range(seeds)]
+             + [scaled_draw(n, m, seed, 2) for seed in range(4)])
+    for i, ns in enumerate(draws):
+        assert any(a.denominator > 1 for row in ns.rows for a in row)
+        v = is_concurrency_free(ns)
+        assert (v.free, v.witness) == rank_bfs_oracle(ns), i
+        non_free += not v.free
+    if (n, m) != (5, 2):
+        assert non_free
+
+
+def test_truncated_normals_keep_their_ranks():
+    # the freeness search keeps the first n - m entries of each normal;
+    # no subset of the normals loses rank by it
+    rng = random.Random(7)
+    systems = [getattr(gallery, name)()
+               for name in FREE_GALLERY + tuple(GALLERY_WITNESSES)]
+    systems += [rational_draw(n, m, seed, 9)
+                for seed, (n, m) in enumerate([(5, 2), (6, 2), (6, 3),
+                                               (7, 3), (7, 4), (6, 4)])]
+    for ns in systems:
+        normals = build(ns).normals
+        cut = ns.n - ns.m
+        for _ in range(40):
+            sub = rng.sample(normals, rng.randint(1, min(len(normals),
+                                                         cut + 1)))
+            assert rank([r[:cut] for r in sub]) == rank(sub), ns
 
 
 def test_free_verdict_repr_and_bool():
