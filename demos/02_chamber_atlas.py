@@ -1,7 +1,8 @@
 """Enumerate every cone of a small system and poke around the atlas.
 
 Each cone is named by its sign vector (one sign per wall functional) and
-carries an exact rational witness in its interior.  The catalog also
+carries an exact witness in its interior: a primitive integer vector b,
+composed from an extreme ray of the cone and a witness one rank down.  The catalog also
 records the antipodal pairing and supports point classification: given any
 b, either name its cone or report the walls it sits on.
 """

@@ -1,38 +1,48 @@
 """Cone catalog of a central arrangement: sign vectors with exact witnesses.
 
 A central arrangement cuts its ambient space into open convex cones, one per
-realizable strict sign vector.  We enumerate them by inserting hyperplanes one
-at a time and splitting every existing cell whose interior the new hyperplane
-meets.  All feasibility questions are answered by the exact phase-1 simplex
-from exact_linalg, so the catalog is complete and witness-certified: no cell
-is reported without a rational interior point, and no realizable sign vector
-is missed because splits are decided by the solver, not by sampling.
-
-The walk runs on integers.  Each row is scaled once by the lcm of its
-denominators (never divided by a gcd: the simplex would then solve another
-program), and a witness is carried as an integer vector W over a positive
-integer denominator D, so every sign test is an integer dot product.
-Fractions are made only for the witnesses returned, and their values are
-those of the same walk done in rationals.
+realizable strict sign vector.  enumerate_chambers composes them from
+cocircuits, with no LP (Bjorner et al., Oriented Matroids, ch. 3-4).  In
+an essential arrangement every cone is pointed, so its closure holds an
+extreme ray y, a cocircuit: y is orthogonal to a flat F one rank below the
+whole, and the cone is y o T, the signs of y off F composed with a chamber
+T of the localization F.  The flats are crawled up by rank with the
+integer echelon bases of exact_linalg, and the chambers of each flat are
+composed from those of its lower covers.  A witness is a primitive integer
+vector, the sum K y + w_T with the least integer K that keeps y's signs,
+so every sign test is an integer dot product.  The count is a certificate:
+it is known up front as the Zaslavsky number of the whitney polynomial,
+which is checked against max_chambers before any cone is made and against
+the finished catalog after.
 
 The arrangement is first reduced modulo its common intersection subspace.
 Normals are restricted to the lexicographically first coordinate set on which
-they have full rank; this keeps the simplex dimension at rank(normals) rather
-than n, and witnesses are lifted back by zero-filling the dropped coordinates.
+they have full rank (the first n - m coordinates of a built arrangement),
+and witnesses are lifted back by zero-filling the dropped coordinates.
+
+sign_cells, the insertion walk that enumerate_chambers ran before, stays
+as the oracle the tests compare the catalog with: it inserts hyperplanes
+one at a time and splits every cell the new hyperplane meets, deciding
+each split with the exact phase-1 simplex of exact_linalg.  shared_wall
+decides one pair of cones by a facet LP.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import (BadArtifact, LengthMismatch, NotInCatalog, TooLarge,
-                     UnpairedChamber)
-from .exact_linalg import (_idot, _int_row, dot, feasible_strict,
+from .charpoly import iso_class_count, whitney_charpoly, zaslavsky_regions
+from .errors import (BadArtifact, CountMismatch, LengthMismatch,
+                     NotInCatalog, TooLarge, UnpairedChamber)
+from .exact_linalg import (_idot, _int_row, dot, echelon_insert,
+                           echelon_residual, feasible_strict,
                            lex_independent_columns, nullspace_basis,
-                           parse_rational, rank, rational_str)
+                           parse_rational, primitive_int_rows, rank,
+                           rational_str)
 
 DEFAULT_MAX_CHAMBERS = 10 ** 4
 
 _FLIP = str.maketrans("+-", "-+")
+_BITS = str.maketrans("10", "+-")
 
 
 def opposite_signs(signs):
@@ -218,37 +228,137 @@ class ChamberCatalog:
         return len(ids)
 
 
-def _quotient(normals):
-    r = rank(normals)
-    cols = lex_independent_columns(normals, r)
-    reduced = [tuple(Fraction(row[j]) for j in cols) for row in normals]
+def _quotient(da):
+    """Coordinates on which the normals keep their rank, and the rows there.
+
+    For a built arrangement these are the first n - m coordinates: every
+    m rows of its normal system are independent, so no nonzero vector of
+    the common intersection {A x} vanishes there, and they are the
+    columns lex_independent_columns would pick.  A loaded arrangement
+    (source None) has them computed.
+    """
+    if da.source is not None:
+        cols = list(range(da.n - da.m))
+    else:
+        cols = lex_independent_columns(da.normals, rank(da.normals))
+    reduced = [tuple(Fraction(row[j]) for j in cols) for row in da.normals]
     return cols, reduced
+
+
+def _cocircuit(basis, w):
+    """Integer y orthogonal to a flat, with w . y != 0.
+
+    basis is the flat's echelon basis and w a residual against it, so w
+    is zero in the flat's pivot columns and its first nonzero column q is
+    free.  y is supported on those pivots and q: y_q = L, the lcm of the
+    pivot entries, and y_p = -L row[q] / row[p] cancels row on q.
+    """
+    q = next(i for i, x in enumerate(w) if x)
+    L = lcm(*(row[p] for p, row in basis))
+    y = [0] * len(w)
+    y[q] = L
+    for p, row in basis:
+        y[p] = -(L // row[p]) * row[q]
+    g = gcd(*y)
+    return [x // g for x in y]
+
+
+def _half_cones(rows):
+    """Chambers with first sign + of an essential arrangement of int rows.
+
+    Returns {plus mask: primitive integer witness}; bit j of a mask is set
+    when row j is positive.  The flats are crawled up from the empty one,
+    rank by rank, and the half chambers of a flat G (those with + on its
+    first row a) are composed from the chambers of its lower covers F, so
+    only two ranks are held at a time.  Such a chamber is open on a's
+    side, so some extreme ray y of its closure is off a: y is a cocircuit
+    of G at a lower cover F without a, oriented to a . y > 0, and the
+    chamber is y o T, the signs of y off F composed with a chamber T of F.
+    So the lower covers through a are skipped.  The witness of y o T is
+    K y + w_T, with K the least integer that keeps every sign off F,
+    divided by its gcd; the other chambers of G are the mirrors of its
+    half, with negated witnesses.
+    """
+    N, d = len(rows), len(rows[0])
+    top = (1 << N) - 1
+    # flat mask -> (echelon basis, all its chambers [(mask, witness)])
+    level = {0: ((), [(0, [0] * d)])}
+    for k in range(1, d + 1):
+        covers = {}  # flat of rank k -> (basis, [(lower cover, residual)])
+        for F, (basis, _) in level.items():
+            if k == d:  # the only flat of rank d is the whole arrangement
+                j = next(j for j in range(N) if not F >> j & 1)
+                grown = {echelon_residual(basis, rows[j]): top}
+            else:
+                grown = {}
+                for j in range(N):
+                    if not F >> j & 1:
+                        w = echelon_residual(basis, rows[j])
+                        grown[w] = grown.get(w, F) | 1 << j
+            for w, G in grown.items():
+                if G not in covers:
+                    covers[G] = (echelon_insert(basis, w), [])
+                if not F & G & -G:
+                    covers[G][1].append((F, w))
+        nxt = {}
+        for G, (basis_g, lower) in covers.items():
+            a = G & -G
+            found = {}
+            for F, w in lower:
+                basis, cones = level[F]
+                y = _cocircuit(basis, w)
+                off = [(1 << j, rows[j], _idot(rows[j], y))
+                       for j in range(N) if (G & ~F) >> j & 1]
+                if next(v for b, _, v in off if b == a) < 0:
+                    y = [-x for x in y]
+                    off = [(b, r, -v) for b, r, v in off]
+                ymask = sum(b for b, _, v in off if v > 0)
+                for tmask, wt in cones:
+                    mask = ymask | tmask
+                    if mask not in found:
+                        K = 1 + max(-_idot(r, wt) // v for _, r, v in off)
+                        vec = [K * p + q for p, q in zip(y, wt)]
+                        g = gcd(*vec)
+                        found[mask] = [x // g for x in vec]
+            if G == top:
+                return found
+            half = list(found.items())
+            nxt[G] = (basis_g, half + [(G ^ m, [-x for x in wt])
+                                       for m, wt in half])
+        level = nxt
 
 
 def enumerate_chambers(da, max_chambers=DEFAULT_MAX_CHAMBERS):
     """Complete chamber catalog of a discriminantal arrangement.
 
-    Works in the quotient modulo the common intersection subspace, lifts each
-    witness back to n-space, and assigns antipodal class ids.  Central
-    symmetry halves the work: only cells with first sign + are enumerated
-    and each is mirrored through the origin.  Raises TooLarge when the cell
-    count passes max_chambers mid-enumeration.
+    The count is known before any cone is made: it is the Zaslavsky
+    number of the whitney characteristic polynomial, and TooLarge is
+    raised up front when it passes max_chambers.  The cones are composed
+    from cocircuits in the quotient modulo the common intersection
+    subspace (_half_cones), each witness is lifted back to n-space by
+    zero-filling, every cone is mirrored through the origin, and antipodal
+    class ids are assigned.  A cone count other than the Zaslavsky number
+    raises CountMismatch.
     """
-    cols, reduced = _quotient(da.normals)
-    cells = sign_cells(reduced, len(cols),
-                       max_cells=(max_chambers + 1) // 2, half=True)
-    if 2 * len(cells) > max_chambers:
+    expected = zaslavsky_regions(whitney_charpoly(da))
+    if expected > max_chambers:
         raise TooLarge("chamber count exceeds the configured limit",
-                       count=2 * len(cells), limit=max_chambers)
+                       count=expected, limit=max_chambers)
     chambers = []
-    for signs, y in cells:
-        witness = [Fraction(0)] * da.n
-        for t, c in enumerate(cols):
-            witness[c] = y[t]
-        text = "".join("+" if s > 0 else "-" for s in signs)
-        chambers.append(Chamber(text, witness))
-        chambers.append(Chamber(opposite_signs(text),
-                                [-x for x in witness]))
+    if expected:  # a zero normal leaves no strict sign vector at all
+        cols, reduced = _quotient(da)
+        N = len(reduced)
+        for mask, y in _half_cones(primitive_int_rows(reduced)).items():
+            witness = [0] * da.n
+            for t, c in enumerate(cols):
+                witness[c] = y[t]
+            text = format(mask, "0%db" % N)[::-1].translate(_BITS)
+            chambers.append(Chamber(text, witness))
+            chambers.append(Chamber(opposite_signs(text),
+                                    [-x for x in witness]))
+    if len(chambers) != expected:
+        raise CountMismatch("cone count differs from the Zaslavsky count",
+                            count=len(chambers), zaslavsky=expected)
     catalog = ChamberCatalog(da, chambers)
     for k, (plus, minus) in enumerate(antipodal_classes(catalog)):
         plus.class_id = k
@@ -359,7 +469,7 @@ def shared_wall(da, signs_a, signs_b):
     diff = [i for i, (x, y) in enumerate(zip(signs_a, signs_b)) if x != y]
     if len(diff) != 1:
         return None
-    _, reduced = _quotient(da.normals)
+    _, reduced = _quotient(da)
     return diff[0] if _wall_is_facet(reduced, signs_a, diff[0]) else None
 
 
@@ -436,8 +546,6 @@ def verify_catalog(da, catalog):
     characteristic polynomial from the deletion recursion (whitney).
     Returns a report dict; the "ok" key is the conjunction of all checks.
     """
-    from .charpoly import (iso_class_count, whitney_charpoly,
-                           zaslavsky_regions)
     witnesses_ok = True
     for c in catalog:
         got = classify_b(da, c.witness)

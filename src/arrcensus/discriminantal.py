@@ -91,13 +91,15 @@ def da_from_dict(data):
     A missing key or a wrong layout raises BadArtifact; a normal entry
     that is not an exact rational raises BadRational.
     """
+    need = ('arrangement needs integer "n", "m" and "hyperplanes" entries '
+            'with "subset" and "normal"')
     try:
-        n, m = int(data["n"]), int(data["m"])
+        n, m = data["n"], data["m"]
         planes = [(h["subset"], h["normal"]) for h in data["hyperplanes"]]
-    except (KeyError, TypeError, ValueError):
-        raise BadArtifact('arrangement needs integer "n", "m" and '
-                          '"hyperplanes" entries with "subset" and "normal"'
-                          ) from None
+    except (KeyError, TypeError):
+        raise BadArtifact(need) from None
+    if type(n) is not int or type(m) is not int:
+        raise BadArtifact(need)
     normals = []
     for k, (subset, normal) in enumerate(planes, start=1):
         if not (isinstance(subset, list) and isinstance(normal, list)

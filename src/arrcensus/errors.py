@@ -60,6 +60,10 @@ class UnpairedChamber(ArrangementError):
     """A chamber's antipode is missing from the catalog (upstream bug)."""
 
 
+class CountMismatch(ArrangementError):
+    """An enumeration disagrees with its Zaslavsky count (upstream bug)."""
+
+
 class NotGeneric(ArrangementError):
     """Arrangement has a degenerate incidence (m+1 hyperplanes concurrent)."""
 

@@ -35,8 +35,12 @@ def parse_rational(s, **where):
 
     where names the place of the value in its input, for the message.
     The forms rational_str writes, 'p' and 'p/q' with plain digits, are
-    read by int directly; every other input goes through rational().
+    read by int directly; every other input goes through rational().  A
+    bool or a float is refused: JSON true and 1.5 are not exact rationals.
     """
+    if type(s) in (bool, float):
+        raise BadRational("not an exact rational p or p/q with q != 0",
+                          got=str(s), **where)
     try:
         hit = _CANONICAL(s) if type(s) is str else None
         if hit:

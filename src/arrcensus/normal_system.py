@@ -152,12 +152,17 @@ def ns_to_dict(ns):
 
 
 def ns_from_dict(data):
-    """Validated NormalSystem from {"m": int, "rows": [[rational, ...]]}."""
+    """Validated NormalSystem from {"m": int, "rows": [[rational, ...]]}.
+
+    "m" must be a JSON integer: 2.9 or true is a BadArtifact, not 2 or 1.
+    """
+    need = 'normal system needs an integer "m" and "rows"'
     try:
-        m, rows = int(data["m"]), data["rows"]
-    except (KeyError, TypeError, ValueError, OverflowError):
-        raise BadArtifact('normal system needs an integer "m" and "rows"'
-                          ) from None
+        m, rows = data["m"], data["rows"]
+    except (KeyError, TypeError):
+        raise BadArtifact(need) from None
+    if type(m) is not int:
+        raise BadArtifact(need)
     if not (isinstance(rows, list)
             and all(isinstance(row, list) for row in rows)):
         raise BadArtifact('"rows" must be a list of lists')

@@ -8,12 +8,13 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-from arrcensus.chambers import sign_cells
+from arrcensus.chambers import (Chamber, ChamberCatalog, antipodal_classes,
+                                opposite_signs, sign_cells)
 from arrcensus.discriminantal import DiscriminantalArrangement
 from arrcensus.errors import BadShape, BadSubsetSize, TooLarge
 from arrcensus.exact_linalg import (_int_row, determinant, dot,
-                                    feasible_strict, nullspace_basis, rank,
-                                    solve_particular)
+                                    feasible_strict, lex_independent_columns,
+                                    nullspace_basis, rank, solve_particular)
 
 
 def matvec(mat, x):
@@ -224,6 +225,32 @@ def sign_cells_fraction(rows, dim, base_rows=(), max_cells=None, half=False):
                            count=len(grown), limit=max_cells)
         cells = grown
     return [(signs, w) for signs, _, w in cells]
+
+
+def walk_catalog(da):
+    """Chamber catalog by the insertion walk (chambers.sign_cells).
+
+    The normals are restricted to their lexicographically first columns
+    of full rank, the cells with first sign + are walked and mirrored,
+    and witnesses are lifted back by zero-filling, as enumerate_chambers
+    did before it composed cones from cocircuits.
+    """
+    cols = lex_independent_columns(da.normals, rank(da.normals))
+    reduced = [tuple(Fraction(row[j]) for j in cols) for row in da.normals]
+    chambers = []
+    for signs, y in sign_cells(reduced, len(cols), half=True):
+        witness = [Fraction(0)] * da.n
+        for t, c in enumerate(cols):
+            witness[c] = y[t]
+        text = "".join("+" if s > 0 else "-" for s in signs)
+        chambers.append(Chamber(text, witness))
+        chambers.append(Chamber(opposite_signs(text),
+                                [-x for x in witness]))
+    catalog = ChamberCatalog(da, chambers)
+    for k, (plus, minus) in enumerate(antipodal_classes(catalog)):
+        plus.class_id = k
+        minus.class_id = k
+    return catalog
 
 
 def _affine_cells(arr):

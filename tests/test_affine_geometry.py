@@ -377,7 +377,7 @@ def test_swap_wall_equals_shared_wall_on_every_edge(monkeypatch):
     for name in ["five_lines", "six_lines_free"]:
         cat = catalog(name)
         da = cat.da
-        _, reduced = _quotient(da.normals)
+        _, reduced = _quotient(da)
         edges = {tuple(sorted((a, b)))
                  for a, nbrs in adjacency(cat).items() for b in nbrs}
         for a, b in sorted(edges):

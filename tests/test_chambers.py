@@ -4,37 +4,70 @@ antipodal pairing, classification, adjacency, and JSON round trips.
 
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 
-from arrcensus import gallery
+from arrcensus import chambers, exact_linalg, gallery
 from arrcensus.chambers import (Chamber, ChamberCatalog, Classified, OnWall,
-                                _wall_is_facet, adjacency, antipodal_classes,
-                                catalog_from_dict, catalog_to_dict,
-                                classify_b, enumerate_chambers,
-                                opposite_signs, shared_wall, sign_cells,
-                                verify_catalog)
-from arrcensus.charpoly import poset_charpoly, zaslavsky_regions
-from arrcensus.discriminantal import build
-from arrcensus.errors import (LengthMismatch, NotInCatalog, TooLarge,
-                              UnpairedChamber)
+                                _quotient, _wall_is_facet, adjacency,
+                                antipodal_classes, catalog_from_dict,
+                                catalog_to_dict, classify_b,
+                                enumerate_chambers, opposite_signs,
+                                shared_wall, sign_cells, verify_catalog)
+from arrcensus.charpoly import (CharPolynomial, poset_charpoly,
+                                whitney_charpoly, zaslavsky_regions)
+from arrcensus.concurrency import is_concurrency_free
+from arrcensus.discriminantal import build, da_from_dict, da_to_dict
+from arrcensus.errors import (BadRational, CountMismatch, LengthMismatch,
+                              NotInCatalog, TooLarge, UnpairedChamber)
 from arrcensus.exact_linalg import (dot, feasible_strict,
                                     lex_independent_columns, rank)
 from arrcensus.normal_system import random_normal_system
 
-from oracles import sign_cells_fraction
+from oracles import sign_cells_fraction, walk_catalog
+from test_concurrency import rational_draw, scaled_draw
+
+GALLERY = ["three_lines", "four_lines", "five_lines",
+           "six_lines_perpendicular_pairs", "six_lines_mixed_slopes",
+           "six_lines_distinct_slopes", "six_lines_free",
+           "six_planes_chain", "six_planes_curve", "six_planes_free"]
 
 # SHA-256 of json.dumps(catalog_to_dict(...), sort_keys=True): any change
-# of a witness, an order or a class id shows here
+# of a witness, an order or a class id shows here.  These pin the
+# insertion walk (oracles.walk_catalog) ...
 CATALOG_SHA256 = {
     "five_lines":
         "ba6af0057a1f739aaf5c014217e4b3cb3935661bcdbb10bc8a439a9354546237",
     "six_planes_free":
         "5edf4260b9a7e6e91fb19f431c5f41ccab1d5f901b9572fcdb1bad580b47a458",
 }
+# ... and these the cocircuit engine, enumerate_chambers
+COCIRCUIT_SHA256 = {
+    "five_lines":
+        "cc0644242a2e000896b67f1b29b2bf1b24c430dcb29295e592abfd770be1f571",
+    "six_planes_free":
+        "27544c200baa95c9a0f3ad65ea1f1559fdb81437fe7a7617699fdda3d5bcf477",
+}
+
+
+def seeded_systems():
+    """Seeded (5,2), (6,2) and (6,3) systems by label: integer, rational,
+    and bound-2 draws with rational rows, which at (6,2) and (6,3) keep
+    the concurrencies of a non-free system."""
+    out = {}
+    for n, m, seed in [(5, 2, 1), (6, 2, 0), (6, 3, 3)]:
+        shape = "%d-%d-" % (n, m)
+        out[shape + "int"] = random_normal_system(n, m, seed=n + m, bound=9)
+        out[shape + "rational"] = rational_draw(n, m, n * m, 9)
+        out[shape + "scaled"] = scaled_draw(n, m, seed, 2)
+    return out
+
+
+SEEDED = seeded_systems()
 
 
 @lru_cache(maxsize=None)
@@ -254,6 +287,17 @@ def test_catalog_json_round_trip():
         assert a.class_id == b.class_id
 
 
+def test_catalog_from_dict_rejects_bool_and_float_witnesses():
+    cat = catalog("four_lines")
+    for bad in [True, 0.5]:
+        data = json.loads(json.dumps(catalog_to_dict(cat)))
+        data["chambers"][1]["witness"][2] = bad
+        with pytest.raises(BadRational) as err:
+            catalog_from_dict(cat.da, data)
+        assert err.value.payload == {"got": str(bad), "chamber": 2,
+                                     "position": 3}
+
+
 def test_catalog_from_dict_rejects_shape_mismatch():
     cat = catalog("four_lines")
     data = catalog_to_dict(cat)
@@ -333,11 +377,116 @@ def test_affine_cells_match_fraction_oracle(n, m):
         assert got == sign_cells_fraction(rows, m + 1, base_rows=base)
 
 
+def digest(cat):
+    data = catalog_to_dict(cat)
+    return hashlib.sha256(json.dumps(data, sort_keys=True).encode()
+                          ).hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(CATALOG_SHA256))
 def test_catalog_json_digest_is_pinned(name):
-    data = catalog_to_dict(catalog(name))
-    digest = hashlib.sha256(json.dumps(data, sort_keys=True).encode())
-    assert digest.hexdigest() == CATALOG_SHA256[name]
+    da = build(getattr(gallery, name)())
+    assert digest(walk_catalog(da)) == CATALOG_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(COCIRCUIT_SHA256))
+def test_cocircuit_catalog_json_digest_is_pinned(name):
+    assert digest(catalog(name)) == COCIRCUIT_SHA256[name]
+
+
+@pytest.mark.parametrize("name", GALLERY)
+def test_cones_match_walk_on_gallery(name):
+    # same sign vectors and class ids as the insertion walk
+    da = build(getattr(gallery, name)())
+    got, want = catalog(name), walk_catalog(da)
+    assert [(c.signs, c.class_id) for c in got] == \
+        [(c.signs, c.class_id) for c in want]
+
+
+@pytest.mark.parametrize("label", sorted(SEEDED))
+def test_cones_match_walk_on_seeded_systems(label):
+    da = build(SEEDED[label])
+    got = enumerate_chambers(da)
+    assert [c.signs for c in got] == [c.signs for c in walk_catalog(da)]
+    assert len(got) == zaslavsky_regions(poset_charpoly(da))
+
+
+def test_seeded_systems_include_rational_and_non_free_ones():
+    assert sum(any(a.denominator > 1 for row in ns.rows for a in row)
+               for ns in SEEDED.values()) == 6
+    assert sorted(label for label, ns in SEEDED.items()
+                  if not is_concurrency_free(ns).free) == ["6-2-scaled",
+                                                           "6-3-scaled"]
+
+
+@pytest.mark.parametrize("name", GALLERY)
+def test_witnesses_are_primitive_and_antipodes_negate(name):
+    cat = catalog(name)
+    for c in cat:
+        assert all(x.denominator == 1 for x in c.witness)
+        assert math.gcd(*(int(x) for x in c.witness)) == 1
+        got = classify_b(cat.da, c.witness)
+        assert isinstance(got, Classified) and got.signs == c.signs
+        mate = cat.find(opposite_signs(c.signs))
+        assert mate.witness == tuple(-x for x in c.witness)
+
+
+def test_too_large_guard_fires_before_enumeration(monkeypatch):
+    def no_cones(rows):
+        raise AssertionError("cones made past the guard")
+
+    monkeypatch.setattr(chambers, "_half_cones", no_cones)
+    da = build(gallery.five_lines())
+    with pytest.raises(TooLarge) as err:
+        enumerate_chambers(da, max_chambers=61)
+    assert err.value.payload == {"count": 62, "limit": 61}
+
+
+def test_cone_count_is_certified_by_zaslavsky(monkeypatch):
+    # a Zaslavsky number two above the true count is a domain error
+    def inflated(da):
+        chi = whitney_charpoly(da)
+        shift = -2 if chi.degree % 2 else 2
+        return CharPolynomial(chi.coefficients[:-1]
+                              + (chi.coefficients[-1] + shift,))
+
+    monkeypatch.setattr(chambers, "whitney_charpoly", inflated)
+    with pytest.raises(CountMismatch) as err:
+        enumerate_chambers(build(gallery.five_lines()))
+    assert err.value.payload == {"count": 62, "zaslavsky": 64}
+
+
+def test_built_arrangement_needs_no_rank(monkeypatch):
+    def no_rank(mat):
+        raise AssertionError("rank called")
+
+    da = build(gallery.five_lines())
+    loaded = da_from_dict(da_to_dict(da))
+    want = walk_catalog(da)
+    monkeypatch.setattr(chambers, "rank", no_rank)
+    monkeypatch.setattr(exact_linalg, "rank", no_rank)
+    cat = enumerate_chambers(da)
+    assert [c.signs for c in cat] == [c.signs for c in want]
+    a = cat[0].signs
+    b = adjacency(cat)[a][0]
+    assert shared_wall(da, a, b) is not None
+    with pytest.raises(AssertionError):  # no source: the columns are found
+        enumerate_chambers(loaded)
+    monkeypatch.undo()
+    again = enumerate_chambers(loaded)
+    assert [(c.signs, c.witness) for c in again] == \
+        [(c.signs, c.witness) for c in cat]
+
+
+def test_truncated_columns_are_the_lex_independent_columns():
+    systems = [getattr(gallery, name)() for name in GALLERY]
+    systems += list(SEEDED.values())
+    systems += [rational_draw(7, 3, 5, 9), rational_draw(7, 4, 6, 2)]
+    for ns in systems:
+        da = build(ns)
+        cols, reduced = _quotient(da)
+        assert cols == lex_independent_columns(da.normals, rank(da.normals))
+        assert reduced == [tuple(row[j] for j in cols) for row in da.normals]
 
 
 @pytest.mark.parametrize("name", ["four_lines", "five_lines",

@@ -335,6 +335,10 @@ def test_bad_b_exit_1(capsys, ns_files, command, b):
     ({"m": 2, "rows": [["1", "0"], ["0", "x"], ["1", "1"]]}, "BadRational"),
     ({"m": float("inf"), "rows": [["1", "0"], ["0", "1"], ["1", "1"]]},
      "BadArtifact"),
+    ({"m": 2.9, "rows": [["1", "0"], ["0", "1"], ["1", "1"]]},
+     "BadArtifact"),
+    ({"m": 2, "rows": [[True, False], [0, 1.5], [1, 1]]}, "BadRational"),
+    ({"m": True, "rows": [["1", "0"], ["0", "1"]]}, "BadArtifact"),
 ])
 def test_bad_ns_file_exit_1(capsys, tmp_path, data, kind):
     path = tmp_path / "bad.json"
@@ -392,18 +396,24 @@ def ns_documents(draw):
 @settings(max_examples=60, deadline=None)
 @given(doc=ns_documents())
 def test_check_cf_fuzzed_ns_documents(tmp_path_factory, doc):
-    # any document either gets a verdict or a JSON error, never a traceback
+    # any document either gets an answer or a JSON error, never a
+    # traceback, from check-cf and from count; an answer means "m" was a
+    # JSON integer and every entry an integer or a string
     path = tmp_path_factory.mktemp("fuzz") / "ns.json"
     path.write_text(json.dumps(doc))
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(["check-cf", "--ns", str(path)])
-    if code == 0:
-        assert set(json.loads(out.getvalue())["payload"]) == {"free",
-                                                               "witness"}
-    else:
-        assert code == 1 and out.getvalue() == ""
-        assert json.loads(err.getvalue())["error"]["type"]
+    for command, keys in [("check-cf", {"free", "witness"}),
+                          ("count", {"cones", "classes"})]:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([command, "--ns", str(path)])
+        if code == 0:
+            assert keys <= set(json.loads(out.getvalue())["payload"])
+            assert type(doc["m"]) is int
+            assert all(type(a) in (int, str)
+                       for row in doc["rows"] for a in row)
+        else:
+            assert code == 1 and out.getvalue() == ""
+            assert json.loads(err.getvalue())["error"]["type"]
 
 
 @pytest.mark.parametrize("command", ["classify", "catalog-verify"])

@@ -177,7 +177,8 @@ def test_da_from_dict_rejects_malformed_artifacts():
     not_dicts = dict(good, hyperplanes=[["1", "2", "3"]])
     short = json.loads(json.dumps(good))
     short["hyperplanes"][0]["normal"] = ["1", "2"]
-    for data in (missing, not_dicts, short, [good], dict(good, n="x")):
+    for data in (missing, not_dicts, short, [good], dict(good, n="x"),
+                 dict(good, n=4.0), dict(good, m=True)):
         with pytest.raises(BadArtifact):
             da_from_dict(data)
     bad = json.loads(json.dumps(good))
@@ -185,6 +186,9 @@ def test_da_from_dict_rejects_malformed_artifacts():
     with pytest.raises(BadRational) as err:
         da_from_dict(bad)
     assert err.value.payload == {"got": "x", "hyperplane": 3, "position": 2}
+    bad["hyperplanes"][2]["normal"][1] = 1.5
+    with pytest.raises(BadRational):
+        da_from_dict(bad)
 
 
 def test_build_matches_minor_oracle():

@@ -196,6 +196,15 @@ def test_parse_rational_fast_path_keeps_values_and_errors():
     assert parse_rational(4) == 4
 
 
+def test_parse_rational_refuses_bools_and_floats():
+    # JSON true, false and 1.5 are not exact rationals, in any input file
+    for bad in [True, False, 1.5, 2.0, float("inf")]:
+        with pytest.raises(BadRational) as exc:
+            parse_rational(bad, row=1, column=2)
+        assert exc.value.payload == {"got": str(bad), "row": 1, "column": 2}
+    assert parse_rational(2) == 2 and parse_rational("1.5") == Fraction(3, 2)
+
+
 def test_nullspace_vectors_annihilate_and_count():
     rng = random.Random(505)
     for _ in range(80):
