@@ -8,22 +8,26 @@ arrangements, the special point of a four-line arrangement, and the
 verification that crossing one wall of the associated central arrangement
 swaps exactly one pair of vertices on each affected line.
 
-Genericity (no m+1 hyperplanes through a common point) is checked exactly
-before any geometric reading; it is equivalent to b avoiding every
-hyperplane of the discriminantal arrangement of the system.
+Every reading comes from one integer vertex table: the vertex of each
+m-subset S is the signed maximal minors of the homogenized rows
+(a_i, -b_i) of S, and the sign of every other row there.  The same minors
+decide genericity (no m+1 hyperplanes through a common point), which is
+checked exactly before any geometric reading; a row vanishes at a vertex
+exactly when b lies on a hyperplane of the discriminantal arrangement of
+the system.  Line directions are the minors of the normals alone.  No
+Fraction is made except for the line parameters that vertex_orders
+returns.
 """
 
 from collections import namedtuple
-from functools import lru_cache
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 
 from .chambers import shared_wall
-from .discriminantal import build
 from .errors import (NotAdjacent, NotGeneric, NotInCatalog, TooLarge,
                      UnsupportedDimension, WrongShape)
-from .exact_linalg import (_idot, _int_det, _int_row, dot, integer_primitive,
-                           nullspace_basis, solve_particular)
+from .exact_linalg import _idot, _int_det, _int_row, echelon_residual
 from .normal_system import Arrangement
 
 MAX_REGIONS = 10 ** 4
@@ -31,59 +35,96 @@ MAX_REGIONS = 10 ** 4
 LineOrder = namedtuple("LineOrder", ["direction", "order", "params"])
 
 
-@lru_cache(maxsize=None)
-def _da_of(ns):
-    return build(ns)
+def _vertices(arr):
+    """The vertex table of arr, or its lex-first concurrent (m+1)-subset.
+
+    The table maps each m-subset S (0-based, lex order) to (v, side): v is
+    v_S, the signed maximal minors of the homogenized integer rows
+    (a_i, -b_i) of S with its last coordinate made positive, so the
+    hyperplanes of S meet at v[:m] / v[m]; bit j of side is set when
+    a_j . x > b_j there.  Row j vanishes at v_S exactly when the m + 1
+    hyperplanes of S + {j} concur, and then that subset (1-based) is
+    returned instead of a table.  A concurrent (m+1)-subset is first met
+    at S = its first m members and j its last, so the first one met is
+    the lex-first.
+    """
+    ns = arr.system
+    hom = [_int_row(tuple(a) + (-bi,))[0] for a, bi in zip(ns.rows, arr.b)]
+    table = {}
+    for S in combinations(range(ns.n), ns.m):
+        v = _kernel([hom[i] for i in S])
+        if v[-1] < 0:
+            v = [-x for x in v]
+        side = 0
+        for j, h in enumerate(hom):
+            val = _idot(h, v)
+            if val > 0:
+                side |= 1 << j
+            elif not val and j not in S:
+                return tuple(i + 1 for i in S + (j,))
+        table[S] = v, side
+    return table
 
 
 def genericity_witness(arr):
     """Lex-first (m+1)-subset whose hyperplanes concur, or None.
 
-    b sits on the wall of subset S exactly when the discriminantal
-    functional of S vanishes at b, so this is a pure evaluation pass.
+    b sits on the discriminantal wall of subset S exactly when the rows of
+    S have a common point, which the vertex table reads off its minors.
     """
-    da = _da_of(arr.system)
-    for subset, normal in zip(da.subsets, da.normals):
-        if dot(normal, arr.b) == 0:
-            return subset
-    return None
+    table = _vertices(arr)
+    return table if isinstance(table, tuple) else None
 
 
 def _require_generic(arr):
-    witness = genericity_witness(arr)
-    if witness is not None:
+    # the vertex table of a generic arr; NotGeneric names the lex-first
+    # concurrent subset otherwise
+    table = _vertices(arr)
+    if isinstance(table, tuple):
         raise NotGeneric("m+1 hyperplanes pass through a common point",
-                         subset=list(witness))
+                         subset=list(table))
+    return table
+
+
+def _directions(normals, m):
+    # {A: d_A} over the (m-1)-subsets A (0-based, lex order) of the
+    # integer normals: d_A spans line A, the kernel of the normals of A,
+    # as coprime integers with the first nonzero entry positive (its
+    # residual against no basis)
+    return {A: echelon_residual((), _kernel([normals[i] for i in A]))
+            for A in combinations(range(len(normals)), m - 1)}
 
 
 def vertex_orders(arr):
     """Vertex order along every line of a generic arrangement.
 
     For each (m-1)-subset A, the line is the intersection of the
-    hyperplanes indexed by A; its direction is the normalized generator of
+    hyperplanes indexed by A; its direction d is the normalized generator of
     the common direction space (first nonzero entry positive, coprime
     integer entries), and the vertices are the meets with the remaining
     hyperplanes, labeled by the m-subset A + {j} and sorted by exact
-    line parameter.  Returns {A: LineOrder(direction, order, params)}.
+    line parameter.  The parameter of a vertex x is x_f / d_f, f the last
+    coordinate with d_f != 0: x = p + t d for the point p of the line that
+    is zero in coordinate f.  Returns {A: LineOrder(direction, order,
+    params)}.
     """
-    _require_generic(arr)
-    ns = arr.system
-    table = {}
-    for A in combinations(range(1, ns.n + 1), ns.m - 1):
-        rows = [ns.rows[i - 1] for i in A]
-        p0 = solve_particular(rows, [arr.b[i - 1] for i in A])
-        d = integer_primitive(nullspace_basis(rows)[0])
+    table = _require_generic(arr)
+    normals = [_int_row(a)[0] for a in arr.system.rows]
+    out = {}
+    for A, d in _directions(normals, arr.system.m).items():
+        f = max(i for i, x in enumerate(d) if x)
         hits = []
-        for j in range(1, ns.n + 1):
+        for j in range(arr.system.n):
             if j in A:
                 continue
-            aj = ns.rows[j - 1]
-            t = (arr.b[j - 1] - dot(aj, p0)) / dot(aj, d)
-            hits.append((t, tuple(sorted(A + (j,)))))
+            S = tuple(sorted(A + (j,)))
+            v = table[S][0]
+            hits.append((Fraction(v[f], v[-1] * d[f]),
+                         tuple(i + 1 for i in S)))
         hits.sort()
-        table[A] = LineOrder(d, tuple(v for _, v in hits),
-                             tuple(t for t, _ in hits))
-    return table
+        out[tuple(i + 1 for i in A)] = LineOrder(
+            d, tuple(v for _, v in hits), tuple(t for t, _ in hits))
+    return out
 
 
 def are_isomorphic_trivial(a1, a2):
@@ -131,10 +172,7 @@ def _regions(arr, max_regions):
     normals span R^m, so every region is pointed and has a vertex; around
     v_S the m hyperplanes of S cut all 2^m sign patterns, and the others
     keep their sign at v_S.  So the regions are the union of those
-    patterns.  v_S is the signed maximal minors of the homogenized
-    integer rows (a_i, -b_i) of S, last coordinate made positive; the sign
-    of row j there is that of the discriminantal minor of S + {j}, zero
-    exactly when those m + 1 hyperplanes concur.
+    patterns.
     """
     ns = arr.system
     n, m = ns.n, ns.m
@@ -145,23 +183,8 @@ def _regions(arr, max_regions):
     if count > max_regions:
         raise TooLarge("region count exceeds the configured limit",
                        count=count, limit=max_regions)
-    hom = [_int_row(tuple(a) + (-bi,))[0] for a, bi in zip(ns.rows, arr.b)]
     regions = {}
-    for S in combinations(range(n), m):
-        v = _kernel([hom[i] for i in S])
-        if v[-1] < 0:
-            v = [-x for x in v]
-        side = 0
-        for j, h in enumerate(hom):
-            val = _idot(h, v)
-            if val > 0:
-                side |= 1 << j
-            elif not val and j not in S:
-                # a concurrent (m+1)-subset is first met at S = its first
-                # m members and j its last, so the first one met is the
-                # lex-first
-                raise NotGeneric("m+1 hyperplanes pass through a common "
-                                 "point", subset=[i + 1 for i in S + (j,)])
+    for S, (_, side) in _require_generic(arr).items():
         for sub in _submasks(S):
             regions.setdefault(side | sub, []).append(S)
     return regions
@@ -176,12 +199,10 @@ def _unbounded(ns):
     line A: a region holds it iff its signs off A are those of
     +-(a_j . d_A), whatever its signs on A.
     """
-    n, m = ns.n, ns.m
     normals = [_int_row(a)[0] for a in ns.rows]
-    full = (1 << n) - 1
+    full = (1 << ns.n) - 1
     out = set()
-    for A in combinations(range(n), m - 1):
-        d = _kernel([normals[i] for i in A])
+    for A, d in _directions(normals, ns.m).items():
         ahead = sum(1 << j for j, a in enumerate(normals) if _idot(a, d) > 0)
         behind = full & ~ahead & ~sum(1 << i for i in A)
         for sub in _submasks(A):

@@ -422,23 +422,28 @@ def classify_b(da, b, catalog=None):
     OnWall result naming the vanishing subsets; otherwise returns Classified
     with the sign vector and, when a catalog is supplied, its class id.
     """
+    res = _locate(da, primitive_int_rows(da.normals), b)
+    if catalog is not None and isinstance(res, Classified):
+        hit = catalog.find(res.signs)
+        if hit is None:
+            raise NotInCatalog("sign vector missing from catalog",
+                               signs=res.signs)
+        res.class_id = hit.class_id
+    return res
+
+
+def _locate(da, rows, b):
+    # classify_b without a catalog, on the integer rows of da.normals: the
+    # rows and b are scaled by positive factors, so every sign is kept
     if len(b) != da.n:
         raise LengthMismatch("b must have one entry per hyperplane",
                              expected=da.n, got=len(b))
-    bq = tuple(Fraction(x) for x in b)
-    vals = [dot(normal, bq) for normal in da.normals]
-    walls = [s for s, v in zip(da.subsets, vals) if v == 0]
+    bi = _int_row(b)[0]
+    vals = [_idot(row, bi) for row in rows]
+    walls = [s for s, v in zip(da.subsets, vals) if not v]
     if walls:
         return OnWall(walls)
-    signs = "".join("+" if v > 0 else "-" for v in vals)
-    class_id = None
-    if catalog is not None:
-        hit = catalog.find(signs)
-        if hit is None:
-            raise NotInCatalog("sign vector missing from catalog",
-                               signs=signs)
-        class_id = hit.class_id
-    return Classified(signs, class_id)
+    return Classified("".join("+" if v > 0 else "-" for v in vals), None)
 
 
 def _wall_is_facet(reduced, signs, i):
@@ -547,8 +552,9 @@ def verify_catalog(da, catalog):
     Returns a report dict; the "ok" key is the conjunction of all checks.
     """
     witnesses_ok = True
+    rows = primitive_int_rows(da.normals)
     for c in catalog:
-        got = classify_b(da, c.witness)
+        got = _locate(da, rows, c.witness)
         if not isinstance(got, Classified) or got.signs != c.signs:
             witnesses_ok = False
             break

@@ -50,8 +50,12 @@ def _load_json(path):
     return json.loads(raw.decode("utf-8")), _digest(raw)
 
 
-def _load_ns(path):
+def _load_ns(path, max_subsets):
+    # the subset universe is refused before validation walks the rows
     data, dig = _load_json(path)
+    if (isinstance(data, dict) and isinstance(data.get("rows"), list)
+            and type(data.get("m")) is int):
+        _guard_subsets(len(data["rows"]), data["m"], max_subsets)
     return ns_from_dict(data), dig
 
 
@@ -147,9 +151,8 @@ def cmd_gen(args, timer):
 
 
 def cmd_disc(args, timer):
-    ns, dig = _load_ns(args.ns)
+    ns, dig = _load_ns(args.ns, args.max_subsets)
     timer.mark("load")
-    _guard_subsets(ns.n, ns.m, args.max_subsets)
     da = build(ns)
     timer.mark("compute")
     data = da_to_dict(da)
@@ -159,9 +162,8 @@ def cmd_disc(args, timer):
 
 
 def cmd_charpoly(args, timer):
-    ns, dig = _load_ns(args.ns)
+    ns, dig = _load_ns(args.ns, args.max_subsets)
     timer.mark("load")
-    _guard_subsets(ns.n, ns.m, args.max_subsets)
     da = build(ns)
     chi = (whitney_charpoly(da) if args.method == "whitney"
            else poset_charpoly(da))
@@ -173,9 +175,8 @@ def cmd_charpoly(args, timer):
 
 
 def cmd_count(args, timer):
-    ns, dig = _load_ns(args.ns)
+    ns, dig = _load_ns(args.ns, args.max_subsets)
     timer.mark("load")
-    _guard_subsets(ns.n, ns.m, args.max_subsets)
     chi = whitney_charpoly(build(ns))
     timer.mark("compute")
     return {"coefficients": list(chi.coefficients),
@@ -184,9 +185,8 @@ def cmd_count(args, timer):
 
 
 def cmd_chambers(args, timer):
-    ns, dig = _load_ns(args.ns)
+    ns, dig = _load_ns(args.ns, args.max_subsets)
     timer.mark("load")
-    _guard_subsets(ns.n, ns.m, args.max_subsets)
     catalog = enumerate_chambers(build(ns), max_chambers=args.max_chambers)
     timer.mark("compute")
     data = catalog_to_dict(catalog)
@@ -196,7 +196,7 @@ def cmd_chambers(args, timer):
 
 
 def cmd_classify(args, timer):
-    ns, dig = _load_ns(args.ns)
+    ns, dig = _load_ns(args.ns, args.max_subsets)
     b = _parse_b(args.b)
     digests = {"ns": dig, "b": args.b}
     catalog = None
@@ -216,9 +216,8 @@ def cmd_classify(args, timer):
 
 
 def cmd_check_cf(args, timer):
-    ns, dig = _load_ns(args.ns)
+    ns, dig = _load_ns(args.ns, args.max_subsets)
     timer.mark("load")
-    _guard_subsets(ns.n, ns.m, args.max_subsets)
     verdict = is_concurrency_free(ns)
     timer.mark("compute")
     witness = (None if verdict.witness is None
@@ -250,7 +249,7 @@ def cmd_closure(args, timer):
 
 
 def cmd_regions(args, timer):
-    ns, dig = _load_ns(args.ns)
+    ns, dig = _load_ns(args.ns, args.max_subsets)
     arr = arrangement_from_b(ns, _parse_b(args.b))
     timer.mark("load")
     census = region_census(arr)
@@ -259,7 +258,7 @@ def cmd_regions(args, timer):
 
 
 def cmd_signature(args, timer):
-    ns, dig = _load_ns(args.ns)
+    ns, dig = _load_ns(args.ns, args.max_subsets)
     arr = arrangement_from_b(ns, _parse_b(args.b))
     timer.mark("load")
     triples = sorted(simplex_signature(arr))
@@ -269,7 +268,7 @@ def cmd_signature(args, timer):
 
 
 def cmd_iso(args, timer):
-    ns, dig = _load_ns(args.ns)
+    ns, dig = _load_ns(args.ns, args.max_subsets)
     a1 = arrangement_from_b(ns, _parse_b(args.b1))
     a2 = arrangement_from_b(ns, _parse_b(args.b2))
     timer.mark("load")
@@ -280,7 +279,7 @@ def cmd_iso(args, timer):
 
 
 def cmd_catalog_verify(args, timer):
-    ns, dig = _load_ns(args.ns)
+    ns, dig = _load_ns(args.ns, args.max_subsets)
     digests = {"ns": dig}
     da = build(ns)
     if args.catalog:
@@ -331,8 +330,7 @@ def cmd_census(args, timer):
     else:
         if not args.ns:
             raise ArrangementError("census needs --ns in ns-file mode")
-        ns, dig = _load_ns(args.ns)
-        _guard_subsets(ns.n, ns.m, args.max_subsets)
+        ns, dig = _load_ns(args.ns, args.max_subsets)
         chi = whitney_charpoly(build(ns))
         n, m = ns.n, ns.m
         digests["ns"] = dig

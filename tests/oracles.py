@@ -8,13 +8,15 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
+from arrcensus.affine_geometry import LineOrder
 from arrcensus.chambers import (Chamber, ChamberCatalog, antipodal_classes,
                                 opposite_signs, sign_cells)
-from arrcensus.discriminantal import DiscriminantalArrangement
-from arrcensus.errors import BadShape, BadSubsetSize, TooLarge
+from arrcensus.discriminantal import DiscriminantalArrangement, build
+from arrcensus.errors import BadShape, BadSubsetSize, NotGeneric, TooLarge
 from arrcensus.exact_linalg import (_int_row, determinant, dot,
-                                    feasible_strict, lex_independent_columns,
-                                    nullspace_basis, rank, solve_particular)
+                                    feasible_strict, integer_primitive,
+                                    lex_independent_columns, nullspace_basis,
+                                    rank, solve_particular)
 
 
 def matvec(mat, x):
@@ -330,3 +332,46 @@ def triangles_lp(arr, regions):
             if len(facets) == 3:
                 triples.add(tuple(facets))
     return triples
+
+
+def genericity_witness_da(arr):
+    """affine_geometry.genericity_witness on the discriminantal functionals.
+
+    The lex-first (m+1)-subset whose functional of build(arr.system)
+    vanishes at b, evaluated with the Fraction dot, or None.
+    """
+    da = build(arr.system)
+    for subset, normal in zip(da.subsets, da.normals):
+        if dot(normal, arr.b) == 0:
+            return subset
+    return None
+
+
+def vertex_orders_fraction(arr):
+    """affine_geometry.vertex_orders by solving each line in Fractions.
+
+    A line is a particular solution of its equations plus the primitive
+    generator of their nullspace; a vertex's parameter is where the other
+    hyperplane meets that parametrization.
+    """
+    witness = genericity_witness_da(arr)
+    if witness is not None:
+        raise NotGeneric("m+1 hyperplanes pass through a common point",
+                         subset=list(witness))
+    ns = arr.system
+    table = {}
+    for A in combinations(range(1, ns.n + 1), ns.m - 1):
+        rows = [ns.rows[i - 1] for i in A]
+        p0 = solve_particular(rows, [arr.b[i - 1] for i in A])
+        d = integer_primitive(nullspace_basis(rows)[0])
+        hits = []
+        for j in range(1, ns.n + 1):
+            if j in A:
+                continue
+            aj = ns.rows[j - 1]
+            t = (arr.b[j - 1] - dot(aj, p0)) / dot(aj, d)
+            hits.append((t, tuple(sorted(A + (j,)))))
+        hits.sort()
+        table[A] = LineOrder(d, tuple(v for _, v in hits),
+                             tuple(t for t, _ in hits))
+    return table

@@ -1,4 +1,5 @@
-"""Affine readings of generic arrangements: vertex orders, the trivial
+"""Affine readings of generic arrangements: vertex orders and genericity
+against their Fraction and discriminantal oracles, the trivial
 isomorphism oracle, region censuses against the closed formulas and the
 LP cell walk, triangle signatures, special points, and wall-crossing
 swaps.
@@ -25,10 +26,12 @@ from arrcensus.chambers import (ChamberCatalog, _quotient, _wall_is_facet,
 from arrcensus.discriminantal import build
 from arrcensus.errors import (NotAdjacent, NotGeneric, NotInCatalog,
                               TooLarge, UnsupportedDimension, WrongShape)
-from arrcensus.normal_system import Arrangement, random_normal_system
+from arrcensus.normal_system import (Arrangement, random_normal_system,
+                                     validate)
 
 from golden_data import FIVE_LINE_CLASS_SIGNATURES
-from oracles import regions_lp, triangles_lp
+from oracles import (genericity_witness_da, regions_lp, triangles_lp,
+                     vertex_orders_fraction)
 
 GALLERY = ["three_lines", "four_lines", "five_lines",
            "six_lines_perpendicular_pairs", "six_lines_mixed_slopes",
@@ -325,23 +328,121 @@ def test_regions_match_lp_oracle_on_seeded_systems(n, m):
 
 def test_not_generic_names_the_lex_first_subset():
     # b drawn from a tiny range hits concurrent (m+1)-subsets, often more
-    # than one, not always the first in the vertex table's order
+    # than one, not always the first in the vertex table's order; the
+    # expected subset is the discriminantal oracle's
     rng = random.Random(11)
     seen = set()
     for n, m in [(4, 2), (5, 2), (6, 2), (5, 3), (6, 3)]:
         ns = random_normal_system(n, m, seed=n + m, bound=3)
         for _ in range(40):
             arr = Arrangement(ns, [rng.randint(-1, 1) for _ in range(n)])
-            witness = genericity_witness(arr)
+            witness = genericity_witness_da(arr)
+            assert genericity_witness(arr) == witness
             if witness is None:
                 continue
-            calls = [region_census] + ([simplex_signature] if m == 2 else [])
+            calls = [region_census, vertex_orders] + (
+                [simplex_signature] if m == 2 else [])
             for call in calls:
                 with pytest.raises(NotGeneric) as exc:
                     call(arr)
                 assert exc.value.payload["subset"] == list(witness)
             seen.add(witness)
     assert len(seen) > 10
+
+
+def rational_systems():
+    # seeded systems with every row divided by its own small integer
+    rng = random.Random(5)
+    out = []
+    for n, m in [(5, 2), (6, 3), (6, 4)]:
+        rows = random_normal_system(n, m, seed=3, bound=5).rows
+        out.append(validate([[a / rng.randint(2, 7) for a in row]
+                             for row in rows], m))
+    assert all(any(a.denominator > 1 for row in ns.rows for a in row)
+               for ns in out)
+    return out
+
+
+def assert_orders_match_oracle(arr):
+    got = vertex_orders(arr)
+    want = vertex_orders_fraction(arr)
+    assert list(got) == list(want)
+    for A, line in want.items():
+        assert got[A] == line, (A, got[A], line)
+
+
+@pytest.mark.parametrize("name", GALLERY)
+def test_vertex_orders_match_fraction_oracle_on_gallery_classes(name):
+    ns, reps = class_reps(name)
+    for c in reps:
+        assert_orders_match_oracle(Arrangement(ns, c.witness))
+
+
+@pytest.mark.parametrize("n,m", [(5, 2), (6, 2), (5, 3), (6, 3), (6, 4),
+                                 (7, 3)])
+def test_vertex_orders_match_fraction_oracle_on_seeded_systems(n, m):
+    rng = random.Random(10 * n + m)
+    for seed in range(1, 4):
+        ns = random_normal_system(n, m, seed=seed, bound=9)
+        checked = 0
+        while checked < 5:
+            arr = Arrangement(ns, [Fraction(rng.randint(-20, 20),
+                                            rng.randint(1, 6))
+                                   for _ in range(n)])
+            if genericity_witness_da(arr) is None:
+                assert_orders_match_oracle(arr)
+                checked += 1
+
+
+def test_vertex_orders_match_fraction_oracle_on_rational_rows():
+    rng = random.Random(6)
+    for ns in rational_systems():
+        checked = 0
+        while checked < 10:
+            arr = Arrangement(ns, [Fraction(rng.randint(-20, 20),
+                                            rng.randint(1, 6))
+                                   for _ in range(ns.n)])
+            if genericity_witness_da(arr) is None:
+                assert_orders_match_oracle(arr)
+                checked += 1
+
+
+def test_genericity_witness_matches_discriminantal_oracle():
+    # b in {-1, 0, 1}^n is often on one or more walls
+    rng = random.Random(12)
+    systems = [random_normal_system(n, m, seed=2, bound=4)
+               for n, m in [(4, 2), (5, 2), (6, 2), (5, 3), (6, 3), (6, 4),
+                            (7, 3)]] + rational_systems()
+    hits = 0
+    for ns in systems:
+        for _ in range(30):
+            arr = Arrangement(ns, [rng.randint(-1, 1) for _ in range(ns.n)])
+            want = genericity_witness_da(arr)
+            assert genericity_witness(arr) == want
+            hits += want is not None
+    assert 20 < hits < 30 * len(systems)
+
+
+def test_affine_reads_do_no_fraction_linear_algebra(monkeypatch):
+    # every affine reading comes from the integer vertex table; rref is
+    # what solve_particular and nullspace_basis run on
+    cat = catalog("four_lines")
+    ns = cat.da.source
+    a, b = next((a, nbrs[0]) for a, nbrs in adjacency(cat).items())
+    arr = Arrangement(ns, cat.find(a).witness)
+    other = Arrangement(ns, cat.find(b).witness)
+
+    def no_rref(mat):
+        raise AssertionError("Fraction elimination in an affine read")
+
+    monkeypatch.setattr("arrcensus.exact_linalg.rref", no_rref)
+    assert vertex_orders(arr)
+    assert genericity_witness(arr) is None
+    assert not are_isomorphic_trivial(arr, other)
+    assert region_census(arr)["total"] == 11
+    assert len(simplex_signature(arr)) == 2
+    assert special_point(arr)
+    assert swap_check(cat.da, cat, a, b)["ok"]
 
 
 def test_region_guard_comes_before_any_work(monkeypatch):

@@ -327,6 +327,31 @@ def test_verify_catalog_ok_and_detects_tampering():
     assert not bad["pairing_ok"] and not bad["ok"]
 
 
+def test_verify_catalog_fails_a_zero_witness():
+    # b = 0 lies on every wall, so it witnesses no cone
+    da = build(gallery.four_lines())
+    cat = catalog("four_lines")
+    zeroed = ChamberCatalog(da, [
+        Chamber(c.signs, (0,) * da.n if c is cat[0] else c.witness,
+                c.class_id) for c in cat])
+    bad = verify_catalog(da, zeroed)
+    assert not bad["witnesses_ok"] and not bad["ok"]
+    assert isinstance(classify_b(da, (0,) * da.n), OnWall)
+
+
+def test_verify_catalog_on_rational_witnesses():
+    # the walk's witnesses are rationals, not integers, and the rows of a
+    # rational system are not integers either: both are scaled to integer
+    # rows without changing a sign
+    da = build(SEEDED["5-2-rational"])
+    cat = walk_catalog(da)
+    assert any(x.denominator > 1 for c in cat for x in c.witness)
+    assert any(x.denominator > 1 for v in da.normals for x in v)
+    assert verify_catalog(da, cat)["ok"]
+    for c in cat:
+        assert classify_b(da, c.witness, cat).class_id == c.class_id
+
+
 def test_enumeration_is_deterministic():
     da = build(gallery.five_lines())
     a = enumerate_chambers(da)

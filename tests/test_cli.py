@@ -473,6 +473,25 @@ def test_max_subsets_guard(capsys, ns_files):
     assert code == 1 and err["error"]["type"] == "TooLarge"
 
 
+@pytest.mark.parametrize("command", ["count", "check-cf", "classify",
+                                     "catalog-verify"])
+def test_max_subsets_guard_comes_before_validation(capsys, tmp_path,
+                                                   command):
+    # rows (t^0..t^9), t = 1..30, on the moment curve: C(30, 11) walls,
+    # refused before validation walks the C(30, <= 10) row subsets
+    path = tmp_path / "moment.json"
+    path.write_text(json.dumps(
+        {"m": 10, "rows": [[t ** k for k in range(10)]
+                           for t in range(1, 31)]}))
+    extra = ["--b", ",".join(["0"] * 30)] if command == "classify" else []
+    t0 = time.perf_counter()
+    code, out, err, _ = run(capsys, command, "--ns", str(path), *extra)
+    assert time.perf_counter() - t0 < 2
+    assert code == 1 and out is None
+    assert err["error"]["type"] == "TooLarge"
+    assert err["error"]["count"] == 54627300
+
+
 def test_max_chambers_guard(capsys, ns_files):
     code, _, err, _ = run(capsys, "chambers", "--ns", ns_files["five_lines"],
                           "--max-chambers", "10")
