@@ -33,7 +33,7 @@ from math import gcd, lcm
 from .charpoly import iso_class_count, whitney_charpoly, zaslavsky_regions
 from .errors import (BadArtifact, CountMismatch, LengthMismatch,
                      NotInCatalog, TooLarge, UnpairedChamber)
-from .exact_linalg import (_idot, _int_row, dot, echelon_insert,
+from .exact_linalg import (_INTEGER, _idot, _int_row, dot, echelon_insert,
                            echelon_residual, feasible_strict,
                            lex_independent_columns, nullspace_basis,
                            parse_rational, primitive_int_rows, rank,
@@ -185,6 +185,13 @@ class Chamber:
         self.witness = tuple(x if type(x) is Fraction else Fraction(x)
                              for x in witness)
         self.class_id = class_id
+
+    @classmethod
+    def _exact(cls, signs, witness, class_id):
+        # a chamber whose witness is a tuple of ints and Fractions already
+        c = cls.__new__(cls)
+        c.signs, c.witness, c.class_id = signs, witness, class_id
+        return c
 
     def __eq__(self, other):
         return (isinstance(other, Chamber) and self.signs == other.signs
@@ -422,7 +429,7 @@ def classify_b(da, b, catalog=None):
     OnWall result naming the vanishing subsets; otherwise returns Classified
     with the sign vector and, when a catalog is supplied, its class id.
     """
-    res = _locate(da, primitive_int_rows(da.normals), b)
+    res = _locate(da, da.int_rows, b)
     if catalog is not None and isinstance(res, Classified):
         hit = catalog.find(res.signs)
         if hit is None:
@@ -433,7 +440,7 @@ def classify_b(da, b, catalog=None):
 
 
 def _locate(da, rows, b):
-    # classify_b without a catalog, on the integer rows of da.normals: the
+    # classify_b without a catalog, on the integer rows of the walls: the
     # rows and b are scaled by positive factors, so every sign is kept
     if len(b) != da.n:
         raise LengthMismatch("b must have one entry per hyperplane",
@@ -520,7 +527,11 @@ def catalog_from_dict(da, data):
     """Catalog of da read back from catalog_to_dict output.
 
     A missing key or a wrong layout raises BadArtifact; a witness entry
-    that is not an exact rational raises BadRational.
+    that is not an exact rational raises BadRational.  Entries are
+    checked in file order, so the first bad one is named.  A plain
+    integer string "p" is read as an int, with no Fraction made; any
+    other entry goes through parse_rational.  Last, a witness without n
+    entries or a class id that is not a JSON integer raises BadArtifact.
     """
     try:
         n, m = data["n"], data["m"]
@@ -537,10 +548,19 @@ def catalog_from_dict(da, data):
         if not (isinstance(signs, str) and isinstance(witness, list)):
             raise BadArtifact('"signs" must be a string and "witness" a '
                               'list', chamber=k)
-        chambers.append(Chamber(
-            signs, [parse_rational(x, chamber=k, position=i)
-                    for i, x in enumerate(witness, start=1)], class_id))
-    return ChamberCatalog(da, chambers)
+        point = tuple([int(x) if type(x) is str and _INTEGER(x)
+                       else parse_rational(x, chamber=k, position=i)
+                       for i, x in enumerate(witness, start=1)])
+        chambers.append(Chamber._exact(signs, point, class_id))
+    catalog = ChamberCatalog(da, chambers)
+    # checked last, so every error the layout or an entry raises comes first
+    for k, c in enumerate(chambers, start=1):
+        if len(c.witness) != da.n:
+            raise BadArtifact('"witness" must have n entries', chamber=k,
+                              n=da.n)
+        if type(c.class_id) is not int:
+            raise BadArtifact('"class" must be an integer', chamber=k)
+    return catalog
 
 
 def verify_catalog(da, catalog):
@@ -552,9 +572,8 @@ def verify_catalog(da, catalog):
     Returns a report dict; the "ok" key is the conjunction of all checks.
     """
     witnesses_ok = True
-    rows = primitive_int_rows(da.normals)
     for c in catalog:
-        got = _locate(da, rows, c.witness)
+        got = _locate(da, da.int_rows, c.witness)
         if not isinstance(got, Classified) or got.signs != c.signs:
             witnesses_ok = False
             break

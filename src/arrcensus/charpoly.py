@@ -15,8 +15,7 @@ from math import prod
 
 from .concurrency import _check_universe, _families, _rank
 from .errors import OddRegionCount, TooLarge
-from .exact_linalg import (echelon_insert, echelon_residual,
-                           primitive_int_rows)
+from .exact_linalg import echelon_insert, echelon_residual
 
 FLAT_LIMIT = 200000  # distinct flats either matrix engine may hold
 
@@ -141,7 +140,7 @@ def whitney_charpoly(da):
     is a flat evaluated one past its last row, the memo is keyed by the
     flat alone and the recursion is at most rank deep.  chi = G(0, {0}).
     """
-    rows = primitive_int_rows(da.normals)
+    rows = da.int_rows
     N = len(rows)
     n = da.n
     if not all(any(row) for row in rows):
@@ -170,7 +169,7 @@ def whitney_charpoly(da):
 
 def _flat_lattice(da):
     """All flats: hyperplane index mask -> rank."""
-    rows = primitive_int_rows(da.normals)
+    rows = da.int_rows
     N = len(rows)
     flats = {0: ()}  # mask -> echelon basis
     frontier = [0]

@@ -56,6 +56,7 @@ def _load_ns(path, max_subsets):
     if (isinstance(data, dict) and isinstance(data.get("rows"), list)
             and type(data.get("m")) is int):
         _guard_subsets(len(data["rows"]), data["m"], max_subsets)
+        _guard_walk(len(data["rows"]), data["m"], max_subsets)
     return ns_from_dict(data), dig
 
 
@@ -84,6 +85,15 @@ def _guard_subsets(n, m, limit):
     if n > m >= 0 and comb(n, m + 1) > limit:
         raise TooLarge("subset universe exceeds --max-subsets",
                        count=comb(n, m + 1), limit=limit)
+
+
+def _guard_walk(n, m, limit):
+    # validation walks the C(n, k) row subsets of each size 1 <= k <= m
+    if n > m >= 1:
+        walk = sum(comb(n, k) for k in range(1, m + 1))
+        if walk > limit:
+            raise TooLarge("row subsets to validate exceed --max-subsets",
+                           count=walk, limit=limit)
 
 
 class _Timer:
@@ -161,13 +171,19 @@ def cmd_disc(args, timer):
     return data, {"ns": dig}
 
 
-def cmd_charpoly(args, timer):
+def _charpoly_of(args, timer, method="whitney"):
+    # the --ns file loaded under the guards, its walls built, and their
+    # characteristic polynomial; returns (ns, chi, digest)
     ns, dig = _load_ns(args.ns, args.max_subsets)
     timer.mark("load")
     da = build(ns)
-    chi = (whitney_charpoly(da) if args.method == "whitney"
-           else poset_charpoly(da))
+    chi = whitney_charpoly(da) if method == "whitney" else poset_charpoly(da)
     timer.mark("compute")
+    return ns, chi, dig
+
+
+def cmd_charpoly(args, timer):
+    _, chi, dig = _charpoly_of(args, timer, args.method)
     return {"coefficients": list(chi.coefficients),
             "polynomial": chi.as_str(),
             "factored": chi.factored_str(),
@@ -175,10 +191,7 @@ def cmd_charpoly(args, timer):
 
 
 def cmd_count(args, timer):
-    ns, dig = _load_ns(args.ns, args.max_subsets)
-    timer.mark("load")
-    chi = whitney_charpoly(build(ns))
-    timer.mark("compute")
+    _, chi, dig = _charpoly_of(args, timer)
     return {"coefficients": list(chi.coefficients),
             "cones": zaslavsky_regions(chi),
             "classes": iso_class_count(chi)}, {"ns": dig}
@@ -325,16 +338,14 @@ def cmd_census(args, timer):
                                    "concurrency-free mode")
         _guard_subsets(args.n, args.m, args.max_subsets)
         chi = combinatorial_charpoly(args.n, args.m)
+        timer.mark("compute")
         n, m = args.n, args.m
         digests["args"] = "%d,%d" % (n, m)
     else:
         if not args.ns:
             raise ArrangementError("census needs --ns in ns-file mode")
-        ns, dig = _load_ns(args.ns, args.max_subsets)
-        chi = whitney_charpoly(build(ns))
+        ns, chi, digests["ns"] = _charpoly_of(args, timer)
         n, m = ns.n, ns.m
-        digests["ns"] = dig
-    timer.mark("compute")
     return {"n": n, "m": m,
             "chi": list(chi.coefficients),
             "cones": zaslavsky_regions(chi),

@@ -288,8 +288,8 @@ def is_concurrency_free(ns):
     the n x m matrix A of ns, a space of dimension n - m; a vector of it
     that vanishes on the first n - m coordinates is zero, because any m
     rows of A, the last m among them, are independent.  So keeping only
-    the first n - m entries of each normal changes no linear dependence,
-    and the truncated normals become primitive integer rows once.
+    the first n - m entries of each normal changes no linear dependence.
+    The walls' integer rows are cut there and made primitive again once.
 
     A node with k - 1 independent rows carries an annihilator basis:
     n - m - k + 1 independent integer vectors orthogonal to its rows, so
@@ -307,7 +307,7 @@ def is_concurrency_free(ns):
     _check_universe(n, m)
     subsets, imasks = _universe(n, m)
     kmax = n - m
-    rows = primitive_int_rows([r[:kmax] for r in build(ns).normals])
+    rows = primitive_int_rows([r[:kmax] for r in build(ns).int_rows])
 
     def non_free(bad):
         witness = min(tuple(subsets[p] for p in t) for t in bad)

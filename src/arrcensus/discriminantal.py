@@ -6,15 +6,20 @@ by S pass through a common point.  Its normal comes from expanding the
 (m+1) x (m+1) concurrency determinant along the b-column, so it is
 supported exactly on S.  The C(n, m+1) normals, in lexicographic subset
 order, fix the sign conventions used by every census downstream.
+
+The walls are integer minors, made once by build: the arrangement keeps
+them as exact Fraction normals (for serialization and the oracles) and as
+primitive integer rows, the form every sign test, flat crawl and rank
+test downstream reads.
 """
 
 from fractions import Fraction
 from itertools import combinations
-from math import prod
+from math import gcd, prod
 
 from .errors import BadArtifact
-from .exact_linalg import (_int_row, determinant, parse_rational,
-                           rational_str)
+from .exact_linalg import (_int_det, _int_row, parse_rational,
+                           primitive_int_rows, rational_str)
 
 
 class DiscriminantalArrangement:
@@ -22,16 +27,22 @@ class DiscriminantalArrangement:
 
     source keeps the normal system the arrangement was built from (None for
     deserialized arrangements); geometric verifiers use it to reconstruct
-    the affine picture behind a constant vector b.
+    the affine picture behind a constant vector b.  int_rows holds each
+    normal scaled by a positive factor to coprime integers, as
+    primitive_int_rows gives them; they are computed from the normals
+    unless the caller (build) passes them.
     """
 
-    __slots__ = ("n", "m", "subsets", "normals", "index", "source")
+    __slots__ = ("n", "m", "subsets", "normals", "int_rows", "index",
+                 "source")
 
-    def __init__(self, n, m, subsets, normals, source=None):
+    def __init__(self, n, m, subsets, normals, source=None, int_rows=None):
         self.n = int(n)
         self.m = int(m)
         self.subsets = tuple(tuple(s) for s in subsets)
         self.normals = tuple(tuple(v) for v in normals)
+        self.int_rows = tuple(primitive_int_rows(self.normals)
+                              if int_rows is None else int_rows)
         self.index = {s: i for i, s in enumerate(self.subsets)}
         self.source = source
 
@@ -56,22 +67,36 @@ def build(ns):
     i_{m+1}} is (-1)^(m+1+k) times the maximal minor of the coefficient
     rows of S with row i_k deleted.  Signs are kept raw: rescaling would
     break bit-exact comparison with hand-computed equation lists.
+
+    Each row is scaled to integers once, by the lcm d_i of its
+    denominators, and every minor is an integer Bareiss determinant:
+    the coefficient is that minor over the product of its rows' scales.
+    Times the product of all the scales of S, which is positive, it is
+    the minor times d_{i_k}, so the wall's primitive integer row is those
+    integers over their gcd, with no Fraction arithmetic.
     """
     n, m = ns.n, ns.m
     subsets = list(combinations(range(1, n + 1), m + 1))
-    # each row scaled to integers once; a minor is the integer minor over
-    # the product of its rows' scales
     scaled = [_int_row(row) for row in ns.rows]
+    zero = Fraction(0)
     normals = []
+    int_rows = []
     for S in subsets:
-        vec = [Fraction(0)] * n
+        vec = [zero] * n
+        ints = [0] * n
         for k, i in enumerate(S, start=1):
-            minor = [scaled[j - 1][0] for j in S if j != i]
-            scale = prod(scaled[j - 1][1] for j in S if j != i)
-            sign = -1 if (m + 1 + k) % 2 else 1
-            vec[i - 1] = sign * determinant(minor) / scale
+            rest = [scaled[j - 1] for j in S if j != i]
+            minor = _int_det([list(row) for row, _ in rest])
+            if (m + 1 + k) % 2:
+                minor = -minor
+            vec[i - 1] = Fraction(minor, prod(d for _, d in rest))
+            ints[i - 1] = minor * scaled[i - 1][1]
+        g = gcd(*ints)
         normals.append(tuple(vec))
-    return DiscriminantalArrangement(n, m, subsets, normals, source=ns)
+        int_rows.append(tuple([x // g for x in ints]) if g > 1
+                        else tuple(ints))
+    return DiscriminantalArrangement(n, m, subsets, normals, source=ns,
+                                     int_rows=int_rows)
 
 
 def da_to_dict(da):

@@ -28,6 +28,7 @@ def rational(s):
 
 
 _CANONICAL = re.compile(r"(-?\d+)(?:/(\d+))?").fullmatch
+_INTEGER = re.compile(r"-?\d+").fullmatch  # the 'p' form of _CANONICAL
 
 
 def parse_rational(s, **where):
@@ -72,9 +73,9 @@ def _int_row(row):
     """
     if all(type(a) is int for a in row):
         return list(row), 1
-    fr = [Fraction(a) for a in row]
+    fr = [a if type(a) is Fraction else Fraction(a) for a in row]
     d = lcm(*(a.denominator for a in fr))
-    return [int(a * d) for a in fr], d
+    return [a.numerator * (d // a.denominator) for a in fr], d
 
 
 def _idot(u, v):

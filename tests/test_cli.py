@@ -8,6 +8,10 @@ envelope, artifact round trips, format switches, and error discipline.
 
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -16,8 +20,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arrcensus import cli, gallery
+from arrcensus.chambers import catalog_to_dict, enumerate_chambers
 from arrcensus.cli import main
+from arrcensus.discriminantal import build
 from arrcensus.normal_system import ns_to_dict
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -441,6 +449,127 @@ def test_bad_catalog_file_exit_1(capsys, ns_files, tmp_path, command,
                 err["error"]["position"]) == ("x", 3, 2)
 
 
+def _main_streams(argv):
+    """Exit code, stdout and stderr of main(argv) run in-process."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+FOUR_LINES_CATALOG = catalog_to_dict(enumerate_chambers(
+    build(gallery.four_lines())))
+# witness entries of the wrong type or form; "+7", " 7", "1.5" and JSON 7
+# are exact rationals that parse_rational reads, "-0" is a zero
+_ENTRIES = [True, 1.5, 7, "x", "1/0", "+7", " 7", "1.5", "-0"]
+_VALUES = st.sampled_from([None, True, 1.5, 7, "x", "", [], [1], {}])
+
+
+@st.composite
+def damaged_catalogs(draw):
+    """The four_lines catalog with one to three faults."""
+    doc = json.loads(json.dumps(FOUR_LINES_CATALOG))
+    for _ in range(draw(st.integers(1, 3))):
+        fault = draw(st.sampled_from(["entry", "entry", "key", "value",
+                                      "chamber", "top"]))
+        if fault == "top":
+            return draw(_VALUES)
+        chambers = doc.get("chambers")
+        full = isinstance(chambers, list) and chambers
+        if fault in ("key", "value") and (not full or draw(st.booleans())):
+            where, keys = doc, ["n", "m", "chambers", "count", "classes"]
+        elif full:
+            k = draw(st.integers(0, len(chambers) - 1))
+            if fault == "chamber":
+                chambers[k] = draw(_VALUES)
+                continue
+            where, keys = chambers[k], ["signs", "witness", "class"]
+        else:
+            continue
+        if not isinstance(where, dict):
+            continue
+        if fault == "entry":
+            witness = where.get("witness")
+            if isinstance(witness, list) and witness:
+                i = draw(st.integers(0, len(witness) - 1))
+                witness[i] = draw(st.sampled_from(_ENTRIES))
+        elif fault == "key":
+            where.pop(draw(st.sampled_from(keys)), None)
+        else:
+            where[draw(st.sampled_from(keys))] = draw(_VALUES)
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=damaged_catalogs())
+def test_damaged_catalogs_answer_or_fail_cleanly(tmp_path_factory, ns_files,
+                                                 doc):
+    # a damaged catalog gets an answer or one JSON error line, never a
+    # traceback, from both commands that load a catalog
+    path = tmp_path_factory.mktemp("catalog") / "catalog.json"
+    path.write_text(json.dumps(doc))
+    for extra in (["classify", "--b", "1,2,4,8"], ["catalog-verify"]):
+        code, out, err = _main_streams(
+            [extra[0], "--ns", ns_files["four_lines"], "--catalog",
+             str(path)] + extra[1:])
+        if code == 0:
+            assert err == "" and out.count("\n") == 1
+            assert "payload" in json.loads(out)
+        else:
+            assert code == 1 and out == "" and err.count("\n") == 1
+            assert json.loads(err)["error"]["type"]
+
+
+_VERIFY_OK = {"catalog": {"class_count_matches": True, "classes": 4,
+                          "count": 8, "count_matches": True,
+                          "pairing_ok": True, "witnesses_ok": True,
+                          "zaslavsky": 8},
+              "cross_validation": {"mismatches": 0, "pairs": 50},
+              "ok": True}
+_VERIFY_BAD = {"catalog": dict(_VERIFY_OK["catalog"], witnesses_ok=False),
+               "cross_validation": {"mismatches": 5, "pairs": 50},
+               "ok": False}
+
+
+@pytest.mark.parametrize("entry,verified", [
+    ("+7", _VERIFY_OK), (7, _VERIFY_OK), ("1.5", _VERIFY_BAD),
+], ids=["plus_seven", "json_seven", "one_point_five"])
+def test_catalog_entries_outside_the_integer_form(tmp_path, ns_files, entry,
+                                                  verified):
+    # forms the loader's plain-integer path leaves to parse_rational keep
+    # their answers: the third chamber's witness becomes (-1, entry, 0, 0)
+    doc = json.loads(json.dumps(FOUR_LINES_CATALOG))
+    doc["chambers"][2]["witness"][1] = entry
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(doc))
+    argv = ["--ns", ns_files["four_lines"], "--catalog", str(path)]
+    code, out, _ = _main_streams(["classify", "--b", "1,2,4,8"] + argv)
+    assert code == 0 and json.loads(out)["payload"] == {
+        "signs": "---+", "class": 1, "on_wall": None}
+    code, out, _ = _main_streams(["catalog-verify"] + argv)
+    assert code == 0 and json.loads(out)["payload"] == verified
+
+
+@pytest.mark.parametrize("key,value", [("class", [1]), ("class", "1"),
+                                       ("witness", ["1", "2", "3"])])
+def test_catalog_witness_length_and_class_are_checked(capsys, ns_files,
+                                                       tmp_path, key, value):
+    # a class id that is not a JSON integer, or a witness without n
+    # entries, is refused by the loader: catalog-verify used to raise a
+    # raw TypeError or IndexError on them
+    doc = json.loads(json.dumps(FOUR_LINES_CATALOG))
+    doc["chambers"][4][key] = value
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(doc))
+    for extra in (["classify", "--b", "1,2,4,8"], ["catalog-verify"]):
+        code, _, err, cap = run(capsys, extra[0], "--ns",
+                                ns_files["four_lines"], "--catalog",
+                                str(path), *extra[1:])
+        assert code == 1 and cap.out == ""
+        assert err["error"]["type"] == "BadArtifact"
+        assert err["error"]["chamber"] == 5
+
+
 def test_count_beyond_22_walls(capsys, tmp_path):
     # a random 7-line planar system has 35 walls
     path = str(tmp_path / "ns.json")
@@ -490,6 +619,21 @@ def test_max_subsets_guard_comes_before_validation(capsys, tmp_path,
     assert code == 1 and out is None
     assert err["error"]["type"] == "TooLarge"
     assert err["error"]["count"] == 54627300
+
+
+def test_validation_walk_guard(capsys, tmp_path):
+    # (t^0..t^19), t = 1..26: C(26, 21) = 65780 walls pass the subset
+    # guard, but validation would walk the C(26, <= 20) row subsets
+    path = tmp_path / "moment.json"
+    path.write_text(json.dumps(
+        {"m": 20, "rows": [[t ** k for k in range(20)]
+                           for t in range(1, 27)]}))
+    t0 = time.perf_counter()
+    code, out, err, _ = run(capsys, "count", "--ns", str(path))
+    assert time.perf_counter() - t0 < 2
+    assert code == 1 and out is None
+    assert err["error"]["type"] == "TooLarge"
+    assert err["error"]["count"] == 67025181
 
 
 def test_max_chambers_guard(capsys, ns_files):
@@ -548,3 +692,28 @@ def test_commands_are_looked_up_at_call_time(capsys, monkeypatch, ns_files):
     code, rep, _, _ = run(capsys, "catalog-verify", "--ns",
                           ns_files["four_lines"])
     assert code == 0 and rep["payload"] == {"stub": "catalog-verify"}
+
+
+def test_fresh_interpreter_prints_one_json_line(tmp_path):
+    # each command in a new interpreter, exit included, writes its report
+    # and nothing else: no warning, no __del__ or atexit output
+    ns = tmp_path / "ns.json"
+    ns.write_text(json.dumps(ns_to_dict(gallery.five_lines())))
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text(json.dumps(catalog_to_dict(enumerate_chambers(
+        build(gallery.five_lines())))))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    code = "import sys; from arrcensus.cli import main; sys.exit(main())"
+    for argv in (["count", "--ns", str(ns)],
+                 ["classify", "--ns", str(ns), "--b", "1,2,4,8,17",
+                  "--catalog", str(catalog)],
+                 ["check-cf", "--ns", str(ns)]):
+        proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error",
+                               "-c", code] + argv, env=env, cwd=tmp_path,
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, ""), argv
+        lines = proc.stdout.split("\n")
+        assert len(lines) == 2 and lines[1] == "", argv
+        report = json.loads(lines[0])
+        assert report["command"] == argv[0] and report["payload"]

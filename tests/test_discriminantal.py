@@ -16,6 +16,7 @@ import sympy
 from arrcensus import gallery
 from arrcensus.discriminantal import build, da_from_dict, da_to_dict
 from arrcensus.errors import BadArtifact, BadRational, BadSubsetSize
+from arrcensus.exact_linalg import primitive_int_rows
 from arrcensus.normal_system import (NormalSystem, random_normal_system,
                                      validate)
 
@@ -204,3 +205,23 @@ def test_build_matches_minor_oracle():
         da = build(ns)
         assert da == build_by_minors(ns)
         assert all(isinstance(a, Fraction) for v in da.normals for a in v)
+
+
+def test_int_rows_are_the_primitive_normals():
+    # build takes each wall's integer row straight from its minors; a
+    # loaded arrangement computes it from the normals; both must be the
+    # primitive integer rows of the Fraction normals
+    systems = [getattr(gallery, name)() for name in GALLERY_SYSTEMS]
+    systems += [random_normal_system(n, m, seed=seed, bound=9)
+                for seed, (n, m) in enumerate(((5, 2), (6, 2), (6, 3),
+                                               (7, 2), (7, 3), (7, 4)))]
+    rng = random.Random(31)  # the rational-row systems of the minor test
+    for n, m in ((4, 2), (5, 2), (5, 3), (6, 3)):
+        rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+                 for _ in range(m)] for _ in range(n)]
+        systems.append(NormalSystem(rows, m))
+    for ns in systems:
+        da = build(ns)
+        assert da.int_rows == tuple(primitive_int_rows(da.normals))
+        assert all(type(a) is int for row in da.int_rows for a in row)
+        assert da_from_dict(da_to_dict(da)).int_rows == da.int_rows
