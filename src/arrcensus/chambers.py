@@ -16,9 +16,10 @@ which is checked against max_chambers before any cone is made and against
 the finished catalog after.
 
 The arrangement is first reduced modulo its common intersection subspace.
-Normals are restricted to the lexicographically first coordinate set on which
-they have full rank (the first n - m coordinates of a built arrangement),
-and witnesses are lifted back by zero-filling the dropped coordinates.
+Its integer rows are restricted to the lexicographically first coordinate
+set on which they have full rank (the first n - m coordinates of a built
+arrangement; discriminantal.quotient_rows), and witnesses are lifted back
+by zero-filling the dropped coordinates.
 
 sign_cells, the insertion walk that enumerate_chambers ran before, stays
 as the oracle the tests compare the catalog with: it inserts hyperplanes
@@ -31,12 +32,13 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .charpoly import iso_class_count, whitney_charpoly, zaslavsky_regions
+from .discriminantal import quotient_rows
 from .errors import (BadArtifact, CountMismatch, LengthMismatch,
                      NotInCatalog, TooLarge, UnpairedChamber)
 from .exact_linalg import (_INTEGER, _idot, _int_row, dot, echelon_insert,
                            echelon_residual, feasible_strict,
                            lex_independent_columns, nullspace_basis,
-                           parse_rational, primitive_int_rows, rank,
+                           parse_rational, rank,
                            rational_str)
 
 DEFAULT_MAX_CHAMBERS = 10 ** 4
@@ -236,13 +238,10 @@ class ChamberCatalog:
 
 
 def _quotient(da):
-    """Coordinates on which the normals keep their rank, and the rows there.
+    """The columns of quotient_rows, and the Fraction normals cut there.
 
-    For a built arrangement these are the first n - m coordinates: every
-    m rows of its normal system are independent, so no nonzero vector of
-    the common intersection {A x} vanishes there, and they are the
-    columns lex_independent_columns would pick.  A loaded arrangement
-    (source None) has them computed.
+    Only shared_wall's facet LP reads this form; the cones are composed
+    on the integer rows of quotient_rows.
     """
     if da.source is not None:
         cols = list(range(da.n - da.m))
@@ -353,9 +352,9 @@ def enumerate_chambers(da, max_chambers=DEFAULT_MAX_CHAMBERS):
                        count=expected, limit=max_chambers)
     chambers = []
     if expected:  # a zero normal leaves no strict sign vector at all
-        cols, reduced = _quotient(da)
-        N = len(reduced)
-        for mask, y in _half_cones(primitive_int_rows(reduced)).items():
+        cols, rows = quotient_rows(da)
+        N = len(rows)
+        for mask, y in _half_cones(rows).items():
             witness = [0] * da.n
             for t, c in enumerate(cols):
                 witness[c] = y[t]

@@ -2,10 +2,14 @@
 
 whitney_charpoly is the production engine: the subset sum of (-1)^|B|
 x^(n - rank B) over all 2^N subsets of hyperplanes, evaluated by the
-deletion recursion memoised on flats.  poset_charpoly crawls the lattice of
-flats and runs the Mobius recursion; it is kept as a cross-check.  Both
-key flats by the integer echelon bases of exact_linalg and share one
-budget, FLAT_LIMIT.  combinatorial_charpoly never touches a matrix: it
+deletion recursion memoised on flats.  It runs on the walls cut to the
+k = n - m quotient coordinates of discriminantal.quotient_rows, where
+every linear dependence is kept, and closes each flat of rank k - 1 in
+one step, so its memo holds the flats below rank k that it reaches.
+poset_charpoly crawls the whole lattice of flats in n coordinates and
+runs the Mobius recursion; it is kept as a cross-check.  Both key flats
+by the integer echelon bases of exact_linalg and share one budget,
+FLAT_LIMIT.  combinatorial_charpoly never touches a matrix: it
 sums a product formula over the closed families of concurrency sets, so
 it speaks only about concurrency-free systems.  All three must agree
 wherever their domains overlap; the cone census rests on that agreement.
@@ -14,6 +18,7 @@ wherever their domains overlap; the cone census rests on that agreement.
 from math import prod
 
 from .concurrency import _check_universe, _families, _rank
+from .discriminantal import quotient_rows
 from .errors import OddRegionCount, TooLarge
 from .exact_linalg import echelon_insert, echelon_residual
 
@@ -128,21 +133,31 @@ def _from_exponents(n, by_exp):
 def whitney_charpoly(da):
     """Characteristic polynomial by the memoised deletion recursion.
 
-    G(i, V) = sum over B in rows i.. of (-1)^|B| x^(n - rank(V u B)) obeys
+    The recursion runs on the quotient rows of quotient_rows: the walls
+    cut to k = rank coordinates, which keeps every linear dependence, so
+    chi = x^(n - k) G(0, {0}) with ranks taken there.  G(i, V) = sum over
+    B in rows i.. of (-1)^|B| x^(k - rank(V u B)) obeys
     G(i, V) = G(i+1, V) - G(i+1, V + row_i), and G(i, V) = 0 as soon as
     some row j >= i lies in V (B and B xor {j} cancel).  Unrolling the
     first identity and dropping the vanishing terms gives
 
-        G(i, V) = x^(n - rank V) - sum over j >= i of G(j+1, V + row_j),
+        G(i, V) = x^(k - rank V) - sum over j >= i of G(j+1, V + row_j),
 
     where a term survives only if row_j is the last row inside V + row_j:
     the last of the rows whose residuals against V agree.  So every state
     is a flat evaluated one past its last row, the memo is keyed by the
-    flat alone and the recursion is at most rank deep.  chi = G(0, {0}).
+    flat alone and the recursion is at most rank deep.
+
+    A flat of rank k - 1 is closed at once: every row j >= i lies outside
+    it and completes it to the top, so only the last row survives and
+    G = x - [i < N], with no residual taken.  The memo holds the flats
+    below the top that the recursion reaches, the top itself is never
+    stored, and TooLarge is raised before it would hold more than
+    FLAT_LIMIT of them.
     """
-    rows = da.int_rows
+    cols, rows = quotient_rows(da)
     N = len(rows)
-    n = da.n
+    n, k = da.n, len(cols)
     if not all(any(row) for row in rows):
         return _from_exponents(n, [0] * (n + 1))  # a zero row is in {0}
     memo = {}
@@ -150,21 +165,24 @@ def whitney_charpoly(da):
     def go(flat, start):
         out = memo.get(flat)
         if out is None:
+            out = [0] * (k + 1)  # out[e] is the coefficient of x^e
+            out[k - len(flat)] = 1
+            if len(flat) == k - 1:
+                out[0] = -(start < N)
+            else:
+                last = {}  # residual -> last row giving it
+                for j in range(start, N):
+                    last[echelon_residual(flat, rows[j])] = j
+                for w, j in last.items():
+                    sub = go(echelon_insert(flat, w), j + 1)
+                    out = [a - b for a, b in zip(out, sub)]
             if len(memo) >= FLAT_LIMIT:
                 raise TooLarge("flat states exceed the memory guard",
                                limit=FLAT_LIMIT)
-            out = [0] * (n + 1)
-            out[n - len(flat)] = 1
-            last = {}  # residual -> last row giving it
-            for j in range(start, N):
-                last[echelon_residual(flat, rows[j])] = j
-            for w, j in last.items():
-                sub = go(echelon_insert(flat, w), j + 1)
-                out = [a - b for a, b in zip(out, sub)]
             memo[flat] = out
         return out
 
-    return _from_exponents(n, go((), 0))
+    return _from_exponents(n, [0] * (n - k) + go((), 0))
 
 
 def _flat_lattice(da):

@@ -292,6 +292,9 @@ def cmd_iso(args, timer):
 
 
 def cmd_catalog_verify(args, timer):
+    if args.pairs < 0:
+        raise ArrangementError("--pairs must be a non-negative count",
+                               got=args.pairs)
     ns, dig = _load_ns(args.ns, args.max_subsets)
     digests = {"ns": dig}
     da = build(ns)

@@ -25,9 +25,8 @@ from itertools import combinations
 from math import comb, gcd
 from operator import mul
 
-from .discriminantal import build
+from .discriminantal import build, quotient_rows
 from .errors import BadShape, BadSubsetSize, NotClosed, TooLarge
-from .exact_linalg import primitive_int_rows
 
 MAX_UNIVERSE = 36  # largest C(n, m+1) the enumeration strategies accept
 
@@ -284,12 +283,9 @@ def is_concurrency_free(ns):
     The search runs breadth-first by cardinality, so a returned witness
     has minimal size (lex-first among those).
 
-    The search runs in n - m coordinates.  The normals span ker(A^T) for
-    the n x m matrix A of ns, a space of dimension n - m; a vector of it
-    that vanishes on the first n - m coordinates is zero, because any m
-    rows of A, the last m among them, are independent.  So keeping only
-    the first n - m entries of each normal changes no linear dependence.
-    The walls' integer rows are cut there and made primitive again once.
+    The search runs in n - m coordinates, on the walls' integer rows cut
+    to their first n - m entries by quotient_rows, which changes no
+    linear dependence.
 
     A node with k - 1 independent rows carries an annihilator basis:
     n - m - k + 1 independent integer vectors orthogonal to its rows, so
@@ -307,7 +303,7 @@ def is_concurrency_free(ns):
     _check_universe(n, m)
     subsets, imasks = _universe(n, m)
     kmax = n - m
-    rows = primitive_int_rows([r[:kmax] for r in build(ns).int_rows])
+    _, rows = quotient_rows(build(ns))
 
     def non_free(bad):
         witness = min(tuple(subsets[p] for p in t) for t in bad)

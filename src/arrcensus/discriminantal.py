@@ -10,7 +10,10 @@ order, fix the sign conventions used by every census downstream.
 The walls are integer minors, made once by build: the arrangement keeps
 them as exact Fraction normals (for serialization and the oracles) and as
 primitive integer rows, the form every sign test, flat crawl and rank
-test downstream reads.
+test downstream reads.  The walls span only n - m dimensions, and
+quotient_rows cuts the integer rows to a coordinate set of that size on
+which no linear dependence changes: the deletion recursion, the cone
+composition and the freeness search all run there.
 """
 
 from fractions import Fraction
@@ -18,8 +21,9 @@ from itertools import combinations
 from math import gcd, prod
 
 from .errors import BadArtifact
-from .exact_linalg import (_int_det, _int_row, parse_rational,
-                           primitive_int_rows, rational_str)
+from .exact_linalg import (_int_det, _int_row, lex_independent_columns,
+                           parse_rational, primitive_int_rows, rank,
+                           rational_str)
 
 
 class DiscriminantalArrangement:
@@ -97,6 +101,27 @@ def build(ns):
                         else tuple(ints))
     return DiscriminantalArrangement(n, m, subsets, normals, source=ns,
                                      int_rows=int_rows)
+
+
+def quotient_rows(da):
+    """Coordinates on which the walls keep their rank, and the walls there.
+
+    Returns (cols, rows): rows are the primitive integer rows int_rows
+    restricted to cols and made primitive again.  For a built arrangement
+    cols are the first n - m coordinates, with no rank computed: the
+    walls span ker(A^T) for the n x m matrix A of its normal system, and
+    a vector of that space which vanishes there is zero, because any m
+    rows of A, the last m among them, are independent.  A loaded
+    arrangement (source None) has the lexicographically first columns of
+    full rank computed.  Either way the restriction is one-to-one on the
+    row space, so every linear dependence, flat and sign is kept.
+    """
+    if da.source is not None:
+        cols = list(range(da.n - da.m))
+    else:
+        cols = lex_independent_columns(da.int_rows, rank(da.int_rows))
+    return cols, primitive_int_rows([[row[j] for j in cols]
+                                     for row in da.int_rows])
 
 
 def da_to_dict(da):

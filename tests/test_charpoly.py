@@ -14,7 +14,8 @@ from math import comb
 
 import pytest
 
-from arrcensus import gallery
+from arrcensus import (affine_geometry, chambers, charpoly, concurrency,
+                       discriminantal, exact_linalg, gallery, normal_system)
 from arrcensus.charpoly import (
     CharPolynomial,
     combinatorial_charpoly,
@@ -24,7 +25,8 @@ from arrcensus.charpoly import (
     zaslavsky_regions,
 )
 from arrcensus.concurrency import SubsetCollection, combinatorial_rank
-from arrcensus.discriminantal import build
+from arrcensus.discriminantal import (DiscriminantalArrangement, build,
+                                     da_from_dict, da_to_dict)
 from arrcensus.errors import OddRegionCount, TooLarge
 from arrcensus.exact_linalg import rank
 from arrcensus.normal_system import (first_dependent_subset, ns_from_dict,
@@ -143,6 +145,85 @@ def test_engines_match_brute_oracle_on_seeded_systems():
     assert zaslavsky_regions(w) == 132
 
 
+GALLERY = ["three_lines", "four_lines", "five_lines",
+           "six_lines_perpendicular_pairs", "six_lines_mixed_slopes",
+           "six_lines_distinct_slopes", "six_lines_free",
+           "six_planes_chain", "six_planes_curve", "six_planes_free"]
+
+
+@pytest.mark.parametrize("name", GALLERY)
+def test_whitney_of_loaded_arrangement_equals_built(name):
+    # a loaded arrangement has no source: its quotient columns are found
+    # by rank, a built one takes the first n - m
+    da = build(getattr(gallery, name)())
+    loaded = da_from_dict(da_to_dict(da))
+    assert loaded.source is None
+    assert whitney_charpoly(loaded) == whitney_charpoly(da)
+
+
+def hand_made(n, normals):
+    subsets = list(combinations(range(1, n + 1), 3))[:len(normals)]
+    return DiscriminantalArrangement(n, 2, subsets, normals)
+
+
+HALF = Fraction(1, 2)
+LOW_RANK = {
+    # rank 1 < n - m = 2: one quotient coordinate, the root has corank 1
+    "rank1": hand_made(4, [(0, 0, 3, -3), (0, 0, -1, 1), (0, 0, 2, -2)]),
+    # rank 2 < 3, a 1/2 entry, a repeated wall and columns 1 and 2 first
+    "half": hand_made(5, [(0, 1, HALF, 0, 0), (0, 2, 1, 0, 0),
+                          (0, 0, 0, 1, -1), (0, 1, HALF, 1, -1),
+                          (0, -1, -HALF, 3, -3)]),
+    # rank 2 < 4, supported on the last three coordinates only
+    "tail": hand_made(6, [(0, 0, 0, 1, 1, 0), (0, 0, 0, 0, 1, 1),
+                          (0, 0, 0, 1, 2, 1), (0, 0, 0, 1, 0, -1),
+                          (0, 0, 0, 2, 2, 0), (0, 0, 0, 0, 3, 3)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOW_RANK))
+def test_whitney_on_hand_made_arrangements_of_low_rank(name):
+    da = LOW_RANK[name]
+    assert rank(da.normals) < da.n - da.m
+    assert whitney_charpoly(da) == brute_whitney(da) == poset_charpoly(da)
+
+
+def test_whitney_of_a_zero_normal_is_zero():
+    # a zero normal lies in every flat, so every subset cancels: chi = 0
+    da = hand_made(5, [(1, 1, 0, 0, 0), (0, 0, 0, 0, 0), (0, 1, 1, 0, 0)])
+    assert whitney_charpoly(da) == brute_whitney(da)
+    assert whitney_charpoly(da).coefficients == (0,) * 6
+
+
+def test_whitney_equals_poset_on_seeded_sweep():
+    # every shape with n <= 7 and m = 2..6, at bounds 2 (many forced
+    # concurrencies) and 9; (7, 2) only once, its poset crawl takes ~3 s
+    for n in range(3, 8):
+        for m in range(2, min(n, 7)):
+            for bound in (2, 9):
+                if (n, m, bound) == (7, 2, 9):
+                    continue
+                ns = random_normal_system(n, m, seed=10 * n + m, bound=bound)
+                da = build(ns)
+                assert whitney_charpoly(da) == poset_charpoly(da), \
+                    (n, m, bound)
+
+
+def test_whitney_on_built_arrangement_calls_no_rank(monkeypatch):
+    def no_rank(mat):
+        raise AssertionError("rank called")
+
+    for mod in (affine_geometry, chambers, charpoly, concurrency,
+                discriminantal, exact_linalg, normal_system):
+        if hasattr(mod, "rank"):
+            monkeypatch.setattr(mod, "rank", no_rank)
+    names = ["six_lines_free", "six_planes_chain"]
+    got = [whitney_charpoly(build(getattr(gallery, name)()))
+           for name in names]
+    monkeypatch.undo()
+    assert got == [chi(name) for name in names]
+
+
 def test_combinatorial_matches_brute_oracle():
     assert combinatorial_charpoly(4, 2) == brute_combinatorial(4, 2)
     assert combinatorial_charpoly(4, 3) == brute_combinatorial(4, 3)
@@ -250,6 +331,19 @@ def test_whitney_flat_guard(monkeypatch):
     monkeypatch.setattr(mod, "FLAT_LIMIT", 6)
     assert whitney_charpoly(da).coefficients == (1, -4, 3, 0, 0)
     monkeypatch.setattr(mod, "FLAT_LIMIT", 3)
+    with pytest.raises(TooLarge):
+        whitney_charpoly(da)
+
+
+def test_whitney_flat_state_count(monkeypatch):
+    # the memo holds the root and the 4 walls of four_lines: the walls
+    # have corank 1 and are closed at once, the top is never stored, and
+    # FLAT_LIMIT bounds what the memo holds
+    import arrcensus.charpoly as mod
+    da = build(gallery.four_lines())
+    monkeypatch.setattr(mod, "FLAT_LIMIT", 5)
+    assert whitney_charpoly(da).coefficients == (1, -4, 3, 0, 0)
+    monkeypatch.setattr(mod, "FLAT_LIMIT", 4)
     with pytest.raises(TooLarge):
         whitney_charpoly(da)
 

@@ -171,6 +171,19 @@ def test_catalog_verify_detects_tampering(capsys, ns_files, tmp_path):
     assert rep["payload"]["ok"] is False
 
 
+@pytest.mark.parametrize("ns", ["four_lines", None])
+def test_catalog_verify_refuses_negative_pairs(capsys, ns_files, ns):
+    # refused up front, before the ns file is read: a missing file gives
+    # the same error, and no pairs are silently skipped
+    path = ns_files[ns] if ns else "no-such-file.json"
+    code, out, err, cap = run(capsys, "catalog-verify", "--ns", path,
+                              "--pairs", "-3")
+    assert code == 1 and out is None and cap.out == ""
+    assert err["error"]["type"] == "ArrangementError"
+    assert err["error"]["got"] == -3
+    assert "--pairs" in err["error"]["message"]
+
+
 def test_check_cf(capsys, ns_files):
     _, rep, _, _ = run(capsys, "check-cf", "--ns", ns_files["five_lines"])
     assert rep["payload"] == {"free": True, "witness": None}
