@@ -10,7 +10,7 @@ b, either name its cone or report the walls it sits on.
 from fractions import Fraction
 
 from arrcensus.chambers import (adjacency, antipodal_classes, classify_b,
-                                enumerate_chambers, shared_wall)
+                                enumerate_chambers)
 from arrcensus.discriminantal import build
 from arrcensus.exact_linalg import rational_str
 from arrcensus.gallery import four_lines
@@ -33,13 +33,14 @@ print("\nantipodal pairs:")
 for plus, minus in antipodal_classes(catalog):
     print("  %s  <->  %s" % (plus.signs, minus.signs))
 
-# Walking the atlas: two cones are adjacent when they share a facet, i.e.
-# differ in exactly one sign and that wall really bounds both.
+# Walking the atlas: two cones are adjacent when they share a facet.  In
+# a real central arrangement that is exactly when their sign vectors
+# differ in one place, and the wall crossed is the one whose sign flips.
 graph = adjacency(catalog)
 start = catalog[0].signs
 print("\nneighbors of %s:" % start)
 for other in graph[start]:
-    wall = shared_wall(da, start, other)
+    wall = next(i for i, (x, y) in enumerate(zip(start, other)) if x != y)
     print("  %s  across wall %s" %
           (other, "".join(map(str, da.subsets[wall]))))
 

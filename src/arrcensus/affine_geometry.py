@@ -16,7 +16,8 @@ checked exactly before any geometric reading; a row vanishes at a vertex
 exactly when b lies on a hyperplane of the discriminantal arrangement of
 the system.  Line directions are the minors of the normals alone.  No
 Fraction is made except for the line parameters that vertex_orders
-returns.
+returns, and no LP is run: the wall of a swap is read off the two sign
+vectors.
 """
 
 from collections import namedtuple
@@ -24,7 +25,6 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .chambers import shared_wall
 from .errors import (NotAdjacent, NotGeneric, NotInCatalog, TooLarge,
                      UnsupportedDimension, WrongShape)
 from .exact_linalg import _idot, _int_det, _int_row, echelon_residual
@@ -268,28 +268,24 @@ def swap_check(da, catalog, signs_c, signs_d):
     Crossing the wall of subset S swaps, on each line cut out by an
     (m-1)-subset A of S, the two adjacent vertices labeled by A plus one of
     the remaining pair of S; every line with A not inside S keeps its order.
-    Returns a report dict; raises NotAdjacent when the chambers do not
-    share a facet.  Two chambers of the catalog whose sign vectors differ
-    in one coordinate are adjacent across that wall (see
-    chambers.adjacency), so the wall is read off the signs; any other pair
-    is decided by shared_wall.
+    Returns a report dict.  Two chambers of the catalog whose sign
+    vectors differ in one coordinate are adjacent across that wall (see
+    chambers.adjacency), so the wall is read off the signs, with no LP:
+    NotAdjacent is raised when the sign vectors differ in length or in
+    other than one coordinate, and then NotInCatalog when the catalog
+    lacks either of them.
     """
     if da.source is None:
         raise WrongShape("arrangement lacks its source normal system")
+    diff = [i for i, (x, y) in enumerate(zip(signs_c, signs_d)) if x != y]
+    if len(signs_c) != len(signs_d) or len(diff) != 1:
+        raise NotAdjacent("chambers do not share a facet",
+                          left=signs_c, right=signs_d)
     cham_c = catalog.find(signs_c)
     cham_d = catalog.find(signs_d)
-    diff = [i for i, (x, y) in enumerate(zip(signs_c, signs_d)) if x != y]
-    if (cham_c is not None and cham_d is not None and len(diff) == 1
-            and len(signs_c) == len(signs_d) == len(da.subsets)):
-        wall = diff[0]
-    else:
-        wall = shared_wall(da, signs_c, signs_d)
-        if wall is None:
-            raise NotAdjacent("chambers do not share a facet",
-                              left=signs_c, right=signs_d)
-        if cham_c is None or cham_d is None:
-            raise NotInCatalog("chamber missing from catalog")
-    S = da.subsets[wall]
+    if cham_c is None or cham_d is None:
+        raise NotInCatalog("chamber missing from catalog")
+    S = da.subsets[diff[0]]
     t_c = vertex_orders(Arrangement(da.source, cham_c.witness))
     t_d = vertex_orders(Arrangement(da.source, cham_d.witness))
     swapped, unchanged, failures = [], [], []

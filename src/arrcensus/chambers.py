@@ -1,19 +1,20 @@
 """Cone catalog of a central arrangement: sign vectors with exact witnesses.
 
-A central arrangement cuts its ambient space into open convex cones, one per
-realizable strict sign vector.  enumerate_chambers composes them from
+A central arrangement cuts its ambient space into open convex cones, one
+per realizable strict sign vector.  enumerate_chambers composes them from
 cocircuits, with no LP (Bjorner et al., Oriented Matroids, ch. 3-4).  In
 an essential arrangement every cone is pointed, so its closure holds an
 extreme ray y, a cocircuit: y is orthogonal to a flat F one rank below the
 whole, and the cone is y o T, the signs of y off F composed with a chamber
-T of the localization F.  The flats are crawled up by rank with the
-integer echelon bases of exact_linalg, and the chambers of each flat are
+T of the localization F.  The flats come up rank by rank from
+exact_linalg.flat_levels, the one crawl of the lattice of flats (the
+poset_charpoly cross-check reads it too), and the chambers of each flat are
 composed from those of its lower covers.  A witness is a primitive integer
-vector, the sum K y + w_T with the least integer K that keeps y's signs,
-so every sign test is an integer dot product.  The count is a certificate:
-it is known up front as the Zaslavsky number of the whitney polynomial,
-which is checked against max_chambers before any cone is made and against
-the finished catalog after.
+vector, the sum K y + w_T with the least integer K that keeps y's signs, so
+every sign test is an integer dot product.  The count is a certificate: it
+is known up front as the Zaslavsky number of the whitney polynomial, which
+is checked against max_chambers before any cone is made and against the
+finished catalog after.
 
 The arrangement is first reduced modulo its common intersection subspace.
 Its integer rows are restricted to the lexicographically first coordinate
@@ -25,7 +26,8 @@ sign_cells, the insertion walk that enumerate_chambers ran before, stays
 as the oracle the tests compare the catalog with: it inserts hyperplanes
 one at a time and splits every cell the new hyperplane meets, deciding
 each split with the exact phase-1 simplex of exact_linalg.  shared_wall
-decides one pair of cones by a facet LP.
+decides one pair of cones by a facet LP on the rows of quotient_rows.
+No other library module calls either; both stay for the tests.
 """
 
 from fractions import Fraction
@@ -35,10 +37,8 @@ from .charpoly import iso_class_count, whitney_charpoly, zaslavsky_regions
 from .discriminantal import quotient_rows
 from .errors import (BadArtifact, CountMismatch, LengthMismatch,
                      NotInCatalog, TooLarge, UnpairedChamber)
-from .exact_linalg import (_INTEGER, _idot, _int_row, dot, echelon_insert,
-                           echelon_residual, feasible_strict,
-                           lex_independent_columns, nullspace_basis,
-                           parse_rational, rank,
+from .exact_linalg import (_INTEGER, _idot, _int_row, dot, feasible_strict,
+                           flat_levels, nullspace_basis, parse_rational,
                            rational_str)
 
 DEFAULT_MAX_CHAMBERS = 10 ** 4
@@ -178,22 +178,18 @@ def sign_cells(rows, dim, base_rows=(), max_cells=None, half=False):
 
 
 class Chamber:
-    """One open cone: its sign vector, an interior point, and its class id."""
+    """One open cone: its sign vector, an interior point, and its class id.
+
+    The witness entries are kept as they are given: ints in a built
+    catalog, ints or Fractions in a loaded one.
+    """
 
     __slots__ = ("signs", "witness", "class_id")
 
     def __init__(self, signs, witness, class_id=None):
         self.signs = signs
-        self.witness = tuple(x if type(x) is Fraction else Fraction(x)
-                             for x in witness)
+        self.witness = tuple(witness)
         self.class_id = class_id
-
-    @classmethod
-    def _exact(cls, signs, witness, class_id):
-        # a chamber whose witness is a tuple of ints and Fractions already
-        c = cls.__new__(cls)
-        c.signs, c.witness, c.class_id = signs, witness, class_id
-        return c
 
     def __eq__(self, other):
         return (isinstance(other, Chamber) and self.signs == other.signs
@@ -237,20 +233,6 @@ class ChamberCatalog:
         return len(ids)
 
 
-def _quotient(da):
-    """The columns of quotient_rows, and the Fraction normals cut there.
-
-    Only shared_wall's facet LP reads this form; the cones are composed
-    on the integer rows of quotient_rows.
-    """
-    if da.source is not None:
-        cols = list(range(da.n - da.m))
-    else:
-        cols = lex_independent_columns(da.normals, rank(da.normals))
-    reduced = [tuple(Fraction(row[j]) for j in cols) for row in da.normals]
-    return cols, reduced
-
-
 def _cocircuit(basis, w):
     """Integer y orthogonal to a flat, with w . y != 0.
 
@@ -273,45 +255,35 @@ def _half_cones(rows):
     """Chambers with first sign + of an essential arrangement of int rows.
 
     Returns {plus mask: primitive integer witness}; bit j of a mask is set
-    when row j is positive.  The flats are crawled up from the empty one,
-    rank by rank, and the half chambers of a flat G (those with + on its
-    first row a) are composed from the chambers of its lower covers F, so
-    only two ranks are held at a time.  Such a chamber is open on a's
-    side, so some extreme ray y of its closure is off a: y is a cocircuit
-    of G at a lower cover F without a, oriented to a . y > 0, and the
-    chamber is y o T, the signs of y off F composed with a chamber T of F.
-    So the lower covers through a are skipped.  The witness of y o T is
-    K y + w_T, with K the least integer that keeps every sign off F,
-    divided by its gcd; the other chambers of G are the mirrors of its
-    half, with negated witnesses.
+    when row j is positive.  The flats come up from the empty one, rank
+    by rank, from exact_linalg.flat_levels, and the half chambers of a
+    flat G (those with + on its first row a) are composed from the
+    chambers of its lower covers F, so only two ranks of chambers are
+    held at a time.  Such a chamber is open on a's side, so some extreme
+    ray y of its closure is off a: y is a cocircuit of G at a lower cover
+    F without a, oriented to a . y > 0, and the chamber is y o T, the
+    signs of y off F composed with a chamber T of F.  So the lower covers
+    through a are skipped.  The witness of y o T is K y + w_T, with K the
+    least integer that keeps every sign off F, divided by its gcd; the
+    other chambers of G are the mirrors of its half, with negated
+    witnesses.
     """
     N, d = len(rows), len(rows[0])
     top = (1 << N) - 1
-    # flat mask -> (echelon basis, all its chambers [(mask, witness)])
-    level = {0: ((), [(0, [0] * d)])}
-    for k in range(1, d + 1):
-        covers = {}  # flat of rank k -> (basis, [(lower cover, residual)])
-        for F, (basis, _) in level.items():
-            if k == d:  # the only flat of rank d is the whole arrangement
-                j = next(j for j in range(N) if not F >> j & 1)
-                grown = {echelon_residual(basis, rows[j]): top}
-            else:
-                grown = {}
-                for j in range(N):
-                    if not F >> j & 1:
-                        w = echelon_residual(basis, rows[j])
-                        grown[w] = grown.get(w, F) | 1 << j
-            for w, G in grown.items():
-                if G not in covers:
-                    covers[G] = (echelon_insert(basis, w), [])
-                if not F & G & -G:
-                    covers[G][1].append((F, w))
-        nxt = {}
-        for G, (basis_g, lower) in covers.items():
+    levels = flat_levels(rows)
+    next(levels)  # the empty flat, whose one chamber is the whole space
+    # flat mask of the rank below -> (echelon basis, all its chambers
+    # [(mask, witness)])
+    below = {0: ((), [(0, [0] * d)])}
+    for level in levels:
+        here = {}
+        for G, (basis_g, lower) in level.items():
             a = G & -G
             found = {}
             for F, w in lower:
-                basis, cones = level[F]
+                if F & a:
+                    continue
+                basis, cones = below[F]
                 y = _cocircuit(basis, w)
                 off = [(1 << j, rows[j], _idot(rows[j], y))
                        for j in range(N) if (G & ~F) >> j & 1]
@@ -329,9 +301,9 @@ def _half_cones(rows):
             if G == top:
                 return found
             half = list(found.items())
-            nxt[G] = (basis_g, half + [(G ^ m, [-x for x in wt])
-                                       for m, wt in half])
-        level = nxt
+            here[G] = (basis_g, half + [(G ^ m, [-x for x in wt])
+                                        for m, wt in half])
+        below = here
 
 
 def enumerate_chambers(da, max_chambers=DEFAULT_MAX_CHAMBERS):
@@ -480,8 +452,8 @@ def shared_wall(da, signs_a, signs_b):
     diff = [i for i, (x, y) in enumerate(zip(signs_a, signs_b)) if x != y]
     if len(diff) != 1:
         return None
-    _, reduced = _quotient(da)
-    return diff[0] if _wall_is_facet(reduced, signs_a, diff[0]) else None
+    _, rows = quotient_rows(da)
+    return diff[0] if _wall_is_facet(rows, signs_a, diff[0]) else None
 
 
 def adjacency(catalog):
@@ -550,7 +522,7 @@ def catalog_from_dict(da, data):
         point = tuple([int(x) if type(x) is str and _INTEGER(x)
                        else parse_rational(x, chamber=k, position=i)
                        for i, x in enumerate(witness, start=1)])
-        chambers.append(Chamber._exact(signs, point, class_id))
+        chambers.append(Chamber(signs, point, class_id))
     catalog = ChamberCatalog(da, chambers)
     # checked last, so every error the layout or an entry raises comes first
     for k, c in enumerate(chambers, start=1):

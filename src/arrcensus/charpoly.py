@@ -6,13 +6,14 @@ deletion recursion memoised on flats.  It runs on the walls cut to the
 k = n - m quotient coordinates of discriminantal.quotient_rows, where
 every linear dependence is kept, and closes each flat of rank k - 1 in
 one step, so its memo holds the flats below rank k that it reaches.
-poset_charpoly crawls the whole lattice of flats in n coordinates and
-runs the Mobius recursion; it is kept as a cross-check.  Both key flats
-by the integer echelon bases of exact_linalg and share one budget,
-FLAT_LIMIT.  combinatorial_charpoly never touches a matrix: it
-sums a product formula over the closed families of concurrency sets, so
-it speaks only about concurrency-free systems.  All three must agree
-wherever their domains overlap; the cone census rests on that agreement.
+poset_charpoly reads the whole lattice of flats of the same quotient rows
+from exact_linalg.flat_levels, the crawl the cone composition of chambers
+reads too, and runs the Mobius recursion; it is kept as a cross-check.
+Both key flats by the integer echelon bases of exact_linalg and share one
+budget, FLAT_LIMIT.  combinatorial_charpoly never touches a matrix: it sums
+a product formula over the closed families of concurrency sets, so it
+speaks only about concurrency-free systems.  All three must agree wherever
+their domains overlap; the cone census rests on that agreement.
 """
 
 from math import prod
@@ -20,7 +21,7 @@ from math import prod
 from .concurrency import _check_universe, _families, _rank
 from .discriminantal import quotient_rows
 from .errors import OddRegionCount, TooLarge
-from .exact_linalg import echelon_insert, echelon_residual
+from .exact_linalg import echelon_insert, echelon_residual, flat_levels
 
 FLAT_LIMIT = 200000  # distinct flats either matrix engine may hold
 
@@ -185,48 +186,29 @@ def whitney_charpoly(da):
     return _from_exponents(n, [0] * (n - k) + go((), 0))
 
 
-def _flat_lattice(da):
-    """All flats: hyperplane index mask -> rank."""
-    rows = da.int_rows
-    N = len(rows)
-    flats = {0: ()}  # mask -> echelon basis
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for mask in frontier:
-            basis = flats[mask]
-            covers = {}  # residual -> mask of the cover it spans
-            for p in range(N):
-                if not mask >> p & 1:
-                    w = echelon_residual(basis, rows[p])
-                    covers[w] = covers.get(w, mask) | 1 << p
-            for w, gmask in covers.items():
-                if gmask not in flats:
-                    if len(flats) >= FLAT_LIMIT:
-                        raise TooLarge("flat lattice exceeds memory guard",
-                                       limit=FLAT_LIMIT)
-                    flats[gmask] = echelon_insert(basis, w)
-                    nxt.append(gmask)
-        frontier = nxt
-    return {mask: len(basis) for mask, basis in flats.items()}
-
-
 def poset_charpoly(da):
-    """Mobius recursion over the lattice of flats; equals whitney."""
-    ranks = _flat_lattice(da)
+    """Mobius recursion over the lattice of flats; equals whitney.
+
+    The flats come rank by rank from exact_linalg.flat_levels on the
+    quotient rows, and mu(0, G) = -sum of mu(0, F) over the flats F below
+    G, which all come before it.  A zero row lies in every flat, so chi
+    is 0 there, as whitney has it.  TooLarge is raised before the lattice
+    held would pass FLAT_LIMIT flats.
+    """
     n = da.n
-    order = sorted(ranks, key=lambda mask: (ranks[mask], mask))
-    mu = {}
+    _, rows = quotient_rows(da)
     by_exp = [0] * (n + 1)
-    for mask in order:
-        below = 0
-        for g in order:
-            if g != mask and g & ~mask == 0:
-                below += mu[g]
-            if g == mask:
-                break
-        mu[mask] = 1 if mask == 0 else -below
-        by_exp[n - ranks[mask]] += mu[mask]
+    if not all(any(row) for row in rows):
+        return _from_exponents(n, by_exp)
+    mu = {}  # flat mask -> mu(0, flat), in rank order
+    for k, level in enumerate(flat_levels(rows)):
+        if len(mu) + len(level) > FLAT_LIMIT:
+            raise TooLarge("flat lattice exceeds memory guard",
+                           limit=FLAT_LIMIT)
+        for G in level:
+            out = ~G  # no other flat of G's rank lies inside G
+            mu[G] = -sum(v for F, v in mu.items() if not F & out) if G else 1
+            by_exp[n - k] += mu[G]
     return _from_exponents(n, by_exp)
 
 

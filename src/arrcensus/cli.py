@@ -22,8 +22,9 @@ from math import comb
 from . import __version__
 from .affine_geometry import (are_isomorphic_trivial, region_census,
                               simplex_signature)
-from .chambers import (Classified, catalog_from_dict, catalog_to_dict,
-                       classify_b, enumerate_chambers, verify_catalog)
+from .chambers import (DEFAULT_MAX_CHAMBERS, Classified, catalog_from_dict,
+                       catalog_to_dict, classify_b, enumerate_chambers,
+                       verify_catalog)
 from .charpoly import (combinatorial_charpoly, iso_class_count,
                        poset_charpoly, whitney_charpoly, zaslavsky_regions)
 from .concurrency import (SubsetCollection, base_collection,
@@ -37,7 +38,6 @@ from .normal_system import (Arrangement, arrangement_from_b, ns_from_dict,
                             ns_to_dict, random_normal_system)
 
 DEFAULT_MAX_SUBSETS = 2 ** 22
-DEFAULT_MAX_CHAMBERS = 10 ** 4
 
 
 def _digest(data):

@@ -12,8 +12,9 @@ them as exact Fraction normals (for serialization and the oracles) and as
 primitive integer rows, the form every sign test, flat crawl and rank
 test downstream reads.  The walls span only n - m dimensions, and
 quotient_rows cuts the integer rows to a coordinate set of that size on
-which no linear dependence changes: the deletion recursion, the cone
-composition and the freeness search all run there.
+which no linear dependence changes.  It is the one such cut: the
+deletion recursion, the Mobius cross-check, the cone composition, the
+facet LP of chambers.shared_wall and the freeness search all run there.
 """
 
 from fractions import Fraction

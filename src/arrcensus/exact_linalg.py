@@ -2,12 +2,12 @@
 
 Scalars are fractions.Fraction (always reduced, positive denominator) or
 plain ints: the flat kernel (primitive_int_rows, echelon_residual,
-echelon_insert) and the elimination inside rank, determinant and
-feasible_strict run on integers only.  Matrices are plain sequences of
-rows; rows are sequences of Fractions or ints.  A row whose entries are
-all ints enters those kernels as it is; any other row is scaled once by
-the lcm of its denominators.  No floating point anywhere: region counts
-downstream hinge on exact degeneracies that rounding destroys.
+echelon_insert and the crawl flat_levels) and the elimination inside rank,
+determinant and feasible_strict run on integers only.  Matrices are plain
+sequences of rows; rows are sequences of Fractions or ints.  A row whose
+entries are all ints enters those kernels as it is; any other row is scaled
+once by the lcm of its denominators.  No floating point anywhere: region
+counts downstream hinge on exact degeneracies that rounding destroys.
 """
 
 import re
@@ -229,6 +229,46 @@ def echelon_insert(basis, w):
         out.append((p, row))
     out.insert(sum(1 for p, _ in basis if p < q), (q, w))
     return tuple(out)
+
+
+def flat_levels(rows):
+    """The lattice of flats of nonzero integer rows, one rank at a time.
+
+    The rows must have full column rank d, as discriminantal.quotient_rows
+    gives them.  Yields, for each rank 0, 1, ..., d, a dict {G: (basis,
+    lower)}: G is a flat as the mask of the rows it holds (bit j for row
+    j), basis its echelon basis, and lower its lower covers as pairs
+    (F, w) of the mask of F and the residual against F's basis of G's
+    rows outside F.  A flat F is covered once per distinct residual of a
+    row outside it; the only flat of rank d holds every row, so each
+    flat of rank d - 1 reaches it through its first row outside, with no
+    other residual taken.  Flats appear in the order they are first
+    reached and each lower list in the order of the rank below; only
+    that rank and the one being built are held.
+    """
+    N = len(rows)
+    d = len(rows[0]) if rows else 0
+    top = (1 << N) - 1
+    level = {0: ((), [])}
+    yield level
+    for k in range(1, d + 1):
+        up = {}
+        for F, (basis, _) in level.items():
+            if k == d:
+                j = next(j for j in range(N) if not F >> j & 1)
+                grown = {echelon_residual(basis, rows[j]): top}
+            else:
+                grown = {}  # residual -> mask of the cover it spans
+                for j in range(N):
+                    if not F >> j & 1:
+                        w = echelon_residual(basis, rows[j])
+                        grown[w] = grown.get(w, F) | 1 << j
+            for w, G in grown.items():
+                if G not in up:
+                    up[G] = (echelon_insert(basis, w), [])
+                up[G][1].append((F, w))
+        level = up
+        yield level
 
 
 def nullspace_basis(mat):

@@ -67,6 +67,26 @@ def subset_rank(da, D):
     return rank(rows)
 
 
+def brute_flats(rows):
+    """Every flat of rows by closing every row subset.
+
+    Returns {mask: (rank, lower covers)}, bit j of a mask for row j.  The
+    closure of a subset S adds each row j with rank(S + j) = rank(S); the
+    rank of every subset is computed once, so a closure is a table read.
+    The lower covers of G are the flats inside G of rank one less.
+    """
+    N = len(rows)
+    ranks = [rank([rows[j] for j in range(N) if S >> j & 1])
+             for S in range(1 << N)]
+    flats = {}
+    for S in range(1 << N):
+        G = S | sum(1 << j for j in range(N) if ranks[S | 1 << j] == ranks[S])
+        flats[G] = ranks[S]
+    return {G: (r, {F for F, s in flats.items()
+                    if not F & ~G and s == r - 1})
+            for G, r in flats.items()}
+
+
 def build_by_minors(ns):
     """Discriminantal arrangement with one determinant per Fraction minor."""
     n, m = ns.n, ns.m

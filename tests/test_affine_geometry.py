@@ -14,16 +14,16 @@ from types import SimpleNamespace
 
 import pytest
 
-from arrcensus import affine_geometry, gallery
+from arrcensus import affine_geometry, chambers, exact_linalg, gallery
 from arrcensus.affine_geometry import (MAX_REGIONS, _regions, _unbounded,
                                        are_isomorphic_trivial,
                                        genericity_witness, region_census,
                                        simplex_signature, special_point,
                                        swap_check, vertex_orders)
-from arrcensus.chambers import (ChamberCatalog, _quotient, _wall_is_facet,
-                                adjacency, antipodal_classes,
-                                enumerate_chambers, shared_wall)
-from arrcensus.discriminantal import build
+from arrcensus.chambers import (ChamberCatalog, _wall_is_facet, adjacency,
+                                antipodal_classes, enumerate_chambers,
+                                shared_wall)
+from arrcensus.discriminantal import build, quotient_rows
 from arrcensus.errors import (NotAdjacent, NotGeneric, NotInCatalog,
                               TooLarge, UnsupportedDimension, WrongShape)
 from arrcensus.normal_system import (Arrangement, random_normal_system,
@@ -478,7 +478,7 @@ def test_swap_wall_equals_shared_wall_on_every_edge(monkeypatch):
     for name in ["five_lines", "six_lines_free"]:
         cat = catalog(name)
         da = cat.da
-        _, reduced = _quotient(da)
+        _, reduced = quotient_rows(da)
         edges = {tuple(sorted((a, b)))
                  for a, nbrs in adjacency(cat).items() for b in nbrs}
         for a, b in sorted(edges):
@@ -498,7 +498,8 @@ def test_swap_reads_catalog_edges_without_lp(monkeypatch):
     def no_lp(*args):
         raise AssertionError("facet LP for a catalog edge")
 
-    monkeypatch.setattr(affine_geometry, "shared_wall", no_lp)
+    monkeypatch.setattr(chambers, "feasible_strict", no_lp)
+    monkeypatch.setattr(exact_linalg, "feasible_strict", no_lp)
     assert swap_check(cat.da, cat, a, b) == want
 
 

@@ -8,10 +8,12 @@ extreme-ray oracle that needs no LP at all.
 import random
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import comb, gcd
 
 import pytest
 
+from arrcensus import gallery
+from arrcensus.discriminantal import build, quotient_rows
 from arrcensus.errors import BadRational, BadShape
 from arrcensus.exact_linalg import (
     determinant,
@@ -19,6 +21,7 @@ from arrcensus.exact_linalg import (
     echelon_insert,
     echelon_residual,
     feasible_strict,
+    flat_levels,
     integer_primitive,
     lex_independent_columns,
     nullspace_basis,
@@ -31,8 +34,10 @@ from arrcensus.exact_linalg import (
     solve_particular,
 )
 
-from oracles import (feasible_strict_full_tableau, find_interior_point,
-                     matvec)
+from arrcensus.normal_system import random_normal_system
+
+from oracles import (brute_flats, feasible_strict_full_tableau,
+                     find_interior_point, matvec)
 
 
 def cofactor_det(mat):
@@ -166,6 +171,50 @@ def test_echelon_residual_detects_span_membership():
             assert (wa == wb) == same
             assert echelon_residual(basis, [2 * x for x in inside]) == wa
             assert echelon_residual(basis, [-x for x in a]) == wa
+
+
+def flat_systems():
+    """Gallery systems with at most 15 walls, and seeded (5,2), (6,3) and
+    (6,4) systems at bounds 2 (forced concurrencies) and 9."""
+    out = {}
+    for name in ["three_lines", "four_lines", "five_lines",
+                 "six_lines_perpendicular_pairs", "six_lines_mixed_slopes",
+                 "six_lines_distinct_slopes", "six_lines_free",
+                 "six_planes_chain", "six_planes_curve", "six_planes_free"]:
+        ns = getattr(gallery, name)()
+        if comb(ns.n, ns.m + 1) <= 15:
+            out[name] = ns
+    for n, m in [(5, 2), (6, 3), (6, 4)]:
+        for bound in (2, 9):
+            out["%d-%d-%d" % (n, m, bound)] = random_normal_system(
+                n, m, seed=n + m, bound=bound)
+    return out
+
+
+FLAT_SYSTEMS = flat_systems()
+
+
+@pytest.mark.parametrize("label", sorted(FLAT_SYSTEMS))
+def test_flat_levels_match_brute_closure(label):
+    # each flat once, at its rank, with its echelon basis and exactly its
+    # lower covers, each reached by the residual of one of its rows
+    _, rows = quotient_rows(build(FLAT_SYSTEMS[label]))
+    want = brute_flats(rows)
+    bases = {}
+    for k, level in enumerate(flat_levels(rows)):
+        for G, (basis, lower) in level.items():
+            assert G not in bases and want[G][0] == k
+            inside = [rows[j] for j in range(len(rows)) if G >> j & 1]
+            span = [row for _, row in basis]
+            assert len(span) == k and rank(span + inside) == k
+            covers = [F for F, _ in lower]
+            assert len(set(covers)) == len(covers)
+            assert set(covers) == want[G][1]
+            for F, w in lower:
+                assert w in {echelon_residual(bases[F], r) for j, r
+                             in enumerate(rows) if (G & ~F) >> j & 1}
+            bases[G] = basis
+    assert set(bases) == set(want)
 
 
 def test_primitive_int_rows_keep_signs_and_spans():
