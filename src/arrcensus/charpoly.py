@@ -18,7 +18,7 @@ their domains overlap; the cone census rests on that agreement.
 
 from math import prod
 
-from .concurrency import _check_universe, _families, _rank
+from .concurrency import _check_universe, _lattice, _rank
 from .discriminantal import quotient_rows
 from .errors import OddRegionCount, TooLarge
 from .exact_linalg import echelon_insert, echelon_residual, flat_levels
@@ -225,7 +225,8 @@ def combinatorial_charpoly(n, m):
     engines on any concurrency-free normal system of shape (n, m).
     """
     _check_universe(n, m)
-    families = _families(n, m)  # sorted member masks; () included
+    families = [family for level in _lattice(n, m)  # () included
+                for family, _, _, _ in level]
     c = {}
     for s in range(m + 1, n + 1):
         top = (1 << s) - 1

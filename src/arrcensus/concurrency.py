@@ -16,11 +16,23 @@ Internally a family is a sorted tuple of n-bit index masks, and every
 query runs on it; collections are expanded to (m+1)-subsets only at the
 API boundary.  The closure adds one set t at a time: while some
 subfamily I breaks the inequality together with t, t and I are replaced
-by their union.  That step is memoized in one process-wide dict: it is
-pure combinatorics of (m, family, t), independent of n and of any
-normal system.
+by their union; that step is a pure function of (m, family, t).
+
+The closed families are the flats of the combinatorial matroid on the
+walls, and they depend on the shape (n, m) alone.  One table per shape
+(_lattice, in a bounded cache) holds them rank by rank, each with a
+parent one rank lower and the wall that closes the parent to it; the
+combinatorial charpoly, the enumeration and the freeness decision all
+read it.  Freeness crawls that table once per normal system, with one
+set of integer annihilator vectors per family.  It is exact because the
+linear rank of any set of walls is at most the combinatorial rank of its
+closure, so while no lower rank fails, the walls on a family's path span
+every wall of the family; the first family that a wall outside it falls
+into the span of gives a witness of the least size (is_concurrency_free
+has the argument in full).
 """
 
+from functools import lru_cache
 from itertools import combinations
 from math import comb, gcd
 from operator import mul
@@ -29,8 +41,6 @@ from .discriminantal import build, quotient_rows
 from .errors import BadShape, BadSubsetSize, NotClosed, TooLarge
 
 MAX_UNIVERSE = 36  # largest C(n, m+1) the enumeration strategies accept
-
-_step_memo = {}  # (m, family, index set) -> closed family
 
 
 class SubsetCollection:
@@ -127,21 +137,18 @@ def _violation(m, t, rest):
 
 
 def _step(m, family, t):
-    """Closed family of a closed family plus one index set t (a mask)."""
+    """Closed family of a closed family plus one index set t (a mask);
+    family itself when t lies inside one of its members."""
     for s in family:
         if t & ~s == 0:
             return family
-    key = (m, family, t)
-    out = _step_memo.get(key)
-    if out is None:
-        rest = family
+    rest = family
+    hit = _violation(m, t, rest)
+    while hit is not None:
+        grp, t = hit
+        rest = tuple(s for s in rest if s not in grp)
         hit = _violation(m, t, rest)
-        while hit is not None:
-            grp, t = hit
-            rest = tuple(s for s in rest if s not in grp)
-            hit = _violation(m, t, rest)
-        out = _step_memo[key] = tuple(sorted(rest + (t,)))
-    return out
+    return tuple(sorted(rest + (t,)))
 
 
 def _family(col):
@@ -182,6 +189,53 @@ def _families(n, m):
 
     walk(0, (), [])
     return out
+
+
+@lru_cache(maxsize=16)
+def _lattice(n, m):
+    """The closed families of shape (n, m), by rank 0 .. n - m.
+
+    Entry (family, walls, parent, q) of rank k: the family; the mask of
+    the wall positions (_universe) inside its members; the index in rank
+    k - 1 of its parent; and the position q of the wall that closes the
+    parent to the family.  The parent of X drops the largest index of
+    X's last member S, and S itself when |S| = m + 1; q is the m smallest
+    indices of S with the dropped one.  Dropping one index lowers the
+    left side of each inequality of a subfamily with S by at most one and
+    its right side by exactly one, so the parent is closed; closing it
+    with q merges q back into S and gives X.  The root is
+    ((), 0, None, None).  One walk of _families, cached per shape;
+    (m + 1, m) passes the universe guard for every m, so the cache is
+    bounded.
+    """
+    _, imasks = _universe(n, m)
+    position = {w: q for q, w in enumerate(imasks)}
+    inside = {}  # member mask -> mask of the wall positions inside it
+    by_rank = [[] for _ in range(n - m + 1)]
+    for family in _families(n, m):
+        by_rank[_rank(m, family)].append(family)
+    lattice = [(((), 0, None, None),)]
+    for k in range(1, n - m + 1):
+        index = {family: i for i, family in enumerate(by_rank[k - 1])}
+        level = []
+        for family in by_rank[k]:
+            walls = 0
+            for s in family:
+                if s not in inside:
+                    inside[s] = sum(1 << q for q, w in enumerate(imasks)
+                                    if w & ~s == 0)
+                walls |= inside[s]
+            *rest, s = family
+            top = 1 << s.bit_length() - 1
+            if s.bit_count() > m + 1:
+                rest = sorted(rest + [s ^ top])
+            high = s  # s without its m smallest indices
+            for _ in range(m):
+                high &= high - 1
+            level.append((family, walls, index[tuple(rest)],
+                          position[s ^ high | top]))
+        lattice.append(tuple(level))
+    return tuple(lattice)
 
 
 # ---------------------------------------------------------------- API
@@ -246,11 +300,12 @@ def _check_universe(n, m):
 def enumerate_closed_collections(n, m):
     """Every nonempty concurrency closed collection, each exactly once.
 
-    One per nonempty closed family of _families.  Yields in (cardinality,
+    One per nonempty closed family of _lattice.  Yields in (cardinality,
     lex) order; the empty collection is excluded.
     """
     _check_universe(n, m)
-    cols = [_collection(n, m, f) for f in _families(n, m) if f]
+    cols = [_collection(n, m, family) for level in _lattice(n, m)[1:]
+            for family, _, _, _ in level]
     cols.sort(key=lambda col: (len(col), col.sorted_members))
     yield from cols
 
@@ -280,66 +335,82 @@ def is_concurrency_free(ns):
     of its closure) asserts that its concurrency conditions are
     independent; the system is free when the corresponding normals in the
     discriminantal arrangement are linearly independent for every such B.
-    The search runs breadth-first by cardinality, so a returned witness
-    has minimal size (lex-first among those).
+    A witness B has the least size there is, and is lex-first among those.
 
     The search runs in n - m coordinates, on the walls' integer rows cut
     to their first n - m entries by quotient_rows, which changes no
-    linear dependence.
+    linear dependence, and crawls the closed families of the shape rank
+    by rank (_lattice).  A family F of rank k carries kmax - k integer
+    annihilator vectors, kmax = n - m, made from its parent's by one
+    _pivot on the row of the wall that closes the parent to F (the root,
+    the empty family, carries the unit vectors).  Rank k fails when some
+    wall q outside F is orthogonal to every vector of F; the first
+    vector is dotted with every wall, the others only where it gives 0.
+    The first failing rank gives the witness; none below kmax means free.
+    This is exact because:
 
-    A node with k - 1 independent rows carries an annihilator basis:
-    n - m - k + 1 independent integer vectors orthogonal to its rows, so
-    a row lies in their span exactly when it is orthogonal to every one
-    of them (the root, with no rows, carries the unit vectors).  A child
-    row r is checked as it is made: it is dependent exactly when every
-    dot product d_i = z_i . r is zero.  A kept child pivots on one z_j
-    with d_j != 0 and keeps d_j z_i - d_i z_j for every i != j, made
-    primitive.  At the last level, k = n - m, the annihilator is one
-    vector h, so a child costs one dot product; the closure step and the
-    rank check run only for the children with h . r = 0, and the level
-    keeps nothing but its dependent tuples.
+    (1) r_g(D) <= r_c(D) for every set D of walls of a validated system,
+        where r_g is the linear rank of their normals and r_c the rank
+        of D's closure, the sum of |S_i| - m over its maximal
+        concurrency sets S_i: the concurrency conditions of the S_i cut
+        out a subspace of codimension at most that sum inside the
+        intersection of the walls of D.  So while no lower rank fails,
+        the k walls on F's path from the root are linearly independent
+        and span every wall of F, and the vectors of F annihilate
+        exactly span(F): a failing q lies in span(F).
+    (2) By induction on the rank, every combinatorially independent set
+        of walls is linearly independent when no rank fails.
+    (3) A witness of the least size k + 1 is a combinatorially independent
+        set T with dependent rows.  Every wall t of T lies in the span of
+        T - t, so (cl(T - t), t) fails at rank k and T is a c-basis of
+        cl(T - t) + t; conversely every c-basis of F + q of a failing
+        pair (F, q) puts k + 1 walls in the k-dimensional span(F).  The
+        witnesses are these c-bases, and the lex-first c-basis of a set
+        is the greedy one: its walls in position order, each kept when
+        _step grows the family.
     """
     n, m = ns.n, ns.m
     _check_universe(n, m)
     subsets, imasks = _universe(n, m)
     kmax = n - m
     _, rows = quotient_rows(build(ns))
+    lattice = _lattice(n, m)
 
-    def non_free(bad):
-        witness = min(tuple(subsets[p] for p in t) for t in bad)
-        return FreeVerdict(False, SubsetCollection(n, m, witness))
-
-    # nodes carry (member positions, closed family of those members,
-    # annihilator basis of the member rows); the root is the empty
-    # collection, whose rows span nothing
-    level = [((), (), tuple(tuple(int(i == j) for i in range(kmax))
-                            for j in range(kmax)))]
-    for k in range(1, kmax):
-        bad = []
-        nxt = []
-        for tup, family, zs in level:
-            for q in range(tup[-1] + 1 if tup else 0, len(subsets)):
-                # a subset inside the closure returns the family: rank k-1
-                grown = _step(m, family, imasks[q])
-                if _rank(m, grown) != k:
-                    continue
-                r = rows[q]
-                ds = [sum(map(mul, z, r)) for z in zs]
-                j = next((i for i, d in enumerate(ds) if d), None)
-                if j is None:
-                    bad.append(tup + (q,))
-                elif not bad:
-                    nxt.append((tup + (q,), grown, _pivot(zs, ds, j)))
+    zss = [tuple(tuple(int(i == j) for i in range(kmax))
+                 for j in range(kmax))]
+    for k in range(kmax):
+        if k:
+            # rank k - 1 passed, so each added row leaves its parent's span
+            nxt = []
+            for _, _, parent, q in lattice[k]:
+                zs = zss[parent]
+                ds = [sum(map(mul, z, rows[q])) for z in zs]
+                nxt.append(_pivot(zs, ds, next(i for i, d in enumerate(ds)
+                                               if d)))
+            zss = nxt
+        bad = set()
+        for (_, walls, _, _), (z, *rest) in zip(lattice[k], zss):
+            for q, r in enumerate(rows):
+                if not sum(map(mul, z, r)) and not walls >> q & 1 \
+                        and not any(sum(map(mul, y, r)) for y in rest):
+                    bad.add(walls | 1 << q)
         if bad:
-            return non_free(bad)
-        level = nxt
-    bad = []
-    for tup, family, (h,) in level:
-        zero = [q for q in range(tup[-1] + 1 if tup else 0, len(subsets))
-                if not sum(map(mul, h, rows[q]))]
-        bad += [tup + (q,) for q in zero
-                if _rank(m, _step(m, family, imasks[q])) == kmax]
-    return non_free(bad) if bad else FreeVerdict(True)
+            witness = min(_greedy_basis(m, subsets, imasks, walls)
+                          for walls in bad)
+            return FreeVerdict(False, SubsetCollection(n, m, witness))
+    return FreeVerdict(True)
+
+
+def _greedy_basis(m, subsets, imasks, walls):
+    """Lex-first combinatorial basis of the walls in a position mask."""
+    family, basis = (), []
+    for q in range(walls.bit_length()):
+        if walls >> q & 1:
+            grown = _step(m, family, imasks[q])
+            if grown is not family:
+                family = grown
+                basis.append(subsets[q])
+    return tuple(basis)
 
 
 def _pivot(zs, ds, j):

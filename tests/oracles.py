@@ -7,11 +7,15 @@ against; none of them is part of the library.
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
+from operator import mul
 
 from arrcensus.affine_geometry import LineOrder
 from arrcensus.chambers import (Chamber, ChamberCatalog, antipodal_classes,
                                 opposite_signs, sign_cells)
-from arrcensus.discriminantal import DiscriminantalArrangement, build
+from arrcensus.concurrency import (SubsetCollection, _pivot, _rank, _step,
+                                   _universe)
+from arrcensus.discriminantal import (DiscriminantalArrangement, build,
+                                      quotient_rows)
 from arrcensus.errors import BadShape, BadSubsetSize, NotGeneric, TooLarge
 from arrcensus.exact_linalg import (_int_row, determinant, dot,
                                     feasible_strict, integer_primitive,
@@ -85,6 +89,44 @@ def brute_flats(rows):
     return {G: (r, {F for F, s in flats.items()
                     if not F & ~G and s == r - 1})
             for G, r in flats.items()}
+
+
+def tuple_bfs_free(ns):
+    """Concurrency freeness by a breadth-first search over independent
+    tuples of walls; (free, witness).
+
+    Level k holds every increasing tuple of k - 1 wall positions whose
+    combinatorial rank is k - 1, with the closed family of its members
+    and integer annihilator vectors of its rows in the n - m quotient
+    coordinates.  A child tuple of combinatorial rank k whose row is
+    orthogonal to every annihilator vector is dependent; the first level
+    with a dependent tuple gives the lex-first one as the witness.
+    """
+    n, m = ns.n, ns.m
+    subsets, imasks = _universe(n, m)
+    kmax = n - m
+    _, rows = quotient_rows(build(ns))
+    level = [((), (), tuple(tuple(int(i == j) for i in range(kmax))
+                            for j in range(kmax)))]
+    for k in range(1, kmax + 1):
+        bad = []
+        nxt = []
+        for tup, family, zs in level:
+            for q in range(tup[-1] + 1 if tup else 0, len(subsets)):
+                grown = _step(m, family, imasks[q])
+                if _rank(m, grown) != k:
+                    continue
+                ds = [sum(map(mul, z, rows[q])) for z in zs]
+                j = next((i for i, d in enumerate(ds) if d), None)
+                if j is None:
+                    bad.append(tup + (q,))
+                elif not bad and k < kmax:
+                    nxt.append((tup + (q,), grown, _pivot(zs, ds, j)))
+        if bad:
+            witness = min(tuple(subsets[p] for p in t) for t in bad)
+            return False, SubsetCollection(n, m, witness)
+        level = nxt
+    return True, None
 
 
 def build_by_minors(ns):

@@ -19,6 +19,11 @@ from arrcensus.charpoly import combinatorial_charpoly
 from arrcensus.concurrency import (
     FreeVerdict,
     SubsetCollection,
+    _collection,
+    _lattice,
+    _rank,
+    _step,
+    _universe,
     base_collection,
     collection_from_dict,
     collection_to_dict,
@@ -36,7 +41,7 @@ from arrcensus.exact_linalg import rank
 from arrcensus.normal_system import (first_dependent_subset,
                                      random_normal_system, validate)
 
-from oracles import subset_rank
+from oracles import subset_rank, tuple_bfs_free
 
 D1 = SubsetCollection(6, 2, [(1, 2, 6), (1, 3, 5), (2, 3, 4)])
 D2 = SubsetCollection(6, 2, [(1, 2, 6), (1, 3, 5), (2, 3, 4), (4, 5, 6)])
@@ -330,7 +335,8 @@ def test_minimal_generating_sets_have_equal_cardinality():
 
 def test_independence_is_hereditary_small_cases():
     # dropping a member of a rank-|B| collection keeps rank = size;
-    # justifies the breadth-first witness search in is_concurrency_free
+    # is_concurrency_free relies on it: every wall set it certifies as
+    # linearly independent is reached through independent subsets
     for n, m in [(4, 2), (5, 2), (4, 3)]:
         pool = list(combinations(range(1, n + 1), m + 1))
         for k in range(2, n - m + 1):
@@ -437,6 +443,65 @@ def test_freeness_matches_rank_oracle_on_seeded_systems(n, m):
     # normals are never parallel and every system is free
     if (n, m) not in ((5, 2), (6, 4), (7, 5)):
         assert non_free  # bound 2 gives non-free verdicts to compare
+
+
+def test_freeness_matches_tuple_bfs_oracle():
+    # the closed-family crawl against the search over independent tuples
+    # of walls: gallery systems, seeded shapes at three bounds, and seeded
+    # (7,2) and (7,3) systems whose witnesses are smaller than n - m
+    systems = [getattr(gallery, name)()
+               for name in FREE_GALLERY + tuple(GALLERY_WITNESSES)]
+    for n, m in [(5, 2), (6, 2), (6, 3), (7, 4), (6, 4), (7, 5), (8, 5)]:
+        systems += [random_normal_system(n, m, seed=seed, bound=bound)
+                    for bound in (2, 3, 9) for seed in range(2)]
+    systems += [random_normal_system(7, 2, seed=seed, bound=3)
+                for seed in range(2)]
+    systems += [random_normal_system(7, 3, seed=seed, bound=2)
+                for seed in (2, 3)]
+    small = 0
+    for ns in systems:
+        v = is_concurrency_free(ns)
+        assert (v.free, v.witness) == tuple_bfs_free(ns), ns
+        small += not v.free and len(v.witness) < ns.n - ns.m
+    assert small >= 4
+
+
+LATTICE_COUNTS = {(6, 2): [20, 115, 186], (7, 3): [35, 406, 1687],
+                  (7, 2): [35, 420, 2051, 3542]}
+
+
+def test_lattice_counts_by_rank():
+    for (n, m), counts in LATTICE_COUNTS.items():
+        lattice = _lattice(n, m)
+        assert len(lattice) == n - m + 1
+        assert [len(level) for level in lattice] == [1] + counts + [1]
+
+
+def test_lattice_matches_a_step_crawl():
+    # every family reached from the empty one by closure steps, rank by
+    # rank, is in the table at its rank, and nothing else is
+    for n, m in [(5, 2), (6, 2), (6, 3)]:
+        _, imasks = _universe(n, m)
+        lattice = _lattice(n, m)
+        level = {()}
+        for k, entries in enumerate(lattice):
+            assert {e[0] for e in entries} == level, (n, m, k)
+            level = {_step(m, f, t) for f in level for t in imasks} - level
+
+
+def test_lattice_parents_close_to_their_entries():
+    for n, m in [(5, 2), (6, 2), (6, 3), (7, 3), (7, 4)]:
+        subsets, imasks = _universe(n, m)
+        lattice = _lattice(n, m)
+        assert lattice[0] == (((), 0, None, None),)
+        for k in range(1, len(lattice)):
+            for family, walls, parent, q in lattice[k]:
+                assert _rank(m, family) == k
+                base = lattice[k - 1][parent][0]
+                assert _step(m, base, imasks[q]) == family
+                inside = _collection(n, m, family).members
+                assert walls == sum(1 << p for p, s in enumerate(subsets)
+                                    if s in inside)
 
 
 def rational_draw(n, m, seed, num):
