@@ -51,12 +51,12 @@ def _load_json(path):
 
 
 def _load_ns(path, max_subsets):
-    # the subset universe is refused before validation walks the rows
+    # the subset universe is refused before validation builds its minors
     data, dig = _load_json(path)
     if (isinstance(data, dict) and isinstance(data.get("rows"), list)
             and type(data.get("m")) is int):
         _guard_subsets(len(data["rows"]), data["m"], max_subsets)
-        _guard_walk(len(data["rows"]), data["m"], max_subsets)
+        _guard_minors(len(data["rows"]), data["m"], max_subsets)
     return ns_from_dict(data), dig
 
 
@@ -87,13 +87,14 @@ def _guard_subsets(n, m, limit):
                        count=comb(n, m + 1), limit=limit)
 
 
-def _guard_walk(n, m, limit):
-    # validation walks the C(n, k) row subsets of each size 1 <= k <= m
+def _guard_minors(n, m, limit):
+    # validation builds the minor table, one entry per k-subset of the
+    # rows for each 1 <= k <= m (two sizes held at a time)
     if n > m >= 1:
-        walk = sum(comb(n, k) for k in range(1, m + 1))
-        if walk > limit:
-            raise TooLarge("row subsets to validate exceed --max-subsets",
-                           count=walk, limit=limit)
+        entries = sum(comb(n, k) for k in range(1, m + 1))
+        if entries > limit:
+            raise TooLarge("minor table entries exceed --max-subsets",
+                           count=entries, limit=limit)
 
 
 class _Timer:

@@ -7,14 +7,17 @@ by S pass through a common point.  Its normal comes from expanding the
 supported exactly on S.  The C(n, m+1) normals, in lexicographic subset
 order, fix the sign conventions used by every census downstream.
 
-The walls are integer minors, made once by build: the arrangement keeps
-them as exact Fraction normals (for serialization and the oracles) and as
+Every coefficient of a wall is an m x m minor of the normal system, so
+build reads the walls off the system's one table of minors
+(NormalSystem.minors), with no determinant computed.  It makes them as
 primitive integer rows, the form every sign test, flat crawl and rank
-test downstream reads.  The walls span only n - m dimensions, and
-quotient_rows cuts the integer rows to a coordinate set of that size on
-which no linear dependence changes.  It is the one such cut: the
-deletion recursion, the Mobius cross-check, the cone composition, the
-facet LP of chambers.shared_wall and the freeness search all run there.
+test downstream reads; the exact Fraction normals (for serialization and
+the oracles) are made from the same table the first time they are read.
+The walls span only n - m dimensions, and quotient_rows cuts the integer
+rows to a coordinate set of that size on which no linear dependence
+changes.  It is the one such cut: the deletion recursion, the Mobius
+cross-check, the cone composition, the facet LP of chambers.shared_wall
+and the freeness search all run there.
 """
 
 from fractions import Fraction
@@ -22,9 +25,8 @@ from itertools import combinations
 from math import gcd, prod
 
 from .errors import BadArtifact
-from .exact_linalg import (_int_det, _int_row, lex_independent_columns,
-                           parse_rational, primitive_int_rows, rank,
-                           rational_str)
+from .exact_linalg import (lex_independent_columns, parse_rational,
+                           primitive_int_rows, rank, rational_str)
 
 
 class DiscriminantalArrangement:
@@ -35,21 +37,36 @@ class DiscriminantalArrangement:
     the affine picture behind a constant vector b.  int_rows holds each
     normal scaled by a positive factor to coprime integers, as
     primitive_int_rows gives them; they are computed from the normals
-    unless the caller (build) passes them.
+    unless the caller (build) passes them.  normals, when not given, are
+    made from the minor table of source the first time they are read;
+    with neither normals nor source there is nothing to make them from,
+    and the arrangement is refused with BadArtifact.
     """
 
-    __slots__ = ("n", "m", "subsets", "normals", "int_rows", "index",
+    __slots__ = ("n", "m", "subsets", "_normals", "int_rows", "index",
                  "source")
 
-    def __init__(self, n, m, subsets, normals, source=None, int_rows=None):
+    def __init__(self, n, m, subsets, normals=None, source=None,
+                 int_rows=None):
+        if normals is None and source is None:
+            raise BadArtifact("arrangement needs its normals or the normal "
+                              "system they come from")
         self.n = int(n)
         self.m = int(m)
         self.subsets = tuple(tuple(s) for s in subsets)
-        self.normals = tuple(tuple(v) for v in normals)
+        self._normals = (None if normals is None
+                         else tuple(tuple(v) for v in normals))
+        self.source = source
         self.int_rows = tuple(primitive_int_rows(self.normals)
                               if int_rows is None else int_rows)
         self.index = {s: i for i, s in enumerate(self.subsets)}
-        self.source = source
+
+    @property
+    def normals(self):
+        """The walls as exact Fraction vectors, one per subset."""
+        if self._normals is None:
+            self._normals = _fraction_normals(self.source, self.subsets)
+        return self._normals
 
     def normal_of(self, subset):
         return self.normals[self.index[tuple(sorted(subset))]]
@@ -65,6 +82,42 @@ class DiscriminantalArrangement:
             self.n, self.m, len(self.subsets))
 
 
+def _walls(ns, subsets):
+    """Per subset S, the signed minors its wall's coefficients are made of.
+
+    Yields (S, [(i, c)]): for each index i of S, c is (-1)^(m+1+k) times
+    ns.minors[S - i], the minor of the scaled rows of S without i, for
+    the position k of i in S (1-based).  The sign at the last index of S
+    is +, and it alternates from there.
+    """
+    minors = ns.minors
+    for S in subsets:
+        mask = 0
+        for i in S:
+            mask |= 1 << (i - 1)
+        coeffs = []
+        plus = True
+        for i in reversed(S):
+            c = minors[mask ^ 1 << (i - 1)]
+            coeffs.append((i, c if plus else -c))
+            plus = not plus
+        yield S, coeffs
+
+
+def _fraction_normals(ns, subsets):
+    """The Fraction normals of the walls of ns, as build defines them."""
+    n, scales = ns.n, ns.scales
+    zero = Fraction(0)
+    normals = []
+    for S, coeffs in _walls(ns, subsets):
+        whole = prod(scales[i - 1] for i in S)
+        vec = [zero] * n
+        for i, c in coeffs:
+            vec[i - 1] = Fraction(c, whole // scales[i - 1])
+        normals.append(tuple(vec))
+    return tuple(normals)
+
+
 def build(ns):
     """All C(n, m+1) concurrency hyperplanes of a normal system.
 
@@ -73,34 +126,25 @@ def build(ns):
     rows of S with row i_k deleted.  Signs are kept raw: rescaling would
     break bit-exact comparison with hand-computed equation lists.
 
-    Each row is scaled to integers once, by the lcm d_i of its
-    denominators, and every minor is an integer Bareiss determinant:
-    the coefficient is that minor over the product of its rows' scales.
-    Times the product of all the scales of S, which is positive, it is
-    the minor times d_{i_k}, so the wall's primitive integer row is those
-    integers over their gcd, with no Fraction arithmetic.
+    The minors come from the system's table (NormalSystem.minors), each
+    the minor of the rows scaled to integers by the lcm d_i of their
+    denominators: the coefficient is that minor over the product of its
+    rows' scales.  Times the product of all the scales of S, which is
+    positive, it is the minor times d_{i_k}, so the wall's primitive
+    integer row is those integers over their gcd.  No determinant and no
+    Fraction is computed; the Fraction normals wait until read.
     """
-    n, m = ns.n, ns.m
+    n, m, scales = ns.n, ns.m, ns.scales
     subsets = list(combinations(range(1, n + 1), m + 1))
-    scaled = [_int_row(row) for row in ns.rows]
-    zero = Fraction(0)
-    normals = []
     int_rows = []
-    for S in subsets:
-        vec = [zero] * n
+    for S, coeffs in _walls(ns, subsets):
         ints = [0] * n
-        for k, i in enumerate(S, start=1):
-            rest = [scaled[j - 1] for j in S if j != i]
-            minor = _int_det([list(row) for row, _ in rest])
-            if (m + 1 + k) % 2:
-                minor = -minor
-            vec[i - 1] = Fraction(minor, prod(d for _, d in rest))
-            ints[i - 1] = minor * scaled[i - 1][1]
+        for i, c in coeffs:
+            ints[i - 1] = c * scales[i - 1]
         g = gcd(*ints)
-        normals.append(tuple(vec))
         int_rows.append(tuple([x // g for x in ints]) if g > 1
                         else tuple(ints))
-    return DiscriminantalArrangement(n, m, subsets, normals, source=ns,
+    return DiscriminantalArrangement(n, m, subsets, source=ns,
                                      int_rows=int_rows)
 
 

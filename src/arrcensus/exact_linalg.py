@@ -2,8 +2,9 @@
 
 Scalars are fractions.Fraction (always reduced, positive denominator) or
 plain ints: the flat kernel (primitive_int_rows, echelon_residual,
-echelon_insert and the crawl flat_levels) and the elimination inside rank,
-determinant and feasible_strict run on integers only.  Matrices are plain
+echelon_insert and the crawl flat_levels), the table of maximal minors
+(minor_table) and the elimination inside rank, determinant and
+feasible_strict run on integers only.  Matrices are plain
 sequences of rows; rows are sequences of Fractions or ints.  A row whose
 entries are all ints enters those kernels as it is; any other row is scaled
 once by the lcm of its denominators.  No floating point anywhere: region
@@ -12,6 +13,7 @@ counts downstream hinge on exact degeneracies that rounding destroys.
 
 import re
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 from operator import mul
 
@@ -145,6 +147,40 @@ def _int_det(a):
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def minor_table(rows, m):
+    """Every m x m minor of int rows on their first m columns.
+
+    Returns {mask: det} with one entry per m-subset T of the rows, bit i
+    of the mask for row i: the determinant of the rows of T, in
+    increasing order, on columns 0..m-1.  Level k of the table holds
+    that determinant on columns 0..k-1 for every k-subset; each entry is
+    the Laplace expansion along column k-1 over level k-1, k
+    multiply-adds, with no division.  Only two levels are held.
+    """
+    n = len(rows)
+    bit = [1 << i for i in range(n)]
+    level = {0: 1}
+    for k in range(m):
+        col = [row[k] for row in rows]
+        up = {}
+        for U in combinations(range(n), k + 1):
+            M = sum(map(bit.__getitem__, U))
+            # cofactor signs alternate from + at the last row of U
+            s = 0
+            plus = True
+            for i in reversed(U):
+                a = col[i]
+                if a:
+                    if plus:
+                        s += a * level[M ^ bit[i]]
+                    else:
+                        s -= a * level[M ^ bit[i]]
+                plus = not plus
+            up[M] = s
+        level = up
+    return level
 
 
 def rref(mat):

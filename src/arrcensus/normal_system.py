@@ -5,6 +5,14 @@ the normals of n affine hyperplanes in R^m, and the defining condition is
 that every subset of at most m rows is linearly independent.  Rows are kept
 verbatim (never rescaled): cone labels downstream depend on the chosen
 matrix, not just on the lines it defines.
+
+A system carries one integer table of its m x m minors, made once from
+the rows scaled to integers (exact_linalg.minor_table).  Since n > m,
+every <= m rows are independent exactly when no entry of it is zero, so
+validate and random_normal_system accept by that one test, and the walls
+of discriminantal.build read their coefficients from the same table.
+The lex-first dependent subset is searched for only to name it in a
+DependentRows error.
 """
 
 import random
@@ -12,18 +20,27 @@ from fractions import Fraction
 
 from .errors import (BadArtifact, BadShape, DependentRows, GivesUp,
                      LengthMismatch)
-from .exact_linalg import (echelon_insert, echelon_residual, parse_rational,
-                           primitive_int_rows, rational_str)
+from .exact_linalg import (_int_row, echelon_insert, echelon_residual,
+                           minor_table, parse_rational, primitive_int_rows,
+                           rational_str)
 
 
 class NormalSystem:
-    """Immutable n x m matrix with every <= m rows independent."""
+    """Immutable n x m matrix with every <= m rows independent.
 
-    __slots__ = ("rows", "m", "rejections")
+    scales[i] is the lcm d_i of the denominators of row i, and minors
+    the minor_table of the rows times their scales: minors[mask] is the
+    m x m minor of the rows in mask (bit i for row i) times the product
+    of their scales.  validate passes the table it checked as table;
+    otherwise it is made here.
+    """
 
-    def __init__(self, rows, m):
-        self.rows = tuple(tuple(Fraction(a) for a in row) for row in rows)
+    __slots__ = ("rows", "m", "rejections", "scales", "minors")
+
+    def __init__(self, rows, m, table=None):
+        self.rows = tuple(map(_fractions, rows))
         self.m = int(m)
+        self.scales, self.minors = table or _table(self.rows, self.m)
         self.rejections = 0  # set by random_normal_system
 
     @property
@@ -58,6 +75,23 @@ class Arrangement:
         return "Arrangement(n=%d, m=%d)" % (self.system.n, self.system.m)
 
 
+def _fractions(row):
+    return tuple([a if type(a) is Fraction else Fraction(a) for a in row])
+
+
+def _table(rows, m):
+    """(scales, minors) of the rows, as NormalSystem keeps them."""
+    scaled = [_int_row(row) for row in rows]
+    return (tuple([d for _, d in scaled]),
+            minor_table([ints for ints, _ in scaled], m))
+
+
+def _independent(table):
+    # every <= m rows lie in some m of the n > m rows, so they are all
+    # independent exactly when no maximal minor vanishes
+    return all(table[1].values())
+
+
 def first_dependent_subset(rows, m):
     """Lexicographically first dependent row subset of size <= m, or None.
 
@@ -90,10 +124,11 @@ def validate(coeffs, m):
     """Check the independence condition and return a NormalSystem.
 
     Raises BadShape when n <= m or m <= 1 or a row has the wrong width,
-    DependentRows naming the first offending subset otherwise.
+    DependentRows naming the first offending subset otherwise.  Each
+    entry becomes a Fraction once, here.
     """
     m = int(m)
-    rows = [tuple(Fraction(a) for a in row) for row in coeffs]
+    rows = [_fractions(row) for row in coeffs]
     n = len(rows)
     if m <= 1:
         raise BadShape("ambient dimension m must exceed 1", m=m)
@@ -103,18 +138,19 @@ def validate(coeffs, m):
         if len(row) != m:
             raise BadShape("row has wrong width", row=i,
                            width=len(row), m=m)
-    bad = first_dependent_subset(rows, m)
-    if bad is not None:
+    table = _table(rows, m)
+    if not _independent(table):
         raise DependentRows("rows are linearly dependent",
-                            subset=list(bad))
-    return NormalSystem(rows, m)
+                            subset=list(first_dependent_subset(rows, m)))
+    return NormalSystem(rows, m, table)
 
 
 def random_normal_system(n, m, seed, bound, max_attempts=10000):
     """Uniform integer entries in [-bound, bound], resampled until valid.
 
-    Deterministic for a fixed seed.  The accepted system carries the number
-    of rejected draws in its `rejections` attribute.
+    Deterministic for a fixed seed.  A draw is accepted by the minor
+    table test of validate.  The accepted system carries the number of
+    rejected draws in its `rejections` attribute.
     """
     n, m, bound = int(n), int(m), int(bound)
     if m <= 1:
@@ -125,10 +161,11 @@ def random_normal_system(n, m, seed, bound, max_attempts=10000):
         raise BadShape("bound must be at least 1", bound=bound)
     rng = random.Random(seed)
     for attempt in range(max_attempts):
-        rows = [[Fraction(rng.randint(-bound, bound)) for _ in range(m)]
+        rows = [[rng.randint(-bound, bound) for _ in range(m)]
                 for _ in range(n)]
-        if first_dependent_subset(rows, m) is None:
-            ns = NormalSystem(rows, m)
+        table = _table(rows, m)
+        if _independent(table):
+            ns = NormalSystem(rows, m, table)
             ns.rejections = attempt
             return ns
     raise GivesUp("no valid system found", n=n, m=m, seed=seed,

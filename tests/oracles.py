@@ -6,7 +6,7 @@ against; none of them is part of the library.
 
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm, prod
 from operator import mul
 
 from arrcensus.affine_geometry import LineOrder
@@ -17,7 +17,7 @@ from arrcensus.concurrency import (SubsetCollection, _pivot, _rank, _step,
 from arrcensus.discriminantal import (DiscriminantalArrangement, build,
                                       quotient_rows)
 from arrcensus.errors import BadShape, BadSubsetSize, NotGeneric, TooLarge
-from arrcensus.exact_linalg import (_int_row, determinant, dot,
+from arrcensus.exact_linalg import (_int_det, _int_row, determinant, dot,
                                     feasible_strict, integer_primitive,
                                     lex_independent_columns, nullspace_basis,
                                     rank, solve_particular)
@@ -142,6 +142,37 @@ def build_by_minors(ns):
             vec[i - 1] = sign * determinant(minor)
         normals.append(tuple(vec))
     return DiscriminantalArrangement(n, m, subsets, normals, source=ns)
+
+
+def brute_build(ns):
+    """Discriminantal arrangement with one Bareiss determinant per wall
+    coefficient, on the rows scaled to integers once.
+
+    The coefficient of row i in the wall of S is the signed minor of the
+    scaled rows of S without i over the product of their scales; its
+    integer row is that minor times the scale of row i, over the gcd.
+    """
+    n, m = ns.n, ns.m
+    subsets = list(combinations(range(1, n + 1), m + 1))
+    scaled = [_int_row(row) for row in ns.rows]
+    normals = []
+    int_rows = []
+    for S in subsets:
+        vec = [Fraction(0)] * n
+        ints = [0] * n
+        for k, i in enumerate(S, start=1):
+            rest = [scaled[j - 1] for j in S if j != i]
+            minor = _int_det([list(row) for row, _ in rest])
+            if (m + 1 + k) % 2:
+                minor = -minor
+            vec[i - 1] = Fraction(minor, prod(d for _, d in rest))
+            ints[i - 1] = minor * scaled[i - 1][1]
+        g = gcd(*ints)
+        normals.append(tuple(vec))
+        int_rows.append(tuple(x // g for x in ints) if g > 1
+                        else tuple(ints))
+    return DiscriminantalArrangement(n, m, subsets, normals, source=ns,
+                                     int_rows=int_rows)
 
 
 def feasible_strict_full_tableau(rows):

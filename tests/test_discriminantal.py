@@ -14,14 +14,17 @@ import pytest
 import sympy
 
 from arrcensus import gallery
-from arrcensus.discriminantal import build, da_from_dict, da_to_dict
-from arrcensus.errors import BadArtifact, BadRational, BadSubsetSize
+from arrcensus import discriminantal, exact_linalg
+from arrcensus.discriminantal import (DiscriminantalArrangement, build,
+                                      da_from_dict, da_to_dict)
+from arrcensus.errors import (BadArtifact, BadRational, BadSubsetSize,
+                              DependentRows)
 from arrcensus.exact_linalg import primitive_int_rows
 from arrcensus.normal_system import (NormalSystem, random_normal_system,
                                      validate)
 
-from oracles import (build_by_minors, common_intersection_dim, matvec,
-                     subset_rank)
+from oracles import (brute_build, build_by_minors, common_intersection_dim,
+                     matvec, subset_rank)
 
 GOLDEN_SIX_LINE_NORMALS = {
     (1, 2, 3): (-5, -2, 3, 0, 0, 0),
@@ -225,3 +228,57 @@ def test_int_rows_are_the_primitive_normals():
         assert da.int_rows == tuple(primitive_int_rows(da.normals))
         assert all(type(a) is int for row in da.int_rows for a in row)
         assert da_from_dict(da_to_dict(da)).int_rows == da.int_rows
+
+
+def rational_system(n, m, rng):
+    """A valid system whose entries have denominators 1, 2 and 3."""
+    while True:
+        rows = [[Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3)))
+                 for _ in range(m)] for _ in range(n)]
+        try:
+            return validate(rows, m)
+        except DependentRows:
+            pass
+
+
+def table_systems():
+    """The gallery, and seeded integer and rational systems with n <= 7
+    and m = 2..5."""
+    systems = [getattr(gallery, name)() for name in GALLERY_SYSTEMS]
+    rng = random.Random(43)
+    for m in range(2, 6):
+        for n in range(m + 1, 8):
+            systems.append(random_normal_system(n, m, seed=10 * n + m,
+                                                bound=9))
+            systems.append(rational_system(n, m, rng))
+    return systems
+
+
+def test_build_reads_the_walls_off_the_minor_table():
+    # one Bareiss determinant per wall coefficient gives the same walls
+    for ns in table_systems():
+        da, want = build(ns), brute_build(ns)
+        assert da.subsets == want.subsets
+        assert da.int_rows == want.int_rows
+        assert da.normals == want.normals
+        assert da_to_dict(da) == da_to_dict(want)
+
+
+def test_build_makes_no_determinant(monkeypatch):
+    def no_det(a):
+        raise AssertionError("_int_det called")
+
+    systems = table_systems()
+    want = [da_to_dict(brute_build(ns)) for ns in systems]
+    monkeypatch.setattr(exact_linalg, "_int_det", no_det)
+    monkeypatch.setattr(discriminantal, "_int_det", no_det, raising=False)
+    assert [da_to_dict(build(ns)) for ns in systems] == want
+
+
+def test_arrangement_needs_normals_or_source():
+    subsets = list(combinations(range(1, 5), 3))
+    with pytest.raises(BadArtifact):
+        DiscriminantalArrangement(4, 2, subsets)
+    da = DiscriminantalArrangement(4, 2, subsets,
+                                   source=gallery.four_lines())
+    assert da == build(gallery.four_lines())

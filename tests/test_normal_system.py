@@ -3,11 +3,13 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arrcensus import normal_system
 from arrcensus.errors import BadShape, DependentRows, LengthMismatch
 from arrcensus.exact_linalg import determinant, rank
 from arrcensus.normal_system import (
@@ -105,8 +107,46 @@ def test_first_dependent_subset_matches_rank_oracle():
                  for _ in range(m)] for _ in range(n)]
         expected = rank_search_oracle(rows, m)
         assert first_dependent_subset(rows, m) == expected, (rows, m)
+        if expected is None:
+            assert validate(rows, m).rows == tuple(map(tuple, rows))
+        else:
+            with pytest.raises(DependentRows) as exc:
+                validate(rows, m)
+            assert exc.value.payload["subset"] == list(expected)
         dependent += expected is not None
     assert 100 < dependent < 500  # both outcomes are exercised
+
+
+def test_minor_table_is_every_maximal_minor():
+    # each entry is the minor of the scaled rows: over the product of
+    # the scales it is the determinant of the Fraction rows
+    rng = random.Random(17)
+    systems = [validate(SIX_LINES, 2), validate(SIX_PLANES, 3)]
+    for m in range(2, 6):
+        for n in range(m + 1, 8):
+            systems.append(random_normal_system(n, m, seed=n * m, bound=5))
+            rows = [[Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3)))
+                     for _ in range(m)] for _ in range(n)]
+            systems.append(NormalSystem(rows, m))  # zero minors included
+    for ns in systems:
+        assert len(ns.minors) == len(list(combinations(range(ns.n), ns.m)))
+        for sub in combinations(range(ns.n), ns.m):
+            mask = sum(1 << i for i in sub)
+            scale = prod(ns.scales[i] for i in sub)
+            assert Fraction(ns.minors[mask], scale) == \
+                determinant([ns.rows[i] for i in sub])
+
+
+def test_valid_system_is_accepted_without_the_walk(monkeypatch):
+    def no_walk(basis, vec):
+        raise AssertionError("echelon_residual called")
+
+    monkeypatch.setattr(normal_system, "echelon_residual", no_walk)
+    for rows, m in [(SIX_LINES, 2), (SIX_PLANES, 3)]:
+        assert validate(rows, m).n == len(rows)
+    for seed in range(20):
+        ns = random_normal_system(7, 3, seed=seed, bound=2)
+        assert validate(ns.rows, 3) == ns
 
 
 def test_random_normal_system_deterministic():
@@ -115,6 +155,22 @@ def test_random_normal_system_deterministic():
     assert a == b
     assert a.rejections == b.rejections
     assert validate(a.rows, a.m) == a
+
+
+def test_random_normal_system_keeps_the_walk_acceptance():
+    # the minor table accepts exactly the draws the dependent-subset walk
+    # accepts, so the seeded output and the rejection counts are the same
+    for n, m, seed, bound in [(4, 2, 3, 1), (6, 3, 5, 1), (7, 4, 8, 2),
+                              (6, 5, 1, 2), (7, 2, 9, 2)]:
+        rng = random.Random(seed)
+        for attempt in range(10000):
+            rows = [[Fraction(rng.randint(-bound, bound)) for _ in range(m)]
+                    for _ in range(n)]
+            if first_dependent_subset(rows, m) is None:
+                break
+        ns = random_normal_system(n, m, seed=seed, bound=bound)
+        assert ns.rows == tuple(map(tuple, rows))
+        assert ns.rejections == attempt
 
 
 def test_random_normal_system_seed_changes_output():
