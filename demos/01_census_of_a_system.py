@@ -41,8 +41,9 @@ for subset, normal in zip(da.subsets, da.normals):
            ", ".join(rational_str(a) for a in normal)))
 
 # The characteristic polynomial of the wall arrangement.  The subset
-# expansion sums over all 2^10 subsets of walls, by a deletion recursion
-# memoised on flats; the poset method walks the intersection lattice; the
+# expansion, the engine every command runs, sums over all 2^10 subsets of
+# walls by a deletion recursion memoised on flats; the poset method, a
+# cross-check no command runs, walks the intersection lattice; the
 # combinatorial method never touches the matrix and applies verbatim to
 # every concurrency-free system of this shape.
 chi = whitney_charpoly(da)

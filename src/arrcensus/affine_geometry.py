@@ -275,8 +275,6 @@ def swap_check(da, catalog, signs_c, signs_d):
     other than one coordinate, and then NotInCatalog when the catalog
     lacks either of them.
     """
-    if da.source is None:
-        raise WrongShape("arrangement lacks its source normal system")
     diff = [i for i, (x, y) in enumerate(zip(signs_c, signs_d)) if x != y]
     if len(signs_c) != len(signs_d) or len(diff) != 1:
         raise NotAdjacent("chambers do not share a facet",

@@ -17,10 +17,9 @@ is checked against max_chambers before any cone is made and against the
 finished catalog after.
 
 The arrangement is first reduced modulo its common intersection subspace.
-Its integer rows are restricted to the lexicographically first coordinate
-set on which they have full rank (the first n - m coordinates of a built
-arrangement; discriminantal.quotient_rows), and witnesses are lifted back
-by zero-filling the dropped coordinates.
+Its integer rows are restricted to their first n - m coordinates, on
+which they have full rank (discriminantal.quotient_rows), and witnesses
+are lifted back by appending m zeros.
 
 sign_cells, the insertion walk that enumerate_chambers ran before, stays
 as the oracle the tests compare the catalog with: it inserts hyperplanes
@@ -314,9 +313,9 @@ def enumerate_chambers(da, max_chambers=DEFAULT_MAX_CHAMBERS):
     raised up front when it passes max_chambers.  The cones are composed
     from cocircuits in the quotient modulo the common intersection
     subspace (_half_cones), each witness is lifted back to n-space by
-    zero-filling, every cone is mirrored through the origin, and antipodal
-    class ids are assigned.  A cone count other than the Zaslavsky number
-    raises CountMismatch.
+    appending m zeros, every cone is mirrored through the origin, and
+    antipodal class ids are assigned.  A cone count other than the
+    Zaslavsky number raises CountMismatch.
     """
     expected = zaslavsky_regions(whitney_charpoly(da))
     if expected > max_chambers:
@@ -324,12 +323,11 @@ def enumerate_chambers(da, max_chambers=DEFAULT_MAX_CHAMBERS):
                        count=expected, limit=max_chambers)
     chambers = []
     if expected:  # a zero normal leaves no strict sign vector at all
-        cols, rows = quotient_rows(da)
+        rows = quotient_rows(da)
         N = len(rows)
+        tail = [0] * da.m
         for mask, y in _half_cones(rows).items():
-            witness = [0] * da.n
-            for t, c in enumerate(cols):
-                witness[c] = y[t]
+            witness = y + tail
             text = format(mask, "0%db" % N)[::-1].translate(_BITS)
             chambers.append(Chamber(text, witness))
             chambers.append(Chamber(opposite_signs(text),
@@ -452,7 +450,7 @@ def shared_wall(da, signs_a, signs_b):
     diff = [i for i, (x, y) in enumerate(zip(signs_a, signs_b)) if x != y]
     if len(diff) != 1:
         return None
-    _, rows = quotient_rows(da)
+    rows = quotient_rows(da)
     return diff[0] if _wall_is_facet(rows, signs_a, diff[0]) else None
 
 

@@ -2,16 +2,18 @@
 
 whitney_charpoly is the production engine: the subset sum of (-1)^|B|
 x^(n - rank B) over all 2^N subsets of hyperplanes, evaluated by the
-deletion recursion memoised on flats.  It runs on the walls cut to the
-k = n - m quotient coordinates of discriminantal.quotient_rows, where
-every linear dependence is kept, and closes each flat of rank k - 1 in
-one step, so its memo holds the flats below rank k that it reaches.
-poset_charpoly reads the whole lattice of flats of the same quotient rows
-from exact_linalg.flat_levels, the crawl the cone composition of chambers
-reads too, and runs the Mobius recursion; it is kept as a cross-check.
-Both key flats by the integer echelon bases of exact_linalg and share one
-budget, FLAT_LIMIT.  combinatorial_charpoly never touches a matrix: it sums
-a product formula over the closed families of concurrency sets, so it
+deletion recursion memoised on flats.  The recursion is rows_charpoly,
+which takes any integer rows of full column rank k and closes each flat
+of rank k - 1 in one step, so its memo holds the flats below rank k that
+it reaches; whitney_charpoly runs it on the walls cut to the k = n - m
+quotient coordinates of discriminantal.quotient_rows, where every linear
+dependence is kept.  poset_charpoly reads the whole lattice of flats of
+the same quotient rows from exact_linalg.flat_levels, the crawl the cone
+composition of chambers reads too, and runs the Mobius recursion; it is
+kept as a cross-check for the tests, and no command runs it.  Both key
+flats by the integer echelon bases of exact_linalg and share one budget,
+FLAT_LIMIT.  combinatorial_charpoly never touches a matrix: it sums a
+product formula over the closed families of concurrency sets, so it
 speaks only about concurrency-free systems.  All three must agree wherever
 their domains overlap; the cone census rests on that agreement.
 """
@@ -131,13 +133,12 @@ def _from_exponents(n, by_exp):
     return CharPolynomial([by_exp[n - i] for i in range(n + 1)])
 
 
-def whitney_charpoly(da):
-    """Characteristic polynomial by the memoised deletion recursion.
+def rows_charpoly(rows, n):
+    """Characteristic polynomial in R^n of integer rows of full column rank.
 
-    The recursion runs on the quotient rows of quotient_rows: the walls
-    cut to k = rank coordinates, which keeps every linear dependence, so
-    chi = x^(n - k) G(0, {0}) with ranks taken there.  G(i, V) = sum over
-    B in rows i.. of (-1)^|B| x^(k - rank(V u B)) obeys
+    The rows have k entries each and span k dimensions, so chi =
+    x^(n - k) G(0, {0}) with ranks taken there.  G(i, V) = sum over B in
+    rows i.. of (-1)^|B| x^(k - rank(V u B)) obeys
     G(i, V) = G(i+1, V) - G(i+1, V + row_i), and G(i, V) = 0 as soon as
     some row j >= i lies in V (B and B xor {j} cancel).  Unrolling the
     first identity and dropping the vanishing terms gives
@@ -147,7 +148,8 @@ def whitney_charpoly(da):
     where a term survives only if row_j is the last row inside V + row_j:
     the last of the rows whose residuals against V agree.  So every state
     is a flat evaluated one past its last row, the memo is keyed by the
-    flat alone and the recursion is at most rank deep.
+    flat alone and the recursion is at most rank deep.  A zero row lies
+    in every flat, so chi is 0 when there is one.
 
     A flat of rank k - 1 is closed at once: every row j >= i lies outside
     it and completes it to the top, so only the last row survives and
@@ -156,11 +158,10 @@ def whitney_charpoly(da):
     stored, and TooLarge is raised before it would hold more than
     FLAT_LIMIT of them.
     """
-    cols, rows = quotient_rows(da)
     N = len(rows)
-    n, k = da.n, len(cols)
+    k = len(rows[0]) if rows else 0
     if not all(any(row) for row in rows):
-        return _from_exponents(n, [0] * (n + 1))  # a zero row is in {0}
+        return _from_exponents(n, [0] * (n + 1))
     memo = {}
 
     def go(flat, start):
@@ -186,6 +187,12 @@ def whitney_charpoly(da):
     return _from_exponents(n, [0] * (n - k) + go((), 0))
 
 
+def whitney_charpoly(da):
+    """Characteristic polynomial of the walls, by rows_charpoly on the
+    n - m quotient rows of quotient_rows, which keep every dependence."""
+    return rows_charpoly(quotient_rows(da), da.n)
+
+
 def poset_charpoly(da):
     """Mobius recursion over the lattice of flats; equals whitney.
 
@@ -196,7 +203,7 @@ def poset_charpoly(da):
     held would pass FLAT_LIMIT flats.
     """
     n = da.n
-    _, rows = quotient_rows(da)
+    rows = quotient_rows(da)
     by_exp = [0] * (n + 1)
     if not all(any(row) for row in rows):
         return _from_exponents(n, by_exp)

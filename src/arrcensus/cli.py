@@ -5,7 +5,8 @@ command name, digests of its inputs, per-phase timings in milliseconds, the
 result payload, the tool version, and the seed (when one is in play).
 Payloads are deterministic given inputs and seed; timings are not and live
 outside the payload.  Artifacts written with --out are the bare payload
-files (normal system, arrangement, catalog), so they can be fed back in.
+files: a normal system (gen) or a catalog (chambers) can be fed back in,
+and the discriminantal arrangement (disc) is written for reading only.
 
 Exit codes: 0 success, 1 domain error (JSON on stderr), 2 usage error.
 """
@@ -26,7 +27,7 @@ from .chambers import (DEFAULT_MAX_CHAMBERS, Classified, catalog_from_dict,
                        catalog_to_dict, classify_b, enumerate_chambers,
                        verify_catalog)
 from .charpoly import (combinatorial_charpoly, iso_class_count,
-                       poset_charpoly, whitney_charpoly, zaslavsky_regions)
+                       whitney_charpoly, zaslavsky_regions)
 from .concurrency import (SubsetCollection, base_collection,
                           collection_from_dict, collection_to_dict,
                           combinatorial_rank, concurrency_closure,
@@ -151,6 +152,7 @@ def _write_artifact(path, data):
 
 def cmd_gen(args, timer):
     args.seed = args.seed if args.seed is not None else 0
+    _guard_minors(args.n, args.m, args.max_subsets)
     ns = random_normal_system(args.n, args.m, seed=args.seed,
                               bound=args.bound)
     timer.mark("compute")
@@ -172,19 +174,18 @@ def cmd_disc(args, timer):
     return data, {"ns": dig}
 
 
-def _charpoly_of(args, timer, method="whitney"):
+def _charpoly_of(args, timer):
     # the --ns file loaded under the guards, its walls built, and their
     # characteristic polynomial; returns (ns, chi, digest)
     ns, dig = _load_ns(args.ns, args.max_subsets)
     timer.mark("load")
-    da = build(ns)
-    chi = whitney_charpoly(da) if method == "whitney" else poset_charpoly(da)
+    chi = whitney_charpoly(build(ns))
     timer.mark("compute")
     return ns, chi, dig
 
 
 def cmd_charpoly(args, timer):
-    _, chi, dig = _charpoly_of(args, timer, args.method)
+    _, chi, dig = _charpoly_of(args, timer)
     return {"coefficients": list(chi.coefficients),
             "polynomial": chi.as_str(),
             "factored": chi.factored_str(),
@@ -392,8 +393,8 @@ def _build_parser():
     p = sub.add_parser("charpoly", parents=[common],
                        help="characteristic polynomial of the arrangement")
     p.add_argument("--ns", required=True)
-    p.add_argument("--method", choices=["poset", "whitney"],
-                   default="poset")
+    # one engine; the option stays so that "--method whitney" still parses
+    p.add_argument("--method", choices=["whitney"], default="whitney")
 
     p = sub.add_parser("count", parents=[common],
                        help="cone and class counts via the deletion recursion")

@@ -373,7 +373,7 @@ def is_concurrency_free(ns):
     _check_universe(n, m)
     subsets, imasks = _universe(n, m)
     kmax = n - m
-    _, rows = quotient_rows(build(ns))
+    rows = quotient_rows(build(ns))
     lattice = _lattice(n, m)
 
     zss = [tuple(tuple(int(i == j) for i in range(kmax))

@@ -8,57 +8,45 @@ supported exactly on S.  The C(n, m+1) normals, in lexicographic subset
 order, fix the sign conventions used by every census downstream.
 
 Every coefficient of a wall is an m x m minor of the normal system, so
-build reads the walls off the system's one table of minors
-(NormalSystem.minors), with no determinant computed.  It makes them as
-primitive integer rows, the form every sign test, flat crawl and rank
-test downstream reads; the exact Fraction normals (for serialization and
-the oracles) are made from the same table the first time they are read.
-The walls span only n - m dimensions, and quotient_rows cuts the integer
-rows to a coordinate set of that size on which no linear dependence
-changes.  It is the one such cut: the deletion recursion, the Mobius
-cross-check, the cone composition, the facet LP of chambers.shared_wall
-and the freeness search all run there.
+build, the only maker of an arrangement, reads the walls off the system's
+one table of minors (NormalSystem.minors), with no determinant computed.
+It makes them as primitive integer rows, the form every sign test, flat
+crawl and rank test downstream reads; the exact Fraction normals (for
+serialization and the oracles) are made from the same table the first
+time they are read.  The walls span only n - m dimensions, and
+quotient_rows cuts the integer rows to the first n - m coordinates, on
+which no linear dependence changes.  It is the one such cut: the deletion
+recursion, the Mobius cross-check, the cone composition, the facet LP of
+chambers.shared_wall and the freeness search all run there.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, prod
 
-from .errors import BadArtifact
-from .exact_linalg import (lex_independent_columns, parse_rational,
-                           primitive_int_rows, rank, rational_str)
+from .exact_linalg import primitive_int_rows, rational_str
 
 
 class DiscriminantalArrangement:
     """Central arrangement in R^n keyed by (m+1)-subsets (1-based, lex).
 
-    source keeps the normal system the arrangement was built from (None for
-    deserialized arrangements); geometric verifiers use it to reconstruct
-    the affine picture behind a constant vector b.  int_rows holds each
-    normal scaled by a positive factor to coprime integers, as
-    primitive_int_rows gives them; they are computed from the normals
-    unless the caller (build) passes them.  normals, when not given, are
-    made from the minor table of source the first time they are read;
-    with neither normals nor source there is nothing to make them from,
-    and the arrangement is refused with BadArtifact.
+    Made by build.  source is the normal system it was built from;
+    geometric verifiers use it to reconstruct the affine picture behind a
+    constant vector b.  int_rows holds each wall scaled by a positive
+    factor to coprime integers.  normals are made from the minor table of
+    source the first time they are read.
     """
 
     __slots__ = ("n", "m", "subsets", "_normals", "int_rows", "index",
                  "source")
 
-    def __init__(self, n, m, subsets, normals=None, source=None,
-                 int_rows=None):
-        if normals is None and source is None:
-            raise BadArtifact("arrangement needs its normals or the normal "
-                              "system they come from")
-        self.n = int(n)
-        self.m = int(m)
-        self.subsets = tuple(tuple(s) for s in subsets)
-        self._normals = (None if normals is None
-                         else tuple(tuple(v) for v in normals))
+    def __init__(self, source, subsets, int_rows):
+        self.n = source.n
+        self.m = source.m
+        self.subsets = tuple(subsets)
+        self._normals = None
         self.source = source
-        self.int_rows = tuple(primitive_int_rows(self.normals)
-                              if int_rows is None else int_rows)
+        self.int_rows = tuple(int_rows)
         self.index = {s: i for i, s in enumerate(self.subsets)}
 
     @property
@@ -70,12 +58,6 @@ class DiscriminantalArrangement:
 
     def normal_of(self, subset):
         return self.normals[self.index[tuple(sorted(subset))]]
-
-    def __eq__(self, other):
-        return (isinstance(other, DiscriminantalArrangement)
-                and (self.n, self.m) == (other.n, other.m)
-                and self.subsets == other.subsets
-                and self.normals == other.normals)
 
     def __repr__(self):
         return "DiscriminantalArrangement(n=%d, m=%d, %d hyperplanes)" % (
@@ -144,29 +126,21 @@ def build(ns):
         g = gcd(*ints)
         int_rows.append(tuple([x // g for x in ints]) if g > 1
                         else tuple(ints))
-    return DiscriminantalArrangement(n, m, subsets, source=ns,
-                                     int_rows=int_rows)
+    return DiscriminantalArrangement(ns, subsets, int_rows)
 
 
 def quotient_rows(da):
-    """Coordinates on which the walls keep their rank, and the walls there.
+    """The walls cut to the first n - m coordinates, where they keep rank.
 
-    Returns (cols, rows): rows are the primitive integer rows int_rows
-    restricted to cols and made primitive again.  For a built arrangement
-    cols are the first n - m coordinates, with no rank computed: the
-    walls span ker(A^T) for the n x m matrix A of its normal system, and
-    a vector of that space which vanishes there is zero, because any m
-    rows of A, the last m among them, are independent.  A loaded
-    arrangement (source None) has the lexicographically first columns of
-    full rank computed.  Either way the restriction is one-to-one on the
-    row space, so every linear dependence, flat and sign is kept.
+    Returns the primitive integer rows int_rows restricted to coordinates
+    1 .. n - m and made primitive again, with no rank computed: the walls
+    span ker(A^T) for the n x m matrix A of the normal system, and a
+    vector of that space which vanishes there is zero, because the last m
+    rows of A are independent.  So the restriction is one-to-one on the
+    row space, and every linear dependence, flat and sign is kept.
     """
-    if da.source is not None:
-        cols = list(range(da.n - da.m))
-    else:
-        cols = lex_independent_columns(da.int_rows, rank(da.int_rows))
-    return cols, primitive_int_rows([[row[j] for j in cols]
-                                     for row in da.int_rows])
+    k = da.n - da.m
+    return primitive_int_rows([row[:k] for row in da.int_rows])
 
 
 def da_to_dict(da):
@@ -178,29 +152,3 @@ def da_to_dict(da):
             for s, v in zip(da.subsets, da.normals)
         ],
     }
-
-
-def da_from_dict(data):
-    """Arrangement read back from da_to_dict output.
-
-    A missing key or a wrong layout raises BadArtifact; a normal entry
-    that is not an exact rational raises BadRational.
-    """
-    need = ('arrangement needs integer "n", "m" and "hyperplanes" entries '
-            'with "subset" and "normal"')
-    try:
-        n, m = data["n"], data["m"]
-        planes = [(h["subset"], h["normal"]) for h in data["hyperplanes"]]
-    except (KeyError, TypeError):
-        raise BadArtifact(need) from None
-    if type(n) is not int or type(m) is not int:
-        raise BadArtifact(need)
-    normals = []
-    for k, (subset, normal) in enumerate(planes, start=1):
-        if not (isinstance(subset, list) and isinstance(normal, list)
-                and len(normal) == n):
-            raise BadArtifact('"subset" must be a list and "normal" a list '
-                              'of n entries', hyperplane=k, n=n)
-        normals.append(tuple(parse_rational(a, hyperplane=k, position=i)
-                             for i, a in enumerate(normal, start=1)))
-    return DiscriminantalArrangement(n, m, [s for s, _ in planes], normals)

@@ -6,9 +6,7 @@ in the planar catalogs assume.  A line with slope s gets normal (-s, 1);
 vertical lines get (1, 0).
 """
 
-from fractions import Fraction
-
-from .normal_system import arrangement_from_b, validate
+from .normal_system import validate
 
 
 def three_lines():
@@ -37,12 +35,6 @@ def six_lines_perpendicular_pairs():
 
 
 B_PERPENDICULAR = (0, -2, 3, 0, 5, 5)
-
-
-def six_lines_perpendicular_arrangement():
-    """The published affine picture for the perpendicular-pairs system."""
-    return arrangement_from_b(six_lines_perpendicular_pairs(),
-                              B_PERPENDICULAR)
 
 
 def six_lines_mixed_slopes():
@@ -78,13 +70,6 @@ def six_planes_chain():
     """
     return validate([(1, 0, 0), (0, 1, 0), (0, 0, 1),
                      (2, 2, 1), (2, 3, 2), (1, 2, 2)], 3)
-
-
-B_CHAIN = (0, 0, 0, 5, 2, 3)
-
-
-def six_planes_chain_arrangement():
-    return arrangement_from_b(six_planes_chain(), B_CHAIN)
 
 
 def six_planes_curve():

@@ -206,15 +206,3 @@ def ns_from_dict(data):
     return validate([[parse_rational(a, row=i, column=j)
                       for j, a in enumerate(row, start=1)]
                      for i, row in enumerate(rows, start=1)], m)
-
-
-def arrangement_to_dict(arr):
-    out = ns_to_dict(arr.system)
-    out["b"] = [rational_str(x) for x in arr.b]
-    return out
-
-
-def arrangement_from_dict(data):
-    ns = ns_from_dict(data)
-    return arrangement_from_b(ns, [parse_rational(x, position=i)
-                                   for i, x in enumerate(data["b"], start=1)])

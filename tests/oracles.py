@@ -14,13 +14,12 @@ from arrcensus.chambers import (Chamber, ChamberCatalog, antipodal_classes,
                                 opposite_signs, sign_cells)
 from arrcensus.concurrency import (SubsetCollection, _pivot, _rank, _step,
                                    _universe)
-from arrcensus.discriminantal import (DiscriminantalArrangement, build,
-                                      quotient_rows)
+from arrcensus.discriminantal import build, quotient_rows
 from arrcensus.errors import BadShape, BadSubsetSize, NotGeneric, TooLarge
 from arrcensus.exact_linalg import (_int_det, _int_row, determinant, dot,
                                     feasible_strict, integer_primitive,
                                     lex_independent_columns, nullspace_basis,
-                                    rank, solve_particular)
+                                    parse_rational, rank, solve_particular)
 
 
 def matvec(mat, x):
@@ -105,7 +104,7 @@ def tuple_bfs_free(ns):
     n, m = ns.n, ns.m
     subsets, imasks = _universe(n, m)
     kmax = n - m
-    _, rows = quotient_rows(build(ns))
+    rows = quotient_rows(build(ns))
     level = [((), (), tuple(tuple(int(i == j) for i in range(kmax))
                             for j in range(kmax)))]
     for k in range(1, kmax + 1):
@@ -129,8 +128,14 @@ def tuple_bfs_free(ns):
     return True, None
 
 
+def disc_normals(data):
+    """The exact normals of a disc artifact (da_to_dict output)."""
+    return tuple(tuple(parse_rational(a) for a in h["normal"])
+                 for h in data["hyperplanes"])
+
+
 def build_by_minors(ns):
-    """Discriminantal arrangement with one determinant per Fraction minor."""
+    """The walls' Fraction normals, one determinant per Fraction minor."""
     n, m = ns.n, ns.m
     subsets = list(combinations(range(1, n + 1), m + 1))
     normals = []
@@ -141,12 +146,12 @@ def build_by_minors(ns):
             sign = -1 if (m + 1 + k) % 2 else 1
             vec[i - 1] = sign * determinant(minor)
         normals.append(tuple(vec))
-    return DiscriminantalArrangement(n, m, subsets, normals, source=ns)
+    return tuple(normals)
 
 
 def brute_build(ns):
-    """Discriminantal arrangement with one Bareiss determinant per wall
-    coefficient, on the rows scaled to integers once.
+    """(subsets, normals, int_rows) of the walls, with one Bareiss
+    determinant per wall coefficient, on the rows scaled to integers once.
 
     The coefficient of row i in the wall of S is the signed minor of the
     scaled rows of S without i over the product of their scales; its
@@ -171,8 +176,7 @@ def brute_build(ns):
         normals.append(tuple(vec))
         int_rows.append(tuple(x // g for x in ints) if g > 1
                         else tuple(ints))
-    return DiscriminantalArrangement(n, m, subsets, normals, source=ns,
-                                     int_rows=int_rows)
+    return tuple(subsets), tuple(normals), tuple(int_rows)
 
 
 def feasible_strict_full_tableau(rows):

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import pytest
 
-from arrcensus import chambers, discriminantal, exact_linalg, gallery
+from arrcensus import chambers, exact_linalg, gallery
 from arrcensus.chambers import (Chamber, ChamberCatalog, Classified, OnWall,
                                 _wall_is_facet, adjacency,
                                 antipodal_classes, catalog_from_dict,
@@ -23,8 +23,7 @@ from arrcensus.chambers import (Chamber, ChamberCatalog, Classified, OnWall,
 from arrcensus.charpoly import (CharPolynomial, poset_charpoly,
                                 whitney_charpoly, zaslavsky_regions)
 from arrcensus.concurrency import is_concurrency_free
-from arrcensus.discriminantal import (build, da_from_dict, da_to_dict,
-                                      quotient_rows)
+from arrcensus.discriminantal import build, quotient_rows
 from arrcensus.errors import (BadRational, CountMismatch, LengthMismatch,
                               NotInCatalog, TooLarge, UnpairedChamber)
 from arrcensus.exact_linalg import (dot, feasible_strict,
@@ -245,14 +244,12 @@ LP_LAYER = {"feasible_strict", "sign_cells", "shared_wall",
             "nullspace_basis", "rref"}
 
 
-def test_no_library_module_outside_chambers_reaches_the_lp_layer():
-    # the LP layer and the Fraction rref path are defined in exact_linalg
-    # and chambers and kept for the tests; no other library module names
-    # them, so no production path can run them
+def library_names():
+    """{module file: every name it uses, imports or defines}."""
     src = os.path.dirname(chambers.__file__)
+    out = {}
     for name in sorted(os.listdir(src)):
-        if not name.endswith(".py") or name in ("chambers.py",
-                                                "exact_linalg.py"):
+        if not name.endswith(".py"):
             continue
         with open(os.path.join(src, name)) as fh:
             tree = ast.parse(fh.read())
@@ -262,9 +259,39 @@ def test_no_library_module_outside_chambers_reaches_the_lp_layer():
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
-            elif isinstance(node, ast.alias):
+            elif isinstance(node, (ast.alias, ast.FunctionDef,
+                                   ast.ClassDef)):
                 used.add(node.name)
-        assert not used & LP_LAYER, (name, sorted(used & LP_LAYER))
+        out[name] = used
+    return out
+
+
+def test_no_library_module_outside_chambers_reaches_the_lp_layer():
+    # the LP layer and the Fraction rref path are defined in exact_linalg
+    # and chambers and kept for the tests; no other library module names
+    # them, so no production path can run them
+    for name, used in library_names().items():
+        if name not in ("chambers.py", "exact_linalg.py"):
+            assert not used & LP_LAYER, (name, sorted(used & LP_LAYER))
+
+
+# names no library module may use, but for the files that define them
+ONE_ENGINE = [
+    ({"rank", "lex_independent_columns"}, {"exact_linalg.py"}),
+    ({"poset_charpoly"}, {"charpoly.py"}),
+    ({"da_from_dict", "arrangement_to_dict", "arrangement_from_dict"},
+     set()),
+]
+
+
+def test_only_build_makes_arrangements_and_only_whitney_runs():
+    # build is the one way to an arrangement, so nothing in the library
+    # cuts columns by rank, reads arrangement files or runs the poset
+    # cross-check
+    for name, used in library_names().items():
+        for names, exempt in ONE_ENGINE:
+            if name not in exempt:
+                assert not used & names, (name, sorted(used & names))
 
 
 def test_too_large_guard():
@@ -516,21 +543,13 @@ def test_built_arrangement_needs_no_rank(monkeypatch):
         raise AssertionError("rank called")
 
     da = build(gallery.five_lines())
-    loaded = da_from_dict(da_to_dict(da))
     want = walk_catalog(da)
-    monkeypatch.setattr(discriminantal, "rank", no_rank)
     monkeypatch.setattr(exact_linalg, "rank", no_rank)
     cat = enumerate_chambers(da)
     assert [c.signs for c in cat] == [c.signs for c in want]
     a = cat[0].signs
     b = adjacency(cat)[a][0]
     assert shared_wall(da, a, b) is not None
-    with pytest.raises(AssertionError):  # no source: the columns are found
-        enumerate_chambers(loaded)
-    monkeypatch.undo()
-    again = enumerate_chambers(loaded)
-    assert [(c.signs, c.witness) for c in again] == \
-        [(c.signs, c.witness) for c in cat]
 
 
 def test_truncated_columns_are_the_lex_independent_columns():
@@ -539,10 +558,10 @@ def test_truncated_columns_are_the_lex_independent_columns():
     systems += [rational_draw(7, 3, 5, 9), rational_draw(7, 4, 6, 2)]
     for ns in systems:
         da = build(ns)
-        cols, rows = quotient_rows(da)
-        assert cols == lex_independent_columns(da.normals, rank(da.normals))
-        assert rows == primitive_int_rows([[row[j] for j in cols]
-                                           for row in da.normals])
+        cols = lex_independent_columns(da.normals, rank(da.normals))
+        assert cols == list(range(ns.n - ns.m))
+        assert quotient_rows(da) == primitive_int_rows(
+            [[row[j] for j in cols] for row in da.normals])
 
 
 @pytest.mark.parametrize("name", ["four_lines", "five_lines",

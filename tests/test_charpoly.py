@@ -21,16 +21,19 @@ from arrcensus.charpoly import (
     combinatorial_charpoly,
     iso_class_count,
     poset_charpoly,
+    rows_charpoly,
     whitney_charpoly,
     zaslavsky_regions,
 )
 from arrcensus.concurrency import SubsetCollection, combinatorial_rank
-from arrcensus.discriminantal import (DiscriminantalArrangement, build,
-                                     da_from_dict, da_to_dict)
+from arrcensus.discriminantal import build, da_to_dict
 from arrcensus.errors import OddRegionCount, TooLarge
-from arrcensus.exact_linalg import rank
+from arrcensus.exact_linalg import (lex_independent_columns,
+                                    primitive_int_rows, rank)
 from arrcensus.normal_system import (first_dependent_subset, ns_from_dict,
                                      random_normal_system, validate)
+
+from oracles import disc_normals
 
 
 @lru_cache(maxsize=None)
@@ -39,15 +42,22 @@ def chi(name):
     return poset_charpoly(build(ns))
 
 
-def brute_whitney(da):
+def brute_whitney(normals, n):
     # independent oracle: fresh rank for every one of the 2^N subsets
-    N = len(da.normals)
-    acc = [0] * (da.n + 1)
+    N = len(normals)
+    acc = [0] * (n + 1)
     for bits in range(1 << N):
-        rows = [da.normals[p] for p in range(N) if bits >> p & 1]
+        rows = [normals[p] for p in range(N) if bits >> p & 1]
         r = rank(rows) if rows else 0
-        acc[da.n - r] += -1 if bin(bits).count("1") % 2 else 1
-    return CharPolynomial([acc[da.n - i] for i in range(da.n + 1)])
+        acc[n - r] += -1 if bin(bits).count("1") % 2 else 1
+    return CharPolynomial([acc[n - i] for i in range(n + 1)])
+
+
+def lex_cut(normals):
+    # the normals cut to their lexicographically first columns of full
+    # rank, found by rank with no source system, and made primitive
+    cols = lex_independent_columns(normals, rank(normals))
+    return primitive_int_rows([[row[j] for j in cols] for row in normals])
 
 
 def brute_combinatorial(n, m):
@@ -112,11 +122,11 @@ def test_combinatorial_chi_golden():
 def test_whitney_matches_brute_oracle():
     for ns in [gallery.three_lines(), gallery.four_lines()]:
         da = build(ns)
-        assert whitney_charpoly(da) == brute_whitney(da)
+        assert whitney_charpoly(da) == brute_whitney(da.normals, da.n)
     da = build(random_normal_system(5, 2, seed=3, bound=9))
-    assert whitney_charpoly(da) == brute_whitney(da)
+    assert whitney_charpoly(da) == brute_whitney(da.normals, da.n)
     da = build(random_normal_system(5, 3, seed=3, bound=9))
-    assert whitney_charpoly(da) == brute_whitney(da)
+    assert whitney_charpoly(da) == brute_whitney(da.normals, da.n)
 
 
 def rational_system(n, m, seed):
@@ -141,7 +151,8 @@ def test_engines_match_brute_oracle_on_seeded_systems():
     for ns in systems:
         da = build(ns)
         w = whitney_charpoly(da)
-        assert w == poset_charpoly(da) == brute_whitney(da), ns.rows
+        assert w == poset_charpoly(da) == brute_whitney(da.normals, ns.n), \
+            ns.rows
     assert zaslavsky_regions(w) == 132
 
 
@@ -153,46 +164,41 @@ GALLERY = ["three_lines", "four_lines", "five_lines",
 
 @pytest.mark.parametrize("name", GALLERY)
 def test_whitney_of_loaded_arrangement_equals_built(name):
-    # a loaded arrangement has no source: its quotient columns are found
-    # by rank, a built one takes the first n - m
+    # the normals read back from the disc artifact, cut to the columns a
+    # rank search finds, carry the polynomial of the built arrangement,
+    # whose quotient takes the first n - m columns with no rank
     da = build(getattr(gallery, name)())
-    loaded = da_from_dict(da_to_dict(da))
-    assert loaded.source is None
-    assert whitney_charpoly(loaded) == whitney_charpoly(da)
-
-
-def hand_made(n, normals):
-    subsets = list(combinations(range(1, n + 1), 3))[:len(normals)]
-    return DiscriminantalArrangement(n, 2, subsets, normals)
+    loaded = lex_cut(disc_normals(da_to_dict(da)))
+    assert rows_charpoly(loaded, da.n) == whitney_charpoly(da)
 
 
 HALF = Fraction(1, 2)
 LOW_RANK = {
     # rank 1 < n - m = 2: one quotient coordinate, the root has corank 1
-    "rank1": hand_made(4, [(0, 0, 3, -3), (0, 0, -1, 1), (0, 0, 2, -2)]),
+    "rank1": (4, [(0, 0, 3, -3), (0, 0, -1, 1), (0, 0, 2, -2)]),
     # rank 2 < 3, a 1/2 entry, a repeated wall and columns 1 and 2 first
-    "half": hand_made(5, [(0, 1, HALF, 0, 0), (0, 2, 1, 0, 0),
-                          (0, 0, 0, 1, -1), (0, 1, HALF, 1, -1),
-                          (0, -1, -HALF, 3, -3)]),
+    "half": (5, [(0, 1, HALF, 0, 0), (0, 2, 1, 0, 0), (0, 0, 0, 1, -1),
+                 (0, 1, HALF, 1, -1), (0, -1, -HALF, 3, -3)]),
     # rank 2 < 4, supported on the last three coordinates only
-    "tail": hand_made(6, [(0, 0, 0, 1, 1, 0), (0, 0, 0, 0, 1, 1),
-                          (0, 0, 0, 1, 2, 1), (0, 0, 0, 1, 0, -1),
-                          (0, 0, 0, 2, 2, 0), (0, 0, 0, 0, 3, 3)]),
+    "tail": (6, [(0, 0, 0, 1, 1, 0), (0, 0, 0, 0, 1, 1),
+                 (0, 0, 0, 1, 2, 1), (0, 0, 0, 1, 0, -1),
+                 (0, 0, 0, 2, 2, 0), (0, 0, 0, 0, 3, 3)]),
 }
 
 
 @pytest.mark.parametrize("name", sorted(LOW_RANK))
 def test_whitney_on_hand_made_arrangements_of_low_rank(name):
-    da = LOW_RANK[name]
-    assert rank(da.normals) < da.n - da.m
-    assert whitney_charpoly(da) == brute_whitney(da) == poset_charpoly(da)
+    n, normals = LOW_RANK[name]
+    assert rank(normals) < n - 2
+    assert rows_charpoly(lex_cut(normals), n) == brute_whitney(normals, n)
 
 
 def test_whitney_of_a_zero_normal_is_zero():
     # a zero normal lies in every flat, so every subset cancels: chi = 0
-    da = hand_made(5, [(1, 1, 0, 0, 0), (0, 0, 0, 0, 0), (0, 1, 1, 0, 0)])
-    assert whitney_charpoly(da) == brute_whitney(da) == poset_charpoly(da)
-    assert whitney_charpoly(da).coefficients == (0,) * 6
+    normals = [(1, 1, 0, 0, 0), (0, 0, 0, 0, 0), (0, 1, 1, 0, 0)]
+    chi = rows_charpoly(lex_cut(normals), 5)
+    assert chi == brute_whitney(normals, 5)
+    assert chi.coefficients == (0,) * 6
 
 
 def test_whitney_equals_poset_on_seeded_sweep():

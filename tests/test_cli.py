@@ -64,13 +64,17 @@ def test_count_golden(capsys, ns_files):
 
 
 def test_charpoly_methods_agree(capsys, ns_files):
-    _, poset, _, _ = run(capsys, "charpoly", "--ns", ns_files["five_lines"])
+    # whitney is the one engine: the default, and the only --method
+    _, dflt, _, _ = run(capsys, "charpoly", "--ns", ns_files["five_lines"])
     _, whit, _, _ = run(capsys, "charpoly", "--ns", ns_files["five_lines"],
                         "--method", "whitney")
-    assert poset["payload"]["coefficients"] == whit["payload"]["coefficients"]
-    assert poset["payload"]["coefficients"] == [1, -10, 30, -21, 0, 0]
-    assert poset["payload"]["method"] == "poset"
+    assert dflt["payload"] == whit["payload"]
+    assert whit["payload"]["coefficients"] == [1, -10, 30, -21, 0, 0]
     assert whit["payload"]["method"] == "whitney"
+    with pytest.raises(SystemExit) as exc:
+        main(["charpoly", "--ns", ns_files["five_lines"],
+              "--method", "poset"])
+    assert exc.value.code == 2
 
 
 def test_gen_is_deterministic(capsys, tmp_path):
@@ -647,6 +651,20 @@ def test_validation_walk_guard(capsys, tmp_path):
     assert code == 1 and out is None
     assert err["error"]["type"] == "TooLarge"
     assert err["error"]["count"] == 67025181
+
+
+def test_gen_minor_table_guard(capsys):
+    # an (8, 4) system carries C(8, 1) + ... + C(8, 4) = 162 minor table
+    # entries: gen refuses them under --max-subsets, as every --ns reader
+    # does, before it samples
+    code, out, err, _ = run(capsys, "gen", "--n", "8", "--m", "4",
+                            "--max-subsets", "100")
+    assert code == 1 and out is None
+    assert err["error"]["type"] == "TooLarge"
+    assert (err["error"]["count"], err["error"]["limit"]) == (162, 100)
+    code, out, _, _ = run(capsys, "gen", "--n", "8", "--m", "4",
+                          "--max-subsets", "162")
+    assert code == 0 and len(out["payload"]["system"]["rows"]) == 8
 
 
 def test_max_chambers_guard(capsys, ns_files):

@@ -5,7 +5,6 @@ six-line perpendicular-pairs system, transcribed coefficient by
 coefficient; build() must reproduce it bit-exactly.
 """
 
-import json
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -16,15 +15,14 @@ import sympy
 from arrcensus import gallery
 from arrcensus import discriminantal, exact_linalg
 from arrcensus.discriminantal import (DiscriminantalArrangement, build,
-                                      da_from_dict, da_to_dict)
-from arrcensus.errors import (BadArtifact, BadRational, BadSubsetSize,
-                              DependentRows)
+                                      da_to_dict)
+from arrcensus.errors import BadSubsetSize, DependentRows
 from arrcensus.exact_linalg import primitive_int_rows
 from arrcensus.normal_system import (NormalSystem, random_normal_system,
                                      validate)
 
 from oracles import (brute_build, build_by_minors, common_intersection_dim,
-                     matvec, subset_rank)
+                     disc_normals, matvec, subset_rank)
 
 GOLDEN_SIX_LINE_NORMALS = {
     (1, 2, 3): (-5, -2, 3, 0, 0, 0),
@@ -172,27 +170,8 @@ def test_json_round_trip():
     d = da_to_dict(da)
     assert d["n"] == 5 and d["m"] == 2
     assert len(d["hyperplanes"]) == 10
-    assert da_from_dict(d) == da
-
-
-def test_da_from_dict_rejects_malformed_artifacts():
-    good = da_to_dict(build(gallery.four_lines()))
-    missing = {"n": 4, "m": 2}
-    not_dicts = dict(good, hyperplanes=[["1", "2", "3"]])
-    short = json.loads(json.dumps(good))
-    short["hyperplanes"][0]["normal"] = ["1", "2"]
-    for data in (missing, not_dicts, short, [good], dict(good, n="x"),
-                 dict(good, n=4.0), dict(good, m=True)):
-        with pytest.raises(BadArtifact):
-            da_from_dict(data)
-    bad = json.loads(json.dumps(good))
-    bad["hyperplanes"][2]["normal"][1] = "x"
-    with pytest.raises(BadRational) as err:
-        da_from_dict(bad)
-    assert err.value.payload == {"got": "x", "hyperplane": 3, "position": 2}
-    bad["hyperplanes"][2]["normal"][1] = 1.5
-    with pytest.raises(BadRational):
-        da_from_dict(bad)
+    assert [tuple(h["subset"]) for h in d["hyperplanes"]] == list(da.subsets)
+    assert disc_normals(d) == da.normals
 
 
 def test_build_matches_minor_oracle():
@@ -206,14 +185,13 @@ def test_build_matches_minor_oracle():
         systems.append(NormalSystem(rows, m))
     for ns in systems:
         da = build(ns)
-        assert da == build_by_minors(ns)
+        assert da.normals == build_by_minors(ns)
         assert all(isinstance(a, Fraction) for v in da.normals for a in v)
 
 
 def test_int_rows_are_the_primitive_normals():
-    # build takes each wall's integer row straight from its minors; a
-    # loaded arrangement computes it from the normals; both must be the
-    # primitive integer rows of the Fraction normals
+    # build takes each wall's integer row straight from its minors; it
+    # must be the primitive integer row of the Fraction normal
     systems = [getattr(gallery, name)() for name in GALLERY_SYSTEMS]
     systems += [random_normal_system(n, m, seed=seed, bound=9)
                 for seed, (n, m) in enumerate(((5, 2), (6, 2), (6, 3),
@@ -227,7 +205,6 @@ def test_int_rows_are_the_primitive_normals():
         da = build(ns)
         assert da.int_rows == tuple(primitive_int_rows(da.normals))
         assert all(type(a) is int for row in da.int_rows for a in row)
-        assert da_from_dict(da_to_dict(da)).int_rows == da.int_rows
 
 
 def rational_system(n, m, rng):
@@ -257,11 +234,8 @@ def table_systems():
 def test_build_reads_the_walls_off_the_minor_table():
     # one Bareiss determinant per wall coefficient gives the same walls
     for ns in table_systems():
-        da, want = build(ns), brute_build(ns)
-        assert da.subsets == want.subsets
-        assert da.int_rows == want.int_rows
-        assert da.normals == want.normals
-        assert da_to_dict(da) == da_to_dict(want)
+        da = build(ns)
+        assert (da.subsets, da.normals, da.int_rows) == brute_build(ns)
 
 
 def test_build_makes_no_determinant(monkeypatch):
@@ -269,16 +243,19 @@ def test_build_makes_no_determinant(monkeypatch):
         raise AssertionError("_int_det called")
 
     systems = table_systems()
-    want = [da_to_dict(brute_build(ns)) for ns in systems]
+    want = [brute_build(ns) for ns in systems]
     monkeypatch.setattr(exact_linalg, "_int_det", no_det)
     monkeypatch.setattr(discriminantal, "_int_det", no_det, raising=False)
-    assert [da_to_dict(build(ns)) for ns in systems] == want
+    assert [(da.subsets, da.normals, da.int_rows)
+            for da in map(build, systems)] == want
 
 
-def test_arrangement_needs_normals_or_source():
-    subsets = list(combinations(range(1, 5), 3))
-    with pytest.raises(BadArtifact):
-        DiscriminantalArrangement(4, 2, subsets)
-    da = DiscriminantalArrangement(4, 2, subsets,
-                                   source=gallery.four_lines())
-    assert da == build(gallery.four_lines())
+def test_arrangement_makes_its_normals_from_its_source():
+    # build keeps the integer rows only; the Fraction normals are made from
+    # the source system's minor table when first read
+    ns = gallery.four_lines()
+    da = build(ns)
+    assert da._normals is None
+    assert da.normals == build_by_minors(ns)
+    assert DiscriminantalArrangement(ns, da.subsets, da.int_rows).normals \
+        == da.normals

@@ -198,7 +198,7 @@ FLAT_SYSTEMS = flat_systems()
 def test_flat_levels_match_brute_closure(label):
     # each flat once, at its rank, with its echelon basis and exactly its
     # lower covers, each reached by the residual of one of its rows
-    _, rows = quotient_rows(build(FLAT_SYSTEMS[label]))
+    rows = quotient_rows(build(FLAT_SYSTEMS[label]))
     want = brute_flats(rows)
     bases = {}
     for k, level in enumerate(flat_levels(rows)):

@@ -16,8 +16,6 @@ from arrcensus.normal_system import (
     Arrangement,
     NormalSystem,
     arrangement_from_b,
-    arrangement_from_dict,
-    arrangement_to_dict,
     first_dependent_subset,
     ns_from_dict,
     ns_to_dict,
@@ -208,10 +206,6 @@ def test_json_round_trip_exact():
     d = ns_to_dict(ns)
     assert d["m"] == 2 and d["rows"][0] == ["1/2", "-3"]
     assert ns_from_dict(d) == ns
-    arr = arrangement_from_b(ns, [Fraction(5, 7), 0, -1])
-    d2 = arrangement_to_dict(arr)
-    assert d2["b"] == ["5/7", "0", "-1"]
-    assert arrangement_from_dict(d2) == arr
 
 
 def test_rejection_sampling_eventually_gives_up():
