@@ -125,7 +125,7 @@ def _opposite(folded, flipped, scale, w):
                     2 * Dp * den)
 
 
-def sign_cells(rows, dim, base_rows=(), max_cells=None, half=False):
+def sign_cells(rows, dim, base_rows=(), half=False):
     """All strict sign vectors over rows, with one interior witness each.
 
     Cells are the connected components of {x : base . x > 0} minus the row
@@ -168,9 +168,6 @@ def sign_cells(rows, dim, base_rows=(), max_cells=None, half=False):
                     pt = _feasible_lazy(folded, srow)
                     if pt is not None:
                         grown.append((signs + (s,), folded + (srow,), pt))
-        if max_cells is not None and len(grown) > max_cells:
-            raise TooLarge("cell count exceeds the configured limit",
-                           count=len(grown), limit=max_cells)
         cells = grown
     return [(signs, tuple(Fraction(x, D) for x in W))
             for signs, _, (W, D) in cells]
@@ -203,7 +200,7 @@ class ChamberCatalog:
 
     Antipodal chambers share a class id; the canonical representative of a
     class is the member whose first sign is +.  Ids follow the sorted order
-    of the representatives, a convention fixed here for reproducibility.
+    of the representatives, as enumerate_chambers numbers them.
     """
 
     def __init__(self, da, chambers):
@@ -313,9 +310,10 @@ def enumerate_chambers(da, max_chambers=DEFAULT_MAX_CHAMBERS):
     raised up front when it passes max_chambers.  The cones are composed
     from cocircuits in the quotient modulo the common intersection
     subspace (_half_cones), each witness is lifted back to n-space by
-    appending m zeros, every cone is mirrored through the origin, and
-    antipodal class ids are assigned.  A cone count other than the
-    Zaslavsky number raises CountMismatch.
+    appending m zeros, and every cone is mirrored through the origin.
+    Class k goes to the k-th half cone (first sign +) in sign order and to
+    its mirror.  A cone count other than the Zaslavsky number raises
+    CountMismatch.
     """
     expected = zaslavsky_regions(whitney_charpoly(da))
     if expected > max_chambers:
@@ -326,20 +324,16 @@ def enumerate_chambers(da, max_chambers=DEFAULT_MAX_CHAMBERS):
         rows = quotient_rows(da)
         N = len(rows)
         tail = [0] * da.m
-        for mask, y in _half_cones(rows).items():
-            witness = y + tail
-            text = format(mask, "0%db" % N)[::-1].translate(_BITS)
-            chambers.append(Chamber(text, witness))
+        half = sorted((format(mask, "0%db" % N)[::-1].translate(_BITS),
+                       y + tail) for mask, y in _half_cones(rows).items())
+        for k, (text, witness) in enumerate(half):
+            chambers.append(Chamber(text, witness, k))
             chambers.append(Chamber(opposite_signs(text),
-                                    [-x for x in witness]))
+                                    [-x for x in witness], k))
     if len(chambers) != expected:
         raise CountMismatch("cone count differs from the Zaslavsky count",
                             count=len(chambers), zaslavsky=expected)
-    catalog = ChamberCatalog(da, chambers)
-    for k, (plus, minus) in enumerate(antipodal_classes(catalog)):
-        plus.class_id = k
-        minus.class_id = k
-    return catalog
+    return ChamberCatalog(da, chambers)
 
 
 def antipodal_classes(catalog):
@@ -398,7 +392,7 @@ def classify_b(da, b, catalog=None):
     OnWall result naming the vanishing subsets; otherwise returns Classified
     with the sign vector and, when a catalog is supplied, its class id.
     """
-    res = _locate(da, da.int_rows, b)
+    res = _locate(da, b)
     if catalog is not None and isinstance(res, Classified):
         hit = catalog.find(res.signs)
         if hit is None:
@@ -408,14 +402,14 @@ def classify_b(da, b, catalog=None):
     return res
 
 
-def _locate(da, rows, b):
+def _locate(da, b):
     # classify_b without a catalog, on the integer rows of the walls: the
     # rows and b are scaled by positive factors, so every sign is kept
     if len(b) != da.n:
         raise LengthMismatch("b must have one entry per hyperplane",
                              expected=da.n, got=len(b))
     bi = _int_row(b)[0]
-    vals = [_idot(row, bi) for row in rows]
+    vals = [_idot(row, bi) for row in da.int_rows]
     walls = [s for s, v in zip(da.subsets, vals) if not v]
     if walls:
         return OnWall(walls)
@@ -542,7 +536,7 @@ def verify_catalog(da, catalog):
     """
     witnesses_ok = True
     for c in catalog:
-        got = _locate(da, da.int_rows, c.witness)
+        got = _locate(da, c.witness)
         if not isinstance(got, Classified) or got.signs != c.signs:
             witnesses_ok = False
             break

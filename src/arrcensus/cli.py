@@ -2,11 +2,16 @@
 
 Every subcommand wraps one library operation and emits a RunReport: the
 command name, digests of its inputs, per-phase timings in milliseconds, the
-result payload, the tool version, and the seed (when one is in play).
-Payloads are deterministic given inputs and seed; timings are not and live
-outside the payload.  Artifacts written with --out are the bare payload
-files: a normal system (gen) or a catalog (chambers) can be fed back in,
-and the discriminantal arrangement (disc) is written for reading only.
+result payload, the tool version, and the seed (null but for gen and
+catalog-verify, the two commands that sample).  Payloads are deterministic
+given inputs and seed; timings are not and live outside the payload.
+Artifacts written with --out are the bare payload files: a normal system
+(gen) or a catalog (chambers) can be fed back in, and the discriminantal
+arrangement (disc) is written for reading only.
+
+A subcommand takes only the options it reads, and any other is a usage
+error: --format on all, --max-subsets on all but closure, --seed on gen
+and catalog-verify, --max-chambers on chambers and catalog-verify.
 
 Exit codes: 0 success, 1 domain error (JSON on stderr), 2 usage error.
 """
@@ -151,7 +156,6 @@ def _write_artifact(path, data):
 
 
 def cmd_gen(args, timer):
-    args.seed = args.seed if args.seed is not None else 0
     _guard_minors(args.n, args.m, args.max_subsets)
     ns = random_normal_system(args.n, args.m, seed=args.seed,
                               bound=args.bound)
@@ -309,7 +313,6 @@ def cmd_catalog_verify(args, timer):
     timer.mark("load")
     report = verify_catalog(da, catalog)
     # cross-validation: class-id equality must coincide with the oracle
-    args.seed = args.seed if args.seed is not None else 0
     rng = random.Random(args.seed)
     k = len(catalog)
     pairs = ([(i, j) for i in range(k) for j in range(k)]
@@ -368,83 +371,85 @@ def _build_parser():
         description="Exact census of generic hyperplane arrangements "
                     "via discriminantal cones.")
     top.add_argument("--version", action="version", version=__version__)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=["json", "csv", "text"],
-                        default="json")
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--max-subsets", type=int,
-                        default=DEFAULT_MAX_SUBSETS)
-    common.add_argument("--max-chambers", type=int,
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=["json", "csv", "text"],
+                     default="json")
+    sized = argparse.ArgumentParser(add_help=False, parents=[fmt])
+    sized.add_argument("--max-subsets", type=int, default=DEFAULT_MAX_SUBSETS)
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0)
+    capped = argparse.ArgumentParser(add_help=False)
+    capped.add_argument("--max-chambers", type=int,
                         default=DEFAULT_MAX_CHAMBERS)
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", parents=[common],
+    p = sub.add_parser("gen", parents=[sized, seeded],
                        help="sample a random valid normal system")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--bound", type=int, default=9)
     p.add_argument("--out")
 
-    p = sub.add_parser("disc", parents=[common],
+    p = sub.add_parser("disc", parents=[sized],
                        help="build the discriminantal arrangement")
     p.add_argument("--ns", required=True)
     p.add_argument("--out")
 
-    p = sub.add_parser("charpoly", parents=[common],
+    p = sub.add_parser("charpoly", parents=[sized],
                        help="characteristic polynomial of the arrangement")
     p.add_argument("--ns", required=True)
     # one engine; the option stays so that "--method whitney" still parses
     p.add_argument("--method", choices=["whitney"], default="whitney")
 
-    p = sub.add_parser("count", parents=[common],
+    p = sub.add_parser("count", parents=[sized],
                        help="cone and class counts via the deletion recursion")
     p.add_argument("--ns", required=True)
 
-    p = sub.add_parser("chambers", parents=[common],
+    p = sub.add_parser("chambers", parents=[sized, capped],
                        help="enumerate all cones with exact witnesses")
     p.add_argument("--ns", required=True)
     p.add_argument("--out")
 
-    p = sub.add_parser("classify", parents=[common],
+    p = sub.add_parser("classify", parents=[sized],
                        help="locate a constant vector b among the cones")
     p.add_argument("--ns", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--catalog")
 
-    p = sub.add_parser("check-cf", parents=[common],
+    p = sub.add_parser("check-cf", parents=[sized],
                        help="decide concurrency freeness, with witness")
     p.add_argument("--ns", required=True)
 
-    p = sub.add_parser("closure", parents=[common],
+    p = sub.add_parser("closure", parents=[fmt],
                        help="concurrency closure, orders, base, rank")
     p.add_argument("--collection")
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--members")
 
-    p = sub.add_parser("regions", parents=[common],
+    p = sub.add_parser("regions", parents=[sized],
                        help="count regions of the affine arrangement at b")
     p.add_argument("--ns", required=True)
     p.add_argument("--b", required=True)
 
-    p = sub.add_parser("signature", parents=[common],
+    p = sub.add_parser("signature", parents=[sized],
                        help="triangle signature of a planar arrangement")
     p.add_argument("--ns", required=True)
     p.add_argument("--b", required=True)
 
-    p = sub.add_parser("iso", parents=[common],
+    p = sub.add_parser("iso", parents=[sized],
                        help="test two b-vectors for trivial isomorphism")
     p.add_argument("--ns", required=True)
     p.add_argument("--b1", required=True)
     p.add_argument("--b2", required=True)
 
-    p = sub.add_parser("catalog-verify", parents=[common],
+    p = sub.add_parser("catalog-verify", parents=[sized, seeded, capped],
                        help="verify a catalog and cross-validate classes")
     p.add_argument("--ns", required=True)
     p.add_argument("--catalog")
     p.add_argument("--pairs", type=int, default=50)
 
-    p = sub.add_parser("census", parents=[common],
+    p = sub.add_parser("census", parents=[sized],
                        help="one table row: chi, cones, classes")
     p.add_argument("--mode", choices=["concurrency-free", "ns-file"],
                    default="concurrency-free")
@@ -474,7 +479,7 @@ def main(argv=None):
     report = {
         "command": args.command,
         "version": __version__,
-        "seed": args.seed,
+        "seed": getattr(args, "seed", None),
         "inputs": digests,
         "timings_ms": timer.report(),
         "payload": payload,

@@ -38,7 +38,8 @@ from math import comb, gcd
 from operator import mul
 
 from .discriminantal import build, quotient_rows
-from .errors import BadShape, BadSubsetSize, NotClosed, TooLarge
+from .errors import (BadArtifact, BadShape, BadSubsetSize, NotClosed,
+                     TooLarge)
 
 MAX_UNIVERSE = 36  # largest C(n, m+1) the enumeration strategies accept
 
@@ -99,7 +100,22 @@ def collection_to_dict(col):
 
 
 def collection_from_dict(data):
-    return SubsetCollection(data["n"], data["m"], data["members"])
+    """SubsetCollection from {"n": int, "m": int, "members": [[int, ...]]}.
+
+    A wrong layout, or an "n", "m" or member entry that is not a JSON
+    integer ("4", 4.5 or true), raises BadArtifact; a member that is not an
+    (m+1)-subset of {1..n} raises BadSubsetSize, as in SubsetCollection.
+    """
+    need = 'collection needs integer "n" and "m" and integer "members" lists'
+    try:
+        n, m, members = data["n"], data["m"], data["members"]
+    except (KeyError, TypeError):
+        raise BadArtifact(need) from None
+    if not (type(n) is int and type(m) is int and isinstance(members, list)
+            and all(isinstance(s, list) and all(type(i) is int for i in s)
+                    for s in members)):
+        raise BadArtifact(need)
+    return SubsetCollection(n, m, members)
 
 
 # ---------------------------------------------------------------- engine

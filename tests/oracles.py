@@ -15,7 +15,7 @@ from arrcensus.chambers import (Chamber, ChamberCatalog, antipodal_classes,
 from arrcensus.concurrency import (SubsetCollection, _pivot, _rank, _step,
                                    _universe)
 from arrcensus.discriminantal import build, quotient_rows
-from arrcensus.errors import BadShape, BadSubsetSize, NotGeneric, TooLarge
+from arrcensus.errors import BadShape, BadSubsetSize, NotGeneric
 from arrcensus.exact_linalg import (_int_det, _int_row, determinant, dot,
                                     feasible_strict, integer_primitive,
                                     lex_independent_columns, nullspace_basis,
@@ -286,7 +286,7 @@ def _opposite_fraction(folded, flipped, w):
     return _feasible_lazy_fraction(folded, flipped, seed=bad)
 
 
-def sign_cells_fraction(rows, dim, base_rows=(), max_cells=None, half=False):
+def sign_cells_fraction(rows, dim, base_rows=(), half=False):
     """chambers.sign_cells done in Fractions on the full-tableau simplex.
 
     Rows and witnesses are rational; the foot of the perpendicular, the
@@ -319,9 +319,6 @@ def sign_cells_fraction(rows, dim, base_rows=(), max_cells=None, half=False):
                     pt = _feasible_lazy_fraction(folded, srow)
                     if pt is not None:
                         grown.append((signs + (s,), folded + (srow,), pt))
-        if max_cells is not None and len(grown) > max_cells:
-            raise TooLarge("cell count exceeds the configured limit",
-                           count=len(grown), limit=max_cells)
         cells = grown
     return [(signs, w) for signs, _, w in cells]
 

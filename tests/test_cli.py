@@ -6,10 +6,14 @@ library facts through the CLI plumbing; the rest checks the report
 envelope, artifact round trips, format switches, and error discipline.
 """
 
+import argparse
+import copy
+import inspect
 import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -93,6 +97,18 @@ def test_gen_is_deterministic(capsys, tmp_path):
 def test_gen_default_seed_echoed(capsys):
     _, rep, _, _ = run(capsys, "gen", "--n", "4", "--m", "2")
     assert rep["seed"] == 0
+
+
+def test_seed_is_reported_only_where_it_is_read(capsys, ns_files):
+    # catalog-verify samples its pairs with seed 0 unless told otherwise;
+    # a command that samples nothing reports a null seed
+    ns = ns_files["four_lines"]
+    _, rep, _, _ = run(capsys, "catalog-verify", "--ns", ns)
+    assert rep["seed"] == 0
+    _, seeded, _, _ = run(capsys, "catalog-verify", "--ns", ns, "--seed", "0")
+    assert rep["payload"] == seeded["payload"]
+    _, rep, _, _ = run(capsys, "count", "--ns", ns)
+    assert rep["seed"] is None
 
 
 def test_disc_artifact(capsys, ns_files, tmp_path):
@@ -227,6 +243,33 @@ def test_closure_universe_guard(capsys):
     assert code == 1 and cap.out == ""
     assert err["error"]["type"] == "TooLarge"
     assert err["error"]["subsets"] == 4060
+
+
+@pytest.mark.parametrize("doc,kind", [
+    ({}, "BadArtifact"), ([1, 2], "BadArtifact"), (None, "BadArtifact"),
+    ({"n": 4, "m": 2}, "BadArtifact"),
+    ({"n": 4, "m": 2, "members": 5}, "BadArtifact"),
+    ({"n": 4, "m": 2, "members": [[1, 2, "x"]]}, "BadArtifact"),
+    ({"n": 4, "m": 2, "members": ["123"]}, "BadArtifact"),
+    ({"n": 4, "m": 2, "members": [[1, 2, 3.0]]}, "BadArtifact"),
+    ({"n": "4", "m": 2, "members": [[1, 2, 3]]}, "BadArtifact"),
+    ({"n": 4.5, "m": 2, "members": [[1, 2, 3]]}, "BadArtifact"),
+    ({"n": 4, "m": True, "members": [[1, 2, 3]]}, "BadArtifact"),
+    ({"n": 4, "m": 2, "members": [[1, 2, 5]]}, "BadSubsetSize"),
+    ({"n": 4, "m": 2, "members": [[1, 2]]}, "BadSubsetSize"),
+    ({"n": 4, "m": 2, "members": [[1, 1, 2]]}, "BadSubsetSize"),
+], ids=["empty", "list", "null", "no_members", "members_int", "entry_x",
+        "member_str", "entry_float", "n_str", "n_float", "m_bool",
+        "out_of_range", "short", "repeated"])
+def test_bad_collection_file_exit_1(capsys, tmp_path, doc, kind):
+    # a wrong layout, or an "n", "m" or member entry that is not a JSON
+    # integer, is refused ("4" and 4.5 are not read as 4); a member that is
+    # not an (m+1)-subset of {1..n} is refused by its collection
+    path = tmp_path / "col.json"
+    path.write_text(json.dumps(doc))
+    code, _, err, cap = run(capsys, "closure", "--collection", str(path))
+    assert code == 1 and cap.out == ""
+    assert err["error"]["type"] == kind
 
 
 def test_closure_needs_input(capsys):
@@ -479,7 +522,10 @@ FOUR_LINES_CATALOG = catalog_to_dict(enumerate_chambers(
 # witness entries of the wrong type or form; "+7", " 7", "1.5" and JSON 7
 # are exact rationals that parse_rational reads, "-0" is a zero
 _ENTRIES = [True, 1.5, 7, "x", "1/0", "+7", " 7", "1.5", "-0"]
-_VALUES = st.sampled_from([None, True, 1.5, 7, "x", "", [], [1], {}])
+# fresh copies, so that a document never holds one list or dict twice
+# (nor, through a later fault, itself)
+_VALUES = st.sampled_from([None, True, 1.5, 7, "x", "", [], [1], {}]).map(
+    copy.deepcopy)
 
 
 @st.composite
@@ -535,6 +581,58 @@ def test_damaged_catalogs_answer_or_fail_cleanly(tmp_path_factory, ns_files,
         else:
             assert code == 1 and out == "" and err.count("\n") == 1
             assert json.loads(err)["error"]["type"]
+
+
+@st.composite
+def collection_documents(draw):
+    """closure files near the format collection_to_dict writes, with up to
+    three faults."""
+    n, m = draw(st.integers(0, 7)), draw(st.integers(1, 3))
+    members = draw(st.lists(st.lists(st.integers(1, 7), min_size=m + 1,
+                                     max_size=m + 1, unique=True),
+                            max_size=4))
+    doc = {"n": n, "m": m, "members": members}
+    for _ in range(draw(st.integers(0, 3))):
+        fault = draw(st.sampled_from(["entry", "entry", "member", "drop",
+                                      "extra", "n", "m", "members", "top"]))
+        members = doc.get("members")
+        if fault in ("entry", "member"):
+            if not (isinstance(members, list) and members):
+                continue
+            k = draw(st.integers(0, len(members) - 1))
+            if fault == "member":
+                members[k] = draw(_ODD)
+            elif isinstance(members[k], list) and members[k]:
+                i = draw(st.integers(0, len(members[k]) - 1))
+                members[k][i] = draw(_ODD)
+        elif fault == "drop":
+            doc.pop(draw(st.sampled_from(["n", "m", "members"])), None)
+        elif fault == "extra":
+            doc[draw(st.text(max_size=3))] = draw(_ODD)
+        elif fault in ("n", "m", "members"):
+            doc[fault] = draw(_ODD)
+        else:
+            return draw(st.sampled_from([members, n, None, "closure"]))
+    return doc
+
+
+@settings(max_examples=60, deadline=None)
+@given(doc=collection_documents())
+def test_closure_fuzzed_collection_documents(tmp_path_factory, doc):
+    # any collection file gets an answer or one JSON error line, never a
+    # traceback; an answer means "n", "m" and every member entry were JSON
+    # integers
+    path = tmp_path_factory.mktemp("collection") / "collection.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _main_streams(["closure", "--collection", str(path)])
+    if code == 0:
+        assert err == "" and out.count("\n") == 1
+        assert "closure" in json.loads(out)["payload"]
+        assert type(doc["n"]) is int and type(doc["m"]) is int
+        assert all(type(i) is int for s in doc["members"] for i in s)
+    else:
+        assert code == 1 and out == "" and err.count("\n") == 1
+        assert json.loads(err)["error"]["type"]
 
 
 _VERIFY_OK = {"catalog": {"class_count_matches": True, "classes": 4,
@@ -611,6 +709,65 @@ def test_usage_error_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+# a call of each subcommand that answers on the four_lines system (NS)
+_MINIMAL = {
+    "gen": ["--n", "4", "--m", "2"],
+    "disc": ["--ns", "NS"],
+    "charpoly": ["--ns", "NS"],
+    "count": ["--ns", "NS"],
+    "chambers": ["--ns", "NS"],
+    "classify": ["--ns", "NS", "--b", "1,2,4,8"],
+    "check-cf": ["--ns", "NS"],
+    "closure": ["--n", "4", "--m", "2", "--members", "123"],
+    "regions": ["--ns", "NS", "--b", "1,2,4,8"],
+    "signature": ["--ns", "NS", "--b", "1,2,4,8"],
+    "iso": ["--ns", "NS", "--b1", "1,2,4,8", "--b2=-1,-2,-4,-8"],
+    "catalog-verify": ["--ns", "NS"],
+    "census": ["--n", "4", "--m", "2"],
+}
+# the subcommands that read each of the options shared by several
+_TAKES = {"--seed": {"gen", "catalog-verify"},
+          "--max-chambers": {"chambers", "catalog-verify"},
+          "--max-subsets": set(_MINIMAL) - {"closure"}}
+
+
+def test_every_option_is_read_by_its_command():
+    # each option but -h and --format (read by main) is read as
+    # args.<dest> by its cmd_*, or by _charpoly_of where that calls it
+    top = cli._build_parser()
+    sub, = [a for a in top._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    assert set(sub.choices) == set(_MINIMAL)
+    unread = []
+    for name, parser in sub.choices.items():
+        source = inspect.getsource(getattr(cli, "cmd_" + name.replace(
+            "-", "_")))
+        if "_charpoly_of(" in source:
+            source += inspect.getsource(cli._charpoly_of)
+        for action in parser._actions:
+            if (action.option_strings
+                    and action.dest not in ("help", "format")
+                    and not re.search(r"\bargs\.%s\b" % action.dest,
+                                      source)):
+                unread.append((name, action.option_strings[0]))
+    assert unread == []
+
+
+@pytest.mark.parametrize("command,option", [
+    (command, option) for option, takers in _TAKES.items()
+    for command in _MINIMAL if command not in takers])
+def test_unread_option_is_a_usage_error(capsys, ns_files, command, option):
+    argv = [command] + [ns_files["four_lines"] if a == "NS" else a
+                        for a in _MINIMAL[command]]
+    assert main(argv) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [option, "3"])
+    assert exc.value.code == 2
+    assert ("unrecognized arguments: %s 3" % option
+            in capsys.readouterr().err)
 
 
 def test_max_subsets_guard(capsys, ns_files):
