@@ -75,8 +75,8 @@ def _parse_members(text):
     out = []
     for code in text.split(","):
         code = code.strip()
-        if not code.isdigit():
-            raise ArrangementError("subset codes must be digit strings",
+        if not (code.isascii() and code.isdigit()):
+            raise ArrangementError("subset codes must be strings of 0-9",
                                    got=code)
         out.append(tuple(int(c) for c in code))
     return out

@@ -24,17 +24,19 @@ walls, and they depend on the shape (n, m) alone.  One table per shape
 parent one rank lower and the wall that closes the parent to it; the
 combinatorial charpoly, the enumeration and the freeness decision all
 read it.  Freeness crawls that table once per normal system, with one
-set of integer annihilator vectors per family.  It is exact because the
-linear rank of any set of walls is at most the combinatorial rank of its
-closure, so while no lower rank fails, the walls on a family's path span
-every wall of the family; the first family that a wall outside it falls
-into the span of gives a witness of the least size (is_concurrency_free
-has the argument in full).
+set of integer annihilator vectors per family, each tested against
+every wall at once by one product with the rows packed into a big
+integer.  It is exact because the linear rank of any set of walls is at
+most the combinatorial rank of its closure, so while no lower rank
+fails, the walls on a family's path span every wall of the family; the
+first family that a wall outside it falls into the span of gives a
+witness of the least size (is_concurrency_free has the argument in
+full).
 """
 
 from functools import lru_cache
 from itertools import combinations
-from math import comb, gcd
+from math import comb, gcd, isqrt, prod
 from operator import mul
 
 from .discriminantal import build, quotient_rows
@@ -360,10 +362,13 @@ def is_concurrency_free(ns):
     annihilator vectors, kmax = n - m, made from its parent's by one
     _pivot on the row of the wall that closes the parent to F (the root,
     the empty family, carries the unit vectors).  Rank k fails when some
-    wall q outside F is orthogonal to every vector of F; the first
-    vector is dotted with every wall, the others only where it gives 0.
-    The first failing rank gives the witness; none below kmax means free.
-    This is exact because:
+    wall q outside F is orthogonal to every vector of F.  The rows are
+    packed once per system, one W-bit slot per wall (_slot_width), so one
+    big-integer product per vector gives its dot with every wall and one
+    mask of the zero ones (_zero_slots); F passes when the masks of its
+    vectors, ANDed, hold no slot but those of F's own walls.  The first
+    failing rank gives the witness; none below kmax means free.  This is
+    exact because:
 
     (1) r_g(D) <= r_c(D) for every set D of walls of a validated system,
         where r_g is the linear rank of their normals and r_c the rank
@@ -384,6 +389,13 @@ def is_concurrency_free(ns):
         witnesses are these c-bases, and the lex-first c-basis of a set
         is the greedy one: its walls in position order, each kept when
         _step grows the family.
+    (4) No slot carries into its neighbour.  A vector z of F, made
+        primitive by _pivot, is the primitive multiple of the cofactor
+        vector of F's k path rows on their pivot columns and one column
+        more, so z . r_q is a (k + 1)-minor of the rows divided by a
+        positive integer.  Hadamard's inequality bounds that minor by the
+        product of the kmax largest row norms, and _slot_width makes the
+        product less than 2^(W - 2).
     """
     n, m = ns.n, ns.m
     _check_universe(n, m)
@@ -391,30 +403,68 @@ def is_concurrency_free(ns):
     kmax = n - m
     rows = quotient_rows(build(ns))
     lattice = _lattice(n, m)
+    width = _slot_width(rows)
+    cols = [sum(r[j] << width * q for q, r in enumerate(rows))
+            for j in range(kmax)]
+    low = ((1 << width * len(rows)) - 1) // ((1 << width) - 1)
+    high = low << width - 1
 
     zss = [tuple(tuple(int(i == j) for i in range(kmax))
                  for j in range(kmax))]
     for k in range(kmax):
         if k:
             # rank k - 1 passed, so each added row leaves its parent's span
-            nxt = []
-            for _, _, parent, q in lattice[k]:
-                zs = zss[parent]
-                ds = [sum(map(mul, z, rows[q])) for z in zs]
-                nxt.append(_pivot(zs, ds, next(i for i, d in enumerate(ds)
-                                               if d)))
-            zss = nxt
+            zss = [_pivot(zss[parent], rows[q])
+                   for _, _, parent, q in lattice[k]]
         bad = set()
-        for (_, walls, _, _), (z, *rest) in zip(lattice[k], zss):
-            for q, r in enumerate(rows):
-                if not sum(map(mul, z, r)) and not walls >> q & 1 \
-                        and not any(sum(map(mul, y, r)) for y in rest):
-                    bad.add(walls | 1 << q)
+        for (_, walls, _, _), zs in zip(lattice[k], zss):
+            own = walls.bit_count()
+            zero = high
+            for z in zs:
+                zero &= _zero_slots(z, cols, high, low)
+                if zero.bit_count() == own:
+                    break
+            else:
+                for q in range(len(rows)):
+                    if zero >> width * q + width - 1 & 1 \
+                            and not walls >> q & 1:
+                        bad.add(walls | 1 << q)
         if bad:
             witness = min(_greedy_basis(m, subsets, imasks, walls)
                           for walls in bad)
             return FreeVerdict(False, SubsetCollection(n, m, witness))
     return FreeVerdict(True)
+
+
+def _slot_width(rows):
+    """Bits per wall in the packed rows: the least W for which the
+    product of the len(rows[0]) largest row norms, each rounded up, is
+    below 2^(W - 2), so every slot holds a dot of any annihilator vector
+    of the crawl, offset by 2^(W - 1), with no carry."""
+    norms = []
+    for r in rows:
+        s = sum(x * x for x in r)
+        c = isqrt(s)
+        norms.append(c + (c * c < s))
+    norms.sort(reverse=True)
+    return prod(norms[:len(rows[0])]).bit_length() + 2
+
+
+def _zero_slots(z, cols, high, low):
+    """Mask of the walls orthogonal to z: the top bit of each slot whose
+    dot z . r_q is zero.
+
+    p holds z . r_q + 2^(W - 1) in slot q (high is 2^(W - 1) in every
+    slot, low is 1).  Setting each top bit and subtracting 1 per slot
+    borrows out of the top bit exactly where the low W - 1 bits are
+    zero, that is where the dot is zero (a negative dot leaves them at
+    2^(W - 1) minus its size); no slot borrows from the next.
+    """
+    p = high
+    for x, c in zip(z, cols):
+        if x:
+            p += x * c
+    return high & ~((p | high) - low)
 
 
 def _greedy_basis(m, subsets, imasks, walls):
@@ -429,16 +479,22 @@ def _greedy_basis(m, subsets, imasks, walls):
     return tuple(basis)
 
 
-def _pivot(zs, ds, j):
-    """Annihilator basis of the rows behind zs plus one row r, given the
-    dot products ds of r with zs and a pivot j with ds[j] != 0."""
-    zj, dj = zs[j], ds[j]
+def _pivot(zs, r):
+    """Annihilator basis of the rows behind zs plus one row r outside
+    their span: the first z with z . r != 0 is the pivot, and every later
+    z with a nonzero dot is combined with it to vanish on r and divided
+    by its gcd (the z before the pivot have a zero dot)."""
     out = []
-    for i, (z, d) in enumerate(zip(zs, ds)):
-        if i != j:
-            if d:
-                v = [dj * x - d * y for x, y in zip(z, zj)]
-                g = gcd(*v)
-                z = tuple([x // g for x in v])
-            out.append(z)
+    pivot = None
+    for z in zs:
+        d = sum(map(mul, z, r))
+        if d:
+            if pivot is None:
+                pivot = z, d
+                continue
+            zj, dj = pivot
+            v = [dj * x - d * y for x, y in zip(z, zj)]
+            g = gcd(*v)
+            z = tuple([x // g for x in v] if g > 1 else v)
+        out.append(z)
     return tuple(out)

@@ -29,8 +29,8 @@ def rational(s):
     return Fraction(str(s))  # Fraction('p/0') raises ZeroDivisionError
 
 
-_CANONICAL = re.compile(r"(-?\d+)(?:/(\d+))?").fullmatch
-_INTEGER = re.compile(r"-?\d+").fullmatch  # the 'p' form of _CANONICAL
+_CANONICAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?").fullmatch
+_INTEGER = re.compile(r"-?[0-9]+").fullmatch  # the 'p' form of _CANONICAL
 
 
 def parse_rational(s, **where):
@@ -40,8 +40,10 @@ def parse_rational(s, **where):
     The forms rational_str writes, 'p' and 'p/q' with plain digits, are
     read by int directly; every other input goes through rational().  A
     bool or a float is refused: JSON true and 1.5 are not exact rationals.
+    So is a string with a character outside ASCII, which Fraction would
+    read (an Arabic-Indic digit as its value).
     """
-    if type(s) in (bool, float):
+    if type(s) in (bool, float) or type(s) is str and not s.isascii():
         raise BadRational("not an exact rational p or p/q with q != 0",
                           got=str(s), **where)
     try:

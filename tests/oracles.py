@@ -12,8 +12,7 @@ from operator import mul
 from arrcensus.affine_geometry import LineOrder
 from arrcensus.chambers import (Chamber, ChamberCatalog, antipodal_classes,
                                 opposite_signs, sign_cells)
-from arrcensus.concurrency import (SubsetCollection, _pivot, _rank, _step,
-                                   _universe)
+from arrcensus.concurrency import SubsetCollection, _rank, _step, _universe
 from arrcensus.discriminantal import build, quotient_rows
 from arrcensus.errors import BadShape, BadSubsetSize, NotGeneric
 from arrcensus.exact_linalg import (_int_det, _int_row, determinant, dot,
@@ -126,6 +125,21 @@ def tuple_bfs_free(ns):
             return False, SubsetCollection(n, m, witness)
         level = nxt
     return True, None
+
+
+def _pivot(zs, ds, j):
+    """Annihilator basis of the rows behind zs plus one row r, given the
+    dot products ds of r with zs and a pivot j with ds[j] != 0."""
+    zj, dj = zs[j], ds[j]
+    out = []
+    for i, (z, d) in enumerate(zip(zs, ds)):
+        if i != j:
+            if d:
+                v = [dj * x - d * y for x, y in zip(z, zj)]
+                g = gcd(*v)
+                z = tuple([x // g for x in v])
+            out.append(z)
+    return tuple(out)
 
 
 def disc_normals(data):

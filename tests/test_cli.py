@@ -395,6 +395,32 @@ def test_bad_b_exit_1(capsys, ns_files, command, b):
     assert err["error"]["got"] == b.split(",")[2 if "x" in b else 4]
 
 
+@pytest.mark.parametrize("part", ["\u0661", "\u00b2", "1\u0662", "\uff13",
+                                  "\u0661/2"])
+def test_non_ascii_b_exit_1(capsys, ns_files, part):
+    # Fraction reads the Arabic-Indic and full-width digits; an input
+    # value is refused unless its digits are 0-9
+    code, _, err, cap = run(capsys, "classify", "--ns",
+                            ns_files["four_lines"], "--b=2,%s,4,8" % part)
+    assert code == 1 and cap.out == ""
+    assert err["error"] == {"type": "BadRational", "got": part,
+                            "position": 2,
+                            "message": "not an exact rational p or p/q "
+                                       "with q != 0"}
+
+
+@pytest.mark.parametrize("code", ["\u00b2\u00b3\u2074",
+                                  "\u0661\u0662\u0663", "12x", ""])
+def test_closure_non_ascii_members_exit_1(capsys, code):
+    # superscripts pass str.isdigit but not int, and int reads the
+    # Arabic-Indic digits: both are refused, as is an empty code
+    status, _, err, cap = run(capsys, "closure", "--n", "5", "--m", "2",
+                              "--members=124,%s" % code)
+    assert status == 1 and cap.out == ""
+    assert err["error"] == {"type": "ArrangementError", "got": code,
+                            "message": "subset codes must be strings of 0-9"}
+
+
 @pytest.mark.parametrize("data,kind", [
     ({"m": 2}, "BadArtifact"),
     ({"rows": [["1", "0"], ["0", "1"], ["1", "1"]]}, "BadArtifact"),
@@ -407,6 +433,8 @@ def test_bad_b_exit_1(capsys, ns_files, command, b):
      "BadArtifact"),
     ({"m": 2, "rows": [[True, False], [0, 1.5], [1, 1]]}, "BadRational"),
     ({"m": True, "rows": [["1", "0"], ["0", "1"]]}, "BadArtifact"),
+    ({"m": 2, "rows": [["1", "0"], ["0", "\u0661"], ["1", "1"]]},
+     "BadRational"),
 ])
 def test_bad_ns_file_exit_1(capsys, tmp_path, data, kind):
     path = tmp_path / "bad.json"
@@ -507,6 +535,22 @@ def test_bad_catalog_file_exit_1(capsys, ns_files, tmp_path, command,
     if kind == "BadRational":
         assert (err["error"]["got"], err["error"]["chamber"],
                 err["error"]["position"]) == ("x", 3, 2)
+
+
+def test_catalog_non_ascii_witness_exit_1(capsys, ns_files, tmp_path):
+    # a witness entry goes through the same reader as every input value
+    path = tmp_path / "catalog.json"
+    run(capsys, "chambers", "--ns", ns_files["four_lines"],
+        "--out", str(path))
+    cat = json.loads(path.read_text())
+    cat["chambers"][2]["witness"][1] = "\u0661"
+    path.write_text(json.dumps(cat))
+    code, _, err, cap = run(capsys, "catalog-verify", "--ns",
+                            ns_files["four_lines"], "--catalog", str(path))
+    assert code == 1 and cap.out == ""
+    assert (err["error"]["type"], err["error"]["got"],
+            err["error"]["chamber"], err["error"]["position"]) == (
+        "BadRational", "\u0661", 3, 2)
 
 
 def _main_streams(argv):
@@ -633,6 +677,48 @@ def test_closure_fuzzed_collection_documents(tmp_path_factory, doc):
     else:
         assert code == 1 and out == "" and err.count("\n") == 1
         assert json.loads(err)["error"]["type"]
+
+
+@st.composite
+def inline_lists(draw):
+    """Comma-separated inline values near the forms the CLI reads: signed
+    integers, fractions, subset codes, and parts with Unicode and
+    superscript digits, underscores, blanks, or nothing between two
+    commas."""
+    part = st.one_of(
+        st.integers(-20, 20).map(str),
+        st.sampled_from(["1/2", "-3/4", "1/0", "1_0", "_", "1e2", "+3",
+                         "1.5", " 7", "x", "", "123", "124", "345",
+                         "\u00b2", "\u00b3\u2074", "\u0661", "\u0661\u0662\u0663",
+                         "\uff11", "\u00a01"]),
+        st.text(alphabet="0123456789-/_+. \u00b2\u00b3\u0661\u0662\uff11",
+                max_size=4))
+    parts = draw(st.lists(part, max_size=6))
+    return (draw(st.sampled_from(["", ","])) + ",".join(parts)
+            + draw(st.sampled_from(["", ","])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(b1=inline_lists(), b2=inline_lists(), members=inline_lists())
+def test_inline_arguments_answer_or_fail_cleanly(ns_files, b1, b2, members):
+    # every inline --b, --b1/--b2 and --members value gets an answer or
+    # one JSON error line, never a traceback; an answer means every part
+    # was read from the digits 0-9
+    four = ns_files["four_lines"]
+    for argv, texts in [
+            (["classify", "--ns", four, "--b=" + b1], [b1]),
+            (["iso", "--ns", four, "--b1=" + b1, "--b2=" + b2], [b1, b2]),
+            (["closure", "--n", "5", "--m", "2", "--members=" + members],
+             [members])]:
+        code, out, err = _main_streams(argv)
+        if code == 0:
+            assert err == "" and out.count("\n") == 1
+            assert "payload" in json.loads(out)
+            assert all(part.strip().isascii()
+                       for text in texts for part in text.split(","))
+        else:
+            assert code == 1 and out == "" and err.count("\n") == 1
+            assert json.loads(err)["error"]["type"]
 
 
 _VERIFY_OK = {"catalog": {"class_count_matches": True, "classes": 4,

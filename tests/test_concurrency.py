@@ -10,11 +10,12 @@ subset of E where that is feasible.
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import ceil, comb, gcd, prod, sqrt
+from operator import mul
 
 import pytest
 
-from arrcensus import gallery
+from arrcensus import concurrency, gallery
 from arrcensus.charpoly import combinatorial_charpoly
 from arrcensus.concurrency import (
     FreeVerdict,
@@ -22,6 +23,7 @@ from arrcensus.concurrency import (
     _collection,
     _lattice,
     _rank,
+    _slot_width,
     _step,
     _universe,
     base_collection,
@@ -35,7 +37,7 @@ from arrcensus.concurrency import (
     is_closed,
     is_concurrency_free,
 )
-from arrcensus.discriminantal import build
+from arrcensus.discriminantal import build, quotient_rows
 from arrcensus.errors import BadShape, BadSubsetSize, NotClosed, TooLarge
 from arrcensus.exact_linalg import rank
 from arrcensus.normal_system import (first_dependent_subset,
@@ -445,15 +447,19 @@ def test_freeness_matches_rank_oracle_on_seeded_systems(n, m):
         assert non_free  # bound 2 gives non-free verdicts to compare
 
 
+BFS_SHAPES = [(5, 2), (6, 2), (6, 3), (7, 4), (6, 4), (7, 5), (8, 5)]
+
+
 def test_freeness_matches_tuple_bfs_oracle():
     # the closed-family crawl against the search over independent tuples
-    # of walls: gallery systems, seeded shapes at three bounds, and seeded
-    # (7,2) and (7,3) systems whose witnesses are smaller than n - m
+    # of walls: gallery systems, seeded shapes at five bounds (the large
+    # ones make wide slots in the packed rows), and seeded (7,2) and
+    # (7,3) systems whose witnesses are smaller than n - m
     systems = [getattr(gallery, name)()
                for name in FREE_GALLERY + tuple(GALLERY_WITNESSES)]
-    for n, m in [(5, 2), (6, 2), (6, 3), (7, 4), (6, 4), (7, 5), (8, 5)]:
+    for n, m in BFS_SHAPES:
         systems += [random_normal_system(n, m, seed=seed, bound=bound)
-                    for bound in (2, 3, 9) for seed in range(2)]
+                    for bound in (2, 3, 9, 1000, 10**6) for seed in range(2)]
     systems += [random_normal_system(7, 2, seed=seed, bound=3)
                 for seed in range(2)]
     systems += [random_normal_system(7, 3, seed=seed, bound=2)
@@ -464,6 +470,103 @@ def test_freeness_matches_tuple_bfs_oracle():
         assert (v.free, v.witness) == tuple_bfs_free(ns), ns
         small += not v.free and len(v.witness) < ns.n - ns.m
     assert small >= 4
+
+
+def crawl_vectors(monkeypatch):
+    """Patch _pivot to record every annihilator vector it reads or makes;
+    returns the list it fills."""
+    seen = []
+    pivot = concurrency._pivot
+
+    def recording(zs, r):
+        out = pivot(zs, r)
+        seen.extend(zs + out)
+        return out
+
+    monkeypatch.setattr(concurrency, "_pivot", recording)
+    return seen
+
+
+def assert_slots_hold_every_dot(seen, ns):
+    # every dot of a crawl vector with a wall fits its slot with room to
+    # spare, the bound that keeps one slot from carrying into the next
+    seen.clear()
+    is_concurrency_free(ns)
+    rows = quotient_rows(build(ns))
+    kmax = ns.n - ns.m
+    units = [tuple(int(i == j) for i in range(kmax)) for j in range(kmax)]
+    vectors = set(seen + units)
+    # the bound rests on each vector being primitive
+    assert all(gcd(*z) == 1 for z in vectors), ns
+    top = max(abs(sum(map(mul, z, r))) for z in vectors for r in rows)
+    assert top < 1 << _slot_width(rows) - 2, ns
+
+
+def test_slot_width_is_the_least_that_holds_the_norm_product():
+    # W - 2 is the bit length of the product of the k largest row norms,
+    # each rounded up, for rows of length k
+    rng = random.Random(3)
+    assert _slot_width([(1, 1), (1, 0)]) == 4  # 2 * 1 < 2^2
+    assert _slot_width([(3, 4), (0, 5), (1, 0)]) == 7  # 5 * 5 < 2^5
+    for _ in range(200):
+        k = rng.randint(1, 5)
+        rows = [tuple(rng.randint(-30, 30) for _ in range(k))
+                for _ in range(rng.randint(k, 12))]
+        rows = [r for r in rows if any(r)]  # quotient rows are nonzero
+        norms = sorted((ceil(sqrt(sum(x * x for x in r))) for r in rows),
+                       reverse=True)
+        top = prod(norms[:k])
+        width = _slot_width(rows)
+        assert 1 << width - 3 <= top < 1 << width - 2, rows
+
+
+@pytest.mark.parametrize("n,m", BFS_SHAPES + [(7, 2), (7, 3)])
+def test_packed_slots_hold_every_dot(monkeypatch, n, m):
+    seen = crawl_vectors(monkeypatch)
+    for bound in (2, 9, 1000, 10**6):
+        assert_slots_hold_every_dot(
+            seen, random_normal_system(n, m, seed=1, bound=bound))
+
+
+def test_packed_slots_hold_every_dot_on_rational_systems(monkeypatch):
+    seen = crawl_vectors(monkeypatch)
+    for n, m in [(5, 2), (6, 2), (6, 3), (7, 4)]:
+        for ns in ([rational_draw(n, m, seed, num)
+                    for num, seeds in ((2, 2), (9, 1))
+                    for seed in range(seeds)]
+                   + [scaled_draw(n, m, seed, 2) for seed in range(4)]):
+            assert_slots_hold_every_dot(seen, ns)
+
+
+def test_packed_crawl_work_counts(monkeypatch):
+    # six_lines_free is free, so the crawl reaches every rank: one pivot
+    # per family of rank 1 .. kmax - 1, at most one packed product per
+    # annihilator vector, and no scalar dot outside the pivots
+    counts = dict.fromkeys(["pivots", "pivot_dots", "products", "muls"], 0)
+    pivot, zero_slots = concurrency._pivot, concurrency._zero_slots
+
+    def counting_pivot(zs, r):
+        counts["pivots"] += 1
+        counts["pivot_dots"] += len(zs) * len(r)
+        return pivot(zs, r)
+
+    def counting_zero_slots(*args):
+        counts["products"] += 1
+        return zero_slots(*args)
+
+    def counting_mul(a, b):
+        counts["muls"] += 1
+        return a * b
+
+    monkeypatch.setattr(concurrency, "_pivot", counting_pivot)
+    monkeypatch.setattr(concurrency, "_zero_slots", counting_zero_slots)
+    monkeypatch.setattr(concurrency, "mul", counting_mul)
+    assert is_concurrency_free(gallery.six_lines_free()).free
+    lattice = _lattice(6, 2)
+    assert counts["pivots"] == 321 == sum(map(len, lattice[1:-1]))
+    assert sum(len(level) * (4 - k) for k, level in enumerate(lattice)) \
+        == 480 >= counts["products"]
+    assert counts["muls"] == counts["pivot_dots"] > 0
 
 
 LATTICE_COUNTS = {(6, 2): [20, 115, 186], (7, 3): [35, 406, 1687],

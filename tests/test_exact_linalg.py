@@ -254,6 +254,16 @@ def test_parse_rational_refuses_bools_and_floats():
     assert parse_rational(2) == 2 and parse_rational("1.5") == Fraction(3, 2)
 
 
+def test_parse_rational_refuses_non_ascii_strings():
+    # Fraction reads Arabic-Indic and full-width digits; an input value
+    # may use the digits 0-9 only, in every input that parse_rational reads
+    for bad in ["\u0661", "-\u0661\u0662", "1/\u0662", "\uff13", "\u00b2",
+                "1\u00a0", "\u0661_0"]:
+        with pytest.raises(BadRational) as exc:
+            parse_rational(bad, row=2, column=1)
+        assert exc.value.payload == {"got": bad, "row": 2, "column": 1}
+
+
 def test_nullspace_vectors_annihilate_and_count():
     rng = random.Random(505)
     for _ in range(80):
