@@ -3,27 +3,31 @@
 whitney_charpoly is the production engine: the subset sum of (-1)^|B|
 x^(n - rank B) over all 2^N subsets of hyperplanes, evaluated by the
 deletion recursion memoised on flats.  The recursion is rows_charpoly,
-which takes any integer rows of full column rank k and closes each flat
-of rank k - 1 in one step, so its memo holds the flats below rank k that
-it reaches; whitney_charpoly runs it on the walls cut to the k = n - m
-quotient coordinates of discriminantal.quotient_rows, where every linear
-dependence is kept.  poset_charpoly reads the whole lattice of flats of
-the same quotient rows from exact_linalg.flat_levels, the crawl the cone
+which takes any integer rows of full column rank k and runs on the
+packed annihilator kernel of exact_linalg: a flat is the mask of its
+rows, carried by integer vectors that annihilate its span, each cover
+costs one pivot and one packed product per vector, and a flat of rank
+k - 2 is closed by counting its covers; whitney_charpoly runs it on the
+walls cut to the k = n - m quotient coordinates of
+discriminantal.quotient_rows, where every linear dependence is kept.
+poset_charpoly reads the whole lattice of flats of the same quotient
+rows from exact_linalg.flat_levels, the echelon crawl the cone
 composition of chambers reads too, and runs the Mobius recursion; it is
-kept as a cross-check for the tests, and no command runs it.  Both key
-flats by the integer echelon bases of exact_linalg and share one budget,
-FLAT_LIMIT.  combinatorial_charpoly never touches a matrix: it sums a
-product formula over the closed families of concurrency sets, so it
-speaks only about concurrency-free systems.  All three must agree wherever
-their domains overlap; the cone census rests on that agreement.
+kept as a cross-check for the tests, and no command runs it.  Both count
+the flats below the top against one budget, FLAT_LIMIT.
+combinatorial_charpoly never touches a matrix: it sums a product formula
+over the closed families of concurrency sets, so it speaks only about
+concurrency-free systems.  All three must agree wherever their domains
+overlap; the cone census rests on that agreement.
 """
 
-from math import prod
+from math import gcd, prod
+from operator import add, mul
 
 from .concurrency import _check_universe, _lattice, _rank
 from .discriminantal import quotient_rows
 from .errors import OddRegionCount, TooLarge
-from .exact_linalg import echelon_insert, echelon_residual, flat_levels
+from .exact_linalg import _pack, _pivot, _zero_slots, flat_levels
 
 FLAT_LIMIT = 200000  # distinct flats either matrix engine may hold
 
@@ -145,46 +149,101 @@ def rows_charpoly(rows, n):
 
         G(i, V) = x^(k - rank V) - sum over j >= i of G(j+1, V + row_j),
 
-    where a term survives only if row_j is the last row inside V + row_j:
-    the last of the rows whose residuals against V agree.  So every state
-    is a flat evaluated one past its last row, the memo is keyed by the
-    flat alone and the recursion is at most rank deep.  A zero row lies
-    in every flat, so chi is 0 when there is one.
+    where a term survives only if row_j is the last row inside V + row_j.
+    So every state is a flat evaluated one past its last row, the memo is
+    keyed by the flat alone and the recursion is at most rank deep.  A
+    zero row lies in every flat, so chi is 0 when there is one.
 
-    A flat of rank k - 1 is closed at once: every row j >= i lies outside
-    it and completes it to the top, so only the last row survives and
-    G = x - [i < N], with no residual taken.  The memo holds the flats
-    below the top that the recursion reaches, the top itself is never
-    stored, and TooLarge is raised before it would hold more than
-    FLAT_LIMIT of them.
+    The recursion runs on the packed annihilator kernel of exact_linalg.
+    The rows are packed once, one W-bit slot per row (_pack), and a flat
+    is the slot mask of its rows.  A flat of corank c carries c integer
+    vectors that annihilate exactly its span; the root carries the unit
+    vectors.  The covers of a flat F from rows i.. are found one at a
+    time at the first row q left: one _pivot on row q gives the vectors
+    of the cover H = F + row q, the AND of one _zero_slots mask per
+    vector gives the rows of H, one AND drops them all from the rows
+    left, and H is evaluated one past its top slot.  A flat of corank 2
+    closes by counting: each of its c covers H has corank 1 and is
+    evaluated as x - [j < N], j one past the last row of H, and only the
+    cover holding row N - 1 has j = N, so G(i, F) = x^2 - c x +
+    (c - [i < N]).  Finding such a cover takes its one vector, made
+    inline as _pivot makes it, and one packed product.
+
+    This is exact, as in point (4) of concurrency.is_concurrency_free.
+    The rows on the path from the root to a flat are independent, since
+    each pivot row lies outside the mask of the flat it extends, and
+    every vector is the primitive multiple of a cofactor vector of the
+    path rows on their pivot columns and one column more.  So a dot
+    z . r_q is a minor of the rows divided by a positive integer, which
+    Hadamard's inequality bounds by the product of the k largest row
+    norms, below 2^(W - 2): no slot carries into the next.
+
+    The memo holds, by mask, the flats of corank 2 and more that the
+    recursion reaches, the root included; a set holds the masks of the
+    flats of corank 1, and the top is never stored.  The recursion
+    reaches every flat below the top, and TooLarge is raised as soon as
+    memo and set together hold more than FLAT_LIMIT flats.
     """
-    N = len(rows)
-    k = len(rows[0]) if rows else 0
-    if not all(any(row) for row in rows):
+    if not rows:
+        return _from_exponents(n, [0] * n + [1])
+    if not all(map(any, rows)):
         return _from_exponents(n, [0] * (n + 1))
-    memo = {}
+    N, k = len(rows), len(rows[0])
+    width, cols, high, low = _pack(rows)
+    memo = {}  # mask of a flat of corank >= 2 -> G, by exponent
+    lines = set()  # masks of the flats of corank 1
 
-    def go(flat, start):
-        out = memo.get(flat)
-        if out is None:
-            out = [0] * (k + 1)  # out[e] is the coefficient of x^e
-            out[k - len(flat)] = 1
-            if len(flat) == k - 1:
-                out[0] = -(start < N)
-            else:
-                last = {}  # residual -> last row giving it
-                for j in range(start, N):
-                    last[echelon_residual(flat, rows[j])] = j
-                for w, j in last.items():
-                    sub = go(echelon_insert(flat, w), j + 1)
-                    out = [a - b for a, b in zip(out, sub)]
-            if len(memo) >= FLAT_LIMIT:
-                raise TooLarge("flat states exceed the memory guard",
-                               limit=FLAT_LIMIT)
-            memo[flat] = out
-        return out
+    def hold():
+        if len(memo) + len(lines) > FLAT_LIMIT:
+            raise TooLarge("flat states exceed the memory guard",
+                           limit=FLAT_LIMIT)
 
-    return _from_exponents(n, [0] * (n - k) + go((), 0))
+    def go(zs, start):
+        # G(start, F) for the flat F annihilated by zs, by exponent
+        rest = high >> width * start << width * start  # rows start..
+        if len(zs) == 1:  # the root, when k = 1
+            return [-(start < N), 1]
+        if len(zs) == 2:
+            z1, z2 = zs
+            c = 0
+            while rest:
+                r = rows[(rest & -rest).bit_length() // width - 1]
+                d1 = sum(map(mul, z1, r))
+                if not d1:
+                    z = z1
+                else:
+                    d2 = sum(map(mul, z2, r))
+                    if not d2:
+                        z = z2
+                    else:
+                        z = [d1 * y - d2 * x for x, y in zip(z1, z2)]
+                        g = gcd(*z)
+                        if g > 1:
+                            z = [x // g for x in z]
+                line = _zero_slots(z, cols, high, low)
+                rest &= ~line
+                lines.add(line)
+                c += 1
+            hold()
+            return [c - (start < N), -c, 1]
+        acc = [0] * len(zs)
+        while rest:
+            ws = _pivot(zs, rows[(rest & -rest).bit_length() // width - 1])
+            G = high
+            for z in ws:
+                G &= _zero_slots(z, cols, high, low)
+            rest &= ~G
+            sub = memo.get(G)
+            if sub is None:
+                sub = memo[G] = go(ws, G.bit_length() // width)
+                hold()
+            acc = list(map(add, acc, sub))
+        return [-a for a in acc] + [1]
+
+    units = tuple((0,) * j + (1,) + (0,) * (k - 1 - j) for j in range(k))
+    memo[0] = go(units, 0)  # the root, the flat {0}
+    hold()
+    return _from_exponents(n, [0] * (n - k) + memo[0])
 
 
 def whitney_charpoly(da):

@@ -39,7 +39,7 @@ from .concurrency import (SubsetCollection, base_collection,
                           concurrency_orders, is_concurrency_free)
 from .discriminantal import build, da_to_dict
 from .errors import ArrangementError, TooLarge
-from .exact_linalg import parse_rational
+from .exact_linalg import _INTEGER, parse_rational
 from .normal_system import (Arrangement, arrangement_from_b, ns_from_dict,
                             ns_to_dict, random_normal_system)
 
@@ -64,6 +64,15 @@ def _load_ns(path, max_subsets):
         _guard_subsets(len(data["rows"]), data["m"], max_subsets)
         _guard_minors(len(data["rows"]), data["m"], max_subsets)
     return ns_from_dict(data), dig
+
+
+def _integer(text):
+    """The type of every integer option: ASCII digits after an optional
+    minus sign, nothing else.  int would also read '٤' (as 4), '+4',
+    '4_0' and ' 4'; here they are usage errors, as 'x' is."""
+    if not _INTEGER(text):
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+    return int(text)
 
 
 def _parse_b(text):
@@ -375,19 +384,20 @@ def _build_parser():
     fmt.add_argument("--format", choices=["json", "csv", "text"],
                      default="json")
     sized = argparse.ArgumentParser(add_help=False, parents=[fmt])
-    sized.add_argument("--max-subsets", type=int, default=DEFAULT_MAX_SUBSETS)
+    sized.add_argument("--max-subsets", type=_integer,
+                       default=DEFAULT_MAX_SUBSETS)
     seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=0)
+    seeded.add_argument("--seed", type=_integer, default=0)
     capped = argparse.ArgumentParser(add_help=False)
-    capped.add_argument("--max-chambers", type=int,
+    capped.add_argument("--max-chambers", type=_integer,
                         default=DEFAULT_MAX_CHAMBERS)
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", parents=[sized, seeded],
                        help="sample a random valid normal system")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--bound", type=int, default=9)
+    p.add_argument("--n", type=_integer, required=True)
+    p.add_argument("--m", type=_integer, required=True)
+    p.add_argument("--bound", type=_integer, default=9)
     p.add_argument("--out")
 
     p = sub.add_parser("disc", parents=[sized],
@@ -423,8 +433,8 @@ def _build_parser():
     p = sub.add_parser("closure", parents=[fmt],
                        help="concurrency closure, orders, base, rank")
     p.add_argument("--collection")
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
+    p.add_argument("--n", type=_integer)
+    p.add_argument("--m", type=_integer)
     p.add_argument("--members")
 
     p = sub.add_parser("regions", parents=[sized],
@@ -447,14 +457,14 @@ def _build_parser():
                        help="verify a catalog and cross-validate classes")
     p.add_argument("--ns", required=True)
     p.add_argument("--catalog")
-    p.add_argument("--pairs", type=int, default=50)
+    p.add_argument("--pairs", type=_integer, default=50)
 
     p = sub.add_parser("census", parents=[sized],
                        help="one table row: chi, cones, classes")
     p.add_argument("--mode", choices=["concurrency-free", "ns-file"],
                    default="concurrency-free")
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
+    p.add_argument("--n", type=_integer)
+    p.add_argument("--m", type=_integer)
     p.add_argument("--ns")
 
     return top

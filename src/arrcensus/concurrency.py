@@ -25,23 +25,23 @@ parent one rank lower and the wall that closes the parent to it; the
 combinatorial charpoly, the enumeration and the freeness decision all
 read it.  Freeness crawls that table once per normal system, with one
 set of integer annihilator vectors per family, each tested against
-every wall at once by one product with the rows packed into a big
-integer.  It is exact because the linear rank of any set of walls is at
-most the combinatorial rank of its closure, so while no lower rank
-fails, the walls on a family's path span every wall of the family; the
-first family that a wall outside it falls into the span of gives a
-witness of the least size (is_concurrency_free has the argument in
-full).
+every wall at once by one product with the rows packed into big
+integers (the packed kernel of exact_linalg).  It is exact because the
+linear rank of any set of walls is at most the combinatorial rank of
+its closure, so while no lower rank fails, the walls on a family's path
+span every wall of the family; the first family that a wall outside it
+falls into the span of gives a witness of the least size
+(is_concurrency_free has the argument in full).
 """
 
 from functools import lru_cache
 from itertools import combinations
-from math import comb, gcd, isqrt, prod
-from operator import mul
+from math import comb
 
 from .discriminantal import build, quotient_rows
 from .errors import (BadArtifact, BadShape, BadSubsetSize, NotClosed,
                      TooLarge)
+from .exact_linalg import _pack, _pivot, _zero_slots
 
 MAX_UNIVERSE = 36  # largest C(n, m+1) the enumeration strategies accept
 
@@ -403,11 +403,7 @@ def is_concurrency_free(ns):
     kmax = n - m
     rows = quotient_rows(build(ns))
     lattice = _lattice(n, m)
-    width = _slot_width(rows)
-    cols = [sum(r[j] << width * q for q, r in enumerate(rows))
-            for j in range(kmax)]
-    low = ((1 << width * len(rows)) - 1) // ((1 << width) - 1)
-    high = low << width - 1
+    width, cols, high, low = _pack(rows)
 
     zss = [tuple(tuple(int(i == j) for i in range(kmax))
                  for j in range(kmax))]
@@ -436,37 +432,6 @@ def is_concurrency_free(ns):
     return FreeVerdict(True)
 
 
-def _slot_width(rows):
-    """Bits per wall in the packed rows: the least W for which the
-    product of the len(rows[0]) largest row norms, each rounded up, is
-    below 2^(W - 2), so every slot holds a dot of any annihilator vector
-    of the crawl, offset by 2^(W - 1), with no carry."""
-    norms = []
-    for r in rows:
-        s = sum(x * x for x in r)
-        c = isqrt(s)
-        norms.append(c + (c * c < s))
-    norms.sort(reverse=True)
-    return prod(norms[:len(rows[0])]).bit_length() + 2
-
-
-def _zero_slots(z, cols, high, low):
-    """Mask of the walls orthogonal to z: the top bit of each slot whose
-    dot z . r_q is zero.
-
-    p holds z . r_q + 2^(W - 1) in slot q (high is 2^(W - 1) in every
-    slot, low is 1).  Setting each top bit and subtracting 1 per slot
-    borrows out of the top bit exactly where the low W - 1 bits are
-    zero, that is where the dot is zero (a negative dot leaves them at
-    2^(W - 1) minus its size); no slot borrows from the next.
-    """
-    p = high
-    for x, c in zip(z, cols):
-        if x:
-            p += x * c
-    return high & ~((p | high) - low)
-
-
 def _greedy_basis(m, subsets, imasks, walls):
     """Lex-first combinatorial basis of the walls in a position mask."""
     family, basis = (), []
@@ -477,24 +442,3 @@ def _greedy_basis(m, subsets, imasks, walls):
                 family = grown
                 basis.append(subsets[q])
     return tuple(basis)
-
-
-def _pivot(zs, r):
-    """Annihilator basis of the rows behind zs plus one row r outside
-    their span: the first z with z . r != 0 is the pivot, and every later
-    z with a nonzero dot is combined with it to vanish on r and divided
-    by its gcd (the z before the pivot have a zero dot)."""
-    out = []
-    pivot = None
-    for z in zs:
-        d = sum(map(mul, z, r))
-        if d:
-            if pivot is None:
-                pivot = z, d
-                continue
-            zj, dj = pivot
-            v = [dj * x - d * y for x, y in zip(z, zj)]
-            g = gcd(*v)
-            z = tuple([x // g for x in v] if g > 1 else v)
-        out.append(z)
-    return tuple(out)

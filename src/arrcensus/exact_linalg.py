@@ -2,7 +2,8 @@
 
 Scalars are fractions.Fraction (always reduced, positive denominator) or
 plain ints: the flat kernel (primitive_int_rows, echelon_residual,
-echelon_insert and the crawl flat_levels), the table of maximal minors
+echelon_insert and the crawl flat_levels), the packed annihilator kernel
+(_slot_width, _pack, _zero_slots and _pivot), the table of maximal minors
 (minor_table) and the elimination inside rank, determinant and
 feasible_strict run on integers only.  Matrices are plain
 sequences of rows; rows are sequences of Fractions or ints.  A row whose
@@ -14,8 +15,8 @@ counts downstream hinge on exact degeneracies that rounding destroys.
 import re
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
-from operator import mul
+from math import gcd, isqrt, lcm, prod
+from operator import lshift, mul
 
 from .errors import BadRational, BadShape
 
@@ -307,6 +308,78 @@ def flat_levels(rows):
                 up[G][1].append((F, w))
         level = up
         yield level
+
+
+# The packed annihilator kernel.  Integer rows of length k are packed
+# column by column into k big integers, one W-bit slot per row, so one
+# product of an integer vector z with the packed columns gives z . r for
+# every row r at once.  A set of rows is then a slot mask: the top bit
+# of the slot of each row in it.  A flat of rank d is carried by k - d
+# integer vectors that annihilate exactly its span, and each is kept
+# primitive, so every dot fits its slot (see _slot_width).
+
+
+def _slot_width(rows):
+    """Bits per row in the packed rows: the least W for which the
+    product of the len(rows[0]) largest row norms, each rounded up, is
+    below 2^(W - 2), so every slot holds a dot of any annihilator vector
+    a pivot path makes, offset by 2^(W - 1), with no carry."""
+    norms = []
+    for r in rows:
+        s = sum(x * x for x in r)
+        c = isqrt(s)
+        norms.append(c + (c * c < s))
+    norms.sort(reverse=True)
+    return prod(norms[:len(rows[0])]).bit_length() + 2
+
+
+def _pack(rows):
+    """The rows packed for _zero_slots: (W, cols, high, low), with cols[j]
+    holding entry j of row q in slot q, high 2^(W - 1) in every slot and
+    low 1 in every slot."""
+    width = _slot_width(rows)
+    shifts = range(0, width * len(rows), width)
+    cols = [sum(map(lshift, col, shifts)) for col in zip(*rows)]
+    low = ((1 << width * len(rows)) - 1) // ((1 << width) - 1)
+    return width, cols, low << width - 1, low
+
+
+def _zero_slots(z, cols, high, low):
+    """Mask of the rows orthogonal to z: the top bit of each slot whose
+    dot z . r_q is zero.
+
+    p holds z . r_q + 2^(W - 1) in slot q (high is 2^(W - 1) in every
+    slot, low is 1).  Setting each top bit and subtracting 1 per slot
+    borrows out of the top bit exactly where the low W - 1 bits are
+    zero, that is where the dot is zero (a negative dot leaves them at
+    2^(W - 1) minus its size); no slot borrows from the next.
+    """
+    p = high
+    for x, c in zip(z, cols):
+        if x:
+            p += x * c
+    return high & ~((p | high) - low)
+
+
+def _pivot(zs, r):
+    """Annihilator basis of the rows behind zs plus one row r outside
+    their span: the first z with z . r != 0 is the pivot, and every later
+    z with a nonzero dot is combined with it to vanish on r and divided
+    by its gcd (the z before the pivot have a zero dot)."""
+    out = []
+    pivot = None
+    for z in zs:
+        d = sum(map(mul, z, r))
+        if d:
+            if pivot is None:
+                pivot = z, d
+                continue
+            zj, dj = pivot
+            v = [dj * x - d * y for x, y in zip(z, zj)]
+            g = gcd(*v)
+            z = tuple([x // g for x in v] if g > 1 else v)
+        out.append(z)
+    return tuple(out)
 
 
 def nullspace_basis(mat):

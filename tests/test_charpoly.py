@@ -10,7 +10,8 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb
+from math import comb, gcd
+from operator import mul
 
 import pytest
 
@@ -26,9 +27,10 @@ from arrcensus.charpoly import (
     zaslavsky_regions,
 )
 from arrcensus.concurrency import SubsetCollection, combinatorial_rank
-from arrcensus.discriminantal import build, da_to_dict
+from arrcensus.discriminantal import build, da_to_dict, quotient_rows
 from arrcensus.errors import OddRegionCount, TooLarge
-from arrcensus.exact_linalg import (lex_independent_columns,
+from arrcensus.exact_linalg import (_slot_width, flat_levels,
+                                    lex_independent_columns,
                                     primitive_int_rows, rank)
 from arrcensus.normal_system import (first_dependent_subset, ns_from_dict,
                                      random_normal_system, validate)
@@ -352,6 +354,145 @@ def test_whitney_flat_state_count(monkeypatch):
     monkeypatch.setattr(mod, "FLAT_LIMIT", 4)
     with pytest.raises(TooLarge):
         whitney_charpoly(da)
+
+
+def flats_below_top(da):
+    # every flat of the quotient rows but the top, counted by the crawl
+    return sum(map(len, list(flat_levels(quotient_rows(da)))[:-1]))
+
+
+@pytest.mark.parametrize("name,k,below", [("five_lines", 3, 31),
+                                          ("six_lines_free", 4, 322)])
+def test_whitney_guard_counts_the_flats_below_the_top(monkeypatch, name, k,
+                                                      below):
+    # the memo (corank 2 and more) and the set of corank-1 masks together
+    # hold every flat below the top, so FLAT_LIMIT at that count passes
+    # and one less raises
+    import arrcensus.charpoly as mod
+    da = build(getattr(gallery, name)())
+    assert da.n - da.m == k and flats_below_top(da) == below
+    expected = chi(name)
+    monkeypatch.setattr(mod, "FLAT_LIMIT", below)
+    assert whitney_charpoly(da) == expected
+    monkeypatch.setattr(mod, "FLAT_LIMIT", below - 1)
+    with pytest.raises(TooLarge):
+        whitney_charpoly(da)
+
+
+def test_whitney_runs_on_the_packed_kernel_alone(monkeypatch):
+    # rows_charpoly takes no echelon residual and no echelon insert: its
+    # flats are masks of the packed rows
+    das = [build(getattr(gallery, name)()) for name in GALLERY]
+    das += [build(random_normal_system(n, m, seed=n * m, bound=bound))
+            for n, m in [(5, 2), (6, 2), (6, 3), (7, 3), (7, 4)]
+            for bound in (2, 9)]
+    expected = [poset_charpoly(da) for da in das]
+
+    def refuse(*args):
+        raise AssertionError("echelon kernel called")
+
+    assert not hasattr(charpoly, "echelon_residual")
+    assert not hasattr(charpoly, "echelon_insert")
+    monkeypatch.setattr(exact_linalg, "echelon_residual", refuse)
+    monkeypatch.setattr(exact_linalg, "echelon_insert", refuse)
+    assert [whitney_charpoly(da) for da in das] == expected
+
+
+def recursion_vectors(monkeypatch):
+    """Patch _pivot and _zero_slots in charpoly to record every
+    annihilator vector the recursion reads or makes; returns the list it
+    fills (the inline vectors of corank-2 flats reach _zero_slots)."""
+    seen = []
+    pivot, zero_slots = charpoly._pivot, charpoly._zero_slots
+
+    def recording_pivot(zs, r):
+        out = pivot(zs, r)
+        seen.extend(zs + out)
+        return out
+
+    def recording_zero_slots(z, *args):
+        seen.append(tuple(z))
+        return zero_slots(z, *args)
+
+    monkeypatch.setattr(charpoly, "_pivot", recording_pivot)
+    monkeypatch.setattr(charpoly, "_zero_slots", recording_zero_slots)
+    return seen
+
+
+def assert_recursion_dots_fit(seen, da):
+    # every vector is primitive and its dot with every row fits a slot
+    # with room to spare, the bound that keeps one slot from carrying
+    # into the next
+    seen.clear()
+    rows = quotient_rows(da)
+    rows_charpoly(rows, da.n)
+    k = len(rows[0])
+    units = [tuple(int(i == j) for i in range(k)) for j in range(k)]
+    vectors = set(seen + units)
+    assert len(vectors) > k or k < 3
+    assert all(gcd(*z) == 1 for z in vectors), da.normals
+    top = max(abs(sum(map(mul, z, r))) for z in vectors for r in rows)
+    assert top < 1 << _slot_width(rows) - 2, da.normals
+
+
+SWEEP = [(n, m) for n in range(3, 8) for m in range(2, min(n, 6))]
+
+
+@pytest.mark.parametrize("n,m", SWEEP)
+def test_recursion_slots_hold_every_dot(monkeypatch, n, m):
+    seen = recursion_vectors(monkeypatch)
+    for bound in (2, 9, 1000, 10**6):
+        assert_recursion_dots_fit(
+            seen, build(random_normal_system(n, m, seed=1, bound=bound)))
+
+
+def test_recursion_slots_hold_every_dot_on_rational_systems(monkeypatch):
+    seen = recursion_vectors(monkeypatch)
+    for seed, (n, m) in enumerate([(5, 2), (6, 2), (6, 3), (7, 4), (7, 3),
+                                   (6, 4)]):
+        assert_recursion_dots_fit(seen, build(rational_system(n, m, seed)))
+
+
+@pytest.mark.parametrize("bound", [1000, 10**6])
+def test_whitney_equals_poset_at_large_entries(bound):
+    # wide slots: entries up to 10^6 make minors of 30 bits and more
+    for n, m in SWEEP:
+        if (n, m) == (7, 2):
+            continue  # its poset crawl takes seconds
+        da = build(random_normal_system(n, m, seed=2, bound=bound))
+        assert whitney_charpoly(da) == poset_charpoly(da), (n, m, bound)
+
+
+def test_whitney_work_counts(monkeypatch):
+    # six_lines_free, k = 4: the root and the 20 flats of rank 1 have
+    # corank 4 and 3 and take one pivot per cover, 20 + 145; a cover takes
+    # one packed product per vector it carries, 3, 2 or 1, 710 in all.
+    # The memo holds the 1 + 20 + 115 flats of corank 2 and more, and the
+    # 186 flats of corank 1 are only counted.
+    counts = dict.fromkeys(["pivots", "products"], 0)
+    made = set()  # row masks of the flats the pivots make
+    pivot, zero_slots = charpoly._pivot, charpoly._zero_slots
+    da = build(gallery.six_lines_free())
+    rows = quotient_rows(da)
+
+    def counting_pivot(zs, r):
+        counts["pivots"] += 1
+        out = pivot(zs, r)
+        made.add(sum(1 << q for q, row in enumerate(rows)
+                     if not any(sum(map(mul, z, row)) for z in out)))
+        return out
+
+    def counting_zero_slots(*args):
+        counts["products"] += 1
+        return zero_slots(*args)
+
+    monkeypatch.setattr(charpoly, "_pivot", counting_pivot)
+    monkeypatch.setattr(charpoly, "_zero_slots", counting_zero_slots)
+    assert whitney_charpoly(da) == chi("six_lines_free")
+    assert counts == {"pivots": 165, "products": 710}
+    levels = [len(level) for level in flat_levels(rows)]
+    assert levels == [1, 20, 115, 186, 1]
+    assert 1 + len(made) == 136 == sum(levels[:3])
 
 
 def test_poset_flat_guard(monkeypatch):

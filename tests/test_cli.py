@@ -797,6 +797,47 @@ def test_usage_error_exit_2(capsys):
     assert exc.value.code == 2
 
 
+INTEGER_OPTIONS = [
+    ["closure", "--n", "{}", "--m", "2", "--members", "123"],
+    ["closure", "--n", "4", "--m", "{}", "--members", "123"],
+    ["gen", "--n", "{}", "--m", "2"], ["gen", "--n", "4", "--m", "{}"],
+    ["gen", "--n", "4", "--m", "2", "--seed", "{}"],
+    ["gen", "--n", "4", "--m", "2", "--bound", "{}"],
+    ["census", "--n", "{}", "--m", "2"], ["census", "--n", "4", "--m", "{}"],
+    ["count", "--ns", "ns.json", "--max-subsets", "{}"],
+    ["chambers", "--ns", "ns.json", "--max-chambers", "{}"],
+    ["catalog-verify", "--ns", "ns.json", "--pairs", "{}"],
+    ["catalog-verify", "--ns", "ns.json", "--seed", "{}"],
+]
+
+
+@pytest.mark.parametrize("value", ["\u0664", "\u00b2", "\uff14", "x", "+4",
+                                   "4_0", " 4", "4.0", ""])
+def test_integer_options_take_ascii_digits_only(capsys, value):
+    # an Arabic-Indic or fullwidth four, a superscript two, a sign, an
+    # underscore or a space is a usage error, as "x" is; int would read
+    # all but the superscript
+    for argv in INTEGER_OPTIONS:
+        argv = [a.format(value) for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert "invalid int value" in capsys.readouterr().err, argv
+
+
+def test_negative_integer_options_reach_their_domain_errors(capsys):
+    for argv, kind in [
+            (["closure", "--n", "-4", "--m", "2", "--members", "123"],
+             "BadSubsetSize"),
+            (["census", "--n", "-3", "--m", "2"], "BadShape"),
+            (["gen", "--n", "4", "--m", "2", "--bound", "-1"], "BadShape")]:
+        code, _, err, _ = run(capsys, *argv)
+        assert code == 1 and err["error"]["type"] == kind, argv
+    code, rep, _, _ = run(capsys, "closure", "--n", "0004", "--m", "2",
+                          "--members", "123")
+    assert code == 0 and rep["payload"]["closure"]["n"] == 4
+
+
 # a call of each subcommand that answers on the four_lines system (NS)
 _MINIMAL = {
     "gen": ["--n", "4", "--m", "2"],

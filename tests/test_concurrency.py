@@ -15,7 +15,7 @@ from operator import mul
 
 import pytest
 
-from arrcensus import concurrency, gallery
+from arrcensus import concurrency, exact_linalg, gallery
 from arrcensus.charpoly import combinatorial_charpoly
 from arrcensus.concurrency import (
     FreeVerdict,
@@ -23,7 +23,6 @@ from arrcensus.concurrency import (
     _collection,
     _lattice,
     _rank,
-    _slot_width,
     _step,
     _universe,
     base_collection,
@@ -39,7 +38,7 @@ from arrcensus.concurrency import (
 )
 from arrcensus.discriminantal import build, quotient_rows
 from arrcensus.errors import BadShape, BadSubsetSize, NotClosed, TooLarge
-from arrcensus.exact_linalg import rank
+from arrcensus.exact_linalg import _slot_width, rank
 from arrcensus.normal_system import (first_dependent_subset,
                                      random_normal_system, validate)
 
@@ -560,7 +559,9 @@ def test_packed_crawl_work_counts(monkeypatch):
 
     monkeypatch.setattr(concurrency, "_pivot", counting_pivot)
     monkeypatch.setattr(concurrency, "_zero_slots", counting_zero_slots)
-    monkeypatch.setattr(concurrency, "mul", counting_mul)
+    # _pivot's dots are in exact_linalg; concurrency itself takes none
+    monkeypatch.setattr(exact_linalg, "mul", counting_mul)
+    monkeypatch.setattr(concurrency, "mul", counting_mul, raising=False)
     assert is_concurrency_free(gallery.six_lines_free()).free
     lattice = _lattice(6, 2)
     assert counts["pivots"] == 321 == sum(map(len, lattice[1:-1]))
