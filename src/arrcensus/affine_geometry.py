@@ -8,16 +8,23 @@ arrangements, the special point of a four-line arrangement, and the
 verification that crossing one wall of the associated central arrangement
 swaps exactly one pair of vertices on each affected line.
 
-Every reading comes from one integer vertex table: the vertex of each
-m-subset S is the signed maximal minors of the homogenized rows
-(a_i, -b_i) of S, and the sign of every other row there.  The same minors
-decide genericity (no m+1 hyperplanes through a common point), which is
-checked exactly before any geometric reading; a row vanishes at a vertex
-exactly when b lies on a hyperplane of the discriminantal arrangement of
-the system.  Line directions are the minors of the normals alone.  No
-Fraction is made except for the line parameters that vertex_orders
-returns, and no LP is run: the wall of a swap is read off the two sign
-vectors.
+Every reading but the line parameters comes from two sign tables: the
+sign vector of b, s_T = sign f_T(b) for every wall T of the
+discriminantal arrangement of the system, and the signs of the system's
+one table of m x m minors (NormalSystem.minors).  f_T(b) is minus the
+determinant of the homogenized rows (a_i, -b_i) of T, so the sign vector
+is the chirotope of the homogenized configuration (Bjorner, Las Vergnas,
+Sturmfels, White and Ziegler, Oriented Matroids, 1993): the side of every
+vertex, and so the regions, their boundedness and the triangles, and the
+order of the vertices on every line up to reversal, and so trivial
+isomorphism, are functions of the cone that holds b.  A zero sign is a
+concurrent (m+1)-subset, so the same pass decides genericity (no m+1
+hyperplanes through a common point) before any geometric reading.  Only
+vertex_orders, which returns exact line parameters, builds a vertex
+table: the signed maximal minors of the homogenized rows through each
+vertex, with line directions from the minors of the normals alone, and
+Fractions made only for the parameters.  No LP is run: the wall of a
+swap is read off the two sign vectors.
 """
 
 from collections import namedtuple
@@ -25,9 +32,10 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
+from .discriminantal import _walls
 from .errors import (NotAdjacent, NotGeneric, NotInCatalog, TooLarge,
                      UnsupportedDimension, WrongShape)
-from .exact_linalg import _idot, _int_det, _int_row, echelon_residual
+from .exact_linalg import _int_det, _int_row, echelon_residual
 from .normal_system import Arrangement
 
 MAX_REGIONS = 10 ** 4
@@ -35,34 +43,46 @@ MAX_REGIONS = 10 ** 4
 LineOrder = namedtuple("LineOrder", ["direction", "order", "params"])
 
 
-def _vertices(arr):
-    """The vertex table of arr, or its lex-first concurrent (m+1)-subset.
+def _wall_signs(arr):
+    """{mask of T: s_T} over the walls T, s_T = sign f_T(b) as +-1.
 
-    The table maps each m-subset S (0-based, lex order) to (v, side): v is
-    v_S, the signed maximal minors of the homogenized integer rows
-    (a_i, -b_i) of S with its last coordinate made positive, so the
-    hyperplanes of S meet at v[:m] / v[m]; bit j of side is set when
-    a_j . x > b_j there.  Row j vanishes at v_S exactly when the m + 1
-    hyperplanes of S + {j} concur, and then that subset (1-based) is
-    returned instead of a table.  A concurrent (m+1)-subset is first met
-    at S = its first m members and j its last, so the first one met is
-    the lex-first.
+    Bit i of a mask is row i (0-based).  f_T is the functional of the
+    wall of the (m+1)-subset T (discriminantal.build): the coefficient of
+    b_i is a signed minor of the scaled rows of T without i
+    (discriminantal._walls) over the product of their scales d_k.  Times
+    the product of all the scales of T and the lcm of b's denominators,
+    both positive, f_T(b) is the sum of those signed minors times d_i B_i,
+    B the integer-scaled b; so each sign is one integer sum, with no
+    Fraction and no determinant.  The walls are met in lex order, and the
+    first zero, the lex-first concurrent (m+1)-subset, is raised as
+    NotGeneric naming it (1-based).
+    """
+    ns = arr.system
+    db = [d * x for d, x in zip(ns.scales, _int_row(arr.b)[0])]
+    signs = {}
+    for T, coeffs in _walls(ns, combinations(range(1, ns.n + 1), ns.m + 1)):
+        v = sum([c * db[i - 1] for i, c in coeffs])
+        if not v:
+            raise NotGeneric("m+1 hyperplanes pass through a common point",
+                             subset=list(T))
+        signs[sum([1 << (i - 1) for i in T])] = 1 if v > 0 else -1
+    return signs
+
+
+def _vertices(arr):
+    """The vertex table {S: v_S} of a generic arr.
+
+    S runs over the m-subsets (0-based, lex order), and v_S is the signed
+    maximal minors of the homogenized integer rows (a_i, -b_i) of S with
+    its last coordinate made positive, so the hyperplanes of S meet at
+    v[:m] / v[m].
     """
     ns = arr.system
     hom = [_int_row(tuple(a) + (-bi,))[0] for a, bi in zip(ns.rows, arr.b)]
     table = {}
     for S in combinations(range(ns.n), ns.m):
         v = _kernel([hom[i] for i in S])
-        if v[-1] < 0:
-            v = [-x for x in v]
-        side = 0
-        for j, h in enumerate(hom):
-            val = _idot(h, v)
-            if val > 0:
-                side |= 1 << j
-            elif not val and j not in S:
-                return tuple(i + 1 for i in S + (j,))
-        table[S] = v, side
+        table[S] = v if v[-1] > 0 else [-x for x in v]
     return table
 
 
@@ -70,20 +90,13 @@ def genericity_witness(arr):
     """Lex-first (m+1)-subset whose hyperplanes concur, or None.
 
     b sits on the discriminantal wall of subset S exactly when the rows of
-    S have a common point, which the vertex table reads off its minors.
+    S have a common point: the first zero of the sign vector of b.
     """
-    table = _vertices(arr)
-    return table if isinstance(table, tuple) else None
-
-
-def _require_generic(arr):
-    # the vertex table of a generic arr; NotGeneric names the lex-first
-    # concurrent subset otherwise
-    table = _vertices(arr)
-    if isinstance(table, tuple):
-        raise NotGeneric("m+1 hyperplanes pass through a common point",
-                         subset=list(table))
-    return table
+    try:
+        _wall_signs(arr)
+    except NotGeneric as err:
+        return tuple(err.payload["subset"])
+    return None
 
 
 def _directions(normals, m):
@@ -108,7 +121,8 @@ def vertex_orders(arr):
     is zero in coordinate f.  Returns {A: LineOrder(direction, order,
     params)}.
     """
-    table = _require_generic(arr)
+    _wall_signs(arr)
+    table = _vertices(arr)
     normals = [_int_row(a)[0] for a in arr.system.rows]
     out = {}
     for A, d in _directions(normals, arr.system.m).items():
@@ -118,7 +132,7 @@ def vertex_orders(arr):
             if j in A:
                 continue
             S = tuple(sorted(A + (j,)))
-            v = table[S][0]
+            v = table[S]
             hits.append((Fraction(v[f], v[-1] * d[f]),
                          tuple(i + 1 for i in S)))
         hits.sort()
@@ -134,16 +148,29 @@ def are_isomorphic_trivial(a1, a2):
     the same order or in exactly reversed order (the direction convention
     is shared, so reversal is the only reparametrization left).  Reversal
     is allowed per line, independently.
+
+    Read off the two sign vectors (b1 is checked for genericity first),
+    with no vertex table.  Put x = p + t d on line A and let vertex A + j
+    sit at t_j.  Along the line a_k . x - b_k = (a_k . d)(t - t_k), so
+    sign(t_j - t_k) is sign(a_k . d) times the side of row k at vertex
+    A + j, which is s_{A+j+k} times a sign of the normals alone
+    (_regions).  So sign(t_j - t_k) = s_{A+j+k} e(A, j, k), with e the
+    same for both arrangements: the orders on line A agree iff the walls
+    T that hold A (its star) have the same signs at b1 and b2, and are
+    reversed iff they all have opposite signs.
     """
     s1, s2 = a1.system, a2.system
     if (s1.n, s1.m) != (s2.n, s2.m):
         raise WrongShape("arrangements must share n and m",
                          left=(s1.n, s1.m), right=(s2.n, s2.m))
-    t1 = vertex_orders(a1)
-    t2 = vertex_orders(a2)
-    for A, line in t1.items():
-        other = t2[A].order
-        if line.order != other and line.order != other[::-1]:
+    signs1 = _wall_signs(a1)
+    signs2 = _wall_signs(a2)
+    bits = [1 << i for i in range(s1.n)]
+    for A in combinations(bits, s1.m - 1):
+        M = sum(A)
+        rest = [x for x in bits if not M & x]
+        if len({signs1[T] == signs2[T]
+                for T in (M | x | y for x, y in combinations(rest, 2))}) > 1:
             return False
     return True
 
@@ -164,7 +191,7 @@ def _submasks(idx):
 
 
 def _regions(arr, max_regions):
-    """Regions of a generic arrangement, read off its vertex table.
+    """Regions of a generic arrangement, read off the sign vector of b.
 
     Returns {mask: vertices}, where bit i of mask is set when the region
     lies on the side a_i . x > b_i, and vertices lists the m-subsets S
@@ -173,6 +200,15 @@ def _regions(arr, max_regions):
     v_S the m hyperplanes of S cut all 2^m sign patterns, and the others
     keep their sign at v_S.  So the regions are the union of those
     patterns.
+
+    The side of row j at v_S is s_{S+j} times a sign of the normals.  Let
+    v be the kernel vector of the homogenized rows h_i = (a_i, -b_i) of S
+    (_kernel), so h_j . v = det([h_j; h_S]) = (-1)^p det(h_{S+j}) for
+    p = #{i in S : i < j}, and det(h_{S+j}) = -f_{S+j}(b) by Laplace
+    expansion along the b column, each up to a positive scale.  Its last
+    coordinate is (-1)^m det(h_S without the b column), of the sign of
+    (-1)^m minors[S], and v_S has it positive.  So a_j . x > b_j at v_S
+    iff -s_{S+j} (-1)^(p+m) sign(minors[S]) > 0.
     """
     ns = arr.system
     n, m = ns.n, ns.m
@@ -183,8 +219,19 @@ def _regions(arr, max_regions):
     if count > max_regions:
         raise TooLarge("region count exceeds the configured limit",
                        count=count, limit=max_regions)
+    signs = _wall_signs(arr)
+    minors = ns.minors
     regions = {}
-    for S, (_, side) in _require_generic(arr).items():
+    for S in combinations(range(n), m):
+        M = sum([1 << i for i in S])
+        # the sign s_{S+j} takes when row j is positive at v_S, for p = 0
+        t = -1 if (minors[M] > 0) == (m % 2 == 0) else 1
+        side = 0
+        for j in range(n):
+            if M >> j & 1:
+                t = -t
+            elif signs[M | 1 << j] == t:
+                side |= 1 << j
         for sub in _submasks(S):
             regions.setdefault(side | sub, []).append(S)
     return regions
@@ -197,14 +244,26 @@ def _unbounded(ns):
     A region is unbounded iff its recession cone has an extreme ray, and
     each such ray is +-d_A for an (m-1)-subset A, d_A the direction of
     line A: a region holds it iff its signs off A are those of
-    +-(a_j . d_A), whatever its signs on A.
+    +-(a_j . d_A), whatever its signs on A.  d_A is the kernel vector of
+    the normals of A (_kernel) times a factor shared by every j, and
+    a_j . d_A is then det([a_j; a_A]) = (-1)^p det(a_{A+j}), for
+    p = #{i in A : i < j}: up to that factor's sign, which does not
+    matter since both signs are taken, a_j . d_A > 0 iff
+    (-1)^p minors[A+j] > 0.
     """
-    normals = [_int_row(a)[0] for a in ns.rows]
-    full = (1 << ns.n) - 1
+    n, minors = ns.n, ns.minors
+    full = (1 << n) - 1
     out = set()
-    for A, d in _directions(normals, ns.m).items():
-        ahead = sum(1 << j for j, a in enumerate(normals) if _idot(a, d) > 0)
-        behind = full & ~ahead & ~sum(1 << i for i in A)
+    for A in combinations(range(n), ns.m - 1):
+        M = sum([1 << i for i in A])
+        ahead = 0
+        t = 1
+        for j in range(n):
+            if M >> j & 1:
+                t = -t
+            elif (minors[M | 1 << j] > 0) == (t > 0):
+                ahead |= 1 << j
+        behind = full & ~ahead & ~M
         for sub in _submasks(A):
             out.add(ahead | sub)
             out.add(behind | sub)

@@ -29,6 +29,7 @@ decides one pair of cones by a facet LP on the rows of quotient_rows.
 No other library module calls either; both stay for the tests.
 """
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -44,6 +45,8 @@ DEFAULT_MAX_CHAMBERS = 10 ** 4
 
 _FLIP = str.maketrans("+-", "-+")
 _BITS = str.maketrans("10", "+-")
+# a witness of plain integer strings "p", joined by commas
+_INTEGERS = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*").fullmatch
 
 
 def opposite_signs(signs):
@@ -391,12 +394,20 @@ def classify_b(da, b, catalog=None):
     Evaluates all C(n, m+1) functionals at b exactly.  Any zero yields an
     OnWall result naming the vanishing subsets; otherwise returns Classified
     with the sign vector and, when a catalog is supplied, its class id.
+    The chamber found must have a witness with that sign vector under da:
+    a catalog written for another system of the same shape can share sign
+    vectors with this one, and then raises NotInCatalog, as a catalog
+    without the sign vector does.
     """
     res = _locate(da, b)
     if catalog is not None and isinstance(res, Classified):
         hit = catalog.find(res.signs)
         if hit is None:
             raise NotInCatalog("sign vector missing from catalog",
+                               signs=res.signs)
+        got = _locate(da, hit.witness)
+        if not isinstance(got, Classified) or got.signs != res.signs:
+            raise NotInCatalog("catalog does not belong to the arrangement",
                                signs=res.signs)
         res.class_id = hit.class_id
     return res
@@ -491,10 +502,13 @@ def catalog_from_dict(da, data):
 
     A missing key or a wrong layout raises BadArtifact; a witness entry
     that is not an exact rational raises BadRational.  Entries are
-    checked in file order, so the first bad one is named.  A plain
-    integer string "p" is read as an int, with no Fraction made; any
-    other entry goes through parse_rational.  Last, a witness without n
-    entries or a class id that is not a JSON integer raises BadArtifact.
+    checked in file order, so the first bad one is named.  A witness of
+    plain integer strings "p" only, the form catalog_to_dict writes for a
+    built catalog, is matched once, joined by commas, and read as ints.
+    Any other witness is read entry by entry: a plain integer string as
+    an int, with no Fraction made, and any other entry through
+    parse_rational.  Last, a witness without n entries or a class id that
+    is not a JSON integer raises BadArtifact.
     """
     try:
         n, m = data["n"], data["m"]
@@ -511,9 +525,16 @@ def catalog_from_dict(da, data):
         if not (isinstance(signs, str) and isinstance(witness, list)):
             raise BadArtifact('"signs" must be a string and "witness" a '
                               'list', chamber=k)
-        point = tuple([int(x) if type(x) is str and _INTEGER(x)
-                       else parse_rational(x, chamber=k, position=i)
-                       for i, x in enumerate(witness, start=1)])
+        try:
+            text = ",".join(witness)
+        except TypeError:  # an entry that is not a string
+            text = ""
+        if _INTEGERS(text) and text.count(",") == len(witness) - 1:
+            point = tuple(map(int, text.split(",")))
+        else:
+            point = tuple([int(x) if type(x) is str and _INTEGER(x)
+                           else parse_rational(x, chamber=k, position=i)
+                           for i, x in enumerate(witness, start=1)])
         chambers.append(Chamber(signs, point, class_id))
     catalog = ChamberCatalog(da, chambers)
     # checked last, so every error the layout or an entry raises comes first

@@ -9,13 +9,15 @@ from itertools import combinations
 from math import gcd, lcm, prod
 from operator import mul
 
-from arrcensus.affine_geometry import LineOrder
+from arrcensus.affine_geometry import (LineOrder, _directions, _kernel,
+                                       _submasks)
 from arrcensus.chambers import (Chamber, ChamberCatalog, antipodal_classes,
                                 opposite_signs, sign_cells)
 from arrcensus.concurrency import SubsetCollection, _rank, _step, _universe
 from arrcensus.discriminantal import build, quotient_rows
 from arrcensus.errors import BadShape, BadSubsetSize, NotGeneric
-from arrcensus.exact_linalg import (_int_det, _int_row, determinant, dot,
+from arrcensus.exact_linalg import (_idot, _int_det, _int_row, determinant,
+                                    dot,
                                     feasible_strict, integer_primitive,
                                     lex_independent_columns, nullspace_basis,
                                     parse_rational, rank, solve_particular)
@@ -483,3 +485,114 @@ def vertex_orders_fraction(arr):
         table[A] = LineOrder(d, tuple(v for _, v in hits),
                              tuple(t for t, _ in hits))
     return table
+
+
+def vertex_table(arr):
+    """The vertex table of arr, or its lex-first concurrent (m+1)-subset.
+
+    The table maps each m-subset S (0-based, lex order) to (v, side): v is
+    v_S, the signed maximal minors of the homogenized integer rows
+    (a_i, -b_i) of S with its last coordinate made positive, so the
+    hyperplanes of S meet at v[:m] / v[m]; bit j of side is set when
+    a_j . x > b_j there.  Row j vanishes at v_S exactly when the m + 1
+    hyperplanes of S + {j} concur, and then that subset (1-based) is
+    returned instead of a table.  A concurrent (m+1)-subset is first met
+    at S = its first m members and j its last, so the first one met is
+    the lex-first.
+    """
+    ns = arr.system
+    hom = [_int_row(tuple(a) + (-bi,))[0] for a, bi in zip(ns.rows, arr.b)]
+    table = {}
+    for S in combinations(range(ns.n), ns.m):
+        v = _kernel([hom[i] for i in S])
+        if v[-1] < 0:
+            v = [-x for x in v]
+        side = 0
+        for j, h in enumerate(hom):
+            val = _idot(h, v)
+            if val > 0:
+                side |= 1 << j
+            elif not val and j not in S:
+                return tuple(i + 1 for i in S + (j,))
+        table[S] = v, side
+    return table
+
+
+def _generic_table(arr):
+    table = vertex_table(arr)
+    if isinstance(table, tuple):
+        raise NotGeneric("m+1 hyperplanes pass through a common point",
+                         subset=list(table))
+    return table
+
+
+def regions_by_vertex_table(arr):
+    """affine_geometry._regions from the sides of the vertex table: the
+    2^m sign patterns around each vertex, with no region guard."""
+    regions = {}
+    for S, (_, side) in _generic_table(arr).items():
+        for sub in _submasks(S):
+            regions.setdefault(side | sub, []).append(S)
+    return regions
+
+
+def unbounded_by_directions(ns):
+    """affine_geometry._unbounded from the line directions d_A: the masks
+    whose signs off A are those of +-(a_j . d_A)."""
+    normals = [_int_row(a)[0] for a in ns.rows]
+    full = (1 << ns.n) - 1
+    out = set()
+    for A, d in _directions(normals, ns.m).items():
+        ahead = sum(1 << j for j, a in enumerate(normals) if _idot(a, d) > 0)
+        behind = full & ~ahead & ~sum(1 << i for i in A)
+        for sub in _submasks(A):
+            out.add(ahead | sub)
+            out.add(behind | sub)
+    return out
+
+
+def census_by_vertex_table(arr):
+    """affine_geometry.region_census from the vertex table."""
+    regions = regions_by_vertex_table(arr)
+    unbounded = unbounded_by_directions(arr.system)
+    out = sum(1 for r in regions if r in unbounded)
+    return {"total": len(regions), "bounded": len(regions) - out,
+            "unbounded": out}
+
+
+def signature_by_vertex_table(arr):
+    """affine_geometry.simplex_signature from the vertex table: the bounded
+    regions with exactly three vertices."""
+    regions = regions_by_vertex_table(arr)
+    unbounded = unbounded_by_directions(arr.system)
+    return {tuple(sorted({i + 1 for S in verts for i in S}))
+            for r, verts in regions.items()
+            if len(verts) == 3 and r not in unbounded}
+
+
+def orders_by_vertex_table(arr):
+    """{A: vertex order} on every line (1-based), sorted by the exact
+    parameter x_f / d_f of each vertex of the vertex table, f the last
+    coordinate with d_f != 0."""
+    table = _generic_table(arr)
+    normals = [_int_row(a)[0] for a in arr.system.rows]
+    out = {}
+    for A, d in _directions(normals, arr.system.m).items():
+        f = max(i for i, x in enumerate(d) if x)
+        hits = []
+        for j in range(arr.system.n):
+            if j not in A:
+                S = tuple(sorted(A + (j,)))
+                v = table[S][0]
+                hits.append((Fraction(v[f], v[-1] * d[f]),
+                             tuple(i + 1 for i in S)))
+        out[tuple(i + 1 for i in A)] = tuple(S for _, S in sorted(hits))
+    return out
+
+
+def iso_by_vertex_orders(a1, a2):
+    """affine_geometry.are_isomorphic_trivial by comparing the vertex
+    orders of the two vertex tables line by line, up to reversal."""
+    t1 = orders_by_vertex_table(a1)
+    t2 = orders_by_vertex_table(a2)
+    return all(order in (t2[A], t2[A][::-1]) for A, order in t1.items())

@@ -2,7 +2,9 @@
 against their Fraction and discriminantal oracles, the trivial
 isomorphism oracle, region censuses against the closed formulas and the
 LP cell walk, triangle signatures, special points, and wall-crossing
-swaps.
+swaps.  The sign engine (regions, censuses, triangles, isomorphism and
+genericity read off the sign vector of b) is checked against the vertex
+table it replaced.
 """
 
 import random
@@ -30,8 +32,11 @@ from arrcensus.normal_system import (Arrangement, random_normal_system,
                                      validate)
 
 from golden_data import FIVE_LINE_CLASS_SIGNATURES
-from oracles import (genericity_witness_da, regions_lp, triangles_lp,
-                     vertex_orders_fraction)
+from oracles import (census_by_vertex_table, genericity_witness_da,
+                     iso_by_vertex_orders, regions_by_vertex_table,
+                     regions_lp, signature_by_vertex_table, triangles_lp,
+                     unbounded_by_directions, vertex_orders_fraction,
+                     vertex_table)
 
 GALLERY = ["three_lines", "four_lines", "five_lines",
            "six_lines_perpendicular_pairs", "six_lines_mixed_slopes",
@@ -286,8 +291,8 @@ def test_vertex_orders_on_random_planes():
 
 
 def check_against_lp(arr):
-    # the vertex table's regions, boundedness, census and triangles equal
-    # those of the LP cell walk
+    # the regions, boundedness, census and triangles read off the sign
+    # vector of b equal those of the LP cell walk
     lp = regions_lp(arr)
     unbounded = _unbounded(arr.system)
     got = {r: r not in unbounded for r in _regions(arr, MAX_REGIONS)}
@@ -328,8 +333,7 @@ def test_regions_match_lp_oracle_on_seeded_systems(n, m):
 
 def test_not_generic_names_the_lex_first_subset():
     # b drawn from a tiny range hits concurrent (m+1)-subsets, often more
-    # than one, not always the first in the vertex table's order; the
-    # expected subset is the discriminantal oracle's
+    # than one; the expected subset is the discriminantal oracle's
     rng = random.Random(11)
     seen = set()
     for n, m in [(4, 2), (5, 2), (6, 2), (5, 3), (6, 3)]:
@@ -424,8 +428,9 @@ def test_genericity_witness_matches_discriminantal_oracle():
 
 
 def test_affine_reads_do_no_fraction_linear_algebra(monkeypatch):
-    # every affine reading comes from the integer vertex table; rref is
-    # what solve_particular and nullspace_basis run on
+    # every affine reading comes from integer signs and minors, and the
+    # vertex orders from the integer vertex table; rref is what
+    # solve_particular and nullspace_basis run on
     cat = catalog("four_lines")
     ns = cat.da.source
     a, b = next((a, nbrs[0]) for a, nbrs in adjacency(cat).items())
@@ -451,9 +456,11 @@ def test_region_guard_comes_before_any_work(monkeypatch):
     assert region_census(arr, max_regions=16)["total"] == 16
 
     def no_table(rows):
-        raise AssertionError("vertex table built past the guard")
+        raise AssertionError("vertex table or sign vector built past the "
+                             "guard")
 
     monkeypatch.setattr(affine_geometry, "_kernel", no_table)
+    monkeypatch.setattr(affine_geometry, "_wall_signs", no_table)
     with pytest.raises(TooLarge) as exc:
         region_census(arr, max_regions=15)
     # 1 + 5 + 10 regions for five generic lines
@@ -513,3 +520,127 @@ def test_swap_outside_catalog_keeps_the_lp_path():
                if sum(x != y for x, y in zip(a, c.signs)) > 1)
     with pytest.raises(NotAdjacent):
         swap_check(cat.da, part, a, far)
+
+
+def assert_signs_match_vertex_table(arr, others=()):
+    # regions, censuses, triangles and iso verdicts read off the sign
+    # vector equal those of the vertex table; a b on a wall raises the
+    # same NotGeneric subset from every reader
+    m = arr.system.m
+    table = vertex_table(arr)
+    if isinstance(table, tuple):
+        assert genericity_witness(arr) == table
+        calls = [region_census, lambda a: are_isomorphic_trivial(a, a)]
+        if m == 2:
+            calls.append(simplex_signature)
+        for call in calls:
+            with pytest.raises(NotGeneric) as exc:
+                call(arr)
+            assert exc.value.payload == {"subset": list(table)}
+        return
+    assert genericity_witness(arr) is None
+    assert _regions(arr, MAX_REGIONS) == regions_by_vertex_table(arr)
+    assert region_census(arr) == census_by_vertex_table(arr)
+    if m == 2:
+        assert simplex_signature(arr) == signature_by_vertex_table(arr)
+    for other in others:
+        if not isinstance(vertex_table(other), tuple):
+            assert are_isomorphic_trivial(arr, other) == \
+                iso_by_vertex_orders(arr, other)
+
+
+@pytest.mark.parametrize("name", GALLERY)
+def test_sign_engine_matches_vertex_table_on_gallery_witnesses(name):
+    # every class witness, against its antipode, a translate of it, the
+    # next class and one class further on
+    ns = getattr(gallery, name)()
+    assert _unbounded(ns) == unbounded_by_directions(ns)
+    pairs = antipodal_classes(catalog(name))
+    k = len(pairs)
+    shift = [(-1) ** i * (i + 1) for i in range(ns.m)]
+    for i, (plus, minus) in enumerate(pairs):
+        arr = Arrangement(ns, plus.witness)
+        assert are_isomorphic_trivial(arr, Arrangement(ns, minus.witness))
+        moved = [bi + sum(a * x for a, x in zip(row, shift))
+                 for row, bi in zip(ns.rows, arr.b)]
+        assert_signs_match_vertex_table(arr, [
+            Arrangement(ns, moved),
+            Arrangement(ns, pairs[(i + 1) % k][0].witness),
+            Arrangement(ns, pairs[(7 * i + 3) % k][1].witness)])
+
+
+def random_bs(rng, ns, count):
+    # rational b, b in {-1, 0, 1}^n, which is often on a wall, and b on
+    # the wall of a random (m+1)-subset T: the hyperplanes of T through x
+    n, m = ns.n, ns.m
+    for _ in range(count):
+        yield [Fraction(rng.randint(-20, 20), rng.randint(1, 6))
+               for _ in range(n)]
+        yield [rng.randint(-1, 1) for _ in range(n)]
+        x = [rng.randint(-5, 5) for _ in range(m)]
+        T = rng.sample(range(n), m + 1)
+        yield [sum(a * y for a, y in zip(ns.rows[i], x)) if i in T
+               else rng.randint(-20, 20) for i in range(n)]
+
+
+@pytest.mark.parametrize("n,m", [(4, 2), (5, 2), (6, 2), (5, 3), (6, 3),
+                                 (7, 3), (5, 4), (6, 4), (7, 4)])
+def test_sign_engine_matches_vertex_table_on_seeded_systems(n, m):
+    rng = random.Random(1000 * n + m)
+    walls = 0
+    for seed in (1, 2, 3):
+        ns = random_normal_system(n, m, seed=seed, bound=9)
+        assert _unbounded(ns) == unbounded_by_directions(ns)
+        bs = [Arrangement(ns, b) for b in random_bs(rng, ns, 6)]
+        for i, arr in enumerate(bs):
+            assert_signs_match_vertex_table(arr, bs[i + 1:i + 4])
+            walls += genericity_witness(arr) is not None
+    assert walls
+
+
+def test_sign_engine_matches_vertex_table_on_rational_rows():
+    rng = random.Random(8)
+    for ns in rational_systems():
+        assert _unbounded(ns) == unbounded_by_directions(ns)
+        bs = [Arrangement(ns, b) for b in random_bs(rng, ns, 8)]
+        for i, arr in enumerate(bs):
+            assert_signs_match_vertex_table(arr, bs[i + 1:i + 4])
+
+
+def test_iso_checks_b1_before_b2():
+    ns = gallery.five_lines()
+    rng = random.Random(4)
+    on_wall = {}
+    while len(on_wall) < 2:
+        arr = Arrangement(ns, [rng.randint(-2, 2) for _ in range(5)])
+        witness = genericity_witness(arr)
+        if witness is not None:
+            on_wall.setdefault(witness, arr)
+    (w1, a1), (w2, a2) = sorted(on_wall.items())
+    generic = Arrangement(ns, class_reps("five_lines")[1][0].witness)
+    for left, right, want in [(a1, a2, w1), (a2, a1, w2),
+                              (generic, a2, w2), (a1, generic, w1)]:
+        with pytest.raises(NotGeneric) as exc:
+            are_isomorphic_trivial(left, right)
+        assert exc.value.payload["subset"] == list(want)
+
+
+def test_sign_engine_builds_no_vertex_table(monkeypatch):
+    # region_census, simplex_signature, are_isomorphic_trivial and
+    # genericity_witness read the sign vector and the minor table only
+    ns, reps = class_reps("five_lines")
+    arrs = [Arrangement(ns, c.witness) for c in reps[:3]]
+    want = [(region_census(a), simplex_signature(a), genericity_witness(a),
+             are_isomorphic_trivial(a, arrs[0])) for a in arrs]
+
+    def no_table(*args):
+        raise AssertionError("vertex table built")
+
+    for name in ("_vertices", "_kernel", "_int_det"):
+        monkeypatch.setattr(affine_geometry, name, no_table)
+    monkeypatch.setattr(exact_linalg, "_int_det", no_table)
+    assert [(region_census(a), simplex_signature(a), genericity_witness(a),
+             are_isomorphic_trivial(a, arrs[0])) for a in arrs] == want
+    assert genericity_witness(Arrangement(ns, (0,) * 5)) == (1, 2, 3)
+    with pytest.raises(AssertionError):
+        vertex_orders(arrs[0])

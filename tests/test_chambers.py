@@ -199,6 +199,25 @@ def test_classify_against_incomplete_catalog():
         classify_b(da, minus.witness, half)
 
 
+def test_classify_refuses_a_catalog_of_another_system():
+    # the seeded (5,2) system shares 6 of its 62 sign vectors with
+    # five_lines, and 2 of those carry other class ids there; each lookup
+    # is refused, since the witness found has other signs under da
+    da = build(random_normal_system(5, 2, seed=1, bound=9))
+    own = enumerate_chambers(da)
+    foreign = catalog("five_lines")
+    shared = [c for c in own if foreign.find(c.signs) is not None]
+    assert len(shared) == 6
+    assert sum(foreign.find(c.signs).class_id != c.class_id
+               for c in shared) == 2
+    for c in shared:
+        assert classify_b(da, c.witness, own).class_id == c.class_id
+        with pytest.raises(NotInCatalog) as err:
+            classify_b(da, c.witness, foreign)
+        assert err.value.payload == {"signs": c.signs}
+        assert "does not belong" in str(err.value)
+
+
 def test_four_line_adjacency_is_an_eight_cycle():
     cat = catalog("four_lines")
     adj = adjacency(cat)
@@ -353,6 +372,28 @@ def test_catalog_from_dict_rejects_bool_and_float_witnesses():
             catalog_from_dict(cat.da, data)
         assert err.value.payload == {"got": str(bad), "chamber": 2,
                                      "position": 3}
+
+
+def test_catalog_from_dict_reads_a_witness_whole_or_by_entry():
+    # integer strings are read as ints in one match per witness; any other
+    # witness is read entry by entry, and its first bad entry is named
+    cat = catalog("four_lines")
+    for witness, want in [(["-0", "007", "1", "-2"], (0, 7, 1, -2)),
+                          (["1/2", "3", "-4", "5"],
+                           (Fraction(1, 2), 3, -4, 5))]:
+        data = json.loads(json.dumps(catalog_to_dict(cat)))
+        data["chambers"][1]["witness"] = witness
+        got = catalog_from_dict(cat.da, data)[1].witness
+        assert got == want
+        assert [type(x) for x in got] == [type(x) for x in want]
+    for witness, position, bad in [(["1,2", "3", "4"], 1, "1,2"),
+                                   (["1", "2", "3,", "4"], 3, "3,")]:
+        data = json.loads(json.dumps(catalog_to_dict(cat)))
+        data["chambers"][1]["witness"] = witness
+        with pytest.raises(BadRational) as err:
+            catalog_from_dict(cat.da, data)
+        assert err.value.payload == {"got": bad, "chamber": 2,
+                                     "position": position}
 
 
 def test_catalog_from_dict_rejects_shape_mismatch():

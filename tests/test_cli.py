@@ -138,6 +138,33 @@ def test_chambers_classify_chain(capsys, ns_files, tmp_path):
     assert pay["class"] in range(1, 5)
 
 
+def test_classify_refuses_a_catalog_of_another_system(capsys, ns_files,
+                                                      tmp_path):
+    # a five_lines catalog shares sign vectors with the seeded (5,2)
+    # system; a b in a shared cone gets a JSON NotInCatalog, not the other
+    # system's class id
+    ns = str(tmp_path / "ns.json")
+    own = str(tmp_path / "own.json")
+    foreign = str(tmp_path / "foreign.json")
+    run(capsys, "gen", "--n", "5", "--m", "2", "--seed", "1", "--out", ns)
+    run(capsys, "chambers", "--ns", ns, "--out", own)
+    run(capsys, "chambers", "--ns", ns_files["five_lines"], "--out", foreign)
+    theirs = {c["signs"] for c in json.loads(
+        pathlib.Path(foreign).read_text())["chambers"]}
+    c = next(c for c in json.loads(pathlib.Path(own).read_text())["chambers"]
+             if c["signs"] in theirs)
+    b = "--b=" + ",".join(c["witness"])
+    code, rep, _, _ = run(capsys, "classify", "--ns", ns, b,
+                          "--catalog", own)
+    assert code == 0 and rep["payload"]["class"] == c["class"]
+    code, _, err, cap = run(capsys, "classify", "--ns", ns, b,
+                            "--catalog", foreign)
+    assert code == 1 and cap.out == ""
+    assert err["error"] == {
+        "type": "NotInCatalog", "signs": c["signs"],
+        "message": "catalog does not belong to the arrangement"}
+
+
 def test_classify_without_catalog(capsys, ns_files):
     _, rep, _, _ = run(capsys, "classify", "--ns", ns_files["four_lines"],
                        "--b", "1,2,4,8")
