@@ -32,6 +32,7 @@ No other library module calls either; both stay for the tests.
 import re
 from fractions import Fraction
 from math import gcd, lcm
+from operator import attrgetter, itemgetter
 
 from .charpoly import iso_class_count, whitney_charpoly, zaslavsky_regions
 from .discriminantal import quotient_rows
@@ -45,7 +46,7 @@ DEFAULT_MAX_CHAMBERS = 10 ** 4
 
 _FLIP = str.maketrans("+-", "-+")
 _BITS = str.maketrans("10", "+-")
-# a witness of plain integer strings "p", joined by commas
+# witnesses of plain integer strings "p", joined by commas
 _INTEGERS = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*").fullmatch
 
 
@@ -180,7 +181,9 @@ class Chamber:
     """One open cone: its sign vector, an interior point, and its class id.
 
     The witness entries are kept as they are given: ints in a built
-    catalog, ints or Fractions in a loaded one.
+    catalog, ints or Fractions in a loaded one.  A catalog loaded with
+    plain-integer witnesses makes each Chamber, its witness parsed to
+    ints, only when that chamber is first read (ChamberCatalog).
     """
 
     __slots__ = ("signs", "witness", "class_id")
@@ -198,36 +201,66 @@ class Chamber:
         return "Chamber({!r}, class={})".format(self.signs, self.class_id)
 
 
+def _ints(text):
+    # a witness kept as its comma-joined plain-integer text, as ints
+    return tuple(map(int, text.split(",")))
+
+
 class ChamberCatalog:
     """All chambers of one arrangement, sorted by sign vector.
 
     Antipodal chambers share a class id; the canonical representative of a
     class is the member whose first sign is +.  Ids follow the sorted order
-    of the representatives, as enumerate_chambers numbers them.
+    of the representatives, as enumerate_chambers numbers them.  Chambers
+    that already come in sign order, as enumerate_chambers makes them and
+    catalog_to_dict writes them, are not sorted again.
+
+    A catalog loaded by catalog_from_dict with plain-integer witnesses
+    holds each chamber as its row (signs, comma-joined witness text, class
+    id) and makes the Chamber when that chamber is first read, by index,
+    find or iteration; so a lookup parses one witness, not all of them.
     """
 
     def __init__(self, da, chambers):
+        self._set(da, list(chambers), attrgetter("signs"))
+
+    @classmethod
+    def _of_rows(cls, da, rows):
+        catalog = cls.__new__(cls)
+        catalog._set(da, rows, itemgetter(0))
+        return catalog
+
+    def _set(self, da, items, key):
+        signs = list(map(key, items))
+        if signs != sorted(signs):
+            items.sort(key=key)
+            signs = list(map(key, items))
         self.da = da
-        self.chambers = tuple(sorted(chambers, key=lambda c: c.signs))
-        self._by_signs = {c.signs: c for c in self.chambers}
-        if len(self._by_signs) != len(self.chambers):
+        self._items = items
+        self._index = dict(zip(signs, range(len(signs))))
+        if len(self._index) != len(items):
             raise UnpairedChamber("duplicate sign vectors in catalog")
 
     def __len__(self):
-        return len(self.chambers)
+        return len(self._items)
 
     def __iter__(self):
-        return iter(self.chambers)
+        return map(self.__getitem__, range(len(self._items)))
 
     def __getitem__(self, k):
-        return self.chambers[k]
+        c = self._items[k]
+        if type(c) is tuple:  # a loaded row, read for the first time
+            signs, text, class_id = c
+            c = self._items[k] = Chamber(signs, _ints(text), class_id)
+        return c
 
     def find(self, signs):
-        return self._by_signs.get(signs)
+        k = self._index.get(signs)
+        return None if k is None else self[k]
 
     @property
     def class_count(self):
-        ids = {c.class_id for c in self.chambers}
+        ids = {c.class_id for c in self}
         ids.discard(None)
         return len(ids)
 
@@ -329,10 +362,13 @@ def enumerate_chambers(da, max_chambers=DEFAULT_MAX_CHAMBERS):
         tail = [0] * da.m
         half = sorted((format(mask, "0%db" % N)[::-1].translate(_BITS),
                        y + tail) for mask, y in _half_cones(rows).items())
-        for k, (text, witness) in enumerate(half):
-            chambers.append(Chamber(text, witness, k))
-            chambers.append(Chamber(opposite_signs(text),
-                                    [-x for x in witness], k))
+        chambers = [Chamber(text, witness, k)
+                    for k, (text, witness) in enumerate(half)]
+        # flipping every sign reverses the order, so the mirrors of the
+        # half cones, taken backwards, follow them in sign order
+        chambers += [Chamber(opposite_signs(c.signs),
+                             [-x for x in c.witness], c.class_id)
+                     for c in reversed(chambers)]
     if len(chambers) != expected:
         raise CountMismatch("cone count differs from the Zaslavsky count",
                             count=len(chambers), zaslavsky=expected)
@@ -471,7 +507,7 @@ def adjacency(catalog):
     (catalog-verify) re-checks a loaded catalog, and shared_wall decides
     one pair from the arrangement alone.
     """
-    out = {c.signs: [] for c in catalog}
+    out = {signs: [] for signs in catalog._index}
     for signs in out:
         for i, ch in enumerate(signs):
             if ch != "+":
@@ -501,41 +537,42 @@ def catalog_from_dict(da, data):
     """Catalog of da read back from catalog_to_dict output.
 
     A missing key or a wrong layout raises BadArtifact; a witness entry
-    that is not an exact rational raises BadRational.  Entries are
-    checked in file order, so the first bad one is named.  A witness of
-    plain integer strings "p" only, the form catalog_to_dict writes for a
-    built catalog, is matched once, joined by commas, and read as ints.
-    Any other witness is read entry by entry: a plain integer string as
-    an int, with no Fraction made, and any other entry through
-    parse_rational.  Last, a witness without n entries or a class id that
-    is not a JSON integer raises BadArtifact.
+    that is not an exact rational raises BadRational.  The whole catalog
+    is checked in one pass first: every "signs" a string, every "witness"
+    a list of n strings, every "class" a JSON integer, and all witness
+    entries, joined by commas, one match of plain integers "p" with
+    n * count - 1 commas, so that no entry can hide a comma.  Such a
+    catalog, the form catalog_to_dict writes for a built one, keeps each
+    witness as its comma-joined text, parsed to ints only when its
+    chamber is read (ChamberCatalog).  Any other catalog is read entry by
+    entry, in file order, so the first bad entry is named: a plain
+    integer string as an int, with no Fraction made, and any other entry
+    through parse_rational.  Last, a witness without n entries or a class
+    id that is not a JSON integer raises BadArtifact.
     """
     try:
-        n, m = data["n"], data["m"]
-        entries = [(e["signs"], e["witness"], e["class"])
-                   for e in data["chambers"]]
+        n, m, entries = data["n"], data["m"], data["chambers"]
+        signs, witnesses, classes = [list(map(itemgetter(key), entries))
+                                     for key in ("signs", "witness", "class")]
     except (KeyError, TypeError):
         raise BadArtifact('catalog needs "n", "m" and "chambers" entries '
                           'with "signs", "witness" and "class"') from None
     if n != da.n or m != da.m:
         raise NotInCatalog("catalog shape does not match arrangement",
                            n=n, m=m)
+    texts = _integer_texts(da.n, signs, witnesses, classes)
+    if texts is not None:
+        return ChamberCatalog._of_rows(da, list(zip(signs, texts, classes)))
     chambers = []
-    for k, (signs, witness, class_id) in enumerate(entries, start=1):
-        if not (isinstance(signs, str) and isinstance(witness, list)):
+    for k, (s, witness, class_id) in enumerate(zip(signs, witnesses,
+                                                   classes), start=1):
+        if not (isinstance(s, str) and isinstance(witness, list)):
             raise BadArtifact('"signs" must be a string and "witness" a '
                               'list', chamber=k)
-        try:
-            text = ",".join(witness)
-        except TypeError:  # an entry that is not a string
-            text = ""
-        if _INTEGERS(text) and text.count(",") == len(witness) - 1:
-            point = tuple(map(int, text.split(",")))
-        else:
-            point = tuple([int(x) if type(x) is str and _INTEGER(x)
-                           else parse_rational(x, chamber=k, position=i)
-                           for i, x in enumerate(witness, start=1)])
-        chambers.append(Chamber(signs, point, class_id))
+        point = [int(x) if type(x) is str and _INTEGER(x)
+                 else parse_rational(x, chamber=k, position=i)
+                 for i, x in enumerate(witness, start=1)]
+        chambers.append(Chamber(s, point, class_id))
     catalog = ChamberCatalog(da, chambers)
     # checked last, so every error the layout or an entry raises comes first
     for k, c in enumerate(chambers, start=1):
@@ -545,6 +582,25 @@ def catalog_from_dict(da, data):
         if type(c.class_id) is not int:
             raise BadArtifact('"class" must be an integer', chamber=k)
     return catalog
+
+
+def _integer_texts(n, signs, witnesses, classes):
+    """The comma-joined witnesses of a catalog that passes the one-pass
+    check of catalog_from_dict, or None to read it entry by entry."""
+    if not (set(map(type, signs)) == {str}
+            and set(map(type, witnesses)) == {list}
+            and set(map(len, witnesses)) == {n}
+            and set(map(type, classes)) == {int}):
+        return None  # also an empty catalog
+    try:
+        texts = list(map(",".join, witnesses))
+    except TypeError:  # an entry that is not a string
+        return None
+    text = ",".join(texts)
+    # n * count entries joined by n * count - 1 commas hold no comma
+    if _INTEGERS(text) and text.count(",") == n * len(texts) - 1:
+        return texts
+    return None
 
 
 def verify_catalog(da, catalog):

@@ -76,8 +76,11 @@ def _integer(text):
 
 
 def _parse_b(text):
-    return tuple(parse_rational(part.strip(), position=i)
-                 for i, part in enumerate(text.split(","), start=1))
+    # a plain integer part is read by int, with no Fraction made
+    parts = [part.strip() for part in text.split(",")]
+    return tuple(int(part) if _INTEGER(part)
+                 else parse_rational(part, position=i)
+                 for i, part in enumerate(parts, start=1))
 
 
 def _parse_members(text):

@@ -59,7 +59,12 @@ def parse_rational(s, **where):
 
 
 def rational_str(q):
-    """Serialize a Fraction as 'p/q', or 'p' when the denominator is 1."""
+    """Serialize a Fraction as 'p/q', or 'p' when the denominator is 1.
+
+    An int is written as 'p' with no Fraction made.
+    """
+    if type(q) is int:
+        return str(q)
     q = Fraction(q)
     if q.denominator == 1:
         return str(q.numerator)

@@ -20,9 +20,9 @@ from fractions import Fraction
 
 from .errors import (BadArtifact, BadShape, DependentRows, GivesUp,
                      LengthMismatch)
-from .exact_linalg import (_int_row, echelon_insert, echelon_residual,
-                           minor_table, parse_rational, primitive_int_rows,
-                           rational_str)
+from .exact_linalg import (_INTEGER, _int_row, echelon_insert,
+                           echelon_residual, minor_table, parse_rational,
+                           primitive_int_rows, rational_str)
 
 
 class NormalSystem:
@@ -124,11 +124,16 @@ def validate(coeffs, m):
     """Check the independence condition and return a NormalSystem.
 
     Raises BadShape when n <= m or m <= 1 or a row has the wrong width,
-    DependentRows naming the first offending subset otherwise.  Each
-    entry becomes a Fraction once, here.
+    DependentRows naming the first offending subset otherwise.  When
+    every entry is an int, the minor table is made from those ints as
+    they are; otherwise every entry becomes a Fraction first, and each
+    row is scaled to integers by the lcm of its denominators.  Either
+    way the system's rows are Fractions, made once, in NormalSystem.
     """
     m = int(m)
-    rows = [_fractions(row) for row in coeffs]
+    rows = [tuple(row) for row in coeffs]
+    if not all(type(a) is int for row in rows for a in row):
+        rows = [_fractions(row) for row in rows]
     n = len(rows)
     if m <= 1:
         raise BadShape("ambient dimension m must exceed 1", m=m)
@@ -192,6 +197,10 @@ def ns_from_dict(data):
     """Validated NormalSystem from {"m": int, "rows": [[rational, ...]]}.
 
     "m" must be a JSON integer: 2.9 or true is a BadArtifact, not 2 or 1.
+    An entry that is a plain integer string "p", the form ns_to_dict
+    writes for an integer, is read by int, with no Fraction made; any
+    other entry goes through parse_rational, which names the first bad
+    one by row and column.
     """
     need = 'normal system needs an integer "m" and "rows"'
     try:
@@ -203,6 +212,7 @@ def ns_from_dict(data):
     if not (isinstance(rows, list)
             and all(isinstance(row, list) for row in rows)):
         raise BadArtifact('"rows" must be a list of lists')
-    return validate([[parse_rational(a, row=i, column=j)
+    return validate([[int(a) if type(a) is str and _INTEGER(a)
+                      else parse_rational(a, row=i, column=j)
                       for j, a in enumerate(row, start=1)]
                      for i, row in enumerate(rows, start=1)], m)

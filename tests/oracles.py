@@ -4,6 +4,7 @@ Each is a slow, direct computation that a production engine is checked
 against; none of them is part of the library.
 """
 
+import re
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm, prod
@@ -15,12 +16,14 @@ from arrcensus.chambers import (Chamber, ChamberCatalog, antipodal_classes,
                                 opposite_signs, sign_cells)
 from arrcensus.concurrency import SubsetCollection, _rank, _step, _universe
 from arrcensus.discriminantal import build, quotient_rows
-from arrcensus.errors import BadShape, BadSubsetSize, NotGeneric
-from arrcensus.exact_linalg import (_idot, _int_det, _int_row, determinant,
-                                    dot,
-                                    feasible_strict, integer_primitive,
+from arrcensus.errors import (BadArtifact, BadShape, BadSubsetSize,
+                              NotGeneric, NotInCatalog)
+from arrcensus.exact_linalg import (_INTEGER, _idot, _int_det, _int_row,
+                                    determinant, dot, feasible_strict,
+                                    integer_primitive,
                                     lex_independent_columns, nullspace_basis,
                                     parse_rational, rank, solve_particular)
+from arrcensus.normal_system import validate
 
 
 def matvec(mat, x):
@@ -363,6 +366,68 @@ def walk_catalog(da):
         plus.class_id = k
         minus.class_id = k
     return catalog
+
+
+_WITNESS = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*").fullmatch
+
+
+def catalog_by_entry(da, data):
+    """chambers.catalog_from_dict read chamber by chamber: a witness of
+    plain integer strings in one match of its comma-joined text, any
+    other entry by entry (an int for a plain integer string, otherwise
+    parse_rational), every Chamber made at once and sorted by signs."""
+    try:
+        n, m = data["n"], data["m"]
+        entries = [(e["signs"], e["witness"], e["class"])
+                   for e in data["chambers"]]
+    except (KeyError, TypeError):
+        raise BadArtifact('catalog needs "n", "m" and "chambers" entries '
+                          'with "signs", "witness" and "class"') from None
+    if n != da.n or m != da.m:
+        raise NotInCatalog("catalog shape does not match arrangement",
+                           n=n, m=m)
+    chambers = []
+    for k, (signs, witness, class_id) in enumerate(entries, start=1):
+        if not (isinstance(signs, str) and isinstance(witness, list)):
+            raise BadArtifact('"signs" must be a string and "witness" a '
+                              'list', chamber=k)
+        try:
+            text = ",".join(witness)
+        except TypeError:  # an entry that is not a string
+            text = ""
+        if _WITNESS(text) and text.count(",") == len(witness) - 1:
+            point = tuple(map(int, text.split(",")))
+        else:
+            point = tuple([int(x) if type(x) is str and _INTEGER(x)
+                           else parse_rational(x, chamber=k, position=i)
+                           for i, x in enumerate(witness, start=1)])
+        chambers.append(Chamber(signs, point, class_id))
+    catalog = ChamberCatalog(da, sorted(chambers, key=lambda c: c.signs))
+    for k, c in enumerate(chambers, start=1):
+        if len(c.witness) != da.n:
+            raise BadArtifact('"witness" must have n entries', chamber=k,
+                              n=da.n)
+        if type(c.class_id) is not int:
+            raise BadArtifact('"class" must be an integer', chamber=k)
+    return catalog
+
+
+def ns_by_parse_rational(data):
+    """normal_system.ns_from_dict with every entry read by parse_rational,
+    a Fraction each, so validate always takes its Fraction path."""
+    need = 'normal system needs an integer "m" and "rows"'
+    try:
+        m, rows = data["m"], data["rows"]
+    except (KeyError, TypeError):
+        raise BadArtifact(need) from None
+    if type(m) is not int:
+        raise BadArtifact(need)
+    if not (isinstance(rows, list)
+            and all(isinstance(row, list) for row in rows)):
+        raise BadArtifact('"rows" must be a list of lists')
+    return validate([[parse_rational(a, row=i, column=j)
+                      for j, a in enumerate(row, start=1)]
+                     for i, row in enumerate(rows, start=1)], m)
 
 
 def _affine_cells(arr):

@@ -12,6 +12,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arrcensus import chambers, exact_linalg, gallery
 from arrcensus.chambers import (Chamber, ChamberCatalog, Classified, OnWall,
@@ -24,14 +26,15 @@ from arrcensus.charpoly import (CharPolynomial, poset_charpoly,
                                 whitney_charpoly, zaslavsky_regions)
 from arrcensus.concurrency import is_concurrency_free
 from arrcensus.discriminantal import build, quotient_rows
-from arrcensus.errors import (BadRational, CountMismatch, LengthMismatch,
-                              NotInCatalog, TooLarge, UnpairedChamber)
+from arrcensus.errors import (ArrangementError, BadRational, CountMismatch,
+                              LengthMismatch, NotInCatalog, TooLarge,
+                              UnpairedChamber)
 from arrcensus.exact_linalg import (dot, feasible_strict,
                                     lex_independent_columns,
                                     primitive_int_rows, rank)
 from arrcensus.normal_system import random_normal_system
 
-from oracles import sign_cells_fraction, walk_catalog
+from oracles import catalog_by_entry, sign_cells_fraction, walk_catalog
 from test_concurrency import rational_draw, scaled_draw
 
 GALLERY = ["three_lines", "four_lines", "five_lines",
@@ -375,8 +378,8 @@ def test_catalog_from_dict_rejects_bool_and_float_witnesses():
 
 
 def test_catalog_from_dict_reads_a_witness_whole_or_by_entry():
-    # integer strings are read as ints in one match per witness; any other
-    # witness is read entry by entry, and its first bad entry is named
+    # integer strings are read as ints; a catalog with any other entry is
+    # read entry by entry, and its first bad entry is named
     cat = catalog("four_lines")
     for witness, want in [(["-0", "007", "1", "-2"], (0, 7, 1, -2)),
                           (["1/2", "3", "-4", "5"],
@@ -394,6 +397,71 @@ def test_catalog_from_dict_reads_a_witness_whole_or_by_entry():
             catalog_from_dict(cat.da, data)
         assert err.value.payload == {"got": bad, "chamber": 2,
                                      "position": position}
+
+
+# entries the one-pass check leaves to the per-entry read: rationals,
+# forms int() reads but a catalog may not hold, and non-strings
+_ODD_ENTRIES = ["1/2", "+3", " 4", "1_0", "\u0661", "1,2", "", "-", "007",
+                "-0", 5, None, True, 2.5, [1]]
+
+
+@st.composite
+def damaged_gallery_catalogs(draw):
+    """A gallery catalog as JSON data, with up to three faults."""
+    name = draw(st.sampled_from(["four_lines", "five_lines",
+                                 "six_planes_free"]))
+    doc = json.loads(json.dumps(catalog_to_dict(catalog(name))))
+    for _ in range(draw(st.integers(0, 3))):
+        entries = doc["chambers"]
+        if not entries:
+            break
+        fault = draw(st.sampled_from(["entry", "comma", "string", "length",
+                                      "class", "duplicate", "shuffle",
+                                      "empty"]))
+        entry = entries[draw(st.integers(0, len(entries) - 1))]
+        witness = entry["witness"]
+        if fault == "entry" and isinstance(witness, list) and witness:
+            i = draw(st.integers(0, len(witness) - 1))
+            witness[i] = draw(st.sampled_from(_ODD_ENTRIES))
+        elif fault == "comma" and isinstance(witness, list):
+            # n - 1 entries, one of them "1,2": the commas add up to n - 1
+            witness[-2:] = ["1,2"]
+        elif fault == "string" and isinstance(witness, list):
+            entry["witness"] = ",".join(map(str, witness))
+        elif fault == "length" and isinstance(witness, list):
+            if draw(st.booleans()):
+                witness.append("0")
+            else:
+                witness.pop()
+        elif fault == "class":
+            entry["class"] = draw(st.sampled_from([True, 2.5, None, "1"]))
+        elif fault == "duplicate":
+            entry["signs"] = draw(st.sampled_from(entries))["signs"]
+        elif fault == "shuffle":
+            doc["chambers"] = draw(st.permutations(entries))
+        elif fault == "empty":
+            doc["chambers"] = []
+    return name, doc
+
+
+def _load_outcome(load, da, doc):
+    # every chamber in order, with its witness values and their types, or
+    # the error class and payload
+    try:
+        cat = load(da, doc)
+    except ArrangementError as err:
+        return type(err), err.as_dict()
+    return cat.class_count, [(c.signs, c.witness, list(map(type, c.witness)),
+                              c.class_id) for c in cat]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=damaged_gallery_catalogs())
+def test_catalog_from_dict_matches_the_per_entry_oracle(case):
+    name, doc = case
+    da = catalog(name).da
+    assert _load_outcome(catalog_from_dict, da, doc) == \
+        _load_outcome(catalog_by_entry, da, doc)
 
 
 def test_catalog_from_dict_rejects_shape_mismatch():

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arrcensus import cli, gallery
+from arrcensus import chambers, cli, exact_linalg, gallery, normal_system
 from arrcensus.chambers import catalog_to_dict, enumerate_chambers
 from arrcensus.cli import main
 from arrcensus.discriminantal import build
@@ -184,6 +184,36 @@ def test_classify_accepts_rationals(capsys, ns_files):
     _, rep, _, _ = run(capsys, "classify", "--ns", ns_files["four_lines"],
                        "--b", "1/2, -3/4, 5, 7/3")
     assert rep["payload"]["signs"] is not None
+
+
+@pytest.mark.parametrize("name", ["five_lines", "six_planes_free"])
+def test_plain_integer_loads_parse_no_rational(capsys, monkeypatch,
+                                               tmp_path, name):
+    # a gallery ns file, its catalog and a plain-integer --b are read by
+    # int, with no parse_rational call, and classify --catalog turns the
+    # witness of the one chamber it looks up into ints, no other
+    ns = getattr(gallery, name)()
+    cat = enumerate_chambers(build(ns))
+    ns_path, cat_path = tmp_path / "ns.json", tmp_path / "catalog.json"
+    ns_path.write_text(json.dumps(ns_to_dict(ns)))
+    cat_path.write_text(json.dumps(catalog_to_dict(cat)))
+
+    def refuse(*args, **where):
+        raise AssertionError("parse_rational called")
+
+    for module in (exact_linalg, normal_system, chambers, cli):
+        monkeypatch.setattr(module, "parse_rational", refuse)
+    parsed = []
+    ints = chambers._ints
+    monkeypatch.setattr(chambers, "_ints",
+                        lambda text: parsed.append(text) or ints(text))
+    target = cat[len(cat) // 3]
+    code, rep, _, _ = run(capsys, "classify", "--ns", str(ns_path),
+                          "--catalog", str(cat_path),
+                          "--b=" + ", ".join(map(str, target.witness)))
+    assert code == 0 and rep["payload"] == {
+        "signs": target.signs, "class": target.class_id, "on_wall": None}
+    assert parsed == [",".join(map(str, target.witness))]
 
 
 def test_catalog_verify(capsys, ns_files, tmp_path):

@@ -69,6 +69,9 @@ def test_rational_round_trip():
         assert rational(rational_str(q)) == q
     assert rational_str(rational("10/4")) == "5/2"
     assert rational(4) == Fraction(4)
+    # an int is written as its Fraction is, and a bool as 1 or 0
+    for q in [0, -7, 12, 10 ** 30, True, False]:
+        assert rational_str(q) == rational_str(Fraction(q))
 
 
 def test_rational_rejects_zero_denominator():

@@ -6,11 +6,12 @@ from itertools import combinations
 from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from arrcensus import normal_system
-from arrcensus.errors import BadShape, DependentRows, LengthMismatch
+from arrcensus import gallery, normal_system
+from arrcensus.errors import (ArrangementError, BadShape, DependentRows,
+                              LengthMismatch)
 from arrcensus.exact_linalg import determinant, rank
 from arrcensus.normal_system import (
     Arrangement,
@@ -22,6 +23,8 @@ from arrcensus.normal_system import (
     random_normal_system,
     validate,
 )
+
+from oracles import ns_by_parse_rational
 
 SIX_LINES = [(1, 0), (2, 3), (3, 2), (0, 1), (3, -2), (2, -3)]
 SIX_PLANES = [(1, 0, 0), (0, 1, 0), (0, 0, 1),
@@ -230,3 +233,54 @@ def test_equality_and_hash_follow_content():
     b = validate([tuple(Fraction(x) for x in row) for row in SIX_LINES], 2)
     assert a == b and hash(a) == hash(b)
     assert a != validate(SIX_PLANES, 3)
+
+
+# entries outside the plain-integer form, left to parse_rational
+_ODD_ENTRIES = ["1/2", "3/6", "+3", " 4", "1_0", "\u0661", "1/0", "x", "",
+                "007", "-0", 7, 2.5, True, None]
+
+
+@st.composite
+def damaged_gallery_systems(draw):
+    """A gallery system as JSON data, with up to three faults."""
+    name = draw(st.sampled_from(["four_lines", "five_lines",
+                                 "six_lines_free", "six_planes_free"]))
+    doc = ns_to_dict(getattr(gallery, name)())
+    m, rows = doc["m"], doc["rows"]
+    for _ in range(draw(st.integers(0, 3))):
+        fault = draw(st.sampled_from(["entry", "entry", "dependent",
+                                      "width", "short", "m"]))
+        i = draw(st.integers(0, len(rows) - 1))
+        if fault == "entry" and rows[i]:
+            j = draw(st.integers(0, len(rows[i]) - 1))
+            rows[i][j] = draw(st.sampled_from(_ODD_ENTRIES))
+        elif fault == "dependent":
+            # another row times 2, written as plain integers
+            k = draw(st.integers(0, len(rows) - 1))
+            rows[i] = [str(2 * int(a)) if isinstance(a, str)
+                       and a.lstrip("-").isdigit() else a for a in rows[k]]
+        elif fault == "width" and rows[i]:
+            rows[i].pop()
+        elif fault == "short":
+            del rows[m:]
+        elif fault == "m":
+            doc["m"] = draw(st.sampled_from([1, 4, True, 2.5]))
+    return doc
+
+
+def _load_outcome(load, doc):
+    try:
+        ns = load(doc)
+    except ArrangementError as err:
+        return type(err), err.as_dict()
+    return ns.m, ns.rows, list(map(type, ns.rows[0])), ns.scales, ns.minors
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=damaged_gallery_systems())
+@example(doc={"m": 2, "rows": [["1", "2"], ["3", "4"], ["2", "4"]]})
+def test_ns_from_dict_matches_the_parse_rational_oracle(doc):
+    # plain integer entries, read by int and validated from ints, give the
+    # system, or the error, that Fraction entries give
+    assert _load_outcome(ns_from_dict, doc) == \
+        _load_outcome(ns_by_parse_rational, doc)
