@@ -1,27 +1,33 @@
 """Characteristic polynomials of central arrangements, three ways.
 
 whitney_charpoly is the production engine: the subset sum of (-1)^|B|
-x^(n - rank B) over all 2^N subsets of hyperplanes, evaluated by the
-deletion recursion memoised on flats.  The recursion is rows_charpoly,
-which takes any integer rows of full column rank k and runs on the
-packed annihilator kernel of exact_linalg: a flat is the mask of its
-rows, carried by integer vectors that annihilate its span, each cover
-costs one pivot and one packed product per vector, and a flat of rank
-k - 2 is closed by counting its covers; whitney_charpoly runs it on the
-walls cut to the k = n - m quotient coordinates of
-discriminantal.quotient_rows, where every linear dependence is kept.
-poset_charpoly reads the whole lattice of flats of the same quotient
-rows from exact_linalg.flat_levels, the echelon crawl the cone
-composition of chambers reads too, and runs the Mobius recursion; it is
-kept as a cross-check for the tests, and no command runs it.  Both count
-the flats below the top against one budget, FLAT_LIMIT.
+x^(n - rank B) over all 2^N subsets of hyperplanes, run on the walls cut
+to the k = n - m quotient coordinates of discriminantal.quotient_rows,
+where every linear dependence is kept.  Its body is rows_charpoly, which
+takes any integer rows of full column rank k.  At k <= 3 it counts: the
+rows are lines through the origin, and chi follows from the number L of
+distinct lines and, at k = 3, from how many lines each plane they span
+holds, met in one pass over the pairs of lines (the normals of a rank-3
+central arrangement are points of P^2, and its flats of rank 2 the lines
+joining them; Orlik and Terao, Arrangements of Hyperplanes, 1992,
+ch. 2).  At
+k >= 4 it runs the deletion recursion memoised on flats, on the packed
+annihilator kernel of exact_linalg: a flat is the mask of its rows,
+carried by integer vectors that annihilate its span, each cover costs
+one pivot and one packed product per vector, and a flat of rank k - 2 is
+closed by counting its covers.  poset_charpoly reads the whole lattice
+of flats of the same quotient rows from exact_linalg.flat_levels, the
+echelon crawl the cone composition of chambers reads too, and runs the
+Mobius recursion; it is kept as a cross-check for the tests, and no
+command runs it.  Both count the flats below the top against one budget,
+FLAT_LIMIT.
 combinatorial_charpoly never touches a matrix: it sums a product formula
 over the closed families of concurrency sets, so it speaks only about
 concurrency-free systems.  All three must agree wherever their domains
 overlap; the cone census rests on that agreement.
 """
 
-from math import gcd, prod
+from math import gcd, isqrt, prod
 from operator import add, mul
 
 from .concurrency import _check_universe, _lattice, _rank
@@ -29,7 +35,13 @@ from .discriminantal import quotient_rows
 from .errors import OddRegionCount, TooLarge
 from .exact_linalg import _pack, _pivot, _zero_slots, flat_levels
 
-FLAT_LIMIT = 200000  # distinct flats either matrix engine may hold
+# Distinct flats below the top that either matrix engine may hold: the
+# levels poset_charpoly keeps, and for rows_charpoly every flat below the
+# top, which it reaches whichever way it runs.  At k <= 3 those are the
+# origin, the L lines and, at k = 3, the P planes, 1 + L + P in all (at
+# k = 1 the one line is the top); at k >= 4 they are the masks of its
+# memo and of its set of corank-1 flats.
+FLAT_LIMIT = 200000
 
 
 class CharPolynomial:
@@ -81,6 +93,8 @@ class CharPolynomial:
 
     def factored_str(self):
         """x^a (x - r) ... (residual), splitting off integer roots."""
+        if not any(self.coefficients):
+            return "0"
         coeffs = list(self.coefficients)
         # strip powers of x
         xpow = 0
@@ -137,12 +151,75 @@ def _from_exponents(n, by_exp):
     return CharPolynomial([by_exp[n - i] for i in range(n + 1)])
 
 
+def _hold(flats):
+    if flats > FLAT_LIMIT:
+        raise TooLarge("flat states exceed the memory guard",
+                       limit=FLAT_LIMIT)
+
+
+def _direction(v):
+    # the primitive multiple of a nonzero integer vector whose first
+    # nonzero entry is positive: one key per line through the origin
+    g = gcd(*v)
+    if next(filter(None, v)) < 0:
+        g = -g
+    return tuple(x // g for x in v)
+
+
+def _counted(rows, k):
+    # G(0, {0}) by exponent for nonzero rows of full column rank k <= 3
+    if k == 1:
+        _hold(1)  # the origin; the one line is the top
+        return [-1, 1]
+    lines = list(set(map(_direction, rows)))
+    L = len(lines)
+    _hold(1 + L)
+    if k == 2:
+        return [L - 1, -L, 1]
+    planes = {}  # plane by its primitive normal -> pairs of lines in it
+    for i, (a, b, c) in enumerate(lines, 1):
+        for d, e, f in lines[i:]:  # the cross product, as _direction
+            x, y, z = b * f - c * e, c * d - a * f, a * e - b * d
+            g = gcd(x, y, z)
+            if x < 0 or not x and (y < 0 or not y and z < 0):
+                g = -g
+            p = x // g, y // g, z // g
+            planes[p] = planes.get(p, 0) + 1
+        _hold(1 + L + len(planes))
+    # t = s (s - 1) / 2 pairs give 8 t + 1 = (2 s - 1)^2, so s - 1 is
+    # isqrt(8 t + 1) // 2
+    b2 = sum(isqrt(8 * t + 1) // 2 for t in planes.values())
+    return [L - 1 - b2, b2, -L, 1]
+
+
 def rows_charpoly(rows, n):
     """Characteristic polynomial in R^n of integer rows of full column rank.
 
     The rows have k entries each and span k dimensions, so chi =
-    x^(n - k) G(0, {0}) with ranks taken there.  G(i, V) = sum over B in
-    rows i.. of (-1)^|B| x^(k - rank(V u B)) obeys
+    x^(n - k) G(0, {0}) with ranks taken there, where G(i, V) = sum over
+    B in rows i.. of (-1)^|B| x^(k - rank(V u B)).  A zero row lies in
+    every flat, so every subset cancels against the one that adds or drops
+    it, and chi is 0 when there is one.
+
+    At k <= 3 G(0, {0}) = sum over flats X of mu(X) x^(k - rank X) is
+    counted, with no packing and no recursion.  Each row is made a
+    primitive direction whose first nonzero entry is positive, and the
+    distinct ones are the L lines, the flats of rank 1, each with mu = -1.
+    At k = 1 the one line is the top: chi = x - 1.  At k = 2 the top is
+    the only flat above the lines, and chi(1) = 0 gives chi = x^2 - L x +
+    (L - 1).  At k = 3 the flats of rank 2 are the planes spanned by two
+    lines, and a plane holding s lines has mu = s - 1.  One pass over the
+    C(L, 2) pairs of lines takes each pair's cross product, made
+    primitive with the same sign rule, as the plane it spans, so a plane
+    of s lines is met C(s, 2) times and s is read back from that count.
+    Then b2 = sum of (s - 1) over the planes is the coefficient of x, and
+    the constant term is -(b2 - L + 1), because chi(1) = 1 - L + b2 +
+    const = 0.  The flats below the top are the origin, the lines and the
+    P planes, 1 + L + P (1 at k = 1, 1 + L at k = 2); TooLarge is raised
+    as soon as that count passes FLAT_LIMIT, checked once before the pass
+    and once per line during it.
+
+    At k >= 4 the deletion recursion runs.  G(i, V) obeys
     G(i, V) = G(i+1, V) - G(i+1, V + row_i), and G(i, V) = 0 as soon as
     some row j >= i lies in V (B and B xor {j} cancel).  Unrolling the
     first identity and dropping the vanishing terms gives
@@ -151,8 +228,7 @@ def rows_charpoly(rows, n):
 
     where a term survives only if row_j is the last row inside V + row_j.
     So every state is a flat evaluated one past its last row, the memo is
-    keyed by the flat alone and the recursion is at most rank deep.  A
-    zero row lies in every flat, so chi is 0 when there is one.
+    keyed by the flat alone and the recursion is at most rank deep.
 
     The recursion runs on the packed annihilator kernel of exact_linalg.
     The rows are packed once, one W-bit slot per row (_pack), and a flat
@@ -189,20 +265,15 @@ def rows_charpoly(rows, n):
     if not all(map(any, rows)):
         return _from_exponents(n, [0] * (n + 1))
     N, k = len(rows), len(rows[0])
+    if k <= 3:
+        return _from_exponents(n, [0] * (n - k) + _counted(rows, k))
     width, cols, high, low = _pack(rows)
     memo = {}  # mask of a flat of corank >= 2 -> G, by exponent
     lines = set()  # masks of the flats of corank 1
 
-    def hold():
-        if len(memo) + len(lines) > FLAT_LIMIT:
-            raise TooLarge("flat states exceed the memory guard",
-                           limit=FLAT_LIMIT)
-
     def go(zs, start):
         # G(start, F) for the flat F annihilated by zs, by exponent
         rest = high >> width * start << width * start  # rows start..
-        if len(zs) == 1:  # the root, when k = 1
-            return [-(start < N), 1]
         if len(zs) == 2:
             z1, z2 = zs
             c = 0
@@ -224,7 +295,7 @@ def rows_charpoly(rows, n):
                 rest &= ~line
                 lines.add(line)
                 c += 1
-            hold()
+            _hold(len(memo) + len(lines))
             return [c - (start < N), -c, 1]
         acc = [0] * len(zs)
         while rest:
@@ -236,13 +307,13 @@ def rows_charpoly(rows, n):
             sub = memo.get(G)
             if sub is None:
                 sub = memo[G] = go(ws, G.bit_length() // width)
-                hold()
+                _hold(len(memo) + len(lines))
             acc = list(map(add, acc, sub))
         return [-a for a in acc] + [1]
 
     units = tuple((0,) * j + (1,) + (0,) * (k - 1 - j) for j in range(k))
     memo[0] = go(units, 0)  # the root, the flat {0}
-    hold()
+    _hold(len(memo) + len(lines))
     return _from_exponents(n, [0] * (n - k) + memo[0])
 
 

@@ -398,6 +398,97 @@ def test_whitney_runs_on_the_packed_kernel_alone(monkeypatch):
     assert [whitney_charpoly(da) for da in das] == expected
 
 
+def refuse_packed_kernel(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("packed kernel called")
+
+    for name in ("_pack", "_pivot", "_zero_slots"):
+        monkeypatch.setattr(charpoly, name, refuse)
+
+
+def test_whitney_counts_quotients_of_rank_at_most_three(monkeypatch):
+    # n - m <= 3: chi is counted from lines and planes, so the packed
+    # kernel is never called; the six-line gallery systems (k = 4) do call
+    # it, which shows the patch is live
+    das = [build(random_normal_system(n, m, seed=n * m, bound=bound))
+           for n in range(3, 9) for m in range(max(2, n - 3), n)
+           for bound in (2, 9)]
+    gallery_das = [build(getattr(gallery, name)()) for name in GALLERY]
+    das += [da for da in gallery_das if da.n - da.m <= 3]
+    deep = [da for da in gallery_das if da.n - da.m > 3]
+    assert len(das) == 15 * 2 + 6
+    assert [da.n - da.m for da in deep] == [4] * 4
+    expected = [poset_charpoly(da) for da in das]
+    refuse_packed_kernel(monkeypatch)
+    assert [whitney_charpoly(da) for da in das] == expected
+    for da in deep:
+        with pytest.raises(AssertionError, match="packed kernel"):
+            whitney_charpoly(da)
+
+
+LOW_RANK_ROWS = {
+    # rank 1: a repeated and a negated row
+    "one": [(3,), (-2,), (5,), (3,)],
+    # rank 2: parallel and negated rows of (1, 2), and the axes
+    "two": [(1, 2), (-2, -4), (3, 6), (0, 1), (1, 0), (2, -1), (-1, 1),
+            (0, -5)],
+    # rank 3: five lines in the plane z = 0, one of them twice, and four
+    # off it, one of them twice
+    "three": [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, -1, 0), (2, 1, 0),
+              (-3, -3, 0), (0, 0, 1), (1, 1, 1), (-2, -2, -2), (1, 0, -1),
+              (0, 2, 3)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOW_RANK_ROWS))
+def test_counted_chi_matches_brute_oracle(monkeypatch, name):
+    rows = LOW_RANK_ROWS[name]
+    k = len(rows[0])
+    assert rank(rows) == k
+    refuse_packed_kernel(monkeypatch)
+    for n in (k, k + 2):
+        padded = [row + (0,) * (n - k) for row in rows]
+        assert rows_charpoly(rows, n) == brute_whitney(padded, n), n
+
+
+@pytest.mark.parametrize("name,lines,planes", [("five_lines", 10, 20),
+                                               ("six_planes_free", 15, 51),
+                                               ("six_planes_chain", 15, 43)])
+def test_counted_flats_are_the_flats_below_the_top(monkeypatch, name, lines,
+                                                   planes):
+    # at k = 3 the flats below the top are the origin, the L lines and
+    # the P planes; FLAT_LIMIT at 1 + L + P passes and one less raises
+    import arrcensus.charpoly as mod
+    da = build(getattr(gallery, name)())
+    assert da.n - da.m == 3
+    assert [len(level) for level in flat_levels(quotient_rows(da))] == \
+        [1, lines, planes, 1]
+    assert flats_below_top(da) == 1 + lines + planes
+    monkeypatch.setattr(mod, "FLAT_LIMIT", 1 + lines + planes)
+    assert whitney_charpoly(da) == chi(name)
+    monkeypatch.setattr(mod, "FLAT_LIMIT", lines + planes)
+    with pytest.raises(TooLarge):
+        whitney_charpoly(da)
+
+
+@pytest.mark.parametrize("rows,n,below", [
+    # k = 3 with repeated rows: 9 lines; the plane z = 0 holds 5 of them,
+    # 4 planes hold 3 and 14 planes hold 2
+    (LOW_RANK_ROWS["three"], 3, 1 + 9 + 1 + 4 + 14),
+    # LOW_RANK "half", k = 2 with a repeated wall: 4 lines
+    (lex_cut(LOW_RANK["half"][1]), 5, 1 + 4)])
+def test_flat_budget_counts_distinct_lines_and_planes(monkeypatch, rows, n,
+                                                      below):
+    import arrcensus.charpoly as mod
+    assert sum(map(len, list(flat_levels(rows))[:-1])) == below
+    expected = rows_charpoly(rows, n)
+    monkeypatch.setattr(mod, "FLAT_LIMIT", below)
+    assert rows_charpoly(rows, n) == expected
+    monkeypatch.setattr(mod, "FLAT_LIMIT", below - 1)
+    with pytest.raises(TooLarge):
+        rows_charpoly(rows, n)
+
+
 def recursion_vectors(monkeypatch):
     """Patch _pivot and _zero_slots in charpoly to record every
     annihilator vector the recursion reads or makes; returns the list it
@@ -429,7 +520,7 @@ def assert_recursion_dots_fit(seen, da):
     k = len(rows[0])
     units = [tuple(int(i == j) for i in range(k)) for j in range(k)]
     vectors = set(seen + units)
-    assert len(vectors) > k or k < 3
+    assert len(vectors) > k or k < 4
     assert all(gcd(*z) == 1 for z in vectors), da.normals
     top = max(abs(sum(map(mul, z, r))) for z in vectors for r in rows)
     assert top < 1 << _slot_width(rows) - 2, da.normals
@@ -510,3 +601,11 @@ def test_polynomial_basics():
     assert p == CharPolynomial((1, -4, 3, 0, 0))
     assert "x^4" in repr(p)
     assert CharPolynomial([1, 0, -1]).as_str() == "x^2 - 1"
+
+
+def test_zero_polynomial_prints_as_zero():
+    # a zero row makes chi the zero polynomial of degree n
+    zero = rows_charpoly([(1, 0, 0), (0, 0, 0), (0, 1, 1)], 3)
+    assert zero == CharPolynomial((0, 0, 0, 0))
+    for p in (zero, CharPolynomial((0, 0, 0)), CharPolynomial((0,))):
+        assert p.as_str() == p.factored_str() == "0"
