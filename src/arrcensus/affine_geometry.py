@@ -35,7 +35,7 @@ from math import comb
 from .discriminantal import _walls
 from .errors import (NotAdjacent, NotGeneric, NotInCatalog, TooLarge,
                      UnsupportedDimension, WrongShape)
-from .exact_linalg import _int_det, _int_row, echelon_residual
+from .exact_linalg import _direction, _int_det, _int_row
 from .normal_system import Arrangement
 
 MAX_REGIONS = 10 ** 4
@@ -102,9 +102,8 @@ def genericity_witness(arr):
 def _directions(normals, m):
     # {A: d_A} over the (m-1)-subsets A (0-based, lex order) of the
     # integer normals: d_A spans line A, the kernel of the normals of A,
-    # as coprime integers with the first nonzero entry positive (its
-    # residual against no basis)
-    return {A: echelon_residual((), _kernel([normals[i] for i in A]))
+    # as coprime integers with the first nonzero entry positive
+    return {A: _direction(_kernel([normals[i] for i in A]))
             for A in combinations(range(len(normals)), m - 1)}
 
 

@@ -8,13 +8,15 @@ extreme ray y, a cocircuit: y is orthogonal to a flat F one rank below the
 whole, and the cone is y o T, the signs of y off F composed with a chamber
 T of the localization F.  The flats come up rank by rank from
 exact_linalg.flat_levels, the one crawl of the lattice of flats (the
-poset_charpoly cross-check reads it too), and the chambers of each flat are
-composed from those of its lower covers.  A witness is a primitive integer
-vector, the sum K y + w_T with the least integer K that keeps y's signs, so
-every sign test is an integer dot product.  The count is a certificate: it
-is known up front as the Zaslavsky number of the whitney polynomial, which
-is checked against max_chambers before any cone is made and against the
-finished catalog after.
+poset_charpoly cross-check reads it too), which runs on the packed
+annihilator kernel and hands each lower cover F its cocircuit y as the
+annihilator vector of F that the cover does not keep.  The chambers of
+each flat are composed from those of its lower covers.  A witness is a
+primitive integer vector, the sum K y + w_T with the least integer K that
+keeps y's signs, so every sign test is an integer dot product.  The
+count is a certificate: it is known up front as the Zaslavsky number of
+the whitney polynomial, which is checked against max_chambers before any
+cone is made and against the finished catalog after.
 
 The arrangement is first reduced modulo its common intersection subspace.
 Its integer rows are restricted to their first n - m coordinates, on
@@ -265,24 +267,6 @@ class ChamberCatalog:
         return len(ids)
 
 
-def _cocircuit(basis, w):
-    """Integer y orthogonal to a flat, with w . y != 0.
-
-    basis is the flat's echelon basis and w a residual against it, so w
-    is zero in the flat's pivot columns and its first nonzero column q is
-    free.  y is supported on those pivots and q: y_q = L, the lcm of the
-    pivot entries, and y_p = -L row[q] / row[p] cancels row on q.
-    """
-    q = next(i for i, x in enumerate(w) if x)
-    L = lcm(*(row[p] for p, row in basis))
-    y = [0] * len(w)
-    y[q] = L
-    for p, row in basis:
-        y[p] = -(L // row[p]) * row[q]
-    g = gcd(*y)
-    return [x // g for x in y]
-
-
 def _half_cones(rows):
     """Chambers with first sign + of an essential arrangement of int rows.
 
@@ -293,30 +277,30 @@ def _half_cones(rows):
     chambers of its lower covers F, so only two ranks of chambers are
     held at a time.  Such a chamber is open on a's side, so some extreme
     ray y of its closure is off a: y is a cocircuit of G at a lower cover
-    F without a, oriented to a . y > 0, and the chamber is y o T, the
-    signs of y off F composed with a chamber T of F.  So the lower covers
-    through a are skipped.  The witness of y o T is K y + w_T, with K the
-    least integer that keeps every sign off F, divided by its gcd; the
-    other chambers of G are the mirrors of its half, with negated
-    witnesses.
+    F without a, and the chamber is y o T, the signs of y off F composed
+    with a chamber T of F.  So the lower covers through a are skipped.
+    flat_levels gives y with each pair (F, G): the primitive annihilator
+    vector of F with a nonzero dot on G's rows, up to sign the cocircuit
+    of F in the first free column G's rows reach; it is oriented here to
+    a . y > 0.  The witness of y o T is K y + w_T, with K the least
+    integer that keeps every sign off F, divided by its gcd; the other
+    chambers of G are the mirrors of its half, with negated witnesses.
     """
     N, d = len(rows), len(rows[0])
     top = (1 << N) - 1
     levels = flat_levels(rows)
     next(levels)  # the empty flat, whose one chamber is the whole space
-    # flat mask of the rank below -> (echelon basis, all its chambers
-    # [(mask, witness)])
-    below = {0: ((), [(0, [0] * d)])}
+    # flat mask of the rank below -> all its chambers [(mask, witness)]
+    below = {0: [(0, [0] * d)]}
     for level in levels:
         here = {}
-        for G, (basis_g, lower) in level.items():
+        for G, (_, lower) in level.items():
             a = G & -G
             found = {}
-            for F, w in lower:
+            for F, y in lower:
                 if F & a:
                     continue
-                basis, cones = below[F]
-                y = _cocircuit(basis, w)
+                cones = below[F]
                 off = [(1 << j, rows[j], _idot(rows[j], y))
                        for j in range(N) if (G & ~F) >> j & 1]
                 if next(v for b, _, v in off if b == a) < 0:
@@ -333,8 +317,7 @@ def _half_cones(rows):
             if G == top:
                 return found
             half = list(found.items())
-            here[G] = (basis_g, half + [(G ^ m, [-x for x in wt])
-                                        for m, wt in half])
+            here[G] = half + [(G ^ m, [-x for x in wt]) for m, wt in half]
         below = here
 
 
@@ -536,27 +519,32 @@ def catalog_to_dict(catalog):
 def catalog_from_dict(da, data):
     """Catalog of da read back from catalog_to_dict output.
 
-    A missing key or a wrong layout raises BadArtifact; a witness entry
-    that is not an exact rational raises BadRational.  The whole catalog
-    is checked in one pass first: every "signs" a string, every "witness"
-    a list of n strings, every "class" a JSON integer, and all witness
-    entries, joined by commas, one match of plain integers "p" with
-    n * count - 1 commas, so that no entry can hide a comma.  Such a
-    catalog, the form catalog_to_dict writes for a built one, keeps each
-    witness as its comma-joined text, parsed to ints only when its
-    chamber is read (ChamberCatalog).  Any other catalog is read entry by
-    entry, in file order, so the first bad entry is named: a plain
-    integer string as an int, with no Fraction made, and any other entry
-    through parse_rational.  Last, a witness without n entries or a class
-    id that is not a JSON integer raises BadArtifact.
+    A missing key or a wrong layout raises BadArtifact: "n" and "m" must
+    be JSON integers (5.0 or true is not 5 or 1) and "chambers" a list;
+    a witness entry that is not an exact rational raises BadRational.
+    The whole catalog is checked in one pass first: every "signs" a
+    string, every "witness" a list of n strings, every "class" a JSON
+    integer, and all witness entries, joined by commas, one match of
+    plain integers "p" with n * count - 1 commas, so that no entry can
+    hide a comma.  Such a catalog, the form catalog_to_dict writes for a
+    built one, keeps each witness as its comma-joined text, parsed to
+    ints only when its chamber is read (ChamberCatalog).  Any other
+    catalog is read entry by entry, in file order, so the first bad entry
+    is named: a plain integer string as an int, with no Fraction made,
+    and any other entry through parse_rational.  Last, a witness without
+    n entries or a class id that is not a JSON integer raises
+    BadArtifact.
     """
+    need = ('catalog needs integer "n" and "m" and a list "chambers" of '
+            'entries with "signs", "witness" and "class"')
     try:
         n, m, entries = data["n"], data["m"], data["chambers"]
         signs, witnesses, classes = [list(map(itemgetter(key), entries))
                                      for key in ("signs", "witness", "class")]
     except (KeyError, TypeError):
-        raise BadArtifact('catalog needs "n", "m" and "chambers" entries '
-                          'with "signs", "witness" and "class"') from None
+        raise BadArtifact(need) from None
+    if not (type(n) is int and type(m) is int and type(entries) is list):
+        raise BadArtifact(need)
     if n != da.n or m != da.m:
         raise NotInCatalog("catalog shape does not match arrangement",
                            n=n, m=m)

@@ -17,10 +17,10 @@ carried by integer vectors that annihilate its span, each cover costs
 one pivot and one packed product per vector, and a flat of rank k - 2 is
 closed by counting its covers.  poset_charpoly reads the whole lattice
 of flats of the same quotient rows from exact_linalg.flat_levels, the
-echelon crawl the cone composition of chambers reads too, and runs the
-Mobius recursion; it is kept as a cross-check for the tests, and no
-command runs it.  Both count the flats below the top against one budget,
-FLAT_LIMIT.
+crawl on the same packed kernel that the cone composition of chambers
+reads too, and runs the Mobius recursion; it is kept as a cross-check
+for the tests, and no command runs it.  Both count the flats below the
+top against one budget, FLAT_LIMIT.
 combinatorial_charpoly never touches a matrix: it sums a product formula
 over the closed families of concurrency sets, so it speaks only about
 concurrency-free systems.  All three must agree wherever their domains
@@ -33,7 +33,8 @@ from operator import add, mul
 from .concurrency import _check_universe, _lattice, _rank
 from .discriminantal import quotient_rows
 from .errors import OddRegionCount, TooLarge
-from .exact_linalg import _pack, _pivot, _zero_slots, flat_levels
+from .exact_linalg import (_direction, _pack, _pivot, _units, _zero_slots,
+                           flat_levels)
 
 # Distinct flats below the top that either matrix engine may hold: the
 # levels poset_charpoly keeps, and for rows_charpoly every flat below the
@@ -155,15 +156,6 @@ def _hold(flats):
     if flats > FLAT_LIMIT:
         raise TooLarge("flat states exceed the memory guard",
                        limit=FLAT_LIMIT)
-
-
-def _direction(v):
-    # the primitive multiple of a nonzero integer vector whose first
-    # nonzero entry is positive: one key per line through the origin
-    g = gcd(*v)
-    if next(filter(None, v)) < 0:
-        g = -g
-    return tuple(x // g for x in v)
 
 
 def _counted(rows, k):
@@ -311,8 +303,7 @@ def rows_charpoly(rows, n):
             acc = list(map(add, acc, sub))
         return [-a for a in acc] + [1]
 
-    units = tuple((0,) * j + (1,) + (0,) * (k - 1 - j) for j in range(k))
-    memo[0] = go(units, 0)  # the root, the flat {0}
+    memo[0] = go(_units(k), 0)  # the root, the flat {0}
     _hold(len(memo) + len(lines))
     return _from_exponents(n, [0] * (n - k) + memo[0])
 

@@ -41,7 +41,7 @@ from math import comb
 from .discriminantal import build, quotient_rows
 from .errors import (BadArtifact, BadShape, BadSubsetSize, NotClosed,
                      TooLarge)
-from .exact_linalg import _pack, _pivot, _zero_slots
+from .exact_linalg import _pack, _pivot, _units, _zero_slots
 
 MAX_UNIVERSE = 36  # largest C(n, m+1) the enumeration strategies accept
 
@@ -405,8 +405,7 @@ def is_concurrency_free(ns):
     lattice = _lattice(n, m)
     width, cols, high, low = _pack(rows)
 
-    zss = [tuple(tuple(int(i == j) for i in range(kmax))
-                 for j in range(kmax))]
+    zss = [_units(kmax)]
     for k in range(kmax):
         if k:
             # rank k - 1 passed, so each added row leaves its parent's span

@@ -1,9 +1,9 @@
 """Exact rational linear algebra: rank, determinant, nullspace, feasibility.
 
 Scalars are fractions.Fraction (always reduced, positive denominator) or
-plain ints: the flat kernel (primitive_int_rows, echelon_residual,
-echelon_insert and the crawl flat_levels), the packed annihilator kernel
-(_slot_width, _pack, _zero_slots and _pivot), the table of maximal minors
+plain ints: primitive_int_rows and _direction, the packed annihilator
+kernel (_slot_width, _pack, _zero_slots and _pivot) with the one crawl of
+the lattice of flats on it (flat_levels), the table of maximal minors
 (minor_table) and the elimination inside rank, determinant and
 feasible_strict run on integers only.  Matrices are plain
 sequences of rows; rows are sequences of Fractions or ints.  A row whose
@@ -229,90 +229,13 @@ def primitive_int_rows(mat):
     return out
 
 
-# A flat (a row space) is keyed by its canonical integer echelon basis: a
-# tuple of (pivot column, row) pairs in pivot order, every row primitive
-# with a positive pivot entry and zeros in the other rows' pivot columns.
-# That is the RREF scaled row by row to coprime integers, so it is unique.
-# Rows are reduced and inserted by cross-multiplication plus gcd; no
-# Fraction is made.
-
-
-def echelon_residual(basis, vec):
-    """vec reduced against an echelon basis, or None if it is in the span.
-
-    The residual is primitive with its first nonzero entry positive.  It
-    is zero in every pivot column and the map is linear up to a positive
-    factor, so two vectors outside the span give the same residual
-    exactly when they span the same flat together with the basis.
-    """
-    v = vec
-    for p, row in basis:
-        c = v[p]
-        if c:
-            a = row[p]
-            v = [a * x - c * y for x, y in zip(v, row)]
+def _direction(v):
+    """The primitive multiple of a nonzero integer vector whose first
+    nonzero entry is positive: one key per line through the origin."""
     g = gcd(*v)
-    if not g:
-        return None
-    if next(x for x in v if x) < 0:
+    if next(filter(None, v)) < 0:
         g = -g
-    return tuple([x // g for x in v])
-
-
-def echelon_insert(basis, w):
-    """Echelon basis of span(basis + w) for a residual w of that basis."""
-    q = next(i for i, x in enumerate(w) if x)
-    a = w[q]
-    out = []
-    for p, row in basis:
-        c = row[q]  # zero unless p < q
-        if c:
-            r = [a * x - c * y for x, y in zip(row, w)]
-            h = gcd(*r)
-            row = tuple([x // h for x in r])
-        out.append((p, row))
-    out.insert(sum(1 for p, _ in basis if p < q), (q, w))
-    return tuple(out)
-
-
-def flat_levels(rows):
-    """The lattice of flats of nonzero integer rows, one rank at a time.
-
-    The rows must have full column rank d, as discriminantal.quotient_rows
-    gives them.  Yields, for each rank 0, 1, ..., d, a dict {G: (basis,
-    lower)}: G is a flat as the mask of the rows it holds (bit j for row
-    j), basis its echelon basis, and lower its lower covers as pairs
-    (F, w) of the mask of F and the residual against F's basis of G's
-    rows outside F.  A flat F is covered once per distinct residual of a
-    row outside it; the only flat of rank d holds every row, so each
-    flat of rank d - 1 reaches it through its first row outside, with no
-    other residual taken.  Flats appear in the order they are first
-    reached and each lower list in the order of the rank below; only
-    that rank and the one being built are held.
-    """
-    N = len(rows)
-    d = len(rows[0]) if rows else 0
-    top = (1 << N) - 1
-    level = {0: ((), [])}
-    yield level
-    for k in range(1, d + 1):
-        up = {}
-        for F, (basis, _) in level.items():
-            if k == d:
-                j = next(j for j in range(N) if not F >> j & 1)
-                grown = {echelon_residual(basis, rows[j]): top}
-            else:
-                grown = {}  # residual -> mask of the cover it spans
-                for j in range(N):
-                    if not F >> j & 1:
-                        w = echelon_residual(basis, rows[j])
-                        grown[w] = grown.get(w, F) | 1 << j
-            for w, G in grown.items():
-                if G not in up:
-                    up[G] = (echelon_insert(basis, w), [])
-                up[G][1].append((F, w))
-        level = up
-        yield level
+    return tuple(x // g for x in v)
 
 
 # The packed annihilator kernel.  Integer rows of length k are packed
@@ -366,6 +289,12 @@ def _zero_slots(z, cols, high, low):
     return high & ~((p | high) - low)
 
 
+def _units(k):
+    """The k unit vectors of length k: the annihilator vectors of the
+    empty set of rows, where every pivot path starts."""
+    return tuple((0,) * j + (1,) + (0,) * (k - 1 - j) for j in range(k))
+
+
 def _pivot(zs, r):
     """Annihilator basis of the rows behind zs plus one row r outside
     their span: the first z with z . r != 0 is the pivot, and every later
@@ -385,6 +314,76 @@ def _pivot(zs, r):
             z = tuple([x // g for x in v] if g > 1 else v)
         out.append(z)
     return tuple(out)
+
+
+def flat_levels(rows):
+    """The lattice of flats of nonzero integer rows, one rank at a time.
+
+    The rows must have full column rank d, as discriminantal.quotient_rows
+    gives them.  Yields, for each rank k = 0, 1, ..., d, a dict {G: (zs,
+    lower)}: G is a flat as the mask of the rows it holds (bit j for row
+    j), zs its d - k annihilator vectors, and lower its lower covers as
+    pairs (F, y), y the first vector of F's zs with a nonzero dot on G's
+    rows.  The crawl runs on the packed annihilator kernel, as
+    charpoly.rows_charpoly does: the empty flat carries the unit vectors,
+    and the covers of a flat F are found one at a time at the first row
+    q left, by one _pivot on row q for the vectors of the cover G and the
+    AND of one _zero_slots mask per vector for its rows, which all leave
+    the rows left at once.  A cover reached again keeps the vectors of
+    its first pair.  The only flat of rank d holds every row and has no
+    vector, so each flat of rank d - 1 is a lower cover of it with its
+    one vector as y, and no pivot is taken.  Flats appear in the order
+    they are first reached and each lower list in the order of the rank
+    below; only that rank and the one being built are held.
+
+    The vectors stay in free-column order, and each is, up to sign, the
+    primitive null-space vector of one free column of the RREF of F's
+    rows: nonzero in that column and in F's pivot columns only.  The unit
+    vectors are these for the empty flat.  A row r outside F, reduced
+    against F's rows, is zero in the pivot columns, so the vector of a
+    free column f has a nonzero dot with r exactly when the reduced r is
+    nonzero in column f.  _pivot takes the first such vector as its
+    pivot, so f becomes a pivot column, and combines each later one with
+    it to vanish on r, which keeps it zero in the other free columns.  So
+    y, the first vector of F with a nonzero dot on G's rows, is up to
+    sign the cocircuit of F in the first nonzero column of a row of G
+    reduced against F: the extreme ray that chambers._half_cones orients
+    by one dot and composes cones from.  No dot overflows its slot: the
+    vectors are those of the pivot paths of
+    concurrency.is_concurrency_free, point (4), on rows that are
+    independent along each path.
+    """
+    N = len(rows)
+    d = len(rows[0]) if rows else 0
+    level = {0: (_units(d), [])}
+    yield level
+    if not rows:
+        return
+    width, cols, high, low = _pack(rows)
+    slot_mask = {0: 0}  # row mask of a flat of the level -> slot mask
+    for _ in range(1, d):
+        up = {}
+        row_mask = {}  # slot mask of a cover built -> row mask
+        for F, (zs, _) in level.items():
+            rest = high & ~slot_mask[F]
+            while rest:
+                r = rows[(rest & -rest).bit_length() // width - 1]
+                ws = _pivot(zs, r)
+                H = high
+                for z in ws:
+                    H &= _zero_slots(z, cols, high, low)
+                rest &= ~H
+                G = row_mask.get(H)
+                if G is None:
+                    # bit q for each slot q whose top bit H holds
+                    G = row_mask[H] = int(
+                        format(H >> width - 1, "b")[::-width][::-1], 2)
+                    up[G] = (ws, [])
+                up[G][1].append((F, next(z for z in zs if _idot(z, r))))
+        slot_mask = dict(zip(row_mask.values(), row_mask))
+        level = up
+        yield level
+    yield {(1 << N) - 1: ((), [(F, zs[0]) for F, (zs, _) in level.items()])}
 
 
 def nullspace_basis(mat):

@@ -20,9 +20,9 @@ from fractions import Fraction
 
 from .errors import (BadArtifact, BadShape, DependentRows, GivesUp,
                      LengthMismatch)
-from .exact_linalg import (_INTEGER, _int_row, echelon_insert,
-                           echelon_residual, minor_table, parse_rational,
-                           primitive_int_rows, rational_str)
+from .exact_linalg import (_INTEGER, _idot, _int_row, _pivot, _units,
+                           minor_table, parse_rational, primitive_int_rows,
+                           rational_str)
 
 
 class NormalSystem:
@@ -98,26 +98,27 @@ def first_dependent_subset(rows, m):
     Subsets are 1-based and ordered as tuples, so {1,2} precedes {1,2,3}
     precedes {1,3}.  That is the preorder of a depth-first walk that
     extends each tuple by a later index, so the walk meets the subsets in
-    order.  A node carries the echelon basis of its prefix, whose rows
-    are independent, and is dependent exactly when its last row leaves no
-    residual against that basis.
+    order.  A node carries integer vectors that annihilate exactly the
+    span of its prefix, whose rows are independent: the unit vectors at
+    the root, and one exact_linalg._pivot on the last row for each
+    child.  A node is dependent exactly when every vector of its prefix
+    has a zero dot on its last row.
     """
     n = len(rows)
     ints = primitive_int_rows(rows)
 
-    def walk(prefix, basis):
+    def walk(prefix, zs):
         for i in range(prefix[-1] if prefix else 0, n):
             sub = prefix + (i + 1,)
-            res = echelon_residual(basis, ints[i])
-            if res is None:
+            if not any(_idot(z, ints[i]) for z in zs):
                 return sub
             if len(sub) < m:
-                hit = walk(sub, echelon_insert(basis, res))
+                hit = walk(sub, _pivot(zs, ints[i]))
                 if hit is not None:
                     return hit
         return None
 
-    return walk((), ())
+    return walk((), _units(m))
 
 
 def validate(coeffs, m):

@@ -94,6 +94,72 @@ def brute_flats(rows):
             for G, r in flats.items()}
 
 
+# The integer echelon kernel, the reference that the packed crawl of
+# exact_linalg.flat_levels is checked against.  A flat (a row space) is
+# keyed by its canonical integer echelon basis: a tuple of (pivot
+# column, row) pairs in pivot order, every row primitive with a positive
+# pivot entry and zeros in the other rows' pivot columns.  That is the
+# RREF scaled row by row to coprime integers, so it is unique.  Rows are
+# reduced and inserted by cross-multiplication plus gcd; no Fraction is
+# made.
+
+
+def echelon_residual(basis, vec):
+    """vec reduced against an echelon basis, or None if it is in the span.
+
+    The residual is primitive with its first nonzero entry positive.  It
+    is zero in every pivot column and the map is linear up to a positive
+    factor, so two vectors outside the span give the same residual
+    exactly when they span the same flat together with the basis.
+    """
+    v = vec
+    for p, row in basis:
+        c = v[p]
+        if c:
+            a = row[p]
+            v = [a * x - c * y for x, y in zip(v, row)]
+    g = gcd(*v)
+    if not g:
+        return None
+    if next(x for x in v if x) < 0:
+        g = -g
+    return tuple([x // g for x in v])
+
+
+def echelon_insert(basis, w):
+    """Echelon basis of span(basis + w) for a residual w of that basis."""
+    q = next(i for i, x in enumerate(w) if x)
+    a = w[q]
+    out = []
+    for p, row in basis:
+        c = row[q]  # zero unless p < q
+        if c:
+            r = [a * x - c * y for x, y in zip(row, w)]
+            h = gcd(*r)
+            row = tuple([x // h for x in r])
+        out.append((p, row))
+    out.insert(sum(1 for p, _ in basis if p < q), (q, w))
+    return tuple(out)
+
+
+def cocircuit_by_echelon(basis, w):
+    """Integer y orthogonal to a flat, with w . y != 0.
+
+    basis is the flat's echelon basis and w a residual against it, so w
+    is zero in the flat's pivot columns and its first nonzero column q is
+    free.  y is supported on those pivots and q: y_q = L, the lcm of the
+    pivot entries, and y_p = -L row[q] / row[p] cancels row on q.
+    """
+    q = next(i for i, x in enumerate(w) if x)
+    L = lcm(*(row[p] for p, row in basis))
+    y = [0] * len(w)
+    y[q] = L
+    for p, row in basis:
+        y[p] = -(L // row[p]) * row[q]
+    g = gcd(*y)
+    return [x // g for x in y]
+
+
 def tuple_bfs_free(ns):
     """Concurrency freeness by a breadth-first search over independent
     tuples of walls; (free, witness).
@@ -376,13 +442,17 @@ def catalog_by_entry(da, data):
     plain integer strings in one match of its comma-joined text, any
     other entry by entry (an int for a plain integer string, otherwise
     parse_rational), every Chamber made at once and sorted by signs."""
+    need = ('catalog needs integer "n" and "m" and a list "chambers" of '
+            'entries with "signs", "witness" and "class"')
     try:
         n, m = data["n"], data["m"]
         entries = [(e["signs"], e["witness"], e["class"])
                    for e in data["chambers"]]
     except (KeyError, TypeError):
-        raise BadArtifact('catalog needs "n", "m" and "chambers" entries '
-                          'with "signs", "witness" and "class"') from None
+        raise BadArtifact(need) from None
+    if not (type(n) is int and type(m) is int
+            and type(data["chambers"]) is list):
+        raise BadArtifact(need)
     if n != da.n or m != da.m:
         raise NotInCatalog("catalog shape does not match arrangement",
                            n=n, m=m)

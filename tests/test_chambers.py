@@ -26,9 +26,9 @@ from arrcensus.charpoly import (CharPolynomial, poset_charpoly,
                                 whitney_charpoly, zaslavsky_regions)
 from arrcensus.concurrency import is_concurrency_free
 from arrcensus.discriminantal import build, quotient_rows
-from arrcensus.errors import (ArrangementError, BadRational, CountMismatch,
-                              LengthMismatch, NotInCatalog, TooLarge,
-                              UnpairedChamber)
+from arrcensus.errors import (ArrangementError, BadArtifact, BadRational,
+                              CountMismatch, LengthMismatch, NotInCatalog,
+                              TooLarge, UnpairedChamber)
 from arrcensus.exact_linalg import (dot, feasible_strict,
                                     lex_independent_columns,
                                     primitive_int_rows, rank)
@@ -303,6 +303,7 @@ ONE_ENGINE = [
     ({"poset_charpoly"}, {"charpoly.py"}),
     ({"da_from_dict", "arrangement_to_dict", "arrangement_from_dict"},
      set()),
+    ({"echelon_residual", "echelon_insert", "_cocircuit"}, set()),
 ]
 
 
@@ -470,6 +471,20 @@ def test_catalog_from_dict_rejects_shape_mismatch():
     da5 = build(gallery.five_lines())
     with pytest.raises(NotInCatalog):
         catalog_from_dict(da5, data)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("n", 4.0), ("m", 2.0), ("n", "4"), ("m", True), ("chambers", ""),
+    ("chambers", {}), ("chambers", None)])
+def test_catalog_from_dict_needs_integers_and_a_chamber_list(key, value):
+    # checked before the shape, so a float n that equals da.n is refused
+    # too; the per-entry oracle refuses the same layouts
+    cat = catalog("four_lines")
+    data = catalog_to_dict(cat)
+    data[key] = value
+    for load in (catalog_from_dict, catalog_by_entry):
+        with pytest.raises(BadArtifact):
+            load(cat.da, data)
 
 
 def test_verify_catalog_ok_and_detects_tampering():

@@ -594,6 +594,28 @@ def test_bad_catalog_file_exit_1(capsys, ns_files, tmp_path, command,
                 err["error"]["position"]) == ("x", 3, 2)
 
 
+@pytest.mark.parametrize("command", ["classify", "catalog-verify"])
+@pytest.mark.parametrize("key,value", [("n", 4.0), ("m", 2.0),
+                                       ("chambers", ""), ("chambers", {})],
+                         ids=["n_float", "m_float", "chambers_empty_string",
+                              "chambers_object"])
+def test_catalog_layout_needs_integers_and_a_chamber_list(
+        capsys, ns_files, tmp_path, command, key, value):
+    # 4.0 is not the integer 4, and an empty string or object is not an
+    # empty list of chambers: each is a BadArtifact, not a catalog
+    path = tmp_path / "catalog.json"
+    run(capsys, "chambers", "--ns", ns_files["four_lines"],
+        "--out", str(path))
+    cat = json.loads(path.read_text())
+    cat[key] = value
+    path.write_text(json.dumps(cat))
+    extra = ["--b", "1,2,4,8"] if command == "classify" else []
+    code, _, err, cap = run(capsys, command, "--ns", ns_files["four_lines"],
+                            "--catalog", str(path), *extra)
+    assert code == 1 and cap.out == ""
+    assert err["error"]["type"] == "BadArtifact"
+
+
 def test_catalog_non_ascii_witness_exit_1(capsys, ns_files, tmp_path):
     # a witness entry goes through the same reader as every input value
     path = tmp_path / "catalog.json"

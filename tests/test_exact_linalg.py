@@ -12,14 +12,13 @@ from math import comb, gcd
 
 import pytest
 
-from arrcensus import gallery
+from arrcensus import exact_linalg, gallery
 from arrcensus.discriminantal import build, quotient_rows
 from arrcensus.errors import BadRational, BadShape
 from arrcensus.exact_linalg import (
+    _idot,
     determinant,
     dot,
-    echelon_insert,
-    echelon_residual,
     feasible_strict,
     flat_levels,
     integer_primitive,
@@ -36,7 +35,8 @@ from arrcensus.exact_linalg import (
 
 from arrcensus.normal_system import random_normal_system
 
-from oracles import (brute_flats, feasible_strict_full_tableau,
+from oracles import (brute_flats, cocircuit_by_echelon, echelon_insert,
+                     echelon_residual, feasible_strict_full_tableau,
                      find_interior_point, matvec)
 
 
@@ -199,25 +199,58 @@ FLAT_SYSTEMS = flat_systems()
 
 @pytest.mark.parametrize("label", sorted(FLAT_SYSTEMS))
 def test_flat_levels_match_brute_closure(label):
-    # each flat once, at its rank, with its echelon basis and exactly its
-    # lower covers, each reached by the residual of one of its rows
+    # each flat once, at its rank, with exactly its lower covers; its
+    # d - k vectors annihilate its rows and no other row, and the y of
+    # each cover pair (F, G) is, up to sign, the cocircuit of F's echelon
+    # basis at the residual of a row of G outside F
     rows = quotient_rows(build(FLAT_SYSTEMS[label]))
+    d = len(rows[0])
     want = brute_flats(rows)
     bases = {}
     for k, level in enumerate(flat_levels(rows)):
-        for G, (basis, lower) in level.items():
+        for G, (zs, lower) in level.items():
             assert G not in bases and want[G][0] == k
-            inside = [rows[j] for j in range(len(rows)) if G >> j & 1]
-            span = [row for _, row in basis]
-            assert len(span) == k and rank(span + inside) == k
+            assert len(zs) == d - k
+            for j, r in enumerate(rows):
+                assert any(_idot(z, r) for z in zs) != bool(G >> j & 1)
             covers = [F for F, _ in lower]
             assert len(set(covers)) == len(covers)
             assert set(covers) == want[G][1]
-            for F, w in lower:
-                assert w in {echelon_residual(bases[F], r) for j, r
-                             in enumerate(rows) if (G & ~F) >> j & 1}
-            bases[G] = basis
+            for F, y in lower:
+                q = next(j for j in range(len(rows)) if (G & ~F) >> j & 1)
+                c = cocircuit_by_echelon(
+                    bases[F], echelon_residual(bases[F], rows[q]))
+                assert list(y) in (c, [-x for x in c])
+            bases[G] = echelon_of([r for j, r in enumerate(rows)
+                                   if G >> j & 1])
     assert set(bases) == set(want)
+
+
+def test_flat_levels_work_counts(monkeypatch):
+    # six_lines_free, d = 4, levels 1/20/115/186/1.  Below the top every
+    # lower-cover pair (F, G) takes one pivot, since a cover reached
+    # again is found again, so 20 + 260 + 780 = 1060 pivots; a cover of
+    # rank k carries 4 - k vectors and takes one packed product each,
+    # 3 * 20 + 2 * 260 + 1 * 780 = 1360.  The 186 pairs under the top
+    # take neither.
+    counts = dict.fromkeys(["pivots", "products"], 0)
+    pivot, zero_slots = exact_linalg._pivot, exact_linalg._zero_slots
+
+    def counting_pivot(*args):
+        counts["pivots"] += 1
+        return pivot(*args)
+
+    def counting_zero_slots(*args):
+        counts["products"] += 1
+        return zero_slots(*args)
+
+    monkeypatch.setattr(exact_linalg, "_pivot", counting_pivot)
+    monkeypatch.setattr(exact_linalg, "_zero_slots", counting_zero_slots)
+    levels = list(flat_levels(quotient_rows(build(gallery.six_lines_free()))))
+    assert [len(level) for level in levels] == [1, 20, 115, 186, 1]
+    assert [sum(len(lower) for _, lower in level.values())
+            for level in levels] == [0, 20, 260, 780, 186]
+    assert counts == {"pivots": 1060, "products": 1360}
 
 
 def test_primitive_int_rows_keep_signs_and_spans():

@@ -139,10 +139,10 @@ def test_minor_table_is_every_maximal_minor():
 
 
 def test_valid_system_is_accepted_without_the_walk(monkeypatch):
-    def no_walk(basis, vec):
-        raise AssertionError("echelon_residual called")
+    def no_walk(zs, r):
+        raise AssertionError("_pivot called")
 
-    monkeypatch.setattr(normal_system, "echelon_residual", no_walk)
+    monkeypatch.setattr(normal_system, "_pivot", no_walk)
     for rows, m in [(SIX_LINES, 2), (SIX_PLANES, 3)]:
         assert validate(rows, m).n == len(rows)
     for seed in range(20):
