@@ -23,15 +23,16 @@ walls, and they depend on the shape (n, m) alone.  One table per shape
 (_lattice, in a bounded cache) holds them rank by rank, each with a
 parent one rank lower and the wall that closes the parent to it; the
 combinatorial charpoly, the enumeration and the freeness decision all
-read it.  Freeness crawls that table once per normal system, with one
-set of integer annihilator vectors per family, each tested against
-every wall at once by one product with the rows packed into big
-integers (the packed kernel of exact_linalg).  It is exact because the
-linear rank of any set of walls is at most the combinatorial rank of
-its closure, so while no lower rank fails, the walls on a family's path
-span every wall of the family; the first family that a wall outside it
-falls into the span of gives a witness of the least size
-(is_concurrency_free has the argument in full).
+read it.  Freeness reads that table once per normal system, with one set
+of integer annihilator vectors per family up to corank 2, tested against
+every wall at once by products with the rows packed into big integers
+(the packed kernel of exact_linalg).  The system is free exactly when
+every pivot up to corank 2 is full and no corank-1 family, a hyperplane
+of the matroid, has a wall outside it orthogonal to its normal; one
+packed combination of its parent's two products gives each such test.
+Only a system that fails it is searched for the least and lex-first
+witness, rank by rank downward from corank 2 on the vectors already
+made (is_concurrency_free has the argument in full).
 """
 
 from functools import lru_cache
@@ -41,7 +42,7 @@ from math import comb
 from .discriminantal import build, quotient_rows
 from .errors import (BadArtifact, BadShape, BadSubsetSize, NotClosed,
                      TooLarge)
-from .exact_linalg import _pack, _pivot, _units, _zero_slots
+from .exact_linalg import _pack, _pivot, _slot_width, _units, _zero_slots
 
 MAX_UNIVERSE = 36  # largest C(n, m+1) the enumeration strategies accept
 
@@ -355,32 +356,54 @@ def is_concurrency_free(ns):
     discriminantal arrangement are linearly independent for every such B.
     A witness B has the least size there is, and is lex-first among those.
 
-    The search runs in n - m coordinates, on the walls' integer rows cut
-    to their first n - m entries by quotient_rows, which changes no
-    linear dependence, and crawls the closed families of the shape rank
-    by rank (_lattice).  A family F of rank k carries kmax - k integer
-    annihilator vectors, kmax = n - m, made from its parent's by one
-    _pivot on the row of the wall that closes the parent to F (the root,
-    the empty family, carries the unit vectors).  Rank k fails when some
-    wall q outside F is orthogonal to every vector of F.  The rows are
-    packed once per system, one W-bit slot per wall (_slot_width), so one
-    big-integer product per vector gives its dot with every wall and one
-    mask of the zero ones (_zero_slots); F passes when the masks of its
-    vectors, ANDed, hold no slot but those of F's own walls.  The first
-    failing rank gives the witness; none below kmax means free.  This is
-    exact because:
+    The search runs in kmax = n - m coordinates, on the walls' integer
+    rows cut to their first kmax entries by quotient_rows, which changes
+    no linear dependence.  Write r_g(D) for the linear rank of the rows
+    of a set D of walls and r_c(D) for the rank of D's closure, the sum
+    of |S_i| - m over its maximal concurrency sets S_i; the c-flats are
+    the closed families of _lattice, and a g-flat is a set of walls that
+    holds every wall in its span.  A family F of rank k carries kmax - k
+    integer annihilator vectors, made from its parent's by one _pivot on
+    the row of the wall that closes the parent to F (the root, the empty
+    family, carries the unit vectors); a pair (F, q) fails when the wall
+    q outside F is orthogonal to every vector of F.
 
-    (1) r_g(D) <= r_c(D) for every set D of walls of a validated system,
-        where r_g is the linear rank of their normals and r_c the rank
-        of D's closure, the sum of |S_i| - m over its maximal
-        concurrency sets S_i: the concurrency conditions of the S_i cut
-        out a subspace of codimension at most that sum inside the
-        intersection of the walls of D.  So while no lower rank fails,
-        the k walls on F's path from the root are linearly independent
-        and span every wall of F, and the vectors of F annihilate
-        exactly span(F): a failing q lies in span(F).
-    (2) By induction on the rank, every combinatorially independent set
-        of walls is linearly independent when no rank fails.
+    The families are pivoted rank by rank up to corank 2, rank kmax - 2,
+    with no other test (_pivot_levels); a pivot that comes back one
+    vector short puts a row in its parent's span, and the system is not
+    free.  The rows are packed once per system at W' = 2W bits a slot,
+    W = _slot_width(rows), and each family of corank 2 gets the two
+    packed products P1, P2 of its vectors z1, z2 (_products).  A family
+    H of corank 1 closed from it by wall q has the normal d2 z1 - d1 z2,
+    up to a nonzero factor, where d_i = z_i . r_q is read from slot q; so
+    d2 P1 - d1 P2 gives the mask of the walls orthogonal to that normal
+    by one packed combination (_corank_one).  The system is free when no
+    pivot came back short and each such mask holds exactly |H| walls.
+    This is exact because:
+
+    (1) r_g(D) <= r_c(D) for every set D of walls of a validated system:
+        the concurrency conditions of the S_i cut out a subspace of
+        codimension at most that sum inside the intersection of the
+        walls of D.  So when the k walls on F's path from the root are
+        linearly independent, which no short pivot on the way means,
+        every wall of F lies in their span: the vectors of F annihilate
+        exactly span(F), their zero mask holds every wall of F, and a
+        failing q lies in span(F).
+    (2) The free verdict is right.  If every pivot is full and every
+        corank-1 family H passes, H's mask holds H's walls by (1) and no
+        other, so the walls in span(H) are H's own: H is a g-flat.  A
+        c-flat F below the top is the intersection of the corank-1
+        families above it, so for a wall q outside F some H above F
+        misses q, and q is not in span(H), which holds span(F): every
+        c-flat is a g-flat.  A maximal chain of c-flats is then a
+        strictly increasing chain of g-flats from rank 0 to rank at most
+        kmax, so the linear rank of each c-flat is its combinatorial
+        rank, and a wall outside the closure of a combinatorially
+        independent set T keeps T + wall linearly independent: every
+        c-independent set is linearly independent.  Conversely, in a
+        free system every pivot is full, and for q outside H the
+        c-independent set of H's path walls and q has rank kmax, so q
+        is not orthogonal to H's normal.
     (3) A witness of the least size k + 1 is a combinatorially independent
         set T with dependent rows.  Every wall t of T lies in the span of
         T - t, so (cl(T - t), t) fails at rank k and T is a c-basis of
@@ -388,47 +411,148 @@ def is_concurrency_free(ns):
         pair (F, q) puts k + 1 walls in the k-dimensional span(F).  The
         witnesses are these c-bases, and the lex-first c-basis of a set
         is the greedy one: its walls in position order, each kept when
-        _step grows the family.
+        _step grows the family.  The argument of (2), run on the c-flats
+        of rank k in place of the corank-1 ones, shows that when the
+        pivots up to rank k are full and no pair of rank k fails, no
+        pair of a lower rank fails either; and a short pivot at rank k
+        makes its parent's pair fail at rank k - 1.  So the failing ranks
+        run from the least one up, and _least_failing_pairs finds it from
+        the vectors already made: rank kmax - 2 first, on the masks of
+        P1 and P2, then, only if that fails, the ranks below it, downward
+        until one passes, with one _zero_slots product per vector.
     (4) No slot carries into its neighbour.  A vector z of F, made
         primitive by _pivot, is the primitive multiple of the cofactor
         vector of F's k path rows on their pivot columns and one column
         more, so z . r_q is a (k + 1)-minor of the rows divided by a
         positive integer.  Hadamard's inequality bounds that minor by the
         product of the kmax largest row norms, and _slot_width makes the
-        product less than 2^(W - 2).
+        product less than 2^(W - 2).  So d1, d2 and the slots of P1 and
+        P2 are below 2^(W - 2) in size, each slot of d2 P1 - d1 P2 is
+        below 2^(2W - 3), and the W' slots hold them with room to spare.
     """
     n, m = ns.n, ns.m
     _check_universe(n, m)
-    subsets, imasks = _universe(n, m)
     kmax = n - m
+    if kmax == 1:
+        return FreeVerdict(True)  # one wall, and its row is not zero
     rows = quotient_rows(build(ns))
     lattice = _lattice(n, m)
-    width, cols, high, low = _pack(rows)
+    pack = _pack(rows, 2 * _slot_width(rows))
+    levels = _pivot_levels(rows, lattice, kmax)
+    prods = failures = None
+    if len(levels) == kmax - 1:
+        prods = [_products(zs, pack) for zs in levels[-1]]
+        failures = _corank_one(lattice[kmax - 1], prods, pack)
+        if not failures:
+            return FreeVerdict(True)
+    subsets, imasks = _universe(n, m)
+    witness = min(_greedy_basis(m, subsets, imasks, walls) for walls in
+                  _least_failing_pairs(lattice, levels, prods, failures,
+                                       pack))
+    return FreeVerdict(False, SubsetCollection(n, m, witness))
 
-    zss = [_units(kmax)]
-    for k in range(kmax):
-        if k:
-            # rank k - 1 passed, so each added row leaves its parent's span
-            zss = [_pivot(zss[parent], rows[q])
-                   for _, _, parent, q in lattice[k]]
+
+def _pivot_levels(rows, lattice, kmax):
+    """The annihilator vectors of each family, rank by rank from the root
+    up to rank kmax - 2; the ranks stop before the first one where a
+    pivot comes back short."""
+    levels = [[_units(kmax)]]
+    for k in range(1, kmax - 1):
+        zss = [_pivot(levels[-1][parent], rows[q])
+               for _, _, parent, q in lattice[k]]
+        if sum(map(len, zss)) != len(zss) * (kmax - k):
+            break
+        levels.append(zss)
+    return levels
+
+
+def _products(zs, pack):
+    """The packed product of each vector of zs, in offset form: slot q
+    holds z . r_q + 2^(W - 1)."""
+    _, cols, high, _ = pack
+    out = []
+    for z in zs:
+        p = high
+        for x, c in zip(z, cols):
+            if x:
+                p += x * c
+        out.append(p)
+    return out
+
+
+def _corank_one(children, prods, pack):
+    """The failing families of corank 1, as (walls, zero mask) pairs.
+
+    children is rank kmax - 1 of _lattice and prods the two products of
+    each family of rank kmax - 2.  For a child of (z1, z2) closed by wall
+    q, d_i = z_i . r_q is read from slot q of P_i, and d2 P1 - d1 P2 plus
+    2^(W - 1) in each slot is the offset product of the child's normal,
+    turned into its zero mask as _zero_slots does.  A child passes when
+    the mask holds as many walls as the child; when both d_i are zero
+    the mask holds every wall.
+    """
+    width, _, high, low = pack
+    mask = (1 << width) - 1
+    half = high & mask
+    failures = []
+    for _, walls, parent, q in children:
+        p1, p2 = prods[parent]
+        shift = width * q
+        d1 = (p1 >> shift & mask) - half
+        d2 = (p2 >> shift & mask) - half
+        p = d2 * p1 - d1 * p2 + (1 - d2 + d1) * high
+        zero = high & ~((p | high) - low)
+        if zero.bit_count() != walls.bit_count():
+            failures.append((walls, zero))
+    return failures
+
+
+def _least_failing_pairs(lattice, levels, prods, failures, pack):
+    """Each failing pair (F, q) of the least failing rank, as the mask of
+    F's walls with q's bit.  levels holds the vectors of ranks 0 .. t;
+    prods and failures are those of _corank_one when t = kmax - 2, and
+    None when the pivots of rank t + 1 came back short, so rank t fails.
+    The failing ranks run from the least one up, so the ranks are read
+    downward from the highest failing one until one passes.
+    """
+    width, cols, high, low = pack
+
+    def pairs(masks):
         bad = set()
-        for (_, walls, _, _), zs in zip(lattice[k], zss):
-            own = walls.bit_count()
+        for walls, zero in masks:
+            if zero.bit_count() != walls.bit_count():
+                while zero:
+                    bit = zero & -zero
+                    zero ^= bit
+                    q = bit.bit_length() // width - 1
+                    if not walls >> q & 1:
+                        bad.add(walls | 1 << q)
+        return bad
+
+    def zero_masks(level, zss):
+        for (_, walls, _, _), zs in zip(level, zss):
             zero = high
             for z in zs:
                 zero &= _zero_slots(z, cols, high, low)
-                if zero.bit_count() == own:
+                if zero.bit_count() == walls.bit_count():
                     break
-            else:
-                for q in range(len(rows)):
-                    if zero >> width * q + width - 1 & 1 \
-                            and not walls >> q & 1:
-                        bad.add(walls | 1 << q)
-        if bad:
-            witness = min(_greedy_basis(m, subsets, imasks, walls)
-                          for walls in bad)
-            return FreeVerdict(False, SubsetCollection(n, m, witness))
-    return FreeVerdict(True)
+            yield walls, zero
+
+    bad = set()  # when prods is None, the last rank of levels sets it
+    if prods is not None:
+        bad = pairs((walls, high & ~((p1 | high) - low)
+                     & ~((p2 | high) - low))
+                    for (_, walls, _, _), (p1, p2)
+                    in zip(lattice[len(levels) - 1], prods))
+        if not bad:
+            return pairs(failures)
+        levels = levels[:-1]
+    for level, zss in reversed(list(zip(lattice, levels))):
+        lower = pairs(zero_masks(level, zss))
+        if not lower:
+            break
+        bad = lower
+    return bad
 
 
 def _greedy_basis(m, subsets, imasks, walls):

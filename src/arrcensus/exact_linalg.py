@@ -261,11 +261,13 @@ def _slot_width(rows):
     return prod(norms[:len(rows[0])]).bit_length() + 2
 
 
-def _pack(rows):
+def _pack(rows, width=None):
     """The rows packed for _zero_slots: (W, cols, high, low), with cols[j]
     holding entry j of row q in slot q, high 2^(W - 1) in every slot and
-    low 1 in every slot."""
-    width = _slot_width(rows)
+    low 1 in every slot.  W is _slot_width(rows) unless a wider one is
+    given."""
+    if width is None:
+        width = _slot_width(rows)
     shifts = range(0, width * len(rows), width)
     cols = [sum(map(lshift, col, shifts)) for col in zip(*rows)]
     low = ((1 << width * len(rows)) - 1) // ((1 << width) - 1)

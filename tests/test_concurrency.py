@@ -21,7 +21,10 @@ from arrcensus.concurrency import (
     FreeVerdict,
     SubsetCollection,
     _collection,
+    _corank_one,
     _lattice,
+    _pivot_levels,
+    _products,
     _rank,
     _step,
     _universe,
@@ -38,10 +41,12 @@ from arrcensus.concurrency import (
 )
 from arrcensus.discriminantal import build, quotient_rows
 from arrcensus.errors import BadShape, BadSubsetSize, NotClosed, TooLarge
-from arrcensus.exact_linalg import _slot_width, rank
+from arrcensus.exact_linalg import (_pack, _slot_width, integer_primitive,
+                                    nullspace_basis, rank)
 from arrcensus.normal_system import (first_dependent_subset,
                                      random_normal_system, validate)
 
+import oracles
 from oracles import subset_rank, tuple_bfs_free
 
 D1 = SubsetCollection(6, 2, [(1, 2, 6), (1, 3, 5), (2, 3, 4)])
@@ -537,20 +542,38 @@ def test_packed_slots_hold_every_dot_on_rational_systems(monkeypatch):
             assert_slots_hold_every_dot(seen, ns)
 
 
-def test_packed_crawl_work_counts(monkeypatch):
-    # six_lines_free is free, so the crawl reaches every rank: one pivot
-    # per family of rank 1 .. kmax - 1, at most one packed product per
-    # annihilator vector, and no scalar dot outside the pivots
-    counts = dict.fromkeys(["pivots", "pivot_dots", "products", "muls"], 0)
-    pivot, zero_slots = concurrency._pivot, concurrency._zero_slots
+class CountedProduct(int):
+    """A packed product that counts the multiplications it enters."""
+
+    tally = None
+
+    def __rmul__(self, other):
+        self.tally["combination_muls"] += 1
+        return int(self) * other
+
+
+def count_crawl_work(monkeypatch, ns):
+    """Run is_concurrency_free on ns with its packed-kernel work counted:
+    pivots, the scalar dots they take, products at corank 2, the
+    multiplications of the corank-1 combinations, _zero_slots calls and
+    every mul outside the pivots; returns (verdict, counts)."""
+    counts = dict.fromkeys(["pivots", "pivot_dots", "products",
+                            "combination_muls", "zero_slots", "muls"], 0)
+    CountedProduct.tally = counts
+    pivot, products = concurrency._pivot, concurrency._products
+    zero_slots = concurrency._zero_slots
 
     def counting_pivot(zs, r):
         counts["pivots"] += 1
         counts["pivot_dots"] += len(zs) * len(r)
         return pivot(zs, r)
 
+    def counting_products(zs, pack):
+        counts["products"] += len(zs)
+        return [CountedProduct(p) for p in products(zs, pack)]
+
     def counting_zero_slots(*args):
-        counts["products"] += 1
+        counts["zero_slots"] += 1
         return zero_slots(*args)
 
     def counting_mul(a, b):
@@ -558,16 +581,203 @@ def test_packed_crawl_work_counts(monkeypatch):
         return a * b
 
     monkeypatch.setattr(concurrency, "_pivot", counting_pivot)
+    monkeypatch.setattr(concurrency, "_products", counting_products)
     monkeypatch.setattr(concurrency, "_zero_slots", counting_zero_slots)
     # _pivot's dots are in exact_linalg; concurrency itself takes none
     monkeypatch.setattr(exact_linalg, "mul", counting_mul)
     monkeypatch.setattr(concurrency, "mul", counting_mul, raising=False)
-    assert is_concurrency_free(gallery.six_lines_free()).free
+    return is_concurrency_free(ns), counts
+
+
+def test_packed_crawl_work_counts(monkeypatch):
+    # six_lines_free is free: one pivot per family of rank 1 .. kmax - 2,
+    # two packed products per family of corank 2, one combination (two
+    # multiplications of products) per family of corank 1, no zero-slot
+    # mask of a single vector and no scalar dot outside the pivots
+    verdict, counts = count_crawl_work(monkeypatch, gallery.six_lines_free())
+    assert verdict.free
     lattice = _lattice(6, 2)
-    assert counts["pivots"] == 321 == sum(map(len, lattice[1:-1]))
-    assert sum(len(level) * (4 - k) for k, level in enumerate(lattice)) \
-        == 480 >= counts["products"]
+    assert counts["pivots"] == 135 == 20 + 115 \
+        == sum(map(len, lattice[1:-2]))
+    assert counts["products"] == 230 == 2 * len(lattice[2])
+    assert counts["combination_muls"] == 2 * 186 == 2 * len(lattice[3])
+    assert counts["zero_slots"] == 0
     assert counts["muls"] == counts["pivot_dots"] > 0
+
+
+@pytest.mark.parametrize("name", sorted(GALLERY_WITNESSES))
+def test_non_free_verdicts_pivot_no_rank_twice(monkeypatch, name):
+    # the witness search reads the vectors the corank-1 pass made: the
+    # pass's pivots and products and nothing more, fewer pivots than a
+    # crawl that pivots every rank up to the least failing one
+    ns = getattr(gallery, name)()
+    verdict, counts = count_crawl_work(monkeypatch, ns)
+    assert not verdict.free
+    lattice = _lattice(ns.n, ns.m)
+    least = len(verdict.witness) - 1
+    assert counts["pivots"] == sum(map(len, lattice[1:-2])) \
+        < sum(map(len, lattice[1:least + 1]))
+    assert counts["products"] == 2 * len(lattice[-3])
+
+
+def corank_one_failures(ns):
+    """The corank-1 pass of is_concurrency_free run by itself on ns: its
+    (walls, zero mask) failures and the slot width.  No pivot below
+    corank 1 comes back short on the systems it is run on."""
+    kmax = ns.n - ns.m
+    rows = quotient_rows(build(ns))
+    lattice = _lattice(ns.n, ns.m)
+    pack = _pack(rows, 2 * _slot_width(rows))
+    levels = _pivot_levels(rows, lattice, kmax)
+    assert len(levels) == kmax - 1, ns
+    prods = [_products(zs, pack) for zs in levels[-1]]
+    return _corank_one(lattice[kmax - 1], prods, pack), pack[0]
+
+
+def exact_corank_one_failures(ns, width):
+    """The corank-1 families whose walls hold fewer than every wall in
+    their span, from one exact nullspace per family, with the mask of the
+    walls orthogonal to it at the given slot width."""
+    rows = quotient_rows(build(ns))
+    failures = []
+    for _, walls, _, _ in _lattice(ns.n, ns.m)[ns.n - ns.m - 1]:
+        normals = [list(map(int, integer_primitive(z))) for z in
+                   nullspace_basis([r for q, r in enumerate(rows)
+                                    if walls >> q & 1])]
+        span = [q for q, r in enumerate(rows)
+                if all(sum(map(mul, z, r)) == 0 for z in normals)]
+        if len(span) != walls.bit_count():
+            failures.append((walls, sum(1 << width * q + width - 1
+                                        for q in span)))
+    return failures
+
+
+def freeness_sweep():
+    """The systems of the seeded, rational and gallery sweeps above, with
+    the seeded (7,2) and (7,3) ones whose witnesses are smaller than
+    n - m."""
+    systems = [getattr(gallery, name)() for name in GALLERY_WITNESSES]
+    for n, m in [(5, 2), (6, 2), (6, 3), (7, 4), (6, 4), (7, 5)]:
+        # bound 1 gives no valid system with m = 2
+        for bound in (2, 3) if m == 2 else (1, 2, 3):
+            systems += [random_normal_system(n, m, seed=seed, bound=bound)
+                        for seed in range(4)]
+    for n, m in [(5, 2), (6, 2), (6, 3), (7, 4)]:
+        systems += [rational_draw(n, m, seed, num)
+                    for num, seeds in ((2, 2), (9, 1))
+                    for seed in range(seeds)]
+        systems += [scaled_draw(n, m, seed, 2) for seed in range(4)]
+    systems += [random_normal_system(7, 2, seed=seed, bound=3)
+                for seed in range(2)]
+    systems += [random_normal_system(7, 3, seed=seed, bound=2)
+                for seed in (2, 3)]
+    return systems
+
+
+def test_corank_one_pass_fails_on_every_non_free_system():
+    # the converse of the free verdict, on the pass alone: it fails some
+    # family of each non-free system of the sweeps and none of a free
+    # one, and it fails exactly the families whose walls miss a wall of
+    # their span, with that span's mask
+    non_free = 0
+    for ns in freeness_sweep():
+        free, _ = tuple_bfs_free(ns)
+        failures, width = corank_one_failures(ns)
+        if free:
+            assert failures == [], ns
+        else:
+            assert failures == exact_corank_one_failures(ns, width) != [], ns
+            non_free += 1
+    assert non_free >= 30
+
+
+def test_witness_search_on_rows_of_lower_rank(monkeypatch):
+    # no system the universe guard admits has a short pivot below corank
+    # 1 or a failing rank below kmax - 2, so here the quotient rows are
+    # mapped through an integer matrix of rank r < kmax.  The linear rank
+    # of a set of walls can only drop, so r_g <= r_c still holds, and a
+    # rank no higher than r fails.  The cases take both ways to the
+    # search: a pivot that comes back short, and a corank-1 pass that
+    # fails with rank kmax - 2 failing too.  Verdict and witness match
+    # the search over independent tuples on the same rows
+    rng = random.Random(5)
+    cases = [(gallery.six_lines_free(), r) for r in (1, 2, 3)]
+    cases += [(random_normal_system(7, 2, seed=1, bound=9), r)
+              for r in (2, 3)]
+    cases += [(random_normal_system(7, 4, seed=1, bound=9), 1)]
+    short = low = 0
+    for ns, r in cases:
+        kmax = ns.n - ns.m
+        a = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(kmax)]
+        b = [[rng.randint(-3, 3) for _ in range(kmax)] for _ in range(r)]
+        mat = [[sum(map(mul, row, col)) for col in zip(*b)]
+               for row in a]  # kmax x kmax, rank at most r
+
+        def lowered(da, mat=mat):
+            rows = [tuple(sum(map(mul, row, col)) for col in zip(*mat))
+                    for row in quotient_rows(da)]
+            assert all(map(any, rows))  # the slot width needs them
+            return rows
+
+        monkeypatch.setattr(concurrency, "quotient_rows", lowered)
+        monkeypatch.setattr(oracles, "quotient_rows", lowered)
+        rows = lowered(build(ns))
+        assert rank(rows) == r, (ns, r)
+        levels = _pivot_levels(rows, _lattice(ns.n, ns.m), kmax)
+        v = is_concurrency_free(ns)
+        assert (v.free, v.witness) == tuple_bfs_free(ns), (ns, r)
+        assert len(v.witness) <= r + 1
+        short += len(levels) < kmax - 1
+        low += len(levels) == kmax - 1 and len(v.witness) < kmax
+    assert short >= 3 and low >= 2
+
+
+def combinations_fit_wide_slots(monkeypatch, ns):
+    # every slot of the corank-1 combination d2 P1 - d1 P2, computed here
+    # from the pivoted vectors themselves, is below 2^(2W - 3), so below
+    # 2^(W' - 1) at the width W' = 2W the rows are packed at
+    widths = []
+    pack = concurrency._pack
+
+    def recording(rows, width=None):
+        widths.append(width)
+        return pack(rows, width)
+
+    monkeypatch.setattr(concurrency, "_pack", recording)
+    is_concurrency_free(ns)
+    rows = quotient_rows(build(ns))
+    kmax = ns.n - ns.m
+    if kmax == 1:
+        return
+    lattice = _lattice(ns.n, ns.m)
+    (wide,) = widths
+    assert wide == 2 * _slot_width(rows)
+    levels = _pivot_levels(rows, lattice, kmax)
+    assert len(levels) == kmax - 1
+    top = 0
+    for _, _, parent, q in lattice[kmax - 1]:
+        z1, z2 = levels[-1][parent]
+        d1, d2 = (sum(map(mul, z, rows[q])) for z in (z1, z2))
+        top = max(top, max(abs(d2 * sum(map(mul, z1, r))
+                               - d1 * sum(map(mul, z2, r))) for r in rows))
+    assert top < 1 << wide - 3, ns
+
+
+@pytest.mark.parametrize("n,m", BFS_SHAPES)
+def test_corank_one_combinations_fit_wide_slots(monkeypatch, n, m):
+    for bound in (2, 9, 1000, 10**6):
+        combinations_fit_wide_slots(
+            monkeypatch, random_normal_system(n, m, seed=1, bound=bound))
+
+
+def test_corank_one_combinations_fit_wide_slots_on_rational_systems(
+        monkeypatch):
+    for n, m in [(5, 2), (6, 2), (6, 3), (7, 4)]:
+        for ns in ([rational_draw(n, m, seed, num)
+                    for num, seeds in ((2, 2), (9, 1))
+                    for seed in range(seeds)]
+                   + [scaled_draw(n, m, seed, 2) for seed in range(4)]):
+            combinations_fit_wide_slots(monkeypatch, ns)
 
 
 LATTICE_COUNTS = {(6, 2): [20, 115, 186], (7, 3): [35, 406, 1687],
