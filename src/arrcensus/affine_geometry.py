@@ -3,10 +3,11 @@
 Everything here reads combinatorial structure off the actual hyperplanes
 a_i . x = b_i: the order of vertices along each line cut out by m-1 of them,
 the isomorphism oracle that compares those orders up to per-line reversal,
-region censuses with exact boundedness tests, triangle signatures of planar
-arrangements, the special point of a four-line arrangement, and the
-verification that crossing one wall of the associated central arrangement
-swaps exactly one pair of vertices on each affected line.
+region censuses after an exact genericity check, triangle signatures of
+planar arrangements (bounded regions with exact boundedness tests), the
+special point of a four-line arrangement, and the verification that
+crossing one wall of the associated central arrangement swaps exactly one
+pair of vertices on each affected line.
 
 Every reading but the line parameters comes from two sign tables: the
 sign vector of b, s_T = sign f_T(b) for every wall T of the
@@ -19,12 +20,16 @@ vertex, and so the regions, their boundedness and the triangles, and the
 order of the vertices on every line up to reversal, and so trivial
 isomorphism, are functions of the cone that holds b.  A zero sign is a
 concurrent (m+1)-subset, so the same pass decides genericity (no m+1
-hyperplanes through a common point) before any geometric reading.  Only
-vertex_orders, which returns exact line parameters, builds a vertex
-table: the signed maximal minors of the homogenized rows through each
-vertex, with line directions from the minors of the normals alone, and
-Fractions made only for the parameters.  No LP is run: the wall of a
-swap is read off the two sign vectors.
+hyperplanes through a common point) before any geometric reading.  The
+region census needs no more than that pass: the m-subsets of a validated
+system are independent, so for a generic b the arrangement is in general
+position and has sum C(n, i), i <= m, regions, C(n - 1, m) of them
+bounded (Zaslavsky, Facing up to arrangements, Mem. AMS 154, 1975),
+whatever the cone of b.  Only vertex_orders, which returns exact line
+parameters, builds a vertex table: the signed maximal minors of the
+homogenized rows through each vertex, with line directions from the
+minors of the normals alone, and Fractions made only for the parameters.
+No LP is run: the wall of a swap is read off the two sign vectors.
 """
 
 from collections import namedtuple
@@ -211,13 +216,10 @@ def _regions(arr, max_regions):
     """
     ns = arr.system
     n, m = ns.n, ns.m
-    # a generic arrangement has sum C(n, i), i <= m, regions (Zaslavsky):
-    # at least its C(n, m) vertices and at least 2^m, so past this check
-    # the C(n, m) 2^m patterns below stay under the square of the limit
-    count = sum(comb(n, i) for i in range(m + 1))
-    if count > max_regions:
-        raise TooLarge("region count exceeds the configured limit",
-                       count=count, limit=max_regions)
+    # the region count is at least C(n, m) and at least 2^m, so past this
+    # check the C(n, m) 2^m patterns below stay under the square of the
+    # limit
+    _region_count(ns, max_regions)
     signs = _wall_signs(arr)
     minors = ns.minors
     regions = {}
@@ -269,17 +271,33 @@ def _unbounded(ns):
     return out
 
 
+def _region_count(ns, max_regions):
+    # the regions of a generic arrangement of the shape of ns, sum C(n, i)
+    # over i <= m (Zaslavsky), or TooLarge past max_regions
+    count = sum(comb(ns.n, i) for i in range(ns.m + 1))
+    if count > max_regions:
+        raise TooLarge("region count exceeds the configured limit",
+                       count=count, limit=max_regions)
+    return count
+
+
 def region_census(arr, max_regions=MAX_REGIONS):
     """Exact {total, bounded, unbounded} region counts of a generic arr.
 
     Raises TooLarge, before any work, when a generic arrangement of its
-    shape has more than max_regions regions.
+    shape has more than max_regions regions, then NotGeneric naming the
+    lex-first concurrent (m+1)-subset when b is on a wall (_wall_signs).
+    Every m normals of a validated system are independent, so a generic
+    arr is in general position, and its census depends on (n, m) alone:
+    sum C(n, i), i <= m, regions, of which C(n - 1, m) are bounded
+    (Zaslavsky, Facing up to arrangements, Mem. AMS 154, 1975).  Every
+    cone of the discriminantal arrangement has the same census; the tests
+    check it against the regions enumerated by _regions and _unbounded.
     """
-    regions = _regions(arr, max_regions)
-    unbounded = _unbounded(arr.system)
-    out = sum(1 for r in regions if r in unbounded)
-    return {"total": len(regions), "bounded": len(regions) - out,
-            "unbounded": out}
+    total = _region_count(arr.system, max_regions)
+    _wall_signs(arr)
+    bounded = comb(arr.system.n - 1, arr.system.m)
+    return {"total": total, "bounded": bounded, "unbounded": total - bounded}
 
 
 def simplex_signature(arr):

@@ -31,8 +31,9 @@ decides one pair of cones by a facet LP on the rows of quotient_rows.
 No other library module calls either; both stay for the tests.
 """
 
-import re
 from fractions import Fraction
+from json import dumps
+from json.encoder import encode_basestring_ascii
 from math import gcd, lcm
 from operator import attrgetter, itemgetter
 
@@ -48,8 +49,12 @@ DEFAULT_MAX_CHAMBERS = 10 ** 4
 
 _FLIP = str.maketrans("+-", "-+")
 _BITS = str.maketrans("10", "+-")
-# witnesses of plain integer strings "p", joined by commas
-_INTEGERS = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*").fullmatch
+# a catalog and one of its chambers as json.dump(..., sort_keys=True,
+# indent=1) lays them out (catalog_text)
+_CATALOG = ('{\n "chambers": %s,\n "classes": %s,\n "count": %s,\n "m": %s,'
+            '\n "n": %s\n}\n')
+_CHAMBER = ('  {\n   "class": %s,\n   "signs": %s,\n   "witness": [\n    %s'
+            '\n   ]\n  }')
 
 
 def opposite_signs(signs):
@@ -516,6 +521,28 @@ def catalog_to_dict(catalog):
     }
 
 
+def catalog_text(data):
+    """The catalog file: the text that json.dump(data, fh, sort_keys=True,
+    indent=1) and a newline write, for data of the layout catalog_to_dict
+    makes (every witness has n > 0 entries), laid out with one string
+    format per chamber.
+
+    Every string goes through the encoder json.dump uses for it
+    (encode_basestring_ascii), so the escaping is json's, and a class id
+    that is not an int (None in an unnumbered catalog) through
+    json.dumps.  json.dump itself takes its pure-Python encoder whenever
+    indent is set, about ten times slower on a catalog.
+    """
+    enc = encode_basestring_ascii
+    items = [_CHAMBER % (e["class"] if type(e["class"]) is int
+                         else dumps(e["class"]), enc(e["signs"]),
+                         ",\n    ".join(map(enc, e["witness"])))
+             for e in data["chambers"]]
+    return _CATALOG % ("[\n%s\n ]" % ",\n".join(items) if items else "[]",
+                       *map(dumps, (data["classes"], data["count"],
+                                    data["m"], data["n"])))
+
+
 def catalog_from_dict(da, data):
     """Catalog of da read back from catalog_to_dict output.
 
@@ -524,11 +551,12 @@ def catalog_from_dict(da, data):
     a witness entry that is not an exact rational raises BadRational.
     The whole catalog is checked in one pass first: every "signs" a
     string, every "witness" a list of n strings, every "class" a JSON
-    integer, and all witness entries, joined by commas, one match of
-    plain integers "p" with n * count - 1 commas, so that no entry can
-    hide a comma.  Such a catalog, the form catalog_to_dict writes for a
-    built one, keeps each witness as its comma-joined text, parsed to
-    ints only when its chamber is read (ChamberCatalog).  Any other
+    integer, and all witness entries, joined by commas, plain integers
+    "p" (ASCII, checked with string methods, no regex) with
+    n * count - 1 commas, so that no entry can hide a comma.  Such a
+    catalog, the form catalog_to_dict writes for a built one, keeps each
+    witness as its comma-joined text, parsed to ints only when its
+    chamber is read (ChamberCatalog).  Any other
     catalog is read entry by entry, in file order, so the first bad entry
     is named: a plain integer string as an int, with no Fraction made,
     and any other entry through parse_rational.  Last, a witness without
@@ -584,9 +612,16 @@ def _integer_texts(n, signs, witnesses, classes):
         texts = list(map(",".join, witnesses))
     except TypeError:  # an entry that is not a string
         return None
-    text = ",".join(texts)
-    # n * count entries joined by n * count - 1 commas hold no comma
-    if _INTEGERS(text) and text.count(",") == n * len(texts) - 1:
+    # the entries are plain integers -?[0-9]+ (ASCII) iff, once the minus
+    # sign after each comma is dropped, "," + text is ASCII digits cut
+    # into nonempty runs by commas: any other minus, or a field "-",
+    # leaves a minus or an empty run; n * count entries joined by
+    # n * count - 1 commas hold no comma
+    text = ("," + ",".join(texts)).replace(",-", ",")
+    digits = text.replace(",", "")
+    if (digits.isascii() and digits.isdigit() and ",," not in text
+            and text[-1] != ","
+            and text.count(",") == n * len(texts)):
         return texts
     return None
 

@@ -29,8 +29,8 @@ from . import __version__
 from .affine_geometry import (are_isomorphic_trivial, region_census,
                               simplex_signature)
 from .chambers import (DEFAULT_MAX_CHAMBERS, Classified, catalog_from_dict,
-                       catalog_to_dict, classify_b, enumerate_chambers,
-                       verify_catalog)
+                       catalog_text, catalog_to_dict, classify_b,
+                       enumerate_chambers, verify_catalog)
 from .charpoly import (combinatorial_charpoly, iso_class_count,
                        whitney_charpoly, zaslavsky_regions)
 from .concurrency import (SubsetCollection, base_collection,
@@ -149,9 +149,13 @@ def _emit(report, fmt, stream):
         return
     rows = _flatten(report["payload"])
     if fmt == "csv":
-        stream.write("key,value\n")
-        for k, v in rows:
-            stream.write("%s,%s\n" % (k, v))
+        # imported here: only --format csv reads it.  A value with a comma
+        # (a list) is quoted; the writer would write None as "", so each
+        # value goes as its str
+        import csv
+        out = csv.writer(stream, lineterminator="\n")
+        out.writerow(("key", "value"))
+        out.writerows((k, str(v)) for k, v in rows)
     else:
         width = max((len(k) for k, _ in rows), default=0)
         for k, v in rows:
@@ -222,7 +226,8 @@ def cmd_chambers(args, timer):
     timer.mark("compute")
     data = catalog_to_dict(catalog)
     if args.out:
-        _write_artifact(args.out, data)
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(catalog_text(data))
     return data, {"ns": dig}
 
 

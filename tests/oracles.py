@@ -10,8 +10,9 @@ from itertools import combinations
 from math import gcd, lcm, prod
 from operator import mul
 
-from arrcensus.affine_geometry import (LineOrder, _directions, _kernel,
-                                       _submasks)
+from arrcensus.affine_geometry import (MAX_REGIONS, LineOrder, _directions,
+                                       _kernel, _regions, _submasks,
+                                       _unbounded)
 from arrcensus.chambers import (Chamber, ChamberCatalog, antipodal_classes,
                                 opposite_signs, sign_cells)
 from arrcensus.concurrency import SubsetCollection, _rank, _step, _universe
@@ -434,7 +435,27 @@ def walk_catalog(da):
     return catalog
 
 
-_WITNESS = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*").fullmatch
+# witnesses of plain integer strings "p", joined by commas
+_INTEGERS = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*").fullmatch
+
+
+def integer_texts_by_regex(n, signs, witnesses, classes):
+    """chambers._integer_texts with one regex match over all the witness
+    entries joined by commas, and n * count - 1 commas, so that no entry
+    holds one."""
+    if not (set(map(type, signs)) == {str}
+            and set(map(type, witnesses)) == {list}
+            and set(map(len, witnesses)) == {n}
+            and set(map(type, classes)) == {int}):
+        return None
+    try:
+        texts = list(map(",".join, witnesses))
+    except TypeError:
+        return None
+    text = ",".join(texts)
+    if _INTEGERS(text) and text.count(",") == n * len(texts) - 1:
+        return texts
+    return None
 
 
 def catalog_by_entry(da, data):
@@ -465,7 +486,7 @@ def catalog_by_entry(da, data):
             text = ",".join(witness)
         except TypeError:  # an entry that is not a string
             text = ""
-        if _WITNESS(text) and text.count(",") == len(witness) - 1:
+        if _INTEGERS(text) and text.count(",") == len(witness) - 1:
             point = tuple(map(int, text.split(",")))
         else:
             point = tuple([int(x) if type(x) is str and _INTEGER(x)
@@ -684,6 +705,17 @@ def unbounded_by_directions(ns):
             out.add(ahead | sub)
             out.add(behind | sub)
     return out
+
+
+def census_by_regions(arr, max_regions=MAX_REGIONS):
+    """affine_geometry.region_census by enumeration: the regions of
+    _regions, the 2^m sign patterns around every vertex, those of
+    _unbounded unbounded."""
+    regions = _regions(arr, max_regions)
+    unbounded = _unbounded(arr.system)
+    out = sum(1 for r in regions if r in unbounded)
+    return {"total": len(regions), "bounded": len(regions) - out,
+            "unbounded": out}
 
 
 def census_by_vertex_table(arr):

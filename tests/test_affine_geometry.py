@@ -1,7 +1,8 @@
 """Affine readings of generic arrangements: vertex orders and genericity
 against their Fraction and discriminantal oracles, the trivial
-isomorphism oracle, region censuses against the closed formulas and the
-LP cell walk, triangle signatures, special points, and wall-crossing
+isomorphism oracle, region censuses against the regions enumerated
+around every vertex, the closed formulas and the LP cell walk, triangle
+signatures, special points, and wall-crossing
 swaps.  The sign engine (regions, censuses, triangles, isomorphism and
 genericity read off the sign vector of b) is checked against the vertex
 table it replaced.
@@ -32,7 +33,8 @@ from arrcensus.normal_system import (Arrangement, random_normal_system,
                                      validate)
 
 from golden_data import FIVE_LINE_CLASS_SIGNATURES
-from oracles import (census_by_vertex_table, genericity_witness_da,
+from oracles import (census_by_regions, census_by_vertex_table,
+                     genericity_witness_da,
                      iso_by_vertex_orders, regions_by_vertex_table,
                      regions_lp, signature_by_vertex_table, triangles_lp,
                      unbounded_by_directions, vertex_orders_fraction,
@@ -161,6 +163,57 @@ def test_census_is_class_independent():
     ns, reps = class_reps("four_lines")
     got = {str(region_census(Arrangement(ns, c.witness))) for c in reps}
     assert len(got) == 1
+
+
+def seeded_class_reps():
+    # one witness per class of seeded (5,2), (6,2), (6,3) and (7,4)
+    # systems, bound 9, seeds 1-3
+    for n, m in [(5, 2), (6, 2), (6, 3), (7, 4)]:
+        for seed in range(1, 4):
+            ns = random_normal_system(n, m, seed=seed, bound=9)
+            cat = enumerate_chambers(build(ns))
+            yield ns, [plus for plus, _ in antipodal_classes(cat)]
+
+
+def test_census_closed_form_equals_enumeration_on_every_class(monkeypatch):
+    # Zaslavsky's count, read from (n, m) once b is generic, equals the
+    # regions enumerated around every vertex, at the witness of every
+    # class of the gallery and of the seeded systems
+    cases = [class_reps(name) for name in GALLERY] + list(seeded_class_reps())
+    arrs = [Arrangement(ns, c.witness) for ns, reps in cases for c in reps]
+    want = [census_by_regions(arr) for arr in arrs]
+
+    def enumerated(*args):
+        raise AssertionError("region_census enumerated the regions")
+
+    monkeypatch.setattr(affine_geometry, "_regions", enumerated)
+    monkeypatch.setattr(affine_geometry, "_unbounded", enumerated)
+    assert [region_census(arr) for arr in arrs] == want
+    assert {(arr.system.n, arr.system.m): census
+            for arr, census in zip(arrs, want)} == {
+        (n, m): expected_census(n, m)
+        for n, m in {(arr.system.n, arr.system.m) for arr in arrs}}
+
+
+def test_census_on_a_wall_raises_the_enumerated_error():
+    # b from a tiny range lands on walls; the error and its payload are
+    # those of the enumeration (the lex-first concurrent subset)
+    rng = random.Random(3)
+    walls = 0
+    for n, m in [(5, 2), (6, 2), (6, 3), (7, 4)]:
+        ns = random_normal_system(n, m, seed=1, bound=9)
+        for _ in range(30):
+            arr = Arrangement(ns, [rng.randint(-1, 1) for _ in range(n)])
+            try:
+                want = census_by_regions(arr)
+            except NotGeneric as err:
+                with pytest.raises(NotGeneric) as exc:
+                    region_census(arr)
+                assert exc.value.as_dict() == err.as_dict()
+                walls += 1
+            else:
+                assert region_census(arr) == want
+    assert 10 < walls < 120  # both branches are taken
 
 
 def test_four_line_signatures():

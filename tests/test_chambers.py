@@ -4,6 +4,7 @@ antipodal pairing, classification, adjacency, and JSON round trips.
 
 import ast
 import hashlib
+import io
 import json
 import math
 import os
@@ -17,9 +18,9 @@ from hypothesis import strategies as st
 
 from arrcensus import chambers, exact_linalg, gallery
 from arrcensus.chambers import (Chamber, ChamberCatalog, Classified, OnWall,
-                                _wall_is_facet, adjacency,
+                                _integer_texts, _wall_is_facet, adjacency,
                                 antipodal_classes, catalog_from_dict,
-                                catalog_to_dict, classify_b,
+                                catalog_text, catalog_to_dict, classify_b,
                                 enumerate_chambers, opposite_signs,
                                 shared_wall, sign_cells, verify_catalog)
 from arrcensus.charpoly import (CharPolynomial, poset_charpoly,
@@ -34,7 +35,8 @@ from arrcensus.exact_linalg import (dot, feasible_strict,
                                     primitive_int_rows, rank)
 from arrcensus.normal_system import random_normal_system
 
-from oracles import catalog_by_entry, sign_cells_fraction, walk_catalog
+from oracles import (catalog_by_entry, integer_texts_by_regex,
+                     sign_cells_fraction, walk_catalog)
 from test_concurrency import rational_draw, scaled_draw
 
 GALLERY = ["three_lines", "four_lines", "five_lines",
@@ -465,6 +467,99 @@ def test_catalog_from_dict_matches_the_per_entry_oracle(case):
         _load_outcome(catalog_by_entry, da, doc)
 
 
+def json_dump_text(data):
+    # the catalog file as json.dump writes it
+    fh = io.StringIO()
+    json.dump(data, fh, sort_keys=True, indent=1)
+    return fh.getvalue() + "\n"
+
+
+def test_catalog_text_equals_json_dump():
+    # the gallery catalogs, the seeded sweep, an empty catalog, and one
+    # loaded with rational witnesses
+    cats = [catalog(name) for name in GALLERY]
+    cats += [enumerate_chambers(build(ns)) for ns in SEEDED.values()]
+    cats.append(ChamberCatalog(cats[0].da, []))
+    doc = catalog_to_dict(catalog("five_lines"))
+    for k, e in enumerate(doc["chambers"]):
+        e["witness"] = [x + "/%d" % (k % 3 + 2) if k % 2 else x
+                        for x in e["witness"]]
+    loaded = catalog_from_dict(cats[2].da, doc)
+    assert {type(x) for c in loaded for x in c.witness} == {int, Fraction}
+    cats.append(loaded)
+    for cat in cats:
+        data = catalog_to_dict(cat)
+        assert catalog_text(data) == json_dump_text(data)
+    assert json_dump_text(catalog_to_dict(cats[-2])).count("[]") == 1
+
+
+def test_catalog_text_escapes_as_json_does():
+    # strings that json escapes, and class ids that are not ints
+    data = {"n": 2, "m": 1, "count": 3, "classes": True, "chambers": [
+        {"signs": "+\u00e9\"\\\n", "witness": ["\u0661", "\t"],
+         "class": None},
+        {"signs": "", "witness": ["1/2", ""], "class": 2.5},
+        {"signs": "-", "witness": ["1", "\ud83d"], "class": -3}]}
+    assert catalog_text(data) == json_dump_text(data)
+
+
+# entries the one-pass check must take or refuse as the regex does
+_CHECK_ENTRIES = ["", "-", "--1", "1-", "+1", "-0", "01", " 1", "\u0661",
+                  "1_0", "1/2", "1,2", ",", "-,1", "0", "-7", "12", "1\n",
+                  "\u00b2", "\uff11", "1-2", "-1-"]
+
+
+@st.composite
+def witness_tables(draw):
+    """(n, witnesses) of plain-integer entries with a few odd ones."""
+    n = draw(st.integers(1, 4))
+    entry = st.one_of(st.integers(-10 ** 6, 10 ** 6).map(str),
+                      st.sampled_from(_CHECK_ENTRIES),
+                      st.text(st.sampled_from("0-9,+ /_\u0661"),
+                              max_size=3))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                         min_size=1, max_size=4))
+    return n, rows
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=witness_tables())
+def test_integer_check_accepts_what_the_regex_accepts(case):
+    n, witnesses = case
+    signs = ["+" * n] * len(witnesses)
+    classes = list(range(len(witnesses)))
+    assert _integer_texts(n, signs, witnesses, classes) == \
+        integer_texts_by_regex(n, signs, witnesses, classes)
+
+
+@pytest.mark.parametrize("entry", _CHECK_ENTRIES)
+def test_integer_check_on_each_odd_entry(entry):
+    # the check takes the entry, alone or among plain integers at each
+    # place of a witness, as the regex does; a catalog it refuses is read
+    # entry by entry: the first bad entry is named, and a rational one is
+    # read as a Fraction
+    for witness in ([entry], [entry, "1", "2"], ["1", entry, "-2"],
+                    ["1", "-2", entry]):
+        n = len(witness)
+        assert _integer_texts(n, ["+"], [witness], [0]) == \
+            integer_texts_by_regex(n, ["+"], [witness], [0])
+    cat = catalog("four_lines")
+    doc = json.loads(json.dumps(catalog_to_dict(cat)))
+    doc["chambers"][1]["witness"][2] = entry
+    got = _load_outcome(catalog_from_dict, cat.da, doc)
+    assert got == _load_outcome(catalog_by_entry, cat.da, doc)
+    entries = doc["chambers"]
+    if integer_texts_by_regex(4, [e["signs"] for e in entries],
+                              [e["witness"] for e in entries],
+                              [e["class"] for e in entries]) is None:
+        if got[0] is BadRational:
+            assert got[1] == {"type": "BadRational", "got": entry,
+                              "chamber": 2, "position": 3,
+                              "message": got[1]["message"]}
+        else:
+            assert type(got[1][1][1][2]) is Fraction
+
+
 def test_catalog_from_dict_rejects_shape_mismatch():
     cat = catalog("four_lines")
     data = catalog_to_dict(cat)
@@ -571,7 +666,7 @@ def test_sign_cells_match_fraction_oracle_on_rational_rows():
 @pytest.mark.parametrize("n,m", [(5, 2), (6, 3)])
 def test_affine_cells_match_fraction_oracle(n, m):
     # affine cells: homogenized rows (a, -b) over the base row t > 0, with
-    # rational b, as region_census walks them
+    # rational b, as the LP oracle of the region tests walks them
     rng = random.Random(n * 10 + m)
     ns = random_normal_system(n, m, seed=rng.randrange(100), bound=9)
     base = [(0,) * m + (1,)]

@@ -8,6 +8,8 @@ envelope, artifact round trips, format switches, and error discipline.
 
 import argparse
 import copy
+import csv
+import hashlib
 import inspect
 import io
 import json
@@ -136,6 +138,27 @@ def test_chambers_classify_chain(capsys, ns_files, tmp_path):
     assert pay["on_wall"] is None
     assert len(pay["signs"]) == 4 and set(pay["signs"]) <= set("+-")
     assert pay["class"] in range(1, 5)
+
+
+# SHA-256 of the chambers --out file, as json.dump(..., indent=1) wrote it
+CATALOG_FILE_SHA256 = {
+    "five_lines":
+        "c18b911c9501d6e7af67a602503951b019a8dfc8fb5a799ff18f1206d17aefd0",
+    "six_planes_free":
+        "edf482959e73b6416f0cb5233832c036a1be07b7ed0997467f2fccc37a2c1214",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_FILE_SHA256))
+def test_chambers_out_file_is_pinned(capsys, tmp_path, name):
+    ns = tmp_path / "ns.json"
+    ns.write_text(json.dumps(ns_to_dict(getattr(gallery, name)())))
+    cat = tmp_path / "catalog.json"
+    code, rep, _, _ = run(capsys, "chambers", "--ns", str(ns),
+                          "--out", str(cat))
+    assert code == 0 and json.loads(cat.read_text()) == rep["payload"]
+    assert hashlib.sha256(cat.read_bytes()).hexdigest() == \
+        CATALOG_FILE_SHA256[name]
 
 
 def test_classify_refuses_a_catalog_of_another_system(capsys, ns_files,
@@ -1044,6 +1067,24 @@ def test_csv_format(capsys, ns_files):
     assert lines[0] == "key,value"
     keys = {line.split(",", 1)[0] for line in lines[1:]}
     assert keys == {"coefficients", "cones", "classes"}
+
+
+def test_csv_rows_have_two_fields(capsys, ns_files):
+    # a list value holds commas and is quoted; rows without a comma are
+    # written as before
+    for argv, want in [
+            (("count", "--ns", ns_files["four_lines"]),
+             [["key", "value"], ["classes", "4"],
+              ["coefficients", "[1, -4, 3, 0, 0]"], ["cones", "8"]]),
+            (("classify", "--ns", ns_files["four_lines"], "--b", "0,0,0,0"),
+             [["key", "value"], ["class", "None"],
+              ["on_wall", "[[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]]"],
+              ["signs", "None"]])]:
+        code, _, _, cap = run(capsys, *argv, "--format", "csv")
+        assert code == 0
+        assert list(csv.reader(io.StringIO(cap.out))) == want
+        assert [line for line in cap.out.splitlines() if '"' not in line] \
+            == ["%s,%s" % tuple(row) for row in want if "," not in row[1]]
 
 
 def test_text_format(capsys, ns_files):
