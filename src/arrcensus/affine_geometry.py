@@ -43,7 +43,7 @@ from .errors import (NotAdjacent, NotGeneric, NotInCatalog, TooLarge,
 from .exact_linalg import _direction, _int_det, _int_row
 from .normal_system import Arrangement
 
-MAX_REGIONS = 10 ** 4
+MAX_REGIONS = 10 ** 4  # the most regions _regions enumerates
 
 LineOrder = namedtuple("LineOrder", ["direction", "order", "params"])
 
@@ -219,7 +219,10 @@ def _regions(arr, max_regions):
     # the region count is at least C(n, m) and at least 2^m, so past this
     # check the C(n, m) 2^m patterns below stay under the square of the
     # limit
-    _region_count(ns, max_regions)
+    count = _region_count(n, m)
+    if count > max_regions:
+        raise TooLarge("region count exceeds the configured limit",
+                       count=count, limit=max_regions)
     signs = _wall_signs(arr)
     minors = ns.minors
     regions = {}
@@ -271,32 +274,30 @@ def _unbounded(ns):
     return out
 
 
-def _region_count(ns, max_regions):
-    # the regions of a generic arrangement of the shape of ns, sum C(n, i)
-    # over i <= m (Zaslavsky), or TooLarge past max_regions
-    count = sum(comb(ns.n, i) for i in range(ns.m + 1))
-    if count > max_regions:
-        raise TooLarge("region count exceeds the configured limit",
-                       count=count, limit=max_regions)
-    return count
+def _region_count(n, m):
+    # the regions of a generic arrangement of shape (n, m), sum C(n, i)
+    # over i <= m (Zaslavsky)
+    return sum(comb(n, i) for i in range(m + 1))
 
 
-def region_census(arr, max_regions=MAX_REGIONS):
+def region_census(arr):
     """Exact {total, bounded, unbounded} region counts of a generic arr.
 
-    Raises TooLarge, before any work, when a generic arrangement of its
-    shape has more than max_regions regions, then NotGeneric naming the
-    lex-first concurrent (m+1)-subset when b is on a wall (_wall_signs).
-    Every m normals of a validated system are independent, so a generic
-    arr is in general position, and its census depends on (n, m) alone:
+    Raises NotGeneric naming the lex-first concurrent (m+1)-subset when b
+    is on a wall (_wall_signs), the one pass over the C(n, m+1) walls the
+    census makes; no limit on the region count applies, since the count
+    is read off the shape.  Every m normals of a validated system are
+    independent, so a generic arr is in general position, and its census
+    depends on (n, m) alone:
     sum C(n, i), i <= m, regions, of which C(n - 1, m) are bounded
     (Zaslavsky, Facing up to arrangements, Mem. AMS 154, 1975).  Every
     cone of the discriminantal arrangement has the same census; the tests
     check it against the regions enumerated by _regions and _unbounded.
     """
-    total = _region_count(arr.system, max_regions)
     _wall_signs(arr)
-    bounded = comb(arr.system.n - 1, arr.system.m)
+    n, m = arr.system.n, arr.system.m
+    total = _region_count(n, m)
+    bounded = comb(n - 1, m)
     return {"total": total, "bounded": bounded, "unbounded": total - bounded}
 
 

@@ -24,15 +24,17 @@ walls, and they depend on the shape (n, m) alone.  One table per shape
 parent one rank lower and the wall that closes the parent to it; the
 combinatorial charpoly, the enumeration and the freeness decision all
 read it.  Freeness reads that table once per normal system, with one set
-of integer annihilator vectors per family up to corank 2, tested against
+of integer annihilator vectors per family up to corank 3, tested against
 every wall at once by products with the rows packed into big integers
-(the packed kernel of exact_linalg).  The system is free exactly when
-every pivot up to corank 2 is full and no corank-1 family, a hyperplane
-of the matroid, has a wall outside it orthogonal to its normal; one
-packed combination of its parent's two products gives each such test.
-Only a system that fails it is searched for the least and lex-first
-witness, rank by rank downward from corank 2 on the vectors already
-made (is_concurrency_free has the argument in full).
+(the packed kernel of exact_linalg).  A product is linear in its vector,
+so each family of corank 2 gets its two products by packed combinations
+of its parent's three, with no vector made.  The system is free exactly
+when every pivot up to corank 2 is full and no corank-1 family, a
+hyperplane of the matroid, has a wall outside it orthogonal to its
+normal; one packed combination of its parent's two products gives each
+such test.  Only a system that fails it is searched for the least and
+lex-first witness, rank by rank downward from corank 2 on the products
+and vectors already made (is_concurrency_free has the argument in full).
 """
 
 from functools import lru_cache
@@ -363,23 +365,34 @@ def is_concurrency_free(ns):
     of |S_i| - m over its maximal concurrency sets S_i; the c-flats are
     the closed families of _lattice, and a g-flat is a set of walls that
     holds every wall in its span.  A family F of rank k carries kmax - k
-    integer annihilator vectors, made from its parent's by one _pivot on
+    integer annihilator vectors, made from its parent's by one pivot on
     the row of the wall that closes the parent to F (the root, the empty
     family, carries the unit vectors); a pair (F, q) fails when the wall
-    q outside F is orthogonal to every vector of F.
+    q outside F is orthogonal to every vector of F.  With kmax <= 2 the
+    system is free: there is one wall, or the walls are single (m+1)-sets
+    S, whose normals have support exactly S (every m-minor of the system
+    is nonzero), so no two are parallel.
 
-    The families are pivoted rank by rank up to corank 2, rank kmax - 2,
-    with no other test (_pivot_levels); a pivot that comes back one
-    vector short puts a row in its parent's span, and the system is not
-    free.  The rows are packed once per system at W' = 2W bits a slot,
-    W = _slot_width(rows), and each family of corank 2 gets the two
-    packed products P1, P2 of its vectors z1, z2 (_products).  A family
-    H of corank 1 closed from it by wall q has the normal d2 z1 - d1 z2,
-    up to a nonzero factor, where d_i = z_i . r_q is read from slot q; so
-    d2 P1 - d1 P2 gives the mask of the walls orthogonal to that normal
-    by one packed combination (_corank_one).  The system is free when no
-    pivot came back short and each such mask holds exactly |H| walls.
-    This is exact because:
+    The families are pivoted by _pivot rank by rank up to corank 3, rank
+    kmax - 3, with no other test (_pivot_levels).  The rows are packed
+    once per system at W' = 4W - 4 bits a slot, for W = _slot_width(rows,
+    kmax - 2), and each family of corank 3 gets the three packed products
+    P1, P2, P3 of its vectors z1, z2, z3 (_products).  A product is
+    linear in its vector, so the pivots of corank 2 make no vector
+    (_corank_two): for a family F closed from such a parent by wall q,
+    d_j = z_j . r_q is read from slot q of P_j, the first nonzero d_p is
+    the pivot, and d_p P_j - d_j P_p, for the other two j, are the
+    products of F's two vectors d_p z_j - d_j z_p; when all three d_j are
+    zero the pivot comes back short.  No gcd is taken, so these vectors
+    are F's up to nonzero factors, which change no zero mask.  A short
+    pivot at any rank puts a row in its parent's span, and the system is
+    not free.  A family H of corank 1 closed from a corank-2 family by
+    wall q has the normal d2 v1 - d1 v2, up to a nonzero factor, where
+    v1, v2 are the corank-2 vectors and d_i is read from slot q of the
+    i-th product; so d2 P1 - d1 P2 gives the mask of the walls orthogonal
+    to that normal by one packed combination (_corank_one).  The system
+    is free when no pivot came back short and each such mask holds
+    exactly |H| walls.  This is exact because:
 
     (1) r_g(D) <= r_c(D) for every set D of walls of a validated system:
         the concurrency conditions of the S_i cut out a subspace of
@@ -417,34 +430,43 @@ def is_concurrency_free(ns):
         pair of a lower rank fails either; and a short pivot at rank k
         makes its parent's pair fail at rank k - 1.  So the failing ranks
         run from the least one up, and _least_failing_pairs finds it from
-        the vectors already made: rank kmax - 2 first, on the masks of
-        P1 and P2, then, only if that fails, the ranks below it, downward
-        until one passes, with one _zero_slots product per vector.
+        what is already made: rank kmax - 2 first, on the masks of the
+        two products of each family, then, only if that fails, the ranks
+        below it, downward until one passes, with one _zero_slots
+        product per vector.
     (4) No slot carries into its neighbour.  A vector z of F, made
         primitive by _pivot, is the primitive multiple of the cofactor
         vector of F's k path rows on their pivot columns and one column
         more, so z . r_q is a (k + 1)-minor of the rows divided by a
         positive integer.  Hadamard's inequality bounds that minor by the
-        product of the kmax largest row norms, and _slot_width makes the
-        product less than 2^(W - 2).  So d1, d2 and the slots of P1 and
-        P2 are below 2^(W - 2) in size, each slot of d2 P1 - d1 P2 is
-        below 2^(2W - 3), and the W' slots hold them with room to spare.
+        product of the k + 1 largest row norms, and _slot_width(rows,
+        k + 1) makes that product less than 2^(W - 2).  A corank-3 family
+        has k + 1 = kmax - 2, so with W = _slot_width(rows, kmax - 2) the
+        d_j and the dots of its vectors are below 2^(W - 2) in size, and
+        so are those of every vector of a lower rank, since no rounded-up
+        norm of a nonzero row is below 1.  Each slot of
+        d_p P_j - d_j P_p is then below 2^(2W - 3), and each slot of the
+        corank-1 combination d2 P1 - d1 P2, whose d_i are slots of the
+        corank-2 products, below 2^(4W - 5).  A W'-bit slot holds a value
+        v offset by 2^(W' - 1) with no carry when |v| < 2^(W' - 1), so
+        W' = 4W - 4 holds them all.
     """
     n, m = ns.n, ns.m
     _check_universe(n, m)
     kmax = n - m
-    if kmax == 1:
-        return FreeVerdict(True)  # one wall, and its row is not zero
+    if kmax <= 2:
+        return FreeVerdict(True)  # one wall, or no two walls parallel
     rows = quotient_rows(build(ns))
     lattice = _lattice(n, m)
-    pack = _pack(rows, 2 * _slot_width(rows))
+    pack = _pack(rows, 4 * _slot_width(rows, kmax - 2) - 4)
     levels = _pivot_levels(rows, lattice, kmax)
     prods = failures = None
-    if len(levels) == kmax - 1:
-        prods = [_products(zs, pack) for zs in levels[-1]]
-        failures = _corank_one(lattice[kmax - 1], prods, pack)
-        if not failures:
-            return FreeVerdict(True)
+    if len(levels) == kmax - 2:
+        prods = _corank_two(lattice[kmax - 2], levels[-1], pack)
+        if prods is not None:
+            failures = _corank_one(lattice[kmax - 1], prods, pack)
+            if not failures:
+                return FreeVerdict(True)
     subsets, imasks = _universe(n, m)
     witness = min(_greedy_basis(m, subsets, imasks, walls) for walls in
                   _least_failing_pairs(lattice, levels, prods, failures,
@@ -454,10 +476,10 @@ def is_concurrency_free(ns):
 
 def _pivot_levels(rows, lattice, kmax):
     """The annihilator vectors of each family, rank by rank from the root
-    up to rank kmax - 2; the ranks stop before the first one where a
+    up to rank kmax - 3; the ranks stop before the first one where a
     pivot comes back short."""
     levels = [[_units(kmax)]]
-    for k in range(1, kmax - 1):
+    for k in range(1, kmax - 2):
         zss = [_pivot(levels[-1][parent], rows[q])
                for _, _, parent, q in lattice[k]]
         if sum(map(len, zss)) != len(zss) * (kmax - k):
@@ -467,12 +489,12 @@ def _pivot_levels(rows, lattice, kmax):
 
 
 def _products(zs, pack):
-    """The packed product of each vector of zs, in offset form: slot q
-    holds z . r_q + 2^(W - 1)."""
-    _, cols, high, _ = pack
+    """The packed product of each vector of zs: slot q holds z . r_q, with
+    no offset."""
+    cols = pack[1]
     out = []
     for z in zs:
-        p = high
+        p = 0
         for x, c in zip(z, cols):
             if x:
                 p += x * c
@@ -480,38 +502,79 @@ def _products(zs, pack):
     return out
 
 
+def _corank_two(level, zss, pack):
+    """The two products of each family of corank 2, each as a pair (v, p)
+    of the product v and its offset form p = v + 2^(W' - 1) in each slot;
+    None when a pivot comes back short.
+
+    level is rank kmax - 2 of _lattice and zss the three vectors of each
+    family of rank kmax - 3.  For a family closed from (z1, z2, z3) by
+    wall q, d_j = z_j . r_q is read from slot q of P_j, the first nonzero
+    d_p is the pivot, and each other j gives d_p P_j - d_j P_p, in
+    _pivot's order.
+    """
+    width, _, high, _ = pack
+    mask = (1 << width) - 1
+    half = high & mask
+    parents = []
+    for zs in zss:
+        vs = _products(zs, pack)
+        parents.append((vs, [v + high for v in vs]))
+    out = []
+    for _, _, parent, q in level:
+        (v1, v2, v3), (p1, p2, p3) = parents[parent]
+        shift = width * q
+        d1 = (p1 >> shift & mask) - half
+        d2 = (p2 >> shift & mask) - half
+        d3 = (p3 >> shift & mask) - half
+        if d1:
+            dp, vp, rest = d1, v1, ((d2, v2), (d3, v3))
+        elif d2:
+            dp, vp, rest = d2, v2, ((d1, v1), (d3, v3))
+        elif d3:
+            dp, vp, rest = d3, v3, ((d1, v1), (d2, v2))
+        else:
+            return None
+        pair = []
+        for d, v in rest:
+            v = dp * v - d * vp
+            pair.append((v, v + high))
+        out.append(pair)
+    return out
+
+
 def _corank_one(children, prods, pack):
     """The failing families of corank 1, as (walls, zero mask) pairs.
 
-    children is rank kmax - 1 of _lattice and prods the two products of
-    each family of rank kmax - 2.  For a child of (z1, z2) closed by wall
-    q, d_i = z_i . r_q is read from slot q of P_i, and d2 P1 - d1 P2 plus
-    2^(W - 1) in each slot is the offset product of the child's normal,
-    turned into its zero mask as _zero_slots does.  A child passes when
-    the mask holds as many walls as the child; when both d_i are zero
-    the mask holds every wall.
+    children is rank kmax - 1 of _lattice and prods what _corank_two
+    gives rank kmax - 2.  For a child of ((v1, p1), (v2, p2)) closed by
+    wall q, d_i is read from slot q of p_i, and d2 v1 - d1 v2 is the
+    product of the child's normal, offset and turned into its zero mask
+    as _zero_slots does.  A child passes when the mask holds as many
+    walls as the child; when both d_i are zero the mask holds every wall.
     """
     width, _, high, low = pack
     mask = (1 << width) - 1
     half = high & mask
+    slots = low.bit_count()
     failures = []
     for _, walls, parent, q in children:
-        p1, p2 = prods[parent]
+        (v1, p1), (v2, p2) = prods[parent]
         shift = width * q
         d1 = (p1 >> shift & mask) - half
         d2 = (p2 >> shift & mask) - half
-        p = d2 * p1 - d1 * p2 + (1 - d2 + d1) * high
-        zero = high & ~((p | high) - low)
-        if zero.bit_count() != walls.bit_count():
-            failures.append((walls, zero))
+        nonzero = (d2 * v1 - d1 * v2 + high | high) - low & high
+        if nonzero.bit_count() + walls.bit_count() != slots:
+            failures.append((walls, high ^ nonzero))
     return failures
 
 
 def _least_failing_pairs(lattice, levels, prods, failures, pack):
     """Each failing pair (F, q) of the least failing rank, as the mask of
     F's walls with q's bit.  levels holds the vectors of ranks 0 .. t;
-    prods and failures are those of _corank_one when t = kmax - 2, and
-    None when the pivots of rank t + 1 came back short, so rank t fails.
+    prods and failures are those of _corank_two and _corank_one when t =
+    kmax - 3, and None when the pivots of rank t + 1 came back short, so
+    rank t fails.
     The failing ranks run from the least one up, so the ranks are read
     downward from the highest failing one until one passes.
     """
@@ -542,11 +605,10 @@ def _least_failing_pairs(lattice, levels, prods, failures, pack):
     if prods is not None:
         bad = pairs((walls, high & ~((p1 | high) - low)
                      & ~((p2 | high) - low))
-                    for (_, walls, _, _), (p1, p2)
-                    in zip(lattice[len(levels) - 1], prods))
+                    for (_, walls, _, _), ((_, p1), (_, p2))
+                    in zip(lattice[len(levels)], prods))
         if not bad:
             return pairs(failures)
-        levels = levels[:-1]
     for level, zss in reversed(list(zip(lattice, levels))):
         lower = pairs(zero_masks(level, zss))
         if not lower:

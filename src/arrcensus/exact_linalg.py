@@ -247,18 +247,19 @@ def _direction(v):
 # primitive, so every dot fits its slot (see _slot_width).
 
 
-def _slot_width(rows):
+def _slot_width(rows, k=None):
     """Bits per row in the packed rows: the least W for which the
-    product of the len(rows[0]) largest row norms, each rounded up, is
-    below 2^(W - 2), so every slot holds a dot of any annihilator vector
-    a pivot path makes, offset by 2^(W - 1), with no carry."""
+    product of the k largest row norms, each rounded up, is below
+    2^(W - 2), so every slot holds a dot of any annihilator vector a
+    pivot path of fewer than k rows makes, offset by 2^(W - 1), with no
+    carry.  k is len(rows[0]) unless given, which covers every path."""
     norms = []
     for r in rows:
         s = sum(x * x for x in r)
         c = isqrt(s)
         norms.append(c + (c * c < s))
     norms.sort(reverse=True)
-    return prod(norms[:len(rows[0])]).bit_length() + 2
+    return prod(norms[:len(rows[0]) if k is None else k]).bit_length() + 2
 
 
 def _pack(rows, width=None):

@@ -29,8 +29,8 @@ from arrcensus.chambers import (ChamberCatalog, _wall_is_facet, adjacency,
 from arrcensus.discriminantal import build, quotient_rows
 from arrcensus.errors import (NotAdjacent, NotGeneric, NotInCatalog,
                               TooLarge, UnsupportedDimension, WrongShape)
-from arrcensus.normal_system import (Arrangement, random_normal_system,
-                                     validate)
+from arrcensus.normal_system import (Arrangement, arrangement_from_b,
+                                     random_normal_system, validate)
 
 from golden_data import FIVE_LINE_CLASS_SIGNATURES
 from oracles import (census_by_regions, census_by_vertex_table,
@@ -504,9 +504,16 @@ def test_affine_reads_do_no_fraction_linear_algebra(monkeypatch):
 
 
 def test_region_guard_comes_before_any_work(monkeypatch):
+    # the census reads the count off the shape after its one pass over
+    # the walls, so no region limit applies to it: seeded (16,6) has
+    # 11440 walls and more than MAX_REGIONS regions
+    big = random_normal_system(16, 6, seed=1, bound=9)
+    b = [3 ** i % 1009 + 7 * i * i for i in range(16)]
+    assert region_census(arrangement_from_b(big, b)) == {
+        "total": 14893, "bounded": 5005, "unbounded": 9888}
+    assert 14893 > MAX_REGIONS
     ns, reps = class_reps("five_lines")
     arr = Arrangement(ns, reps[0].witness)
-    assert region_census(arr, max_regions=16)["total"] == 16
 
     def no_table(rows):
         raise AssertionError("vertex table or sign vector built past the "
@@ -514,13 +521,11 @@ def test_region_guard_comes_before_any_work(monkeypatch):
 
     monkeypatch.setattr(affine_geometry, "_kernel", no_table)
     monkeypatch.setattr(affine_geometry, "_wall_signs", no_table)
-    with pytest.raises(TooLarge) as exc:
-        region_census(arr, max_regions=15)
-    # 1 + 5 + 10 regions for five generic lines
-    assert exc.value.payload == {"count": 16, "limit": 15}
     monkeypatch.setattr(affine_geometry, "MAX_REGIONS", 15)
-    with pytest.raises(TooLarge):
+    # 1 + 5 + 10 regions for five generic lines
+    with pytest.raises(TooLarge) as exc:
         simplex_signature(arr)
+    assert exc.value.payload == {"count": 16, "limit": 15}
 
 
 def test_swap_wall_equals_shared_wall_on_every_edge(monkeypatch):

@@ -22,6 +22,7 @@ from arrcensus.concurrency import (
     SubsetCollection,
     _collection,
     _corank_one,
+    _corank_two,
     _lattice,
     _pivot_levels,
     _products,
@@ -41,7 +42,8 @@ from arrcensus.concurrency import (
 )
 from arrcensus.discriminantal import build, quotient_rows
 from arrcensus.errors import BadShape, BadSubsetSize, NotClosed, TooLarge
-from arrcensus.exact_linalg import (_pack, _slot_width, integer_primitive,
+from arrcensus.exact_linalg import (_pack, _pivot, _slot_width, _units,
+                                    _zero_slots, integer_primitive,
                                     nullspace_basis, rank)
 from arrcensus.normal_system import (first_dependent_subset,
                                      random_normal_system, validate)
@@ -522,6 +524,9 @@ def test_slot_width_is_the_least_that_holds_the_norm_product():
         top = prod(norms[:k])
         width = _slot_width(rows)
         assert 1 << width - 3 <= top < 1 << width - 2, rows
+        for j in range(1, k + 1):  # the j largest norms alone
+            width = _slot_width(rows, j)
+            assert 1 << width - 3 <= prod(norms[:j]) < 1 << width - 2, rows
 
 
 @pytest.mark.parametrize("n,m", BFS_SHAPES + [(7, 2), (7, 3)])
@@ -543,25 +548,37 @@ def test_packed_slots_hold_every_dot_on_rational_systems(monkeypatch):
 
 
 class CountedProduct(int):
-    """A packed product that counts the multiplications it enters."""
+    """A packed product that counts the multiplications it enters, under
+    the key of its kind."""
 
     tally = None
+    key = None
 
     def __rmul__(self, other):
-        self.tally["combination_muls"] += 1
+        self.tally[self.key] += 1
         return int(self) * other
+
+
+class ParentProduct(CountedProduct):
+    key = "corank_two_muls"  # a product of a corank-3 vector
+
+
+class CorankTwoProduct(CountedProduct):
+    key = "corank_one_muls"  # a product _corank_two makes
 
 
 def count_crawl_work(monkeypatch, ns):
     """Run is_concurrency_free on ns with its packed-kernel work counted:
-    pivots, the scalar dots they take, products at corank 2, the
-    multiplications of the corank-1 combinations, _zero_slots calls and
+    pivots, the scalar dots they take, products of corank-3 vectors, the
+    multiplications of those products in the corank-2 combinations and
+    of the corank-2 products in the corank-1 ones, _zero_slots calls and
     every mul outside the pivots; returns (verdict, counts)."""
     counts = dict.fromkeys(["pivots", "pivot_dots", "products",
-                            "combination_muls", "zero_slots", "muls"], 0)
+                            "corank_two_muls", "corank_one_muls",
+                            "zero_slots", "muls"], 0)
     CountedProduct.tally = counts
     pivot, products = concurrency._pivot, concurrency._products
-    zero_slots = concurrency._zero_slots
+    corank_two, zero_slots = concurrency._corank_two, concurrency._zero_slots
 
     def counting_pivot(zs, r):
         counts["pivots"] += 1
@@ -570,7 +587,12 @@ def count_crawl_work(monkeypatch, ns):
 
     def counting_products(zs, pack):
         counts["products"] += len(zs)
-        return [CountedProduct(p) for p in products(zs, pack)]
+        return [ParentProduct(p) for p in products(zs, pack)]
+
+    def counting_corank_two(*args):
+        out = corank_two(*args)
+        return out and [[(CorankTwoProduct(v), p) for v, p in pair]
+                        for pair in out]
 
     def counting_zero_slots(*args):
         counts["zero_slots"] += 1
@@ -582,6 +604,7 @@ def count_crawl_work(monkeypatch, ns):
 
     monkeypatch.setattr(concurrency, "_pivot", counting_pivot)
     monkeypatch.setattr(concurrency, "_products", counting_products)
+    monkeypatch.setattr(concurrency, "_corank_two", counting_corank_two)
     monkeypatch.setattr(concurrency, "_zero_slots", counting_zero_slots)
     # _pivot's dots are in exact_linalg; concurrency itself takes none
     monkeypatch.setattr(exact_linalg, "mul", counting_mul)
@@ -590,48 +613,97 @@ def count_crawl_work(monkeypatch, ns):
 
 
 def test_packed_crawl_work_counts(monkeypatch):
-    # six_lines_free is free: one pivot per family of rank 1 .. kmax - 2,
-    # two packed products per family of corank 2, one combination (two
-    # multiplications of products) per family of corank 1, no zero-slot
-    # mask of a single vector and no scalar dot outside the pivots
+    # six_lines_free is free: one pivot per family of rank 1 .. kmax - 3,
+    # three packed products per family of corank 3, one combination (two
+    # multiplications of its products) per vector of corank 2 and per
+    # family of corank 1, no zero-slot mask of a single vector and no
+    # scalar dot outside the pivots
     verdict, counts = count_crawl_work(monkeypatch, gallery.six_lines_free())
     assert verdict.free
     lattice = _lattice(6, 2)
-    assert counts["pivots"] == 135 == 20 + 115 \
-        == sum(map(len, lattice[1:-2]))
-    assert counts["products"] == 230 == 2 * len(lattice[2])
-    assert counts["combination_muls"] == 2 * 186 == 2 * len(lattice[3])
+    assert counts["pivots"] == 20 == sum(map(len, lattice[1:-3]))
+    assert counts["products"] == 60 == 3 * len(lattice[1])
+    assert counts["corank_two_muls"] == 2 * 230 == 2 * 2 * len(lattice[2])
+    assert counts["corank_one_muls"] == 2 * 186 == 2 * len(lattice[3])
     assert counts["zero_slots"] == 0
     assert counts["muls"] == counts["pivot_dots"] > 0
 
 
 @pytest.mark.parametrize("name", sorted(GALLERY_WITNESSES))
 def test_non_free_verdicts_pivot_no_rank_twice(monkeypatch, name):
-    # the witness search reads the vectors the corank-1 pass made: the
-    # pass's pivots and products and nothing more, fewer pivots than a
-    # crawl that pivots every rank up to the least failing one
+    # the witness search reads what the corank-1 pass made: the pass's
+    # pivots, of ranks 1 .. kmax - 3, and products and nothing more,
+    # fewer pivots than a crawl that pivots every rank up to the least
+    # failing one
     ns = getattr(gallery, name)()
     verdict, counts = count_crawl_work(monkeypatch, ns)
     assert not verdict.free
     lattice = _lattice(ns.n, ns.m)
     least = len(verdict.witness) - 1
-    assert counts["pivots"] == sum(map(len, lattice[1:-2])) \
+    assert counts["pivots"] == sum(map(len, lattice[1:-3])) \
         < sum(map(len, lattice[1:least + 1]))
-    assert counts["products"] == 2 * len(lattice[-3])
+    assert counts["products"] == 3 * len(lattice[-4])
+    assert counts["corank_two_muls"] == 2 * 2 * len(lattice[-3])
+
+
+def packed_width(rows):
+    """The slot width is_concurrency_free packs rows at, n - m >= 3."""
+    return 4 * _slot_width(rows, len(rows[0]) - 2) - 4
+
+
+def corank_two_products(rows, lattice):
+    """The vectors of ranks 0 .. kmax - 3, the corank-2 products (None
+    after a short pivot) and the pack of is_concurrency_free, run by
+    itself on the quotient rows of a system with kmax = n - m >= 3."""
+    kmax = len(rows[0])
+    pack = _pack(rows, packed_width(rows))
+    levels = _pivot_levels(rows, lattice, kmax)
+    prods = None
+    if len(levels) == kmax - 2:
+        prods = _corank_two(lattice[kmax - 2], levels[-1], pack)
+    return levels, prods, pack
+
+
+def corank_two_vectors(rows, lattice, levels):
+    """The two vectors behind the products _corank_two gives each family
+    of corank 2, made from the vectors z_j of its parent: for the first
+    d_p = z_p . r_q that is not zero, d_p z_j - d_j z_p for each other j;
+    None where every d_j is zero."""
+    kmax = len(rows[0])
+    out = []
+    for _, _, parent, q in lattice[kmax - 2]:
+        zs = levels[kmax - 3][parent]
+        ds = [sum(map(mul, z, rows[q])) for z in zs]
+        p = next((j for j, d in enumerate(ds) if d), None)
+        if p is None:
+            out.append(None)
+            continue
+        vs = []
+        for j, (z, d) in enumerate(zip(zs, ds)):
+            if j != p:
+                vs.append(tuple(ds[p] * x - d * y for x, y in zip(z, zs[p])))
+        out.append(vs)
+    return out
 
 
 def corank_one_failures(ns):
     """The corank-1 pass of is_concurrency_free run by itself on ns: its
     (walls, zero mask) failures and the slot width.  No pivot below
-    corank 1 comes back short on the systems it is run on."""
+    corank 1 comes back short on the systems it is run on.  With n - m =
+    2, where the verdict is free with no pass, the pass is run on the
+    products of the root's unit vectors, at the usual width: each slot
+    of d2 P1 - d1 P2 is then a 2-minor of the rows."""
     kmax = ns.n - ns.m
-    rows = quotient_rows(build(ns))
-    lattice = _lattice(ns.n, ns.m)
-    pack = _pack(rows, 2 * _slot_width(rows))
-    levels = _pivot_levels(rows, lattice, kmax)
-    assert len(levels) == kmax - 1, ns
-    prods = [_products(zs, pack) for zs in levels[-1]]
-    return _corank_one(lattice[kmax - 1], prods, pack), pack[0]
+    if kmax == 2:
+        rows = quotient_rows(build(ns))
+        pack = _pack(rows)
+        high = pack[2]
+        prods = [[(v, v + high) for v in _products(_units(2), pack)]]
+    else:
+        _, prods, pack = corank_two_products(quotient_rows(build(ns)),
+                                             _lattice(ns.n, ns.m))
+        assert prods is not None, ns
+    return _corank_one(_lattice(ns.n, ns.m)[kmax - 1], prods, pack), pack[0]
 
 
 def exact_corank_one_failures(ns, width):
@@ -691,21 +763,75 @@ def test_corank_one_pass_fails_on_every_non_free_system():
     assert non_free >= 30
 
 
+def test_corank_two_products_match_pivot():
+    # each family of corank 2 gets the products of its two vectors from
+    # its parent's three products, with no vector made: every slot holds
+    # the exact value d_p (z_j . r) - d_j (z_p . r), the offset form adds
+    # 2^(W' - 1) to each slot, and each product has the zero mask of the
+    # matching vector of _pivot.  No system the universe guard admits
+    # has a short pivot there
+    systems = freeness_sweep() + [
+        random_normal_system(n, m, seed=1, bound=10**6)
+        for n, m in BFS_SHAPES + [(7, 3)]]
+    for ns in systems:
+        kmax = ns.n - ns.m
+        if kmax <= 2:
+            continue
+        rows = quotient_rows(build(ns))
+        lattice = _lattice(ns.n, ns.m)
+        levels, prods, (width, cols, high, low) = corank_two_products(
+            rows, lattice)
+        assert len(levels) == kmax - 2, ns
+        vss = corank_two_vectors(rows, lattice, levels)
+        assert prods is not None and None not in vss, ns
+        half, mask = high >> width * (len(rows) - 1), (1 << width) - 1
+        for (_, _, parent, q), vs, pair in zip(lattice[kmax - 2], vss,
+                                                prods):
+            zs = _pivot(levels[-1][parent], rows[q])
+            assert len(pair) == len(zs) == 2, ns
+            for v, (packed, offset), z in zip(vs, pair, zs):
+                assert offset - packed == high
+                assert [(offset >> width * i & mask) - half
+                        for i in range(len(rows))] \
+                    == [sum(map(mul, v, r)) for r in rows], ns
+                assert high & ~((offset | high) - low) \
+                    == _zero_slots(z, cols, high, low), ns
+
+
+def test_two_coordinate_systems_are_free_with_no_pass(monkeypatch):
+    # with n - m <= 2 the walls are single (m+1)-sets of distinct
+    # supports, so no two are parallel: the verdict is free before the
+    # walls are built, and the search over independent tuples agrees
+    systems = [random_normal_system(n, m, seed=seed, bound=bound)
+               for n, m in [(4, 2), (5, 3), (6, 4), (7, 5), (8, 6), (5, 4)]
+               for bound in (1, 2, 3, 9) for seed in range(3)]
+    for ns in systems:
+        assert tuple_bfs_free(ns) == (True, None), ns
+
+    def no_build(ns):
+        raise AssertionError("walls built for n - m <= 2")
+
+    monkeypatch.setattr(concurrency, "build", no_build)
+    for ns in systems:
+        assert is_concurrency_free(ns).free
+
+
 def test_witness_search_on_rows_of_lower_rank(monkeypatch):
     # no system the universe guard admits has a short pivot below corank
     # 1 or a failing rank below kmax - 2, so here the quotient rows are
     # mapped through an integer matrix of rank r < kmax.  The linear rank
     # of a set of walls can only drop, so r_g <= r_c still holds, and a
-    # rank no higher than r fails.  The cases take both ways to the
-    # search: a pivot that comes back short, and a corank-1 pass that
-    # fails with rank kmax - 2 failing too.  Verdict and witness match
-    # the search over independent tuples on the same rows
+    # rank no higher than r fails.  The cases take every way to the
+    # search: a _pivot that comes back short, a packed pivot of corank 2
+    # that does, and a corank-1 pass that fails with rank kmax - 2
+    # failing too.  Verdict and witness match the search over
+    # independent tuples on the same rows
     rng = random.Random(5)
     cases = [(gallery.six_lines_free(), r) for r in (1, 2, 3)]
     cases += [(random_normal_system(7, 2, seed=1, bound=9), r)
               for r in (2, 3)]
     cases += [(random_normal_system(7, 4, seed=1, bound=9), 1)]
-    short = low = 0
+    short = packed = low = 0
     for ns, r in cases:
         kmax = ns.n - ns.m
         a = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(kmax)]
@@ -723,19 +849,24 @@ def test_witness_search_on_rows_of_lower_rank(monkeypatch):
         monkeypatch.setattr(oracles, "quotient_rows", lowered)
         rows = lowered(build(ns))
         assert rank(rows) == r, (ns, r)
-        levels = _pivot_levels(rows, _lattice(ns.n, ns.m), kmax)
+        levels, prods, _ = corank_two_products(rows, _lattice(ns.n, ns.m))
         v = is_concurrency_free(ns)
         assert (v.free, v.witness) == tuple_bfs_free(ns), (ns, r)
         assert len(v.witness) <= r + 1
-        short += len(levels) < kmax - 1
-        low += len(levels) == kmax - 1 and len(v.witness) < kmax
-    assert short >= 3 and low >= 2
+        short += len(levels) < kmax - 2
+        packed += len(levels) == kmax - 2 and prods is None
+        low += prods is not None and len(v.witness) < kmax
+    assert short >= 2 and packed >= 2 and low >= 2
 
 
 def combinations_fit_wide_slots(monkeypatch, ns):
-    # every slot of the corank-1 combination d2 P1 - d1 P2, computed here
-    # from the pivoted vectors themselves, is below 2^(2W - 3), so below
-    # 2^(W' - 1) at the width W' = 2W the rows are packed at
+    # the rows are packed once, at W' = 4W - 4 bits a slot for W the
+    # slot width of the kmax - 2 largest row norms, and not at all when
+    # kmax <= 2.  Every dot of a corank-3 vector is below 2^(W - 2),
+    # every exact corank-2 value d_p (z_j . r) - d_j (z_p . r), computed
+    # here from the pivoted vectors themselves, below 2^(2W - 3), and
+    # every corank-1 value d2 (v1 . r) - d1 (v2 . r) of those vectors
+    # below 2^(4W - 5) = 2^(W' - 1), so the slots hold them
     widths = []
     pack = concurrency._pack
 
@@ -745,22 +876,32 @@ def combinations_fit_wide_slots(monkeypatch, ns):
 
     monkeypatch.setattr(concurrency, "_pack", recording)
     is_concurrency_free(ns)
-    rows = quotient_rows(build(ns))
     kmax = ns.n - ns.m
-    if kmax == 1:
+    if kmax <= 2:
+        assert widths == [], ns
         return
-    lattice = _lattice(ns.n, ns.m)
+    rows = quotient_rows(build(ns))
+    w = _slot_width(rows, kmax - 2)
     (wide,) = widths
-    assert wide == 2 * _slot_width(rows)
+    assert wide == packed_width(rows) == 4 * w - 4
+    lattice = _lattice(ns.n, ns.m)
     levels = _pivot_levels(rows, lattice, kmax)
-    assert len(levels) == kmax - 1
-    top = 0
+    assert len(levels) == kmax - 2
+    three = max(abs(sum(map(mul, z, r))) for zs in levels[-1] for z in zs
+                for r in rows)
+    vss = corank_two_vectors(rows, lattice, levels)
+    assert None not in vss
+    two = max(abs(sum(map(mul, v, r))) for vs in vss for v in vs
+              for r in rows)
+    one = 0
     for _, _, parent, q in lattice[kmax - 1]:
-        z1, z2 = levels[-1][parent]
-        d1, d2 = (sum(map(mul, z, rows[q])) for z in (z1, z2))
-        top = max(top, max(abs(d2 * sum(map(mul, z1, r))
-                               - d1 * sum(map(mul, z2, r))) for r in rows))
-    assert top < 1 << wide - 3, ns
+        v1, v2 = vss[parent]
+        d1, d2 = (sum(map(mul, v, rows[q])) for v in (v1, v2))
+        one = max(one, max(abs(d2 * sum(map(mul, v1, r))
+                               - d1 * sum(map(mul, v2, r))) for r in rows))
+    assert three < 1 << w - 2, ns
+    assert two < 1 << 2 * w - 3, ns
+    assert one < 1 << 4 * w - 5 == 1 << wide - 1, ns
 
 
 @pytest.mark.parametrize("n,m", BFS_SHAPES)
