@@ -7,15 +7,14 @@ where every linear dependence is kept.  Its body is rows_charpoly, which
 takes any integer rows of full column rank k.  At k <= 3 it counts: the
 rows are lines through the origin, and chi follows from the number L of
 distinct lines and, at k = 3, from how many lines each plane they span
-holds, met in one pass over the pairs of lines (the normals of a rank-3
-central arrangement are points of P^2, and its flats of rank 2 the lines
-joining them; Orlik and Terao, Arrangements of Hyperplanes, 1992,
-ch. 2).  At
-k >= 4 it runs the deletion recursion memoised on flats, on the packed
-annihilator kernel of exact_linalg: a flat is the mask of its rows,
-carried by integer vectors that annihilate its span, each cover costs
-one pivot and one packed product per vector, and a flat of rank k - 2 is
-closed by counting its covers.  poset_charpoly reads the whole lattice
+holds, met line by line in the quotient of R^3 by that line (the normals
+of a rank-3 central arrangement are points of P^2, and its flats of
+rank 2 the lines joining them; Orlik and Terao, Arrangements of
+Hyperplanes, 1992, ch. 2).  At k >= 4 it runs the deletion recursion
+memoised on flats, on the packed annihilator kernel of exact_linalg: a
+flat is the mask of its rows, carried by integer vectors that annihilate
+its span, each cover costs one pivot and one packed product per vector,
+and a flat of rank k - 2 is closed by counting its covers.  poset_charpoly reads the whole lattice
 of flats of the same quotient rows from exact_linalg.flat_levels, the
 crawl on the same packed kernel that the cone composition of chambers
 reads too, and runs the Mobius recursion; it is kept as a cross-check
@@ -27,7 +26,7 @@ concurrency-free systems.  All three must agree wherever their domains
 overlap; the cone census rests on that agreement.
 """
 
-from math import gcd, isqrt, prod
+from math import gcd, prod
 from operator import add, mul
 
 from .concurrency import _check_universe, _lattice, _rank
@@ -163,24 +162,46 @@ def _counted(rows, k):
     if k == 1:
         _hold(1)  # the origin; the one line is the top
         return [-1, 1]
-    lines = list(set(map(_direction, rows)))
+    if k == 2:
+        L = len(set(map(_direction, rows)))
+        _hold(1 + L)
+        return [L - 1, -L, 1]
+    lines = {}  # the distinct directions, as _direction, in row order
+    for a, b, c in rows:
+        g = gcd(a, b, c)
+        if (a or b or c) < 0:
+            g = -g
+        lines[a // g, b // g, c // g] = None
     L = len(lines)
     _hold(1 + L)
-    if k == 2:
-        return [L - 1, -L, 1]
-    planes = {}  # plane by its primitive normal -> pairs of lines in it
-    for i, (a, b, c) in enumerate(lines, 1):
-        for d, e, f in lines[i:]:  # the cross product, as _direction
-            x, y, z = b * f - c * e, c * d - a * f, a * e - b * d
-            g = gcd(x, y, z)
-            if x < 0 or not x and (y < 0 or not y and z < 0):
-                g = -g
-            p = x // g, y // g, z // g
-            planes[p] = planes.get(p, 0) + 1
-        _hold(1 + L + len(planes))
-    # t = s (s - 1) / 2 pairs give 8 t + 1 = (2 s - 1)^2, so s - 1 is
-    # isqrt(8 t + 1) // 2
-    b2 = sum(isqrt(8 * t + 1) // 2 for t in planes.values())
+    b2 = P = 0  # sum of (s - 1) over the planes, and their number
+    earlier = []
+    for x, y, z in lines:
+        # the earlier lines in R^3 / <j> for j = (x, y, z), read on the
+        # two coordinates other than j's first nonzero one, each made a
+        # direction as _direction makes it
+        seen = {}  # direction -> met more than once
+        if x:
+            for r0, r1, r2 in earlier:
+                u = x * r1 - r0 * y
+                v = x * r2 - r0 * z
+                g = gcd(u, v)
+                if (u or v) < 0:
+                    g = -g
+                d = u // g, v // g
+                seen[d] = d in seen
+        else:
+            for r0, r1, r2 in earlier:
+                u, v = (r0, y * r2 - r1 * z) if y else (r0, r1)
+                g = gcd(u, v)
+                if (u or v) < 0:
+                    g = -g
+                d = u // g, v // g
+                seen[d] = d in seen
+        earlier.append((x, y, z))
+        b2 += len(seen)
+        P += list(seen.values()).count(False)
+        _hold(1 + L + P)
     return [L - 1 - b2, b2, -L, 1]
 
 
@@ -200,16 +221,27 @@ def rows_charpoly(rows, n):
     At k = 1 the one line is the top: chi = x - 1.  At k = 2 the top is
     the only flat above the lines, and chi(1) = 0 gives chi = x^2 - L x +
     (L - 1).  At k = 3 the flats of rank 2 are the planes spanned by two
-    lines, and a plane holding s lines has mu = s - 1.  One pass over the
-    C(L, 2) pairs of lines takes each pair's cross product, made
-    primitive with the same sign rule, as the plane it spans, so a plane
-    of s lines is met C(s, 2) times and s is read back from that count.
-    Then b2 = sum of (s - 1) over the planes is the coefficient of x, and
-    the constant term is -(b2 - L + 1), because chi(1) = 1 - L + b2 +
-    const = 0.  The flats below the top are the origin, the lines and the
-    P planes, 1 + L + P (1 at k = 1, 1 + L at k = 2); TooLarge is raised
-    as soon as that count passes FLAT_LIMIT, checked once before the pass
-    and once per line during it.
+    lines, and a plane holding s lines has mu = s - 1.  The lines are
+    taken in the order the rows first give them, and each line j is
+    quotiented out: the plane spanned by j and an earlier line r is the
+    line through the image of r in R^3 / <j>, and two earlier lines give
+    the same plane exactly when their images are parallel.  The image is
+    read on the two coordinates other than j's first nonzero one: for
+    j = (x, y, z) it is (x r1 - r0 y, x r2 - r0 z) when x != 0, (r0,
+    y r2 - r1 z) when x = 0 != y, and (r0, r1) otherwise, a linear map
+    whose kernel is <j>, so the image is nonzero, and it is made a
+    primitive direction with the same sign rule.  The distinct directions
+    are the planes through j and an earlier line.  A plane of s lines is
+    met from every one of its lines but its first, so the distinct counts
+    summed over the lines give b2 = sum of (s - 1), the coefficient of x,
+    with no table of planes; and a direction met by exactly one earlier
+    line is a plane whose second line is j, so those summed give the
+    number P of planes.  The constant term is -(b2 - L + 1), because
+    chi(1) = 1 - L + b2 + const = 0.  The flats below the top are the
+    origin, the lines and the P planes, 1 + L + P (1 at k = 1, 1 + L at
+    k = 2); TooLarge is raised as soon as that count passes FLAT_LIMIT,
+    checked once before the pass and once per line during it, on the
+    planes found so far.
 
     At k >= 4 the deletion recursion runs.  G(i, V) obeys
     G(i, V) = G(i+1, V) - G(i+1, V + row_i), and G(i, V) = 0 as soon as

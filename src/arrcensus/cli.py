@@ -12,6 +12,10 @@ arrangement (disc) is written for reading only.
 A subcommand takes only the options it reads, and any other is a usage
 error: --format on all, --max-subsets on all but closure, --seed on gen
 and catalog-verify, --max-chambers on chambers and catalog-verify.
+Where the options read depend on other options, a mix that names an
+option left unread is a domain error: census takes --n and --m only in
+concurrency-free mode and --ns only in ns-file mode, and closure takes
+--collection or --n/--m/--members, not both.
 
 Exit codes: 0 success, 1 domain error (JSON on stderr), 2 usage error.
 """
@@ -264,6 +268,9 @@ def cmd_check_cf(args, timer):
 def cmd_closure(args, timer):
     digests = {}
     if args.collection:
+        if (args.n, args.m, args.members) != (None, None, None):
+            raise ArrangementError(
+                "closure takes --collection or --n/--m/--members, not both")
         data, dig = _load_json(args.collection)
         col = collection_from_dict(data)
         digests["collection"] = dig
@@ -361,6 +368,9 @@ def cmd_census(args, timer):
         if args.n is None or args.m is None:
             raise ArrangementError("census needs --n and --m in "
                                    "concurrency-free mode")
+        if args.ns is not None:
+            raise ArrangementError("census takes no --ns in "
+                                   "concurrency-free mode")
         _guard_subsets(args.n, args.m, args.max_subsets)
         chi = combinatorial_charpoly(args.n, args.m)
         timer.mark("compute")
@@ -369,6 +379,9 @@ def cmd_census(args, timer):
     else:
         if not args.ns:
             raise ArrangementError("census needs --ns in ns-file mode")
+        if args.n is not None or args.m is not None:
+            raise ArrangementError("census takes no --n or --m in ns-file "
+                                   "mode")
         ns, chi, digests["ns"] = _charpoly_of(args, timer)
         n, m = ns.n, ns.m
     return {"n": n, "m": m,
@@ -400,6 +413,7 @@ def _build_parser():
     capped.add_argument("--max-chambers", type=_integer,
                         default=DEFAULT_MAX_CHAMBERS)
     sub = top.add_subparsers(dest="command", required=True)
+    top.commands = sub.choices  # name -> subparser, for main
 
     p = sub.add_parser("gen", parents=[sized, seeded],
                        help="sample a random valid normal system")
@@ -479,7 +493,22 @@ def _build_parser():
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    top = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # argv[1:] goes straight to the subparser that top would hand it to;
+    # top parses argv itself, for its errors, help and version, when
+    # argv[0] names no command or the subparser leaves arguments over
+    sub = top.commands.get(argv[0]) if argv else None
+    args = None
+    if sub is not None:
+        args, extra = sub.parse_known_args(argv[1:])
+        if extra:
+            args = None
+        else:
+            args.command = argv[0]
+    if args is None:
+        args = top.parse_args(argv)
     timer = _Timer()
     # looked up at call time, so a rebound cmd_* is the one that runs
     command = globals()["cmd_" + args.command.replace("-", "_")]

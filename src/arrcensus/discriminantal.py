@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, prod
 
-from .exact_linalg import primitive_int_rows, rational_str
+from .exact_linalg import rational_str
 
 
 class DiscriminantalArrangement:
@@ -32,22 +32,23 @@ class DiscriminantalArrangement:
 
     Made by build.  source is the normal system it was built from;
     geometric verifiers use it to reconstruct the affine picture behind a
-    constant vector b.  int_rows holds each wall scaled by a positive
-    factor to coprime integers.  normals are made from the minor table of
-    source the first time they are read.
+    constant vector b.  quotient holds each wall cut to its first n - m
+    coordinates and scaled by a positive factor to coprime integers, the
+    rows quotient_rows returns.  int_rows, the whole walls scaled the
+    same way, normals and index are made from the minor table of source
+    the first time they are read.
     """
 
-    __slots__ = ("n", "m", "subsets", "_normals", "int_rows", "index",
-                 "source")
+    __slots__ = ("n", "m", "subsets", "quotient", "source", "_normals",
+                 "_int_rows", "_index")
 
-    def __init__(self, source, subsets, int_rows):
+    def __init__(self, source, subsets, quotient):
         self.n = source.n
         self.m = source.m
         self.subsets = tuple(subsets)
-        self._normals = None
+        self.quotient = tuple(quotient)
         self.source = source
-        self.int_rows = tuple(int_rows)
-        self.index = {s: i for i, s in enumerate(self.subsets)}
+        self._normals = self._int_rows = self._index = None
 
     @property
     def normals(self):
@@ -55,6 +56,20 @@ class DiscriminantalArrangement:
         if self._normals is None:
             self._normals = _fraction_normals(self.source, self.subsets)
         return self._normals
+
+    @property
+    def int_rows(self):
+        """The walls as primitive integer rows in R^n, one per subset."""
+        if self._int_rows is None:
+            self._int_rows = _int_walls(self.source, self.subsets)
+        return self._int_rows
+
+    @property
+    def index(self):
+        """Position of each subset in subsets."""
+        if self._index is None:
+            self._index = {s: i for i, s in enumerate(self.subsets)}
+        return self._index
 
     def normal_of(self, subset):
         return self.normals[self.index[tuple(sorted(subset))]]
@@ -100,6 +115,25 @@ def _fraction_normals(ns, subsets):
     return tuple(normals)
 
 
+def _int_walls(ns, subsets):
+    """The primitive integer rows of the walls of ns in R^n.
+
+    The coefficient of row i is a minor over the product of its rows'
+    scales; times the product of all the scales of S, which is
+    positive, it is the minor times d_i, so the wall's primitive integer
+    row is those integers over their gcd.
+    """
+    n, scales = ns.n, ns.scales
+    rows = []
+    for S, coeffs in _walls(ns, subsets):
+        ints = [0] * n
+        for i, c in coeffs:
+            ints[i - 1] = c * scales[i - 1]
+        g = gcd(*ints)
+        rows.append(tuple([x // g for x in ints]) if g > 1 else tuple(ints))
+    return tuple(rows)
+
+
 def build(ns):
     """All C(n, m+1) concurrency hyperplanes of a normal system.
 
@@ -111,36 +145,47 @@ def build(ns):
     The minors come from the system's table (NormalSystem.minors), each
     the minor of the rows scaled to integers by the lcm d_i of their
     denominators: the coefficient is that minor over the product of its
-    rows' scales.  Times the product of all the scales of S, which is
-    positive, it is the minor times d_{i_k}, so the wall's primitive
-    integer row is those integers over their gcd.  No determinant and no
-    Fraction is computed; the Fraction normals wait until read.
+    rows' scales, and the wall times the product of the scales of S,
+    which is positive, has the integer coefficients minor times d_{i_k}.
+    build makes only the quotient rows: for each wall the coefficients
+    of its indices i <= n - m, which lead S, over their gcd.  That is
+    the primitive row of the whole wall cut and made primitive again, as
+    quotient_rows defines it, since a common factor of the whole row
+    divides its cut.  No determinant and no Fraction is computed; the
+    whole integer rows and the Fraction normals wait until read.
     """
-    n, m, scales = ns.n, ns.m, ns.scales
+    n, m, scales, minors = ns.n, ns.m, ns.scales, ns.minors
+    k = n - m
+    bit = [0] + [1 << i for i in range(n)]  # bit[i] for 1-based row i
     subsets = list(combinations(range(1, n + 1), m + 1))
-    int_rows = []
-    for S, coeffs in _walls(ns, subsets):
-        ints = [0] * n
-        for i, c in coeffs:
-            ints[i - 1] = c * scales[i - 1]
-        g = gcd(*ints)
-        int_rows.append(tuple([x // g for x in ints]) if g > 1
-                        else tuple(ints))
-    return DiscriminantalArrangement(ns, subsets, int_rows)
+    rows = []
+    for S in subsets:
+        mask = sum([bit[i] for i in S])
+        row = [0] * k
+        plus = not m % 2  # the sign at S[0]; + at S[m], alternating
+        for i in S:
+            if i > k:
+                break
+            c = minors[mask ^ bit[i]] * scales[i - 1]
+            row[i - 1] = c if plus else -c
+            plus = not plus
+        g = gcd(*row)
+        rows.append(tuple([x // g for x in row]) if g > 1 else tuple(row))
+    return DiscriminantalArrangement(ns, subsets, rows)
 
 
 def quotient_rows(da):
     """The walls cut to the first n - m coordinates, where they keep rank.
 
-    Returns the primitive integer rows int_rows restricted to coordinates
-    1 .. n - m and made primitive again, with no rank computed: the walls
-    span ker(A^T) for the n x m matrix A of the normal system, and a
-    vector of that space which vanishes there is zero, because the last m
-    rows of A are independent.  So the restriction is one-to-one on the
-    row space, and every linear dependence, flat and sign is kept.
+    Returns, as a new list, the primitive integer rows of the walls
+    restricted to coordinates 1 .. n - m and made primitive again, which
+    build makes, with no rank computed: the walls span ker(A^T) for the
+    n x m matrix A of the normal system, and a vector of that space
+    which vanishes there is zero, because the last m rows of A are
+    independent.  So the restriction is one-to-one on the row space,
+    and every linear dependence, flat and sign is kept.
     """
-    k = da.n - da.m
-    return primitive_int_rows([row[:k] for row in da.int_rows])
+    return list(da.quotient)
 
 
 def da_to_dict(da):

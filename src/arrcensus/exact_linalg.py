@@ -14,7 +14,6 @@ counts downstream hinge on exact degeneracies that rounding destroys.
 
 import re
 from fractions import Fraction
-from itertools import combinations
 from math import gcd, isqrt, lcm, prod
 from operator import lshift, mul
 
@@ -161,33 +160,41 @@ def minor_table(rows, m):
     """Every m x m minor of int rows on their first m columns.
 
     Returns {mask: det} with one entry per m-subset T of the rows, bit i
-    of the mask for row i: the determinant of the rows of T, in
-    increasing order, on columns 0..m-1.  Level k of the table holds
-    that determinant on columns 0..k-1 for every k-subset; each entry is
-    the Laplace expansion along column k-1 over level k-1, k
-    multiply-adds, with no division.  Only two levels are held.
+    of the mask for row i, in lex order of T: the determinant of the rows
+    of T, in increasing order, on columns 0..m-1.  Level k of the table
+    holds that determinant on columns 0..k-1 for every k-subset.  Each
+    k-subset M of level k, in lex order, is extended by every row j after
+    its last one, and the entry of U = M + j is the Laplace expansion
+    along column k over level k: + at row j, times the entry of M, and
+    alternating down the rows of M, k + 1 multiply-adds with no division.
+    So each subset is met once, with its rows known from its parent's.
+    Only two levels are held.
     """
     n = len(rows)
     bit = [1 << i for i in range(n)]
     level = {0: 1}
+    subs = [(0, ())]  # the masks of level, with their rows top down
     for k in range(m):
         col = [row[k] for row in rows]
         up = {}
-        for U in combinations(range(n), k + 1):
-            M = sum(map(bit.__getitem__, U))
-            # cofactor signs alternate from + at the last row of U
-            s = 0
-            plus = True
-            for i in reversed(U):
-                a = col[i]
-                if a:
-                    if plus:
-                        s += a * level[M ^ bit[i]]
-                    else:
-                        s -= a * level[M ^ bit[i]]
-                plus = not plus
-            up[M] = s
-        level = up
+        ups = []
+        for M, R in subs:
+            v = level[M]
+            for j in range(R[0] + 1 if R else 0, n):
+                U = M | bit[j]
+                s = col[j] * v
+                plus = False
+                for i in R:
+                    a = col[i]
+                    if a:
+                        if plus:
+                            s += a * level[U ^ bit[i]]
+                        else:
+                            s -= a * level[U ^ bit[i]]
+                    plus = not plus
+                up[U] = s
+                ups.append((U, (j,) + R))
+        level, subs = up, ups
     return level
 
 

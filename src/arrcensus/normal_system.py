@@ -4,7 +4,9 @@ A normal system is the input datum for everything downstream: its rows are
 the normals of n affine hyperplanes in R^m, and the defining condition is
 that every subset of at most m rows is linearly independent.  Rows are kept
 verbatim (never rescaled): cone labels downstream depend on the chosen
-matrix, not just on the lines it defines.
+matrix, not just on the lines it defines.  A system whose entries are
+all ints keeps them as ints, and any other system holds Fractions, so
+an integer system is read, tabled and written with no Fraction made.
 
 A system carries one integer table of its m x m minors, made once from
 the rows scaled to integers (exact_linalg.minor_table).  Since n > m,
@@ -28,6 +30,10 @@ from .exact_linalg import (_INTEGER, _idot, _int_row, _pivot, _units,
 class NormalSystem:
     """Immutable n x m matrix with every <= m rows independent.
 
+    rows holds tuples of ints when every entry given is an int, and of
+    Fractions otherwise; a system compares and hashes by value, so the
+    two forms of the same matrix are equal.
+
     scales[i] is the lcm d_i of the denominators of row i, and minors
     the minor_table of the rows times their scales: minors[mask] is the
     m x m minor of the rows in mask (bit i for row i) times the product
@@ -38,7 +44,7 @@ class NormalSystem:
     __slots__ = ("rows", "m", "rejections", "scales", "minors")
 
     def __init__(self, rows, m, table=None):
-        self.rows = tuple(map(_fractions, rows))
+        self.rows = _entries(rows)
         self.m = int(m)
         self.scales, self.minors = table or _table(self.rows, self.m)
         self.rejections = 0  # set by random_normal_system
@@ -59,13 +65,17 @@ class NormalSystem:
 
 
 class Arrangement:
-    """A normal system paired with constants b: hyperplane i is a_i.x = b_i."""
+    """A normal system paired with constants b: hyperplane i is a_i.x = b_i.
+
+    b holds ints when every constant given is an int, and Fractions
+    otherwise, as the rows of a NormalSystem do.
+    """
 
     __slots__ = ("system", "b")
 
     def __init__(self, system, b):
         self.system = system
-        self.b = tuple(Fraction(x) for x in b)
+        self.b = _entries([b])[0]
 
     def __eq__(self, other):
         return (isinstance(other, Arrangement)
@@ -77,6 +87,15 @@ class Arrangement:
 
 def _fractions(row):
     return tuple([a if type(a) is Fraction else Fraction(a) for a in row])
+
+
+def _entries(rows):
+    """The rows as tuples: of their ints when every entry is an int, of
+    Fractions otherwise."""
+    rows = tuple(map(tuple, rows))
+    if all(type(a) is int for row in rows for a in row):
+        return rows
+    return tuple(map(_fractions, rows))
 
 
 def _table(rows, m):
@@ -126,15 +145,12 @@ def validate(coeffs, m):
 
     Raises BadShape when n <= m or m <= 1 or a row has the wrong width,
     DependentRows naming the first offending subset otherwise.  When
-    every entry is an int, the minor table is made from those ints as
-    they are; otherwise every entry becomes a Fraction first, and each
-    row is scaled to integers by the lcm of its denominators.  Either
-    way the system's rows are Fractions, made once, in NormalSystem.
+    every entry is an int, the rows stay ints and the minor table is
+    made from them as they are; otherwise every entry becomes a Fraction,
+    and each row is scaled to integers by the lcm of its denominators.
     """
     m = int(m)
-    rows = [tuple(row) for row in coeffs]
-    if not all(type(a) is int for row in rows for a in row):
-        rows = [_fractions(row) for row in rows]
+    rows = _entries(coeffs)
     n = len(rows)
     if m <= 1:
         raise BadShape("ambient dimension m must exceed 1", m=m)
@@ -180,11 +196,11 @@ def random_normal_system(n, m, seed, bound, max_attempts=10000):
 
 def arrangement_from_b(ns, b):
     """Pair a normal system with constants b; no genericity demanded yet."""
-    b = tuple(Fraction(x) for x in b)
-    if len(b) != ns.n:
+    arr = Arrangement(ns, b)
+    if len(arr.b) != ns.n:
         raise LengthMismatch("need one constant per hyperplane",
-                             n=ns.n, got=len(b))
-    return Arrangement(ns, b)
+                             n=ns.n, got=len(arr.b))
+    return arr
 
 
 def ns_to_dict(ns):
@@ -201,7 +217,8 @@ def ns_from_dict(data):
     An entry that is a plain integer string "p", the form ns_to_dict
     writes for an integer, is read by int, with no Fraction made; any
     other entry goes through parse_rational, which names the first bad
-    one by row and column.
+    one by row and column.  So a system of such entries has int rows,
+    and any other has Fraction rows.
     """
     need = 'normal system needs an integer "m" and "rows"'
     try:

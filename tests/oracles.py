@@ -7,7 +7,7 @@ against; none of them is part of the library.
 import re
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm, prod
+from math import gcd, isqrt, lcm, prod
 from operator import mul
 
 from arrcensus.affine_geometry import (MAX_REGIONS, LineOrder, _directions,
@@ -19,9 +19,9 @@ from arrcensus.concurrency import SubsetCollection, _rank, _step, _universe
 from arrcensus.discriminantal import build, quotient_rows
 from arrcensus.errors import (BadArtifact, BadShape, BadSubsetSize,
                               NotGeneric, NotInCatalog)
-from arrcensus.exact_linalg import (_INTEGER, _idot, _int_det, _int_row,
-                                    determinant, dot, feasible_strict,
-                                    integer_primitive,
+from arrcensus.exact_linalg import (_INTEGER, _direction, _idot, _int_det,
+                                    _int_row, determinant, dot,
+                                    feasible_strict, integer_primitive,
                                     lex_independent_columns, nullspace_basis,
                                     parse_rational, rank, solve_particular)
 from arrcensus.normal_system import validate
@@ -263,6 +263,63 @@ def brute_build(ns):
         int_rows.append(tuple(x // g for x in ints) if g > 1
                         else tuple(ints))
     return tuple(subsets), tuple(normals), tuple(int_rows)
+
+
+def quotient_by_cut(ns):
+    """The quotient rows of the walls of ns, as quotient_rows made them
+    before build made them: brute_build's primitive integer rows cut to
+    their first n - m coordinates and made primitive again."""
+    k = ns.n - ns.m
+    out = []
+    for row in brute_build(ns)[2]:
+        cut = row[:k]
+        g = gcd(*cut)
+        out.append(tuple(x // g for x in cut) if g > 1 else tuple(cut))
+    return out
+
+
+def minor_table_by_combinations(rows, m):
+    """exact_linalg.minor_table level by level over combinations: each
+    (k+1)-subset U of the rows, its mask summed from its bits, is the
+    Laplace expansion along column k over the k-subsets of U, with signs
+    alternating from + at the last row of U."""
+    n = len(rows)
+    bit = [1 << i for i in range(n)]
+    level = {0: 1}
+    for k in range(m):
+        col = [row[k] for row in rows]
+        up = {}
+        for U in combinations(range(n), k + 1):
+            M = sum(map(bit.__getitem__, U))
+            s = 0
+            plus = True
+            for i in reversed(U):
+                a = col[i]
+                if a:
+                    s += a * level[M ^ bit[i]] if plus else \
+                        -a * level[M ^ bit[i]]
+                plus = not plus
+            up[M] = s
+        level = up
+    return level
+
+
+def planes_by_pairs(rows):
+    """(G(0, {0}) by exponent, P) of integer rows of rank 3, from one
+    pass over the C(L, 2) pairs of distinct lines: each pair's cross
+    product, made a primitive direction, is the normal of the plane it
+    spans, so a plane of s lines is met C(s, 2) times and s is read back
+    from that count; P is the number of planes."""
+    lines = sorted({_direction(row) for row in rows})
+    L = len(lines)
+    planes = {}
+    for i, (a, b, c) in enumerate(lines, 1):
+        for d, e, f in lines[i:]:
+            p = _direction((b * f - c * e, c * d - a * f, a * e - b * d))
+            planes[p] = planes.get(p, 0) + 1
+    # t = s (s - 1) / 2 pairs give 8 t + 1 = (2 s - 1)^2
+    b2 = sum(isqrt(8 * t + 1) // 2 for t in planes.values())
+    return [L - 1 - b2, b2, -L, 1], len(planes)
 
 
 def feasible_strict_full_tableau(rows):

@@ -23,12 +23,13 @@ from arrcensus.affine_geometry import (MAX_REGIONS, _regions, _unbounded,
                                        genericity_witness, region_census,
                                        simplex_signature, special_point,
                                        swap_check, vertex_orders)
-from arrcensus.chambers import (ChamberCatalog, _wall_is_facet, adjacency,
-                                antipodal_classes, enumerate_chambers,
-                                shared_wall)
+from arrcensus.chambers import (ChamberCatalog, Classified, OnWall,
+                                _wall_is_facet, adjacency, antipodal_classes,
+                                classify_b, enumerate_chambers, shared_wall)
 from arrcensus.discriminantal import build, quotient_rows
-from arrcensus.errors import (NotAdjacent, NotGeneric, NotInCatalog,
-                              TooLarge, UnsupportedDimension, WrongShape)
+from arrcensus.errors import (ArrangementError, NotAdjacent, NotGeneric,
+                              NotInCatalog, TooLarge, UnsupportedDimension,
+                              WrongShape)
 from arrcensus.normal_system import (Arrangement, arrangement_from_b,
                                      random_normal_system, validate)
 
@@ -413,7 +414,7 @@ def rational_systems():
     out = []
     for n, m in [(5, 2), (6, 3), (6, 4)]:
         rows = random_normal_system(n, m, seed=3, bound=5).rows
-        out.append(validate([[a / rng.randint(2, 7) for a in row]
+        out.append(validate([[Fraction(a, rng.randint(2, 7)) for a in row]
                              for row in rows], m))
     assert all(any(a.denominator > 1 for row in ns.rows for a in row)
                for ns in out)
@@ -702,3 +703,41 @@ def test_sign_engine_builds_no_vertex_table(monkeypatch):
     assert genericity_witness(Arrangement(ns, (0,) * 5)) == (1, 2, 3)
     with pytest.raises(AssertionError):
         vertex_orders(arrs[0])
+
+
+def _answer(f, *args):
+    # what f answers, or the error it raises, with its payload
+    try:
+        got = f(*args)
+    except ArrangementError as err:
+        return type(err), err.as_dict()
+    if isinstance(got, (Classified, OnWall)):
+        return tuple(getattr(got, k, None)
+                     for k in ("signs", "class_id", "subsets"))
+    return got
+
+
+@pytest.mark.parametrize("name", GALLERY)
+def test_integer_b_answers_as_its_fractions_do(name):
+    # an all-int b stays ints in its Arrangement, and regions, signature,
+    # iso and classify answer for it exactly what they answer for the
+    # same b as Fractions, on a wall and off every wall
+    ns = getattr(gallery, name)()
+    cat = catalog(name)
+    bs = [list(cat[i].witness) for i in (0, 1, len(cat) - 1)]
+    bs += [[0] * ns.n, [i * i for i in range(ns.n)]]
+    da = build(ns)
+    pairs = []
+    for b in bs:
+        fb = [Fraction(x) for x in b]
+        ai, af = arrangement_from_b(ns, b), arrangement_from_b(ns, fb)
+        assert {type(x) for x in ai.b} == {int}
+        assert {type(x) for x in af.b} == {Fraction}
+        for f in (region_census, simplex_signature):
+            assert _answer(f, ai) == _answer(f, af), (f, b)
+        assert _answer(classify_b, da, b, cat) == \
+            _answer(classify_b, da, fb, cat)
+        pairs.append((ai, af))
+    for (a1, f1), (a2, f2) in combinations(pairs, 2):
+        assert _answer(are_isomorphic_trivial, a1, a2) == \
+            _answer(are_isomorphic_trivial, f1, f2)

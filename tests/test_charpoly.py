@@ -29,13 +29,13 @@ from arrcensus.charpoly import (
 from arrcensus.concurrency import SubsetCollection, combinatorial_rank
 from arrcensus.discriminantal import build, da_to_dict, quotient_rows
 from arrcensus.errors import OddRegionCount, TooLarge
-from arrcensus.exact_linalg import (_slot_width, flat_levels,
+from arrcensus.exact_linalg import (_direction, _slot_width, flat_levels,
                                     lex_independent_columns,
                                     primitive_int_rows, rank)
 from arrcensus.normal_system import (first_dependent_subset, ns_from_dict,
                                      random_normal_system, validate)
 
-from oracles import disc_normals
+from oracles import disc_normals, planes_by_pairs
 
 
 @lru_cache(maxsize=None)
@@ -432,6 +432,68 @@ LOW_RANK_ROWS = {
               (-3, -3, 0), (0, 0, 1), (1, 1, 1), (-2, -2, -2), (1, 0, -1),
               (0, 2, 3)],
 }
+
+
+# rank 3, in an order that puts a line j = (x, y, z) of each kind of the
+# plane pass after earlier lines: x != 0, x = 0 != y and x = y = 0 (the
+# z axis, written (0, 0, -4)), each with earlier lines in and off its
+# planes
+BRANCH_ROWS = [(1, 2, 3), (2, -1, 1), (0, 1, 0), (0, 3, -2), (1, 1, 0),
+               (0, 0, -4), (3, 0, 1), (0, 2, 1), (-1, 0, 0), (0, 1, 1),
+               (2, 4, 6), (1, -1, 2)]
+
+
+def k3_rows():
+    """Rank-3 rows: the quotient rows of the gallery systems with
+    n - m = 3 and of seeded integer and rational sweeps, the repeated
+    lines of LOW_RANK_ROWS["three"] and BRANCH_ROWS."""
+    das = [build(getattr(gallery, name)()) for name in GALLERY]
+    for n, m in [(5, 2), (6, 3), (7, 4), (8, 5)]:
+        for seed in range(3):
+            das += [build(random_normal_system(n, m, seed=seed, bound=bound))
+                    for bound in (2, 9)]
+            das.append(build(rational_system(n, m, seed)))
+    out = [quotient_rows(da) for da in das if da.n - da.m == 3]
+    return out + [LOW_RANK_ROWS["three"], BRANCH_ROWS]
+
+
+def plane_pass(monkeypatch, rows):
+    # _counted at k = 3, with what it held: the first hold is 1 + L, one
+    # more per line, and the last 1 + L + P
+    held = []
+    real = charpoly._hold
+
+    def hold(flats):
+        held.append(flats)
+        real(flats)
+
+    monkeypatch.setattr(charpoly, "_hold", hold)
+    got = charpoly._counted(rows, 3)
+    monkeypatch.setattr(charpoly, "_hold", real)
+    return got, held
+
+
+def test_plane_pass_matches_the_pair_oracle(monkeypatch):
+    # chi and P of the per-line pass are those of the pass over the
+    # C(L, 2) pairs of lines, P is the plane level of the flat crawl, and
+    # the budget is held once before the pass and once per line
+    cases = k3_rows()
+    assert len(cases) == 4 + 4 * 3 * 3 + 2
+    for rows in cases:
+        got, held = plane_pass(monkeypatch, rows)
+        L = held[0] - 1
+        P = held[-1] - 1 - L
+        assert (got, P) == planes_by_pairs(rows), rows
+        assert P == len(list(flat_levels(rows))[2])
+        assert len(held) == 1 + L and held == sorted(held)
+        assert rows_charpoly(rows, 3).coefficients == tuple(got[::-1])
+
+
+def test_branch_rows_reach_each_projection():
+    # in row order each kind of line of the plane pass has earlier lines
+    lines = list(dict.fromkeys(map(_direction, BRANCH_ROWS)))
+    kinds = [0 if x else 1 if y else 2 for x, y, z in lines]
+    assert kinds[0] == 0 and set(kinds[1:]) == {0, 1, 2}
 
 
 @pytest.mark.parametrize("name", sorted(LOW_RANK_ROWS))

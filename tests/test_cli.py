@@ -1152,3 +1152,96 @@ def test_fresh_interpreter_prints_one_json_line(tmp_path):
         assert len(lines) == 2 and lines[1] == "", argv
         report = json.loads(lines[0])
         assert report["command"] == argv[0] and report["payload"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["census", "--mode", "ns-file", "--ns", "NS", "--n", "9", "--m", "7"],
+     "census takes no --n or --m in ns-file mode"),
+    (["census", "--mode", "ns-file", "--ns", "NS", "--m", "2"],
+     "census takes no --n or --m in ns-file mode"),
+    (["census", "--n", "5", "--m", "2", "--ns", "/nonexistent"],
+     "census takes no --ns in concurrency-free mode"),
+    (["closure", "--collection", "COL", "--n", "4", "--m", "2",
+      "--members", "123"],
+     "closure takes --collection or --n/--m/--members, not both"),
+    (["closure", "--collection", "COL", "--members", "123"],
+     "closure takes --collection or --n/--m/--members, not both")])
+def test_options_the_mode_leaves_unread_are_refused(capsys, tmp_path,
+                                                    ns_files, argv,
+                                                    message):
+    col = tmp_path / "col.json"
+    col.write_text(json.dumps({"n": 4, "m": 2, "members": [[1, 2, 3]]}))
+    argv = [{"NS": ns_files["four_lines"], "COL": str(col)}.get(a, a)
+            for a in argv]
+    code, _, err, cap = run(capsys, *argv)
+    assert code == 1 and cap.out == ""
+    assert err == {"error": {"type": "ArrangementError",
+                             "message": message}}
+
+
+def _outcome(argv):
+    # exit code, stdout (a report without its timings) and stderr of main
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    text = out.getvalue()
+    if text.startswith("{"):
+        text = json.loads(text)
+        text.pop("timings_ms")
+    return code, text, err.getvalue()
+
+
+def _dispatch_table(ns):
+    # every minimal call, and the argv that argparse answers itself
+    table = [[command] + [ns if a == "NS" else a for a in args]
+             for command, args in _MINIMAL.items()]
+    return table + [
+        [], ["--version"], ["-h"], ["count"], ["count", "-h"],
+        ["count", "--ns"], ["count", "--ns", ns, "--bogus"],
+        ["count", "--ns", ns, "--version"], ["count", "--ns", ns, "junk"],
+        ["count", "--ns", ns, "--format", "yaml"],
+        ["count", "--n", ns], ["count", "--ns=" + ns, "--format=text"],
+        ["census", "--mo", "ns-file", "--ns", ns, "--format", "csv"],
+        ["--format", "text", "count", "--ns", ns], ["coun", "--ns", ns],
+        ["bogus"], ["count", "--", "--ns", ns], ["gen", "--n", "x"],
+        ["gen", "--n", "4", "--m", "2", "--seed", "3", "--seed", "4"]]
+
+
+def test_dispatch_answers_as_the_full_parser_does(monkeypatch, ns_files):
+    # main hands argv[1:] to the subcommand's own parser; with no
+    # subparsers to look up it parses every argv with the top parser,
+    # and the two give the same stdout, stderr and exit code
+    table = _dispatch_table(ns_files["four_lines"])
+    top = cli._build_parser()
+    calls = []
+    real = top.parse_args
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(top, "parse_args", counted)
+    direct = [_outcome(argv) for argv in table]
+    # the minimal calls skip it; an unknown command, an option before the
+    # command and arguments left over reach it
+    assert [args for args, in calls] == [
+        argv for argv in table[len(_MINIMAL):]
+        if argv[:1] not in [[c] for c in _MINIMAL]
+        or argv[-1] in ("--bogus", "--version", "junk")]
+    monkeypatch.setattr(top, "commands", {})
+    assert [_outcome(argv) for argv in table] == direct
+    assert [code for code, _, _ in direct[:len(_MINIMAL)]] == \
+        [0] * len(_MINIMAL)
+    assert {code for code, _, _ in direct[len(_MINIMAL):]} == {0, 2}
+
+
+def test_main_reads_sys_argv(monkeypatch, ns_files):
+    argv = ["count", "--ns", ns_files["four_lines"]]
+    want = _outcome(argv)
+    monkeypatch.setattr(sys, "argv", ["arrcensus"] + argv)
+    assert _outcome(None) == want
+    monkeypatch.setattr(sys, "argv", ["arrcensus", "count", "--bogus"])
+    assert _outcome(None)[0] == 2

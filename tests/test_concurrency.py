@@ -975,7 +975,8 @@ def scaled_draw(n, m, seed, bound):
     rng = random.Random(seed)
     ns = random_normal_system(n, m, seed=seed, bound=bound)
     qs = [rng.randint(1, 4) for _ in ns.rows]
-    return validate([[a / q for a in row] for row, q in zip(ns.rows, qs)], m)
+    return validate([[Fraction(a, q) for a in row]
+                     for row, q in zip(ns.rows, qs)], m)
 
 
 @pytest.mark.parametrize("n,m", [(5, 2), (6, 2), (6, 3), (7, 4)])

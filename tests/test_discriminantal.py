@@ -14,15 +14,16 @@ import sympy
 
 from arrcensus import gallery
 from arrcensus import discriminantal, exact_linalg
+from arrcensus.charpoly import whitney_charpoly
 from arrcensus.discriminantal import (DiscriminantalArrangement, build,
-                                      da_to_dict)
+                                      da_to_dict, quotient_rows)
 from arrcensus.errors import BadSubsetSize, DependentRows
 from arrcensus.exact_linalg import primitive_int_rows
 from arrcensus.normal_system import (NormalSystem, random_normal_system,
                                      validate)
 
 from oracles import (brute_build, build_by_minors, common_intersection_dim,
-                     disc_normals, matvec, subset_rank)
+                     disc_normals, matvec, quotient_by_cut, subset_rank)
 
 GOLDEN_SIX_LINE_NORMALS = {
     (1, 2, 3): (-5, -2, 3, 0, 0, 0),
@@ -257,5 +258,24 @@ def test_arrangement_makes_its_normals_from_its_source():
     da = build(ns)
     assert da._normals is None
     assert da.normals == build_by_minors(ns)
-    assert DiscriminantalArrangement(ns, da.subsets, da.int_rows).normals \
-        == da.normals
+    assert DiscriminantalArrangement(ns, da.subsets,
+                                     quotient_rows(da)).normals == da.normals
+
+
+def test_quotient_and_int_rows_equal_the_cut_of_the_whole_walls():
+    # build makes the quotient rows straight from the minors, equal to the
+    # whole primitive rows cut and made primitive again; the whole rows
+    # are made, equal to brute_build's, only when read
+    for ns in table_systems():
+        da = build(ns)
+        assert quotient_rows(da) == quotient_by_cut(ns)
+        assert da._int_rows is None and da._index is None
+        assert da.int_rows == brute_build(ns)[2]
+        assert da.index == {s: i for i, s in enumerate(da.subsets)}
+
+
+def test_counting_never_makes_the_whole_rows():
+    for ns in table_systems():
+        da = build(ns)
+        whitney_charpoly(da)
+        assert da._int_rows is None and da._normals is None

@@ -17,12 +17,15 @@ from arrcensus.discriminantal import build, quotient_rows
 from arrcensus.errors import BadRational, BadShape
 from arrcensus.exact_linalg import (
     _idot,
+    _int_det,
+    _int_row,
     determinant,
     dot,
     feasible_strict,
     flat_levels,
     integer_primitive,
     lex_independent_columns,
+    minor_table,
     nullspace_basis,
     parse_rational,
     primitive_int_rows,
@@ -37,7 +40,8 @@ from arrcensus.normal_system import random_normal_system
 
 from oracles import (brute_flats, cocircuit_by_echelon, echelon_insert,
                      echelon_residual, feasible_strict_full_tableau,
-                     find_interior_point, matvec)
+                     find_interior_point, matvec,
+                     minor_table_by_combinations)
 
 
 def cofactor_det(mat):
@@ -445,3 +449,35 @@ def test_feasible_strict_matches_full_tableau_oracle():
             assert got == feasible_strict_full_tableau(rows), rows
             feasible += got is not None
     assert 100 < feasible < 500  # both verdicts exercised
+
+
+def minor_table_rows():
+    """(rows, m) for every shape with m = 1..5 and m <= n <= 10: integer
+    rows with about a third of their entries zero, and rows of
+    rationals scaled to integers by the lcm of their denominators; some
+    rows are one column wider than m, which the table does not read."""
+    rng = random.Random(59)
+    for m in range(1, 6):
+        for n in range(m, 11):
+            width = m + (n % 2)
+            yield [[rng.choice((0, 0, rng.randint(-9, 9)))
+                    for _ in range(width)] for _ in range(n)], m
+            yield [_int_row([Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                             for _ in range(width)])[0]
+                   for _ in range(n)], m
+
+
+def test_minor_table_matches_the_laplace_oracle_and_bareiss():
+    # the same entries, in the same (lex) order, as the expansion over
+    # combinations, and each the Bareiss determinant of its m rows
+    zeros = 0
+    for rows, m in minor_table_rows():
+        table = minor_table(rows, m)
+        assert list(table.items()) == \
+            list(minor_table_by_combinations(rows, m).items())
+        assert len(table) == comb(len(rows), m)
+        for T in combinations(range(len(rows)), m):
+            det = _int_det([list(rows[i][:m]) for i in T])
+            assert table[sum(1 << i for i in T)] == det, (rows, m, T)
+            zeros += not det
+    assert zeros > 100  # vanishing minors are exercised too

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from arrcensus import gallery, normal_system
 from arrcensus.errors import (ArrangementError, BadShape, DependentRows,
                               LengthMismatch)
-from arrcensus.exact_linalg import determinant, rank
+from arrcensus.exact_linalg import _INTEGER, determinant, rank
 from arrcensus.normal_system import (
     Arrangement,
     NormalSystem,
@@ -204,6 +204,32 @@ def test_arrangement_from_b_round_trip():
         arrangement_from_b(ns, [1, 2, 3])
 
 
+def entry_types(rows):
+    return {type(a) for row in rows for a in row}
+
+
+def test_integer_entries_stay_ints():
+    # a system, or a b, of ints keeps its ints; one other entry makes
+    # every entry a Fraction; the two forms of one matrix are equal, hash
+    # alike and are written alike
+    ints = validate(SIX_LINES, 2)
+    assert entry_types(ints.rows) == {int}
+    assert entry_types(NormalSystem(SIX_PLANES, 3).rows) == {int}
+    assert entry_types(random_normal_system(6, 3, seed=1, bound=9).rows) \
+        == {int}
+    mixed = validate([SIX_LINES[0], (Fraction(4, 2), 3)] + SIX_LINES[2:], 2)
+    assert entry_types(mixed.rows) == {Fraction}
+    assert mixed == ints and hash(mixed) == hash(ints)
+    assert ns_to_dict(mixed) == ns_to_dict(ints)
+    assert (ints.scales, ints.minors) == (mixed.scales, mixed.minors)
+    b = [0, -2, 3, 0, 5, 5]
+    arr = arrangement_from_b(ints, b)
+    assert entry_types([arr.b]) == {int}
+    other = arrangement_from_b(ints, b[:-1] + [Fraction(10, 2)])
+    assert entry_types([other.b]) == {Fraction} and other == arr
+    assert entry_types([Arrangement(ints, ["1/2"] * 6).b]) == {Fraction}
+
+
 def test_json_round_trip_exact():
     ns = validate([(Fraction(1, 2), Fraction(-3)), (2, 3), (0, 1)], 2)
     d = ns_to_dict(ns)
@@ -273,14 +299,21 @@ def _load_outcome(load, doc):
         ns = load(doc)
     except ArrangementError as err:
         return type(err), err.as_dict()
-    return ns.m, ns.rows, list(map(type, ns.rows[0])), ns.scales, ns.minors
+    return ns.m, ns.rows, ns.scales, ns.minors
 
 
 @settings(max_examples=300, deadline=None)
 @given(doc=damaged_gallery_systems())
 @example(doc={"m": 2, "rows": [["1", "2"], ["3", "4"], ["2", "4"]]})
+@example(doc={"m": 2, "rows": [["1", "2"], ["3", "4/1"], ["2", "5"]]})
 def test_ns_from_dict_matches_the_parse_rational_oracle(doc):
     # plain integer entries, read by int and validated from ints, give the
-    # system, or the error, that Fraction entries give
-    assert _load_outcome(ns_from_dict, doc) == \
-        _load_outcome(ns_by_parse_rational, doc)
+    # system, or the error, that Fraction entries give; its entries are
+    # ints when every one is written "p", and Fractions otherwise
+    got = _load_outcome(ns_from_dict, doc)
+    assert got == _load_outcome(ns_by_parse_rational, doc)
+    if type(got[0]) is int:
+        plain = all(type(a) is str and _INTEGER(a)
+                    for row in doc["rows"] for a in row)
+        assert {type(a) for row in got[1] for a in row} == \
+            {int if plain else Fraction}
