@@ -11,25 +11,26 @@ pair of vertices on each affected line.
 
 Every reading but the line parameters comes from two sign tables: the
 sign vector of b, s_T = sign f_T(b) for every wall T of the
-discriminantal arrangement of the system, and the signs of the system's
-one table of m x m minors (NormalSystem.minors).  f_T(b) is minus the
-determinant of the homogenized rows (a_i, -b_i) of T, so the sign vector
-is the chirotope of the homogenized configuration (Bjorner, Las Vergnas,
-Sturmfels, White and Ziegler, Oriented Matroids, 1993): the side of every
-vertex, and so the regions, their boundedness and the triangles, and the
-order of the vertices on every line up to reversal, and so trivial
-isomorphism, are functions of the cone that holds b.  A zero sign is a
-concurrent (m+1)-subset, so the same pass decides genericity (no m+1
-hyperplanes through a common point) before any geometric reading.  The
-region census needs no more than that pass: the m-subsets of a validated
-system are independent, so for a generic b the arrangement is in general
-position and has sum C(n, i), i <= m, regions, C(n - 1, m) of them
-bounded (Zaslavsky, Facing up to arrangements, Mem. AMS 154, 1975),
-whatever the cone of b.  Only vertex_orders, which returns exact line
-parameters, builds a vertex table: the signed maximal minors of the
-homogenized rows through each vertex, with line directions from the
-minors of the normals alone, and Fractions made only for the parameters.
-No LP is run: the wall of a swap is read off the two sign vectors.
+discriminantal arrangement of the system (discriminantal._wall_values),
+and the signs of the system's one table of m x m minors
+(NormalSystem.minors).  f_T(b) is minus the determinant of the
+homogenized rows (a_i, -b_i) of T, so the sign vector is the chirotope
+of the homogenized configuration (Bjorner, Las Vergnas, Sturmfels, White
+and Ziegler, Oriented Matroids, 1993): the side of every vertex, and so
+the regions, their boundedness and the triangles, and the order of the
+vertices on every line up to reversal, and so trivial isomorphism, are
+functions of the cone that holds b.  A zero sign is a concurrent
+(m+1)-subset, so the same pass decides genericity (no m+1 hyperplanes
+through a common point) before any geometric reading.  The region census
+needs no more than that pass: the m-subsets of a validated system are
+independent, so for a generic b the arrangement is in general position
+and has sum C(n, i), i <= m, regions, C(n - 1, m) of them bounded
+(Zaslavsky, Facing up to arrangements, Mem. AMS 154, 1975), whatever
+the cone of b.  Only vertex_orders, which returns exact line parameters,
+builds a vertex table: the signed maximal minors of the homogenized rows
+through each vertex, with line directions from the minors of the normals
+alone, and Fractions made only for the parameters.  No LP is run: the
+wall of a swap is read off the two sign vectors.
 """
 
 from collections import namedtuple
@@ -37,7 +38,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .discriminantal import _walls
+from .discriminantal import _wall_values
 from .errors import (NotAdjacent, NotGeneric, NotInCatalog, TooLarge,
                      UnsupportedDimension, WrongShape)
 from .exact_linalg import _direction, _int_det, _int_row
@@ -51,27 +52,20 @@ LineOrder = namedtuple("LineOrder", ["direction", "order", "params"])
 def _wall_signs(arr):
     """{mask of T: s_T} over the walls T, s_T = sign f_T(b) as +-1.
 
-    Bit i of a mask is row i (0-based).  f_T is the functional of the
-    wall of the (m+1)-subset T (discriminantal.build): the coefficient of
-    b_i is a signed minor of the scaled rows of T without i
-    (discriminantal._walls) over the product of their scales d_k.  Times
-    the product of all the scales of T and the lcm of b's denominators,
-    both positive, f_T(b) is the sum of those signed minors times d_i B_i,
-    B the integer-scaled b; so each sign is one integer sum, with no
-    Fraction and no determinant.  The walls are met in lex order, and the
+    Bit i of a mask is row i (0-based).  The signs are those of the wall
+    values of b (discriminantal._wall_values), met in lex order; the
     first zero, the lex-first concurrent (m+1)-subset, is raised as
     NotGeneric naming it (1-based).
     """
     ns = arr.system
-    db = [d * x for d, x in zip(ns.scales, _int_row(arr.b)[0])]
-    signs = {}
-    for T, coeffs in _walls(ns, combinations(range(1, ns.n + 1), ns.m + 1)):
-        v = sum([c * db[i - 1] for i, c in coeffs])
-        if not v:
-            raise NotGeneric("m+1 hyperplanes pass through a common point",
-                             subset=list(T))
-        signs[sum([1 << (i - 1) for i in T])] = 1 if v > 0 else -1
-    return signs
+    vals = _wall_values(ns, _int_row(arr.b)[0])
+    if not all(vals):
+        T = next(T for T, v in zip(combinations(range(1, ns.n + 1),
+                                                ns.m + 1), vals) if not v)
+        raise NotGeneric("m+1 hyperplanes pass through a common point",
+                         subset=list(T))
+    masks = map(sum, combinations([1 << i for i in range(ns.n)], ns.m + 1))
+    return dict(zip(masks, [1 if v > 0 else -1 for v in vals]))
 
 
 def _vertices(arr):

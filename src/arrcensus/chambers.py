@@ -18,10 +18,11 @@ count is a certificate: it is known up front as the Zaslavsky number of
 the whitney polynomial, which is checked against max_chambers before any
 cone is made and against the finished catalog after.
 
-The arrangement is first reduced modulo its common intersection subspace.
-Its integer rows are restricted to their first n - m coordinates, on
-which they have full rank (discriminantal.quotient_rows), and witnesses
-are lifted back by appending m zeros.
+The cones are composed on the quotient rows, the walls cut to their first
+n - m coordinates, where they have full rank (discriminantal.quotient_rows),
+and witnesses are lifted back by appending m zeros.  A point is located by
+the signs of its wall values (discriminantal._wall_values), the one kernel
+that classify_b, verify_catalog and the affine readings share.
 
 sign_cells, the insertion walk that enumerate_chambers ran before, stays
 as the oracle the tests compare the catalog with: it inserts hyperplanes
@@ -38,12 +39,12 @@ from math import gcd, lcm
 from operator import attrgetter, itemgetter
 
 from .charpoly import iso_class_count, whitney_charpoly, zaslavsky_regions
-from .discriminantal import quotient_rows
+from .discriminantal import _wall_values, quotient_rows
 from .errors import (BadArtifact, CountMismatch, LengthMismatch,
                      NotInCatalog, TooLarge, UnpairedChamber)
-from .exact_linalg import (_INTEGER, _idot, _int_row, dot, feasible_strict,
-                           flat_levels, nullspace_basis, parse_rational,
-                           rational_str)
+from .exact_linalg import (_INTEGER, _idot, _int_row, _plain_integer_texts,
+                           dot, feasible_strict, flat_levels,
+                           nullspace_basis, parse_rational, rational_str)
 
 DEFAULT_MAX_CHAMBERS = 10 ** 4
 
@@ -438,17 +439,16 @@ def classify_b(da, b, catalog=None):
 
 
 def _locate(da, b):
-    # classify_b without a catalog, on the integer rows of the walls: the
-    # rows and b are scaled by positive factors, so every sign is kept
+    # classify_b without a catalog: the signs of the wall values of b
+    # (discriminantal._wall_values)
     if len(b) != da.n:
         raise LengthMismatch("b must have one entry per hyperplane",
                              expected=da.n, got=len(b))
-    bi = _int_row(b)[0]
-    vals = [_idot(row, bi) for row in da.int_rows]
-    walls = [s for s, v in zip(da.subsets, vals) if not v]
-    if walls:
-        return OnWall(walls)
-    return Classified("".join("+" if v > 0 else "-" for v in vals), None)
+    vals = _wall_values(da.source, _int_row(b)[0])
+    if all(vals):
+        return Classified("".join(["+" if v > 0 else "-" for v in vals]),
+                          None)
+    return OnWall([s for s, v in zip(da.subsets, vals) if not v])
 
 
 def _wall_is_facet(reduced, signs, i):
@@ -608,22 +608,7 @@ def _integer_texts(n, signs, witnesses, classes):
             and set(map(len, witnesses)) == {n}
             and set(map(type, classes)) == {int}):
         return None  # also an empty catalog
-    try:
-        texts = list(map(",".join, witnesses))
-    except TypeError:  # an entry that is not a string
-        return None
-    # the entries are plain integers -?[0-9]+ (ASCII) iff, once the minus
-    # sign after each comma is dropped, "," + text is ASCII digits cut
-    # into nonempty runs by commas: any other minus, or a field "-",
-    # leaves a minus or an empty run; n * count entries joined by
-    # n * count - 1 commas hold no comma
-    text = ("," + ",".join(texts)).replace(",-", ",")
-    digits = text.replace(",", "")
-    if (digits.isascii() and digits.isdigit() and ",," not in text
-            and text[-1] != ","
-            and text.count(",") == n * len(texts)):
-        return texts
-    return None
+    return _plain_integer_texts(witnesses, n * len(witnesses))
 
 
 def verify_catalog(da, catalog):

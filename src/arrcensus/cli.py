@@ -42,7 +42,7 @@ from .concurrency import (SubsetCollection, base_collection,
                           combinatorial_rank, concurrency_closure,
                           concurrency_orders, is_concurrency_free)
 from .discriminantal import build, da_to_dict
-from .errors import ArrangementError, TooLarge
+from .errors import ArrangementError, NotGeneric, TooLarge
 from .exact_linalg import _INTEGER, parse_rational
 from .normal_system import (Arrangement, arrangement_from_b, ns_from_dict,
                             ns_to_dict, random_normal_system)
@@ -346,8 +346,12 @@ def cmd_catalog_verify(args, timer):
     mismatches = 0
     for i, j in pairs:
         ci, cj = catalog[i], catalog[j]
-        iso = are_isomorphic_trivial(Arrangement(ns, ci.witness),
-                                     Arrangement(ns, cj.witness))
+        try:
+            iso = are_isomorphic_trivial(Arrangement(ns, ci.witness),
+                                         Arrangement(ns, cj.witness))
+        except NotGeneric:  # a witness on a wall is in no cone
+            mismatches += 1
+            continue
         if iso != (ci.class_id == cj.class_id):
             mismatches += 1
     timer.mark("compute")

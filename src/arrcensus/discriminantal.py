@@ -7,17 +7,17 @@ by S pass through a common point.  Its normal comes from expanding the
 supported exactly on S.  The C(n, m+1) normals, in lexicographic subset
 order, fix the sign conventions used by every census downstream.
 
-Every coefficient of a wall is an m x m minor of the normal system, so
-build, the only maker of an arrangement, reads the walls off the system's
-one table of minors (NormalSystem.minors), with no determinant computed.
-It makes them as primitive integer rows, the form every sign test, flat
-crawl and rank test downstream reads; the exact Fraction normals (for
-serialization and the oracles) are made from the same table the first
-time they are read.  The walls span only n - m dimensions, and
-quotient_rows cuts the integer rows to the first n - m coordinates, on
-which no linear dependence changes.  It is the one such cut: the deletion
-recursion, the Mobius cross-check, the cone composition, the facet LP of
-chambers.shared_wall and the freeness search all run there.
+Every coefficient of a wall is a signed m x m minor of the normal system
+(_leading_plus fixes the signs), so everything here reads the system's one
+table of minors (NormalSystem.minors) and computes no determinant.  build
+makes only the subsets.  Three readers make what they need from the table:
+_wall_values, the one integer kernel behind every cone read (classify,
+catalog checks and the affine readings), gives f_T(b) up to a positive
+factor for every wall T; the quotient rows, the walls cut to their first
+n - m coordinates, where every linear dependence is kept, are made when
+first read, for the deletion recursion, the cone composition and the
+freeness search; and the Fraction normals when first read, for
+serialization and the oracles.
 """
 
 from fractions import Fraction
@@ -30,25 +30,28 @@ from .exact_linalg import rational_str
 class DiscriminantalArrangement:
     """Central arrangement in R^n keyed by (m+1)-subsets (1-based, lex).
 
-    Made by build.  source is the normal system it was built from;
-    geometric verifiers use it to reconstruct the affine picture behind a
-    constant vector b.  quotient holds each wall cut to its first n - m
-    coordinates and scaled by a positive factor to coprime integers, the
-    rows quotient_rows returns.  int_rows, the whole walls scaled the
-    same way, normals and index are made from the minor table of source
-    the first time they are read.
+    Made by build.  source is the normal system it was built from; its
+    minor table holds every wall.  quotient, normals and index are made
+    from it the first time they are read.
     """
 
-    __slots__ = ("n", "m", "subsets", "quotient", "source", "_normals",
-                 "_int_rows", "_index")
+    __slots__ = ("n", "m", "subsets", "source", "_quotient", "_normals",
+                 "_index")
 
-    def __init__(self, source, subsets, quotient):
+    def __init__(self, source, subsets):
         self.n = source.n
         self.m = source.m
         self.subsets = tuple(subsets)
-        self.quotient = tuple(quotient)
         self.source = source
-        self._normals = self._int_rows = self._index = None
+        self._quotient = self._normals = self._index = None
+
+    @property
+    def quotient(self):
+        """Each wall cut to its first n - m coordinates and scaled by a
+        positive factor to coprime integers (quotient_rows)."""
+        if self._quotient is None:
+            self._quotient = _quotient(self.source, self.subsets)
+        return self._quotient
 
     @property
     def normals(self):
@@ -56,13 +59,6 @@ class DiscriminantalArrangement:
         if self._normals is None:
             self._normals = _fraction_normals(self.source, self.subsets)
         return self._normals
-
-    @property
-    def int_rows(self):
-        """The walls as primitive integer rows in R^n, one per subset."""
-        if self._int_rows is None:
-            self._int_rows = _int_walls(self.source, self.subsets)
-        return self._int_rows
 
     @property
     def index(self):
@@ -79,58 +75,90 @@ class DiscriminantalArrangement:
             self.n, self.m, len(self.subsets))
 
 
-def _walls(ns, subsets):
-    """Per subset S, the signed minors its wall's coefficients are made of.
+def _leading_plus(m):
+    """Whether the wall of an (m+1)-subset S takes its minor at S[0]
+    with +.  The signs are + at the last index of S and alternate, so
+    every maker and reader of a wall starts with this one and flips it
+    at each index."""
+    return not m % 2
 
-    Yields (S, [(i, c)]): for each index i of S, c is (-1)^(m+1+k) times
-    ns.minors[S - i], the minor of the scaled rows of S without i, for
-    the position k of i in S (1-based).  The sign at the last index of S
-    is +, and it alternates from there.
+
+def _wall_values(ns, B):
+    """f_T(b) times a positive factor for every wall T, in lex order.
+
+    B is b scaled to integers by a positive factor.  The coefficient of
+    b_i in f_T is a signed minor of the scaled rows of T without i
+    (ns.minors) over the product of their scales d_k; times the product
+    of all the scales of T, f_T(b) is the sum of those signed minors
+    times d_i B_i.  So each value is m + 1 integer multiply-adds, and an
+    entry of b that is zero adds nothing and is skipped.
     """
     minors = ns.minors
-    for S in subsets:
+    # (bit of row i, d_i B_i) per row, so a wall is m + 1 such pairs
+    terms = [(1 << i, d * x) for i, (d, x) in enumerate(zip(ns.scales, B))]
+    lead = _leading_plus(ns.m)
+    vals = []
+    for T in combinations(terms, ns.m + 1):
         mask = 0
-        for i in S:
-            mask |= 1 << (i - 1)
-        coeffs = []
-        plus = True
-        for i in reversed(S):
-            c = minors[mask ^ 1 << (i - 1)]
-            coeffs.append((i, c if plus else -c))
+        for bit, _ in T:
+            mask |= bit
+        v = 0
+        plus = lead
+        for bit, x in T:
+            if x:
+                c = minors[mask ^ bit] * x
+                if plus:
+                    v += c
+                else:
+                    v -= c
             plus = not plus
-        yield S, coeffs
+        vals.append(v)
+    return vals
 
 
 def _fraction_normals(ns, subsets):
-    """The Fraction normals of the walls of ns, as build defines them."""
-    n, scales = ns.n, ns.scales
+    """The Fraction normals of the walls of ns, as build defines them:
+    the coefficient of b_i is its signed minor over the product of the
+    scales of the other rows of S."""
+    n, scales, minors = ns.n, ns.scales, ns.minors
+    lead = _leading_plus(ns.m)
     zero = Fraction(0)
     normals = []
-    for S, coeffs in _walls(ns, subsets):
-        whole = prod(scales[i - 1] for i in S)
+    for S in subsets:
+        mask = sum([1 << (i - 1) for i in S])
+        whole = prod([scales[i - 1] for i in S])
         vec = [zero] * n
-        for i, c in coeffs:
-            vec[i - 1] = Fraction(c, whole // scales[i - 1])
+        plus = lead
+        for i in S:
+            c = minors[mask ^ 1 << (i - 1)]
+            vec[i - 1] = Fraction(c if plus else -c, whole // scales[i - 1])
+            plus = not plus
         normals.append(tuple(vec))
     return tuple(normals)
 
 
-def _int_walls(ns, subsets):
-    """The primitive integer rows of the walls of ns in R^n.
-
-    The coefficient of row i is a minor over the product of its rows'
-    scales; times the product of all the scales of S, which is
-    positive, it is the minor times d_i, so the wall's primitive integer
-    row is those integers over their gcd.
-    """
-    n, scales = ns.n, ns.scales
+def _quotient(ns, subsets):
+    """The quotient rows of the walls of ns: times the product of the
+    scales of S, the wall of S has the integer coefficients signed minor
+    times d_i, and its quotient row is those of the indices i <= n - m
+    over their gcd (a common factor of the whole row divides its cut)."""
+    k = ns.n - ns.m
+    scales, minors = ns.scales, ns.minors
+    bit = [0] + [1 << i for i in range(ns.n)]  # bit[i] for 1-based row i
+    lead = _leading_plus(ns.m)
     rows = []
-    for S, coeffs in _walls(ns, subsets):
-        ints = [0] * n
-        for i, c in coeffs:
-            ints[i - 1] = c * scales[i - 1]
-        g = gcd(*ints)
-        rows.append(tuple([x // g for x in ints]) if g > 1 else tuple(ints))
+    for S in subsets:
+        mask = sum([bit[i] for i in S])
+        row = [0] * k
+        plus = lead
+        for i in S:
+            if i > k:
+                break
+            c = minors[mask ^ bit[i]] * scales[i - 1]
+            row[i - 1] = c if plus else -c
+            plus = not plus
+        g = gcd(*row)
+        rows.append(tuple([x // g for x in row]) if g > 1 else tuple(row))
     return tuple(rows)
 
 
@@ -140,50 +168,24 @@ def build(ns):
     The coefficient of b_{i_k} in the hyperplane of S = {i_1 < ... <
     i_{m+1}} is (-1)^(m+1+k) times the maximal minor of the coefficient
     rows of S with row i_k deleted.  Signs are kept raw: rescaling would
-    break bit-exact comparison with hand-computed equation lists.
-
-    The minors come from the system's table (NormalSystem.minors), each
-    the minor of the rows scaled to integers by the lcm d_i of their
-    denominators: the coefficient is that minor over the product of its
-    rows' scales, and the wall times the product of the scales of S,
-    which is positive, has the integer coefficients minor times d_{i_k}.
-    build makes only the quotient rows: for each wall the coefficients
-    of its indices i <= n - m, which lead S, over their gcd.  That is
-    the primitive row of the whole wall cut and made primitive again, as
-    quotient_rows defines it, since a common factor of the whole row
-    divides its cut.  No determinant and no Fraction is computed; the
-    whole integer rows and the Fraction normals wait until read.
+    break bit-exact comparison with hand-computed equation lists.  build
+    makes only the subsets; the walls are read off the system's minor
+    table when needed.
     """
-    n, m, scales, minors = ns.n, ns.m, ns.scales, ns.minors
-    k = n - m
-    bit = [0] + [1 << i for i in range(n)]  # bit[i] for 1-based row i
-    subsets = list(combinations(range(1, n + 1), m + 1))
-    rows = []
-    for S in subsets:
-        mask = sum([bit[i] for i in S])
-        row = [0] * k
-        plus = not m % 2  # the sign at S[0]; + at S[m], alternating
-        for i in S:
-            if i > k:
-                break
-            c = minors[mask ^ bit[i]] * scales[i - 1]
-            row[i - 1] = c if plus else -c
-            plus = not plus
-        g = gcd(*row)
-        rows.append(tuple([x // g for x in row]) if g > 1 else tuple(row))
-    return DiscriminantalArrangement(ns, subsets, rows)
+    return DiscriminantalArrangement(
+        ns, combinations(range(1, ns.n + 1), ns.m + 1))
 
 
 def quotient_rows(da):
     """The walls cut to the first n - m coordinates, where they keep rank.
 
     Returns, as a new list, the primitive integer rows of the walls
-    restricted to coordinates 1 .. n - m and made primitive again, which
-    build makes, with no rank computed: the walls span ker(A^T) for the
-    n x m matrix A of the normal system, and a vector of that space
-    which vanishes there is zero, because the last m rows of A are
-    independent.  So the restriction is one-to-one on the row space,
-    and every linear dependence, flat and sign is kept.
+    restricted to coordinates 1 .. n - m and made primitive again, with
+    no rank computed: the walls span ker(A^T) for the n x m matrix A of
+    the normal system, and a vector of that space which vanishes there
+    is zero, because the last m rows of A are independent.  So the
+    restriction is one-to-one on the row space, and every linear
+    dependence, flat and sign is kept.
     """
     return list(da.quotient)
 

@@ -33,6 +33,29 @@ _CANONICAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?").fullmatch
 _INTEGER = re.compile(r"-?[0-9]+").fullmatch  # the 'p' form of _CANONICAL
 
 
+def _plain_integer_texts(rows, count):
+    """The lists of strings rows, each joined by commas, when they hold
+    count entries in all and each is a plain integer that _INTEGER
+    matches; otherwise None.
+
+    One test over the whole text, with no regex: once the minus sign
+    after each comma is dropped, "," and the joined rows must be ASCII
+    digits cut into nonempty runs by exactly count commas.  Any other
+    minus, or an entry "-", leaves a minus or an empty run, and an entry
+    that holds a comma adds one.
+    """
+    try:
+        texts = list(map(",".join, rows))
+    except TypeError:  # an entry that is not a string
+        return None
+    text = ("," + ",".join(texts)).replace(",-", ",")
+    digits = text.replace(",", "")
+    if (digits.isascii() and digits.isdigit() and ",," not in text
+            and text[-1] != "," and text.count(",") == count):
+        return texts
+    return None
+
+
 def parse_rational(s, **where):
     """rational() for input values: BadRational instead of a raw error.
 
@@ -240,9 +263,12 @@ def _direction(v):
     """The primitive multiple of a nonzero integer vector whose first
     nonzero entry is positive: one key per line through the origin."""
     g = gcd(*v)
-    if next(filter(None, v)) < 0:
+    for lead in v:
+        if lead:
+            break
+    if lead < 0:
         g = -g
-    return tuple(x // g for x in v)
+    return tuple([x // g for x in v])
 
 
 # The packed annihilator kernel.  Integer rows of length k are packed

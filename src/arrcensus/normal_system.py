@@ -22,9 +22,9 @@ from fractions import Fraction
 
 from .errors import (BadArtifact, BadShape, DependentRows, GivesUp,
                      LengthMismatch)
-from .exact_linalg import (_INTEGER, _idot, _int_row, _pivot, _units,
-                           minor_table, parse_rational, primitive_int_rows,
-                           rational_str)
+from .exact_linalg import (_INTEGER, _idot, _int_row, _pivot,
+                           _plain_integer_texts, _units, minor_table,
+                           parse_rational, primitive_int_rows, rational_str)
 
 
 class NormalSystem:
@@ -214,11 +214,13 @@ def ns_from_dict(data):
     """Validated NormalSystem from {"m": int, "rows": [[rational, ...]]}.
 
     "m" must be a JSON integer: 2.9 or true is a BadArtifact, not 2 or 1.
-    An entry that is a plain integer string "p", the form ns_to_dict
-    writes for an integer, is read by int, with no Fraction made; any
-    other entry goes through parse_rational, which names the first bad
-    one by row and column.  So a system of such entries has int rows,
-    and any other has Fraction rows.
+    When every entry is a plain integer string "p", the form ns_to_dict
+    writes for an integer, which one test over all the entries decides
+    (exact_linalg._plain_integer_texts), each is read by int, with no
+    Fraction made.  Otherwise each entry is read on its own: a plain
+    integer string by int, any other through parse_rational, which
+    names the first bad one by row and column.  So a system of such
+    entries has int rows, and any other has Fraction rows.
     """
     need = 'normal system needs an integer "m" and "rows"'
     try:
@@ -230,6 +232,8 @@ def ns_from_dict(data):
     if not (isinstance(rows, list)
             and all(isinstance(row, list) for row in rows)):
         raise BadArtifact('"rows" must be a list of lists')
+    if _plain_integer_texts(rows, sum(map(len, rows))) is not None:
+        return validate([list(map(int, row)) for row in rows], m)
     return validate([[int(a) if type(a) is str and _INTEGER(a)
                       else parse_rational(a, row=i, column=j)
                       for j, a in enumerate(row, start=1)]

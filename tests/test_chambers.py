@@ -33,7 +33,7 @@ from arrcensus.errors import (ArrangementError, BadArtifact, BadRational,
 from arrcensus.exact_linalg import (dot, feasible_strict,
                                     lex_independent_columns,
                                     primitive_int_rows, rank)
-from arrcensus.normal_system import random_normal_system
+from arrcensus.normal_system import NormalSystem, random_normal_system
 
 from oracles import (catalog_by_entry, integer_texts_by_regex,
                      sign_cells_fraction, walk_catalog)
@@ -221,6 +221,49 @@ def test_classify_refuses_a_catalog_of_another_system():
             classify_b(da, c.witness, foreign)
         assert err.value.payload == {"signs": c.signs}
         assert "does not belong" in str(err.value)
+
+
+SCALED_SYSTEMS = [getattr(gallery, name)() for name in GALLERY] + [
+    random_normal_system(n, m, seed=seed, bound=9)
+    for seed, (n, m) in enumerate(((5, 2), (6, 3), (7, 4)))]
+
+
+@st.composite
+def rescaled_rows(draw):
+    """(system, b, row index i, factor): the factor is a nonzero integer
+    up to 10^9 or a rational with numerator and denominator up to 10^6,
+    of either sign."""
+    ns = draw(st.sampled_from(SCALED_SYSTEMS))
+    b = draw(st.lists(st.builds(Fraction, st.integers(-30, 30),
+                                st.integers(1, 6)),
+                      min_size=ns.n, max_size=ns.n))
+    i = draw(st.integers(0, ns.n - 1))
+    size = draw(st.one_of(
+        st.integers(1, 10 ** 9),
+        st.builds(Fraction, st.integers(1, 10 ** 6), st.integers(1, 10 ** 6))))
+    return ns, b, i, size if draw(st.booleans()) else -size
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=rescaled_rows())
+def test_scaling_a_row_and_its_constant_keeps_the_sign_vector(case):
+    # row i and b_i times the same factor give the same affine hyperplane;
+    # every wall value through row i is scaled by the factor, so the sign
+    # vector stays, and a negative factor flips exactly the walls T ∋ i
+    ns, b, i, factor = case
+    rows = [list(row) for row in ns.rows]
+    rows[i] = [factor * a for a in rows[i]]
+    scaled_b = list(b)
+    scaled_b[i] = factor * b[i]
+    da = build(ns)
+    want = classify_b(da, b)
+    got = classify_b(build(NormalSystem(rows, ns.m)), scaled_b)
+    if isinstance(want, OnWall):
+        assert isinstance(got, OnWall) and got.subsets == want.subsets
+        return
+    flips = [factor < 0 and i + 1 in T for T in da.subsets]
+    assert got.signs == "".join(opposite_signs(s) if f else s
+                                for s, f in zip(want.signs, flips))
 
 
 def test_four_line_adjacency_is_an_eight_cycle():

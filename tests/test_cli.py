@@ -25,7 +25,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arrcensus import chambers, cli, exact_linalg, gallery, normal_system
+from arrcensus import (chambers, cli, discriminantal, exact_linalg, gallery,
+                       normal_system)
 from arrcensus.chambers import catalog_to_dict, enumerate_chambers
 from arrcensus.cli import main
 from arrcensus.discriminantal import build
@@ -282,6 +283,52 @@ def test_catalog_verify_refuses_negative_pairs(capsys, ns_files, ns):
     assert err["error"]["type"] == "ArrangementError"
     assert err["error"]["got"] == -3
     assert "--pairs" in err["error"]["message"]
+
+
+@pytest.mark.parametrize("pairs,checked", [("0", 0), ("50", 50),
+                                            ("4000", 62 * 62)])
+def test_catalog_verify_reports_an_on_wall_witness(capsys, ns_files,
+                                                   tmp_path, pairs, checked):
+    # a witness on a wall is a failed check, not an error: every --pairs
+    # value gives the report with ok false, and a sampled pair that holds
+    # that witness counts as a mismatch
+    ns = ns_files["five_lines"]
+    cat = tmp_path / "catalog.json"
+    run(capsys, "chambers", "--ns", ns, "--out", str(cat))
+    data = json.loads(cat.read_text())
+    data["chambers"][3]["witness"] = ["0"] * 5
+    cat.write_text(json.dumps(data))
+    code, rep, _, cap = run(capsys, "catalog-verify", "--ns", ns,
+                            "--catalog", str(cat), "--pairs", pairs)
+    assert code == 0 and cap.err == ""
+    pay = rep["payload"]
+    assert pay["ok"] is False and pay["catalog"]["witnesses_ok"] is False
+    assert pay["cross_validation"]["pairs"] == checked
+    if checked == 62 * 62:  # every pair with chamber 4 on one side
+        assert pay["cross_validation"]["mismatches"] == 2 * 62 - 1
+
+
+def test_cone_reads_make_no_quotient_row(capsys, monkeypatch, ns_files,
+                                         tmp_path):
+    # classify --catalog and the affine readings take their signs from the
+    # wall-value kernel; none of them makes a quotient row
+    ns = ns_files["four_lines"]
+    cat = str(tmp_path / "catalog.json")
+    run(capsys, "chambers", "--ns", ns, "--out", cat)
+
+    def refuse(*args):
+        raise AssertionError("quotient rows made")
+
+    monkeypatch.setattr(discriminantal, "_quotient", refuse)
+    b = "--b=1,2,4,8"
+    for argv in (["classify", "--ns", ns, b, "--catalog", cat],
+                 ["regions", "--ns", ns, b], ["signature", "--ns", ns, b],
+                 ["iso", "--ns", ns, "--b1=1,2,4,8", "--b2=-1,-2,-4,-8"]):
+        code, rep, _, _ = run(capsys, *argv)
+        assert code == 0, argv
+    assert rep["payload"] == {"isomorphic": True}
+    with pytest.raises(AssertionError):  # counting reads the quotient
+        main(["count", "--ns", ns])
 
 
 def test_check_cf(capsys, ns_files):

@@ -15,10 +15,11 @@ import sympy
 from arrcensus import gallery
 from arrcensus import discriminantal, exact_linalg
 from arrcensus.charpoly import whitney_charpoly
-from arrcensus.discriminantal import (DiscriminantalArrangement, build,
-                                      da_to_dict, quotient_rows)
+from arrcensus.discriminantal import (DiscriminantalArrangement,
+                                      _wall_values, build, da_to_dict,
+                                      quotient_rows)
 from arrcensus.errors import BadSubsetSize, DependentRows
-from arrcensus.exact_linalg import primitive_int_rows
+from arrcensus.exact_linalg import _int_row, dot, primitive_int_rows
 from arrcensus.normal_system import (NormalSystem, random_normal_system,
                                      validate)
 
@@ -190,9 +191,19 @@ def test_build_matches_minor_oracle():
         assert all(isinstance(a, Fraction) for v in da.normals for a in v)
 
 
-def test_int_rows_are_the_primitive_normals():
-    # build takes each wall's integer row straight from its minors; it
-    # must be the primitive integer row of the Fraction normal
+def on_wall_b(ns, rng):
+    """A constant vector b for which rows 1 .. m+1 meet in one point x:
+    b_i = a_i . x there, random elsewhere."""
+    x = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(ns.m)]
+    return [dot(row, x) if i <= ns.m
+            else Fraction(rng.randint(-20, 20), rng.randint(1, 3))
+            for i, row in enumerate(ns.rows)]
+
+
+def test_wall_values_have_the_signs_of_the_primitive_normals():
+    # the kernel reads each wall off the minor table; its value at b must
+    # have the sign of the primitive integer row of the Fraction normal
+    # at b, for integer, rational and on-wall b
     systems = [getattr(gallery, name)() for name in GALLERY_SYSTEMS]
     systems += [random_normal_system(n, m, seed=seed, bound=9)
                 for seed, (n, m) in enumerate(((5, 2), (6, 2), (6, 3),
@@ -202,10 +213,18 @@ def test_int_rows_are_the_primitive_normals():
         rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 7))
                  for _ in range(m)] for _ in range(n)]
         systems.append(NormalSystem(rows, m))
+    sign = lambda v: (v > 0) - (v < 0)  # noqa: E731
     for ns in systems:
-        da = build(ns)
-        assert da.int_rows == tuple(primitive_int_rows(da.normals))
-        assert all(type(a) is int for row in da.int_rows for a in row)
+        rows = primitive_int_rows(build(ns).normals)
+        points = [[rng.randint(-30, 30) for _ in range(ns.n)],
+                  [Fraction(rng.randint(-30, 30), rng.randint(1, 9))
+                   for _ in range(ns.n)],
+                  on_wall_b(ns, rng)]
+        for b in points:
+            vals = _wall_values(ns, _int_row(b)[0])
+            assert all(type(v) is int for v in vals)
+            assert list(map(sign, vals)) == [sign(dot(r, b)) for r in rows]
+        assert not vals[0]  # the wall of {1, ..., m+1} holds the last b
 
 
 def rational_system(n, m, rng):
@@ -236,7 +255,8 @@ def test_build_reads_the_walls_off_the_minor_table():
     # one Bareiss determinant per wall coefficient gives the same walls
     for ns in table_systems():
         da = build(ns)
-        assert (da.subsets, da.normals, da.int_rows) == brute_build(ns)
+        assert (da.subsets, da.normals) == brute_build(ns)[:2]
+        assert quotient_rows(da) == quotient_by_cut(ns)
 
 
 def test_build_makes_no_determinant(monkeypatch):
@@ -244,33 +264,31 @@ def test_build_makes_no_determinant(monkeypatch):
         raise AssertionError("_int_det called")
 
     systems = table_systems()
-    want = [brute_build(ns) for ns in systems]
+    want = [brute_build(ns)[:2] + (quotient_by_cut(ns),) for ns in systems]
     monkeypatch.setattr(exact_linalg, "_int_det", no_det)
     monkeypatch.setattr(discriminantal, "_int_det", no_det, raising=False)
-    assert [(da.subsets, da.normals, da.int_rows)
+    assert [(da.subsets, da.normals, quotient_rows(da))
             for da in map(build, systems)] == want
 
 
 def test_arrangement_makes_its_normals_from_its_source():
-    # build keeps the integer rows only; the Fraction normals are made from
-    # the source system's minor table when first read
+    # build keeps the subsets only; the Fraction normals are made from the
+    # source system's minor table when first read
     ns = gallery.four_lines()
     da = build(ns)
     assert da._normals is None
     assert da.normals == build_by_minors(ns)
-    assert DiscriminantalArrangement(ns, da.subsets,
-                                     quotient_rows(da)).normals == da.normals
+    assert DiscriminantalArrangement(ns, da.subsets).normals == da.normals
 
 
-def test_quotient_and_int_rows_equal_the_cut_of_the_whole_walls():
-    # build makes the quotient rows straight from the minors, equal to the
-    # whole primitive rows cut and made primitive again; the whole rows
-    # are made, equal to brute_build's, only when read
+def test_quotient_rows_are_made_on_read_as_the_cut_of_the_whole_walls():
+    # build makes only the subsets; the quotient rows, made from the
+    # minors when first read, equal the whole primitive rows cut and made
+    # primitive again
     for ns in table_systems():
         da = build(ns)
+        assert da._quotient is None and da._index is None
         assert quotient_rows(da) == quotient_by_cut(ns)
-        assert da._int_rows is None and da._index is None
-        assert da.int_rows == brute_build(ns)[2]
         assert da.index == {s: i for i, s in enumerate(da.subsets)}
 
 
@@ -278,4 +296,4 @@ def test_counting_never_makes_the_whole_rows():
     for ns in table_systems():
         da = build(ns)
         whitney_charpoly(da)
-        assert da._int_rows is None and da._normals is None
+        assert da._quotient is not None and da._normals is None
