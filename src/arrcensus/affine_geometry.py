@@ -4,10 +4,10 @@ Everything here reads combinatorial structure off the actual hyperplanes
 a_i . x = b_i: the order of vertices along each line cut out by m-1 of them,
 the isomorphism oracle that compares those orders up to per-line reversal,
 region censuses after an exact genericity check, triangle signatures of
-planar arrangements (bounded regions with exact boundedness tests), the
-special point of a four-line arrangement, and the verification that
-crossing one wall of the associated central arrangement swaps exactly one
-pair of vertices on each affected line.
+planar arrangements (the triples of lines whose three vertices no other
+line separates), the special point of a four-line arrangement, and the
+verification that crossing one wall of the associated central arrangement
+swaps exactly one pair of vertices on each affected line.
 
 Every reading but the line parameters comes from two sign tables: the
 sign vector of b, s_T = sign f_T(b) for every wall T of the
@@ -39,23 +39,21 @@ from itertools import combinations
 from math import comb
 
 from .discriminantal import _wall_values
-from .errors import (NotAdjacent, NotGeneric, NotInCatalog, TooLarge,
+from .errors import (NotAdjacent, NotGeneric, NotInCatalog,
                      UnsupportedDimension, WrongShape)
 from .exact_linalg import _direction, _int_det, _int_row
 from .normal_system import Arrangement
 
-MAX_REGIONS = 10 ** 4  # the most regions _regions enumerates
-
 LineOrder = namedtuple("LineOrder", ["direction", "order", "params"])
 
 
-def _wall_signs(arr):
-    """{mask of T: s_T} over the walls T, s_T = sign f_T(b) as +-1.
+def sign_vector(arr):
+    """The sign vector s(b) of arr: s_T = sign f_T(b) as +-1, one entry
+    per wall T in lex order.
 
-    Bit i of a mask is row i (0-based).  The signs are those of the wall
-    values of b (discriminantal._wall_values), met in lex order; the
-    first zero, the lex-first concurrent (m+1)-subset, is raised as
-    NotGeneric naming it (1-based).
+    The signs are those of the wall values of b
+    (discriminantal._wall_values); the first zero, the lex-first
+    concurrent (m+1)-subset, is raised as NotGeneric naming it (1-based).
     """
     ns = arr.system
     vals = _wall_values(ns, _int_row(arr.b)[0])
@@ -64,8 +62,7 @@ def _wall_signs(arr):
                                                 ns.m + 1), vals) if not v)
         raise NotGeneric("m+1 hyperplanes pass through a common point",
                          subset=list(T))
-    masks = map(sum, combinations([1 << i for i in range(ns.n)], ns.m + 1))
-    return dict(zip(masks, [1 if v > 0 else -1 for v in vals]))
+    return [1 if v > 0 else -1 for v in vals]
 
 
 def _vertices(arr):
@@ -92,7 +89,7 @@ def genericity_witness(arr):
     S have a common point: the first zero of the sign vector of b.
     """
     try:
-        _wall_signs(arr)
+        sign_vector(arr)
     except NotGeneric as err:
         return tuple(err.payload["subset"])
     return None
@@ -119,7 +116,7 @@ def vertex_orders(arr):
     is zero in coordinate f.  Returns {A: LineOrder(direction, order,
     params)}.
     """
-    _wall_signs(arr)
+    sign_vector(arr)
     table = _vertices(arr)
     normals = [_int_row(a)[0] for a in arr.system.rows]
     out = {}
@@ -147,30 +144,28 @@ def are_isomorphic_trivial(a1, a2):
     is shared, so reversal is the only reparametrization left).  Reversal
     is allowed per line, independently.
 
-    Read off the two sign vectors (b1 is checked for genericity first),
-    with no vertex table.  Put x = p + t d on line A and let vertex A + j
-    sit at t_j.  Along the line a_k . x - b_k = (a_k . d)(t - t_k), so
-    sign(t_j - t_k) is sign(a_k . d) times the side of row k at vertex
-    A + j, which is s_{A+j+k} times a sign of the normals alone
-    (_regions).  So sign(t_j - t_k) = s_{A+j+k} e(A, j, k), with e the
-    same for both arrangements: the orders on line A agree iff the walls
-    T that hold A (its star) have the same signs at b1 and b2, and are
-    reversed iff they all have opposite signs.
+    That is s(b1) = +-s(b2), read off the two sign vectors (b1 is checked
+    for genericity first) with no vertex table.  Put x = p + t d on line
+    A and let vertex A + j sit at t_j.  Along the line a_k . x - b_k =
+    (a_k . d)(t - t_k), so sign(t_j - t_k) is sign(a_k . d) times the
+    side of row k at vertex A + j, which is s_{A+j+k} times a sign of the
+    normals alone (_sides).  So sign(t_j - t_k) = s_{A+j+k} e(A, j, k),
+    with e the same for both arrangements: the orders on line A agree iff
+    the walls T that hold A (its star) have the same signs at b1 and b2,
+    and are reversed iff they all have opposite signs.  Every wall holds
+    an (m-1)-subset, so lies in a star, and two stars whose subsets share
+    m - 2 members share a wall (their union and one more row); the
+    (m-1)-subsets are connected by such steps, as in the Johnson graph.
+    So if each star is all-same or all-opposite, neighbouring stars make
+    the same choice, and the whole vector is equal or opposite.
     """
     s1, s2 = a1.system, a2.system
     if (s1.n, s1.m) != (s2.n, s2.m):
         raise WrongShape("arrangements must share n and m",
                          left=(s1.n, s1.m), right=(s2.n, s2.m))
-    signs1 = _wall_signs(a1)
-    signs2 = _wall_signs(a2)
-    bits = [1 << i for i in range(s1.n)]
-    for A in combinations(bits, s1.m - 1):
-        M = sum(A)
-        rest = [x for x in bits if not M & x]
-        if len({signs1[T] == signs2[T]
-                for T in (M | x | y for x, y in combinations(rest, 2))}) > 1:
-            return False
-    return True
+    v1 = sign_vector(a1)
+    v2 = sign_vector(a2)
+    return v1 == v2 or v1 == [-s for s in v2]
 
 
 def _kernel(rows):
@@ -180,24 +175,11 @@ def _kernel(rows):
             for j in range(len(rows) + 1)]
 
 
-def _submasks(idx):
-    # the 2^len(idx) masks made of bits from idx
-    masks = [0]
-    for i in idx:
-        masks += [x | 1 << i for x in masks]
-    return masks
-
-
-def _regions(arr, max_regions):
-    """Regions of a generic arrangement, read off the sign vector of b.
-
-    Returns {mask: vertices}, where bit i of mask is set when the region
-    lies on the side a_i . x > b_i, and vertices lists the m-subsets S
-    (0-based, lex order) whose vertex v_S is a vertex of the region.  The
-    normals span R^m, so every region is pointed and has a vertex; around
-    v_S the m hyperplanes of S cut all 2^m sign patterns, and the others
-    keep their sign at v_S.  So the regions are the union of those
-    patterns.
+def _sides(arr):
+    """{S: side} over the m-subsets S (0-based, lex order) of a generic
+    arr, read off its sign vector: bit j of side is set when
+    a_j . x > b_j at the vertex v_S where the hyperplanes of S meet, and
+    the bits of S are clear.
 
     The side of row j at v_S is s_{S+j} times a sign of the normals.  Let
     v be the kernel vector of the homogenized rows h_i = (a_i, -b_i) of S
@@ -210,16 +192,10 @@ def _regions(arr, max_regions):
     """
     ns = arr.system
     n, m = ns.n, ns.m
-    # the region count is at least C(n, m) and at least 2^m, so past this
-    # check the C(n, m) 2^m patterns below stay under the square of the
-    # limit
-    count = _region_count(n, m)
-    if count > max_regions:
-        raise TooLarge("region count exceeds the configured limit",
-                       count=count, limit=max_regions)
-    signs = _wall_signs(arr)
+    masks = map(sum, combinations([1 << i for i in range(n)], m + 1))
+    signs = dict(zip(masks, sign_vector(arr)))
     minors = ns.minors
-    regions = {}
+    sides = {}
     for S in combinations(range(n), m):
         M = sum([1 << i for i in S])
         # the sign s_{S+j} takes when row j is positive at v_S, for p = 0
@@ -230,55 +206,15 @@ def _regions(arr, max_regions):
                 t = -t
             elif signs[M | 1 << j] == t:
                 side |= 1 << j
-        for sub in _submasks(S):
-            regions.setdefault(side | sub, []).append(S)
-    return regions
-
-
-def _unbounded(ns):
-    """Sign masks of ray-holding regions: a region is unbounded iff its
-    mask is in this set.
-
-    A region is unbounded iff its recession cone has an extreme ray, and
-    each such ray is +-d_A for an (m-1)-subset A, d_A the direction of
-    line A: a region holds it iff its signs off A are those of
-    +-(a_j . d_A), whatever its signs on A.  d_A is the kernel vector of
-    the normals of A (_kernel) times a factor shared by every j, and
-    a_j . d_A is then det([a_j; a_A]) = (-1)^p det(a_{A+j}), for
-    p = #{i in A : i < j}: up to that factor's sign, which does not
-    matter since both signs are taken, a_j . d_A > 0 iff
-    (-1)^p minors[A+j] > 0.
-    """
-    n, minors = ns.n, ns.minors
-    full = (1 << n) - 1
-    out = set()
-    for A in combinations(range(n), ns.m - 1):
-        M = sum([1 << i for i in A])
-        ahead = 0
-        t = 1
-        for j in range(n):
-            if M >> j & 1:
-                t = -t
-            elif (minors[M | 1 << j] > 0) == (t > 0):
-                ahead |= 1 << j
-        behind = full & ~ahead & ~M
-        for sub in _submasks(A):
-            out.add(ahead | sub)
-            out.add(behind | sub)
-    return out
-
-
-def _region_count(n, m):
-    # the regions of a generic arrangement of shape (n, m), sum C(n, i)
-    # over i <= m (Zaslavsky)
-    return sum(comb(n, i) for i in range(m + 1))
+        sides[S] = side
+    return sides
 
 
 def region_census(arr):
     """Exact {total, bounded, unbounded} region counts of a generic arr.
 
     Raises NotGeneric naming the lex-first concurrent (m+1)-subset when b
-    is on a wall (_wall_signs), the one pass over the C(n, m+1) walls the
+    is on a wall (sign_vector), the one pass over the C(n, m+1) walls the
     census makes; no limit on the region count applies, since the count
     is read off the shape.  Every m normals of a validated system are
     independent, so a generic arr is in general position, and its census
@@ -286,11 +222,11 @@ def region_census(arr):
     sum C(n, i), i <= m, regions, of which C(n - 1, m) are bounded
     (Zaslavsky, Facing up to arrangements, Mem. AMS 154, 1975).  Every
     cone of the discriminantal arrangement has the same census; the tests
-    check it against the regions enumerated by _regions and _unbounded.
+    check it against the regions enumerated around every vertex.
     """
-    _wall_signs(arr)
+    sign_vector(arr)
     n, m = arr.system.n, arr.system.m
-    total = _region_count(n, m)
+    total = sum(comb(n, i) for i in range(m + 1))
     bounded = comb(n - 1, m)
     return {"total": total, "bounded": bounded, "unbounded": total - bounded}
 
@@ -302,16 +238,29 @@ def simplex_signature(arr):
     is the union of their pairs, the lines that carry its sides.  The
     multiset of triples is a class invariant of the associated
     discriminantal cone.
+
+    Read off the sides of the vertices (_sides).  Three lines in general
+    position bound one triangle, the hull of their three vertices, and a
+    triangular region is the triangle of its three lines.  That triangle
+    is a region exactly when no other line separates its vertices: a line
+    through its interior leaves a vertex on each side, since no three
+    lines meet, and a triangle no line enters is a region.  So triple
+    {i, j, k} is kept iff the side masks of its three vertices agree on
+    every row outside it.
     """
     ns = arr.system
     if ns.m != 2:
         raise UnsupportedDimension("triangle signatures are planar only",
                                    m=ns.m)
-    regions = _regions(arr, MAX_REGIONS)
-    unbounded = _unbounded(ns)
-    return {tuple(sorted({i + 1 for S in verts for i in S}))
-            for r, verts in regions.items()
-            if len(verts) == 3 and r not in unbounded}
+    sides = _sides(arr)
+    out = set()
+    for i, j in combinations(range(ns.n), 2):
+        x = sides[i, j]
+        for k in range(j + 1, ns.n):
+            if ((x ^ sides[i, k]) | (x ^ sides[j, k])) & ~(
+                    1 << i | 1 << j | 1 << k) == 0:
+                out.add((i + 1, j + 1, k + 1))
+    return out
 
 
 def special_point(arr):

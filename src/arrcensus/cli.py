@@ -31,7 +31,7 @@ from math import comb
 
 from . import __version__
 from .affine_geometry import (are_isomorphic_trivial, region_census,
-                              simplex_signature)
+                              sign_vector, simplex_signature)
 from .chambers import (DEFAULT_MAX_CHAMBERS, Classified, catalog_from_dict,
                        catalog_text, catalog_to_dict, classify_b,
                        enumerate_chambers, verify_catalog)
@@ -343,16 +343,22 @@ def cmd_catalog_verify(args, timer):
              if k * k <= args.pairs
              else [(rng.randrange(k), rng.randrange(k))
                    for _ in range(args.pairs)])
+    # the sign vector of each sampled witness, made once (None on a
+    # wall); two witnesses are trivially isomorphic iff their sign
+    # vectors are equal or opposite (are_isomorphic_trivial)
+    signs = {}
+    for i in {k for pair in pairs for k in pair}:
+        try:
+            signs[i] = sign_vector(Arrangement(ns, catalog[i].witness))
+        except NotGeneric:
+            signs[i] = None
     mismatches = 0
     for i, j in pairs:
-        ci, cj = catalog[i], catalog[j]
-        try:
-            iso = are_isomorphic_trivial(Arrangement(ns, ci.witness),
-                                         Arrangement(ns, cj.witness))
-        except NotGeneric:  # a witness on a wall is in no cone
+        si, sj = signs[i], signs[j]
+        if si is None or sj is None:  # a witness on a wall is in no cone
             mismatches += 1
-            continue
-        if iso != (ci.class_id == cj.class_id):
+        elif (si == sj or si == [-s for s in sj]) != (
+                catalog[i].class_id == catalog[j].class_id):
             mismatches += 1
     timer.mark("compute")
     checks = dict(report)

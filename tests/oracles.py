@@ -7,18 +7,16 @@ against; none of them is part of the library.
 import re
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, isqrt, lcm, prod
+from math import comb, gcd, isqrt, lcm, prod
 from operator import mul
 
-from arrcensus.affine_geometry import (MAX_REGIONS, LineOrder, _directions,
-                                       _kernel, _regions, _submasks,
-                                       _unbounded)
+from arrcensus.affine_geometry import LineOrder, _directions, _kernel, _sides
 from arrcensus.chambers import (Chamber, ChamberCatalog, antipodal_classes,
                                 opposite_signs, sign_cells)
 from arrcensus.concurrency import SubsetCollection, _rank, _step, _universe
 from arrcensus.discriminantal import build, quotient_rows
 from arrcensus.errors import (BadArtifact, BadShape, BadSubsetSize,
-                              NotGeneric, NotInCatalog)
+                              NotGeneric, NotInCatalog, TooLarge)
 from arrcensus.exact_linalg import (_INTEGER, _direction, _idot, _int_det,
                                     _int_row, determinant, dot,
                                     feasible_strict, integer_primitive,
@@ -739,9 +737,77 @@ def _generic_table(arr):
     return table
 
 
+MAX_REGIONS = 10 ** 4  # the most regions _regions enumerates
+
+
+def _submasks(idx):
+    # the 2^len(idx) masks made of bits from idx
+    masks = [0]
+    for i in idx:
+        masks += [x | 1 << i for x in masks]
+    return masks
+
+
+def _regions(arr):
+    """Regions of a generic arrangement, read off the sign vector of b.
+
+    Returns {mask: vertices}, where bit i of mask is set when the region
+    lies on the side a_i . x > b_i, and vertices lists the m-subsets S
+    (0-based, lex order) whose vertex v_S is a vertex of the region.  The
+    normals span R^m, so every region is pointed and has a vertex; around
+    v_S the m hyperplanes of S cut all 2^m sign patterns, and the others
+    keep their sign at v_S (affine_geometry._sides).  So the regions are
+    the union of those patterns.  TooLarge is raised before any work when
+    the Zaslavsky count passes MAX_REGIONS.
+    """
+    n, m = arr.system.n, arr.system.m
+    count = sum(comb(n, i) for i in range(m + 1))
+    if count > MAX_REGIONS:
+        raise TooLarge("region count exceeds the configured limit",
+                       count=count, limit=MAX_REGIONS)
+    regions = {}
+    for S, side in _sides(arr).items():
+        for sub in _submasks(S):
+            regions.setdefault(side | sub, []).append(S)
+    return regions
+
+
+def _unbounded(ns):
+    """Sign masks of ray-holding regions: a region is unbounded iff its
+    mask is in this set.
+
+    A region is unbounded iff its recession cone has an extreme ray, and
+    each such ray is +-d_A for an (m-1)-subset A, d_A the direction of
+    line A: a region holds it iff its signs off A are those of
+    +-(a_j . d_A), whatever its signs on A.  d_A is the kernel vector of
+    the normals of A (_kernel) times a factor shared by every j, and
+    a_j . d_A is then det([a_j; a_A]) = (-1)^p det(a_{A+j}), for
+    p = #{i in A : i < j}: up to that factor's sign, which does not
+    matter since both signs are taken, a_j . d_A > 0 iff
+    (-1)^p minors[A+j] > 0.
+    """
+    n, minors = ns.n, ns.minors
+    full = (1 << n) - 1
+    out = set()
+    for A in combinations(range(n), ns.m - 1):
+        M = sum([1 << i for i in A])
+        ahead = 0
+        t = 1
+        for j in range(n):
+            if M >> j & 1:
+                t = -t
+            elif (minors[M | 1 << j] > 0) == (t > 0):
+                ahead |= 1 << j
+        behind = full & ~ahead & ~M
+        for sub in _submasks(A):
+            out.add(ahead | sub)
+            out.add(behind | sub)
+    return out
+
+
 def regions_by_vertex_table(arr):
-    """affine_geometry._regions from the sides of the vertex table: the
-    2^m sign patterns around each vertex, with no region guard."""
+    """_regions from the sides of the vertex table: the 2^m sign patterns
+    around each vertex, with no region guard."""
     regions = {}
     for S, (_, side) in _generic_table(arr).items():
         for sub in _submasks(S):
@@ -750,7 +816,7 @@ def regions_by_vertex_table(arr):
 
 
 def unbounded_by_directions(ns):
-    """affine_geometry._unbounded from the line directions d_A: the masks
+    """_unbounded from the line directions d_A: the masks
     whose signs off A are those of +-(a_j . d_A)."""
     normals = [_int_row(a)[0] for a in ns.rows]
     full = (1 << ns.n) - 1
@@ -764,11 +830,11 @@ def unbounded_by_directions(ns):
     return out
 
 
-def census_by_regions(arr, max_regions=MAX_REGIONS):
+def census_by_regions(arr):
     """affine_geometry.region_census by enumeration: the regions of
     _regions, the 2^m sign patterns around every vertex, those of
     _unbounded unbounded."""
-    regions = _regions(arr, max_regions)
+    regions = _regions(arr)
     unbounded = _unbounded(arr.system)
     out = sum(1 for r in regions if r in unbounded)
     return {"total": len(regions), "bounded": len(regions) - out,

@@ -18,8 +18,7 @@ from types import SimpleNamespace
 import pytest
 
 from arrcensus import affine_geometry, chambers, exact_linalg, gallery
-from arrcensus.affine_geometry import (MAX_REGIONS, _regions, _unbounded,
-                                       are_isomorphic_trivial,
+from arrcensus.affine_geometry import (are_isomorphic_trivial,
                                        genericity_witness, region_census,
                                        simplex_signature, special_point,
                                        swap_check, vertex_orders)
@@ -28,14 +27,14 @@ from arrcensus.chambers import (ChamberCatalog, Classified, OnWall,
                                 classify_b, enumerate_chambers, shared_wall)
 from arrcensus.discriminantal import build, quotient_rows
 from arrcensus.errors import (ArrangementError, NotAdjacent, NotGeneric,
-                              NotInCatalog, TooLarge, UnsupportedDimension,
-                              WrongShape)
+                              NotInCatalog, UnsupportedDimension, WrongShape)
 from arrcensus.normal_system import (Arrangement, arrangement_from_b,
                                      random_normal_system, validate)
 
+import oracles
 from golden_data import FIVE_LINE_CLASS_SIGNATURES
-from oracles import (census_by_regions, census_by_vertex_table,
-                     genericity_witness_da,
+from oracles import (MAX_REGIONS, _regions, _unbounded, census_by_regions,
+                     census_by_vertex_table, genericity_witness_da,
                      iso_by_vertex_orders, regions_by_vertex_table,
                      regions_lp, signature_by_vertex_table, triangles_lp,
                      unbounded_by_directions, vertex_orders_fraction,
@@ -132,6 +131,29 @@ def test_iso_oracle_is_equivalence_on_full_catalog():
                     assert rel[i][l]
 
 
+@pytest.mark.parametrize("name,count", [("four_lines", 64),
+                                        ("five_lines", 3844)])
+def test_iso_equals_vertex_order_oracle_on_every_catalog_pair(monkeypatch,
+                                                              name, count):
+    # s(b1) = +-s(b2) against the line-by-line comparison of the vertex
+    # orders, on every ordered pair of chambers; the oracle's orders are
+    # memoised per witness
+    orders = {}
+
+    def memo(arr, compute=oracles.orders_by_vertex_table):
+        if arr.b not in orders:
+            orders[arr.b] = compute(arr)
+        return orders[arr.b]
+
+    monkeypatch.setattr(oracles, "orders_by_vertex_table", memo)
+    ns = getattr(gallery, name)()
+    arrs = [Arrangement(ns, c.witness) for c in catalog(name)]
+    verdicts = [are_isomorphic_trivial(a1, a2) for a1 in arrs for a2 in arrs]
+    assert verdicts == [iso_by_vertex_orders(a1, a2)
+                        for a1 in arrs for a2 in arrs]
+    assert len(verdicts) == count and len(set(verdicts)) == 2
+
+
 def test_iso_oracle_shape_mismatch():
     ns4, reps4 = class_reps("four_lines")
     ns5, reps5 = class_reps("five_lines")
@@ -176,19 +198,13 @@ def seeded_class_reps():
             yield ns, [plus for plus, _ in antipodal_classes(cat)]
 
 
-def test_census_closed_form_equals_enumeration_on_every_class(monkeypatch):
+def test_census_closed_form_equals_enumeration_on_every_class():
     # Zaslavsky's count, read from (n, m) once b is generic, equals the
     # regions enumerated around every vertex, at the witness of every
     # class of the gallery and of the seeded systems
     cases = [class_reps(name) for name in GALLERY] + list(seeded_class_reps())
     arrs = [Arrangement(ns, c.witness) for ns, reps in cases for c in reps]
     want = [census_by_regions(arr) for arr in arrs]
-
-    def enumerated(*args):
-        raise AssertionError("region_census enumerated the regions")
-
-    monkeypatch.setattr(affine_geometry, "_regions", enumerated)
-    monkeypatch.setattr(affine_geometry, "_unbounded", enumerated)
     assert [region_census(arr) for arr in arrs] == want
     assert {(arr.system.n, arr.system.m): census
             for arr, census in zip(arrs, want)} == {
@@ -235,6 +251,22 @@ def test_five_line_signatures_match_golden_list():
             for c in reps}
     assert len(sigs) == 31
     assert sigs == FIVE_LINE_CLASS_SIGNATURES
+
+
+def test_signature_equals_vertex_table_oracle_on_seeded_classes():
+    # every class witness of seeded (6,2) systems, and its antipode, which
+    # mirrors the picture through the origin and keeps every triangle
+    classes = 0
+    for seed in range(1, 4):
+        ns = random_normal_system(6, 2, seed=seed, bound=9)
+        for plus, _ in antipodal_classes(enumerate_chambers(build(ns))):
+            arr = Arrangement(ns, plus.witness)
+            sig = simplex_signature(arr)
+            assert sig == signature_by_vertex_table(arr)
+            assert simplex_signature(
+                Arrangement(ns, tuple(-x for x in plus.witness))) == sig
+            classes += 1
+    assert classes == 1338
 
 
 def test_signature_rejects_non_planar():
@@ -349,7 +381,7 @@ def check_against_lp(arr):
     # vector of b equal those of the LP cell walk
     lp = regions_lp(arr)
     unbounded = _unbounded(arr.system)
-    got = {r: r not in unbounded for r in _regions(arr, MAX_REGIONS)}
+    got = {r: r not in unbounded for r in _regions(arr)}
     assert got == {sum(1 << i for i, s in enumerate(signs) if s > 0): b
                    for signs, b in lp.items()}
     bounded = sum(lp.values())
@@ -504,29 +536,15 @@ def test_affine_reads_do_no_fraction_linear_algebra(monkeypatch):
     assert swap_check(cat.da, cat, a, b)["ok"]
 
 
-def test_region_guard_comes_before_any_work(monkeypatch):
+def test_region_guard_comes_before_any_work():
     # the census reads the count off the shape after its one pass over
     # the walls, so no region limit applies to it: seeded (16,6) has
-    # 11440 walls and more than MAX_REGIONS regions
+    # 11440 walls and more regions than the enumeration oracle makes
     big = random_normal_system(16, 6, seed=1, bound=9)
     b = [3 ** i % 1009 + 7 * i * i for i in range(16)]
     assert region_census(arrangement_from_b(big, b)) == {
         "total": 14893, "bounded": 5005, "unbounded": 9888}
     assert 14893 > MAX_REGIONS
-    ns, reps = class_reps("five_lines")
-    arr = Arrangement(ns, reps[0].witness)
-
-    def no_table(rows):
-        raise AssertionError("vertex table or sign vector built past the "
-                             "guard")
-
-    monkeypatch.setattr(affine_geometry, "_kernel", no_table)
-    monkeypatch.setattr(affine_geometry, "_wall_signs", no_table)
-    monkeypatch.setattr(affine_geometry, "MAX_REGIONS", 15)
-    # 1 + 5 + 10 regions for five generic lines
-    with pytest.raises(TooLarge) as exc:
-        simplex_signature(arr)
-    assert exc.value.payload == {"count": 16, "limit": 15}
 
 
 def test_swap_wall_equals_shared_wall_on_every_edge(monkeypatch):
@@ -598,7 +616,7 @@ def assert_signs_match_vertex_table(arr, others=()):
             assert exc.value.payload == {"subset": list(table)}
         return
     assert genericity_witness(arr) is None
-    assert _regions(arr, MAX_REGIONS) == regions_by_vertex_table(arr)
+    assert _regions(arr) == regions_by_vertex_table(arr)
     assert region_census(arr) == census_by_vertex_table(arr)
     if m == 2:
         assert simplex_signature(arr) == signature_by_vertex_table(arr)

@@ -25,8 +25,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arrcensus import (chambers, cli, discriminantal, exact_linalg, gallery,
-                       normal_system)
+from arrcensus import (affine_geometry, chambers, cli, discriminantal,
+                       exact_linalg, gallery, normal_system)
 from arrcensus.chambers import catalog_to_dict, enumerate_chambers
 from arrcensus.cli import main
 from arrcensus.discriminantal import build
@@ -306,6 +306,31 @@ def test_catalog_verify_reports_an_on_wall_witness(capsys, ns_files,
     assert pay["cross_validation"]["pairs"] == checked
     if checked == 62 * 62:  # every pair with chamber 4 on one side
         assert pay["cross_validation"]["mismatches"] == 2 * 62 - 1
+
+
+def test_catalog_verify_makes_one_sign_pass_per_witness_check(
+        capsys, monkeypatch, ns_files, tmp_path):
+    # the witness check and the cross-validation each read a chamber's
+    # sign vector at most once, however many pairs are sampled
+    ns = ns_files["five_lines"]
+    cat = str(tmp_path / "catalog.json")
+    run(capsys, "chambers", "--ns", ns, "--out", cat)
+    calls = []
+
+    def counted(*args, compute=discriminantal._wall_values):
+        calls.append(args)
+        return compute(*args)
+
+    for module in (affine_geometry, chambers):
+        monkeypatch.setattr(module, "_wall_values", counted)
+    for pairs, checked in [("0", 0), ("50", 50), ("4000", 62 * 62)]:
+        calls.clear()
+        code, rep, _, _ = run(capsys, "catalog-verify", "--ns", ns,
+                              "--catalog", cat, "--pairs", pairs)
+        assert code == 0 and rep["payload"]["ok"] is True
+        assert rep["payload"]["cross_validation"] == {"pairs": checked,
+                                                      "mismatches": 0}
+        assert 62 <= len(calls) <= 2 * 62
 
 
 def test_cone_reads_make_no_quotient_row(capsys, monkeypatch, ns_files,
