@@ -35,7 +35,7 @@ wall of a swap is read off the two sign vectors.
 
 from collections import namedtuple
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress
 from math import comb
 
 from .discriminantal import _wall_values
@@ -189,24 +189,30 @@ def _sides(arr):
     coordinate is (-1)^m det(h_S without the b column), of the sign of
     (-1)^m minors[S], and v_S has it positive.  So a_j . x > b_j at v_S
     iff -s_{S+j} (-1)^(p+m) sign(minors[S]) > 0.
+
+    So side is neg[S] XOR odd off S, with no wall looked up: neg[S] holds
+    the j with s_{S+j} = -1, set by one pass over the walls T of sign -1
+    at each j in T, and odd the j with p odd (the XOR of the masks above
+    each member of S), complemented when (-1)^m minors[S] < 0: the j
+    that a wall of sign +1 puts on the positive side.
     """
     ns = arr.system
     n, m = ns.n, ns.m
-    masks = map(sum, combinations([1 << i for i in range(n)], m + 1))
-    signs = dict(zip(masks, sign_vector(arr)))
+    bits = [1 << i for i in range(n)]
+    full = (1 << n) - 1
+    neg = dict.fromkeys(map(sum, combinations(bits, m)), 0)
+    for T in compress(combinations(bits, m + 1),
+                      map((-1).__eq__, sign_vector(arr))):
+        M = sum(T)
+        for b in T:
+            neg[M ^ b] |= b
     minors = ns.minors
     sides = {}
-    for S in combinations(range(n), m):
-        M = sum([1 << i for i in S])
-        # the sign s_{S+j} takes when row j is positive at v_S, for p = 0
-        t = -1 if (minors[M] > 0) == (m % 2 == 0) else 1
-        side = 0
-        for j in range(n):
-            if M >> j & 1:
-                t = -t
-            elif signs[M | 1 << j] == t:
-                side |= 1 << j
-        sides[S] = side
+    for S, (M, N) in zip(combinations(range(n), m), neg.items()):
+        odd = full if (minors[M] > 0) == m % 2 else 0
+        for i in S:
+            odd ^= full >> i + 1 << i + 1
+        sides[S] = (N ^ odd) & ~M
     return sides
 
 

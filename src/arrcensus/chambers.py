@@ -42,9 +42,9 @@ from .charpoly import iso_class_count, whitney_charpoly, zaslavsky_regions
 from .discriminantal import _wall_values, quotient_rows
 from .errors import (BadArtifact, CountMismatch, LengthMismatch,
                      NotInCatalog, TooLarge, UnpairedChamber)
-from .exact_linalg import (_INTEGER, _idot, _int_row, _plain_integer_texts,
-                           dot, feasible_strict, flat_levels,
-                           nullspace_basis, parse_rational, rational_str)
+from .exact_linalg import (_idot, _int_row, _pivot, _plain_integer_texts,
+                           _units, feasible_strict, flat_levels,
+                           parse_rational, rational_str)
 
 DEFAULT_MAX_CHAMBERS = 10 ** 4
 
@@ -453,14 +453,13 @@ def _locate(da, b):
 
 def _wall_is_facet(reduced, signs, i):
     # the shared face on hyperplane i has full facet dimension iff some
-    # point of that hyperplane satisfies every other constraint strictly
-    basis = nullspace_basis([reduced[i]])
-    folded = []
-    for j, row in enumerate(reduced):
-        if j == i:
-            continue
-        s = 1 if signs[j] == "+" else -1
-        folded.append(tuple(s * dot(row, bv) for bv in basis))
+    # point of that hyperplane, in the basis of row i's annihilator
+    # vectors, satisfies every other constraint strictly
+    rows = [_int_row(row)[0] for row in reduced]
+    basis = _pivot(_units(len(rows[i])), rows[i])
+    folded = [tuple([_idot(row, z) if signs[j] == "+" else -_idot(row, z)
+                     for z in basis])
+              for j, row in enumerate(rows) if j != i]
     if not folded:
         return True
     if not basis:
@@ -558,9 +557,9 @@ def catalog_from_dict(da, data):
     witness as its comma-joined text, parsed to ints only when its
     chamber is read (ChamberCatalog).  Any other
     catalog is read entry by entry, in file order, so the first bad entry
-    is named: a plain integer string as an int, with no Fraction made,
-    and any other entry through parse_rational.  Last, a witness without
-    n entries or a class id that is not a JSON integer raises
+    is named, each by parse_rational ("p" as an int, "p/q" and a JSON
+    integer as a Fraction, any other form refused).  Last, a witness
+    without n entries or a class id that is not a JSON integer raises
     BadArtifact.
     """
     need = ('catalog needs integer "n" and "m" and a list "chambers" of '
@@ -585,8 +584,7 @@ def catalog_from_dict(da, data):
         if not (isinstance(s, str) and isinstance(witness, list)):
             raise BadArtifact('"signs" must be a string and "witness" a '
                               'list', chamber=k)
-        point = [int(x) if type(x) is str and _INTEGER(x)
-                 else parse_rational(x, chamber=k, position=i)
+        point = [parse_rational(x, chamber=k, position=i)
                  for i, x in enumerate(witness, start=1)]
         chambers.append(Chamber(s, point, class_id))
     catalog = ChamberCatalog(da, chambers)

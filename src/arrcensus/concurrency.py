@@ -267,8 +267,17 @@ def concurrency_closure(col):
     return _collection(col.n, col.m, _family(col))
 
 
+def _closure_size(m, family):
+    """The size of the closure with this closed family, with no subset
+    listed: sum C(|S|, m+1) over its members S.  No (m+1)-subset lies in
+    two members: the inequality for {S, S'} is |S u S'| > m + (|S| - m)
+    + (|S'| - m), so |S n S'| < m.  The closure of col holds col, so col
+    is closed exactly when it has this many members."""
+    return sum(comb(s.bit_count(), m + 1) for s in family)
+
+
 def is_closed(col):
-    return _collection(col.n, col.m, _family(col)) == col
+    return _closure_size(col.m, _family(col)) == len(col)
 
 
 def concurrency_orders(col):
@@ -278,7 +287,7 @@ def concurrency_orders(col):
     """
     _check_universe(col.n, col.m)
     family = _family(col)
-    missing = len(_collection(col.n, col.m, family)) - len(col)
+    missing = _closure_size(col.m, family) - len(col)
     if missing:
         raise NotClosed("collection is not concurrency closed",
                         missing=missing)

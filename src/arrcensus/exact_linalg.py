@@ -21,7 +21,8 @@ from .errors import BadRational, BadShape
 
 
 def rational(s):
-    """Parse 'p/q' or 'p' (or an int) into a Fraction; q = 0 rejected."""
+    """Parse 'p/q' or 'p' (or an int) into a Fraction; q = 0 rejected.
+    Only the tests call it: input values go through parse_rational."""
     if isinstance(s, Fraction):
         return s
     if isinstance(s, int):
@@ -57,27 +58,26 @@ def _plain_integer_texts(rows, count):
 
 
 def parse_rational(s, **where):
-    """rational() for input values: BadRational instead of a raw error.
+    """An input value as an exact rational: BadRational for any other.
 
     where names the place of the value in its input, for the message.
-    The forms rational_str writes, 'p' and 'p/q' with plain digits, are
-    read by int directly; every other input goes through rational().  A
-    bool or a float is refused: JSON true and 1.5 are not exact rationals.
-    So is a string with a character outside ASCII, which Fraction would
-    read (an Arabic-Indic digit as its value).
+    A string is read only in the forms rational_str writes (_CANONICAL):
+    'p' as an int and 'p/q', q != 0, as a Fraction, so '+7', ' 7', '1.5',
+    '1e2' and '1_0' are refused whatever Fraction would read.  A JSON
+    integer becomes a Fraction and a Fraction is kept; any other type,
+    a bool or a float among them, is refused.
     """
-    if type(s) in (bool, float) or type(s) is str and not s.isascii():
-        raise BadRational("not an exact rational p or p/q with q != 0",
-                          got=str(s), **where)
+    hit = _CANONICAL(s) if type(s) is str else None
     try:
-        hit = _CANONICAL(s) if type(s) is str else None
         if hit:
             p, q = hit.groups()
-            return Fraction(int(p), int(q) if q else 1)
-        return rational(s)
-    except (ValueError, ZeroDivisionError):
-        raise BadRational("not an exact rational p or p/q with q != 0",
-                          got=str(s), **where) from None
+            return int(p) if q is None else Fraction(int(p), int(q))
+        if type(s) in (int, Fraction):
+            return Fraction(s)
+    except (ValueError, ZeroDivisionError):  # q = 0, or too many digits
+        pass
+    raise BadRational("not an exact rational p or p/q with q != 0",
+                      got=str(s), **where)
 
 
 def rational_str(q):

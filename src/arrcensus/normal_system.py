@@ -22,9 +22,9 @@ from fractions import Fraction
 
 from .errors import (BadArtifact, BadShape, DependentRows, GivesUp,
                      LengthMismatch)
-from .exact_linalg import (_INTEGER, _idot, _int_row, _pivot,
-                           _plain_integer_texts, _units, minor_table,
-                           parse_rational, primitive_int_rows, rational_str)
+from .exact_linalg import (_idot, _int_row, _pivot, _plain_integer_texts,
+                           _units, minor_table, parse_rational,
+                           primitive_int_rows, rational_str)
 
 
 class NormalSystem:
@@ -217,10 +217,10 @@ def ns_from_dict(data):
     When every entry is a plain integer string "p", the form ns_to_dict
     writes for an integer, which one test over all the entries decides
     (exact_linalg._plain_integer_texts), each is read by int, with no
-    Fraction made.  Otherwise each entry is read on its own: a plain
-    integer string by int, any other through parse_rational, which
-    names the first bad one by row and column.  So a system of such
-    entries has int rows, and any other has Fraction rows.
+    Fraction made.  Otherwise each entry is read by parse_rational ("p"
+    as an int, "p/q" and a JSON integer as a Fraction, any other form
+    refused), which names the first bad one by row and column.  So a
+    system of "p" entries has int rows, and any other Fraction rows.
     """
     need = 'normal system needs an integer "m" and "rows"'
     try:
@@ -234,7 +234,6 @@ def ns_from_dict(data):
         raise BadArtifact('"rows" must be a list of lists')
     if _plain_integer_texts(rows, sum(map(len, rows))) is not None:
         return validate([list(map(int, row)) for row in rows], m)
-    return validate([[int(a) if type(a) is str and _INTEGER(a)
-                      else parse_rational(a, row=i, column=j)
+    return validate([[parse_rational(a, row=i, column=j)
                       for j, a in enumerate(row, start=1)]
                      for i, row in enumerate(rows, start=1)], m)

@@ -10,16 +10,17 @@ from itertools import combinations
 from math import comb, gcd, isqrt, lcm, prod
 from operator import mul
 
-from arrcensus.affine_geometry import LineOrder, _directions, _kernel, _sides
+from arrcensus.affine_geometry import (LineOrder, _directions, _kernel, _sides,
+                                       sign_vector)
 from arrcensus.chambers import (Chamber, ChamberCatalog, antipodal_classes,
                                 opposite_signs, sign_cells)
 from arrcensus.concurrency import SubsetCollection, _rank, _step, _universe
 from arrcensus.discriminantal import build, quotient_rows
 from arrcensus.errors import (BadArtifact, BadShape, BadSubsetSize,
                               NotGeneric, NotInCatalog, TooLarge)
-from arrcensus.exact_linalg import (_INTEGER, _direction, _idot, _int_det,
-                                    _int_row, determinant, dot,
-                                    feasible_strict, integer_primitive,
+from arrcensus.exact_linalg import (_direction, _idot, _int_det, _int_row,
+                                    determinant, dot, feasible_strict,
+                                    integer_primitive,
                                     lex_independent_columns, nullspace_basis,
                                     parse_rational, rank, solve_particular)
 from arrcensus.normal_system import validate
@@ -390,6 +391,21 @@ def feasible_strict_full_tableau(rows):
     return tuple(x)
 
 
+def wall_is_facet_by_nullspace(reduced, signs, i):
+    """chambers._wall_is_facet in Fraction arithmetic: the hyperplane of
+    row i spanned by the rref nullspace basis, the other rows folded on
+    it with the Fraction dot."""
+    basis = nullspace_basis([reduced[i]])
+    folded = [tuple((1 if signs[j] == "+" else -1) * dot(row, bv)
+                    for bv in basis)
+              for j, row in enumerate(reduced) if j != i]
+    if not folded:
+        return True
+    if not basis:
+        return False
+    return feasible_strict(tuple(folded)) is not None
+
+
 def _feasible_lazy_fraction(folded, flipped, seed=()):
     active = [flipped] + [folded[j] for j in seed]
     left = set(range(len(folded))) - set(seed)
@@ -516,8 +532,8 @@ def integer_texts_by_regex(n, signs, witnesses, classes):
 def catalog_by_entry(da, data):
     """chambers.catalog_from_dict read chamber by chamber: a witness of
     plain integer strings in one match of its comma-joined text, any
-    other entry by entry (an int for a plain integer string, otherwise
-    parse_rational), every Chamber made at once and sorted by signs."""
+    other entry by entry through parse_rational, every Chamber made at
+    once and sorted by signs."""
     need = ('catalog needs integer "n" and "m" and a list "chambers" of '
             'entries with "signs", "witness" and "class"')
     try:
@@ -544,8 +560,7 @@ def catalog_by_entry(da, data):
         if _INTEGERS(text) and text.count(",") == len(witness) - 1:
             point = tuple(map(int, text.split(",")))
         else:
-            point = tuple([int(x) if type(x) is str and _INTEGER(x)
-                           else parse_rational(x, chamber=k, position=i)
+            point = tuple([parse_rational(x, chamber=k, position=i)
                            for i, x in enumerate(witness, start=1)])
         chambers.append(Chamber(signs, point, class_id))
     catalog = ChamberCatalog(da, sorted(chambers, key=lambda c: c.signs))
@@ -559,8 +574,8 @@ def catalog_by_entry(da, data):
 
 
 def ns_by_parse_rational(data):
-    """normal_system.ns_from_dict with every entry read by parse_rational,
-    a Fraction each, so validate always takes its Fraction path."""
+    """normal_system.ns_from_dict with every entry read by parse_rational
+    and made a Fraction, so validate always takes its Fraction path."""
     need = 'normal system needs an integer "m" and "rows"'
     try:
         m, rows = data["m"], data["rows"]
@@ -571,7 +586,7 @@ def ns_by_parse_rational(data):
     if not (isinstance(rows, list)
             and all(isinstance(row, list) for row in rows)):
         raise BadArtifact('"rows" must be a list of lists')
-    return validate([[parse_rational(a, row=i, column=j)
+    return validate([[Fraction(parse_rational(a, row=i, column=j))
                       for j, a in enumerate(row, start=1)]
                      for i, row in enumerate(rows, start=1)], m)
 
@@ -727,6 +742,30 @@ def vertex_table(arr):
                 return tuple(i + 1 for i in S + (j,))
         table[S] = v, side
     return table
+
+
+def sides_by_wall_lookup(arr):
+    """affine_geometry._sides as a dict from every wall mask to its sign,
+    looked up once per (vertex, row): bit j of the side of S is set when
+    s_{S+j} equals the sign that puts row j on the positive side at v_S,
+    -(-1)^(p+m) sign(minors[S]) for p the members of S below j."""
+    ns = arr.system
+    n, m = ns.n, ns.m
+    masks = map(sum, combinations([1 << i for i in range(n)], m + 1))
+    signs = dict(zip(masks, sign_vector(arr)))
+    sides = {}
+    for S in combinations(range(n), m):
+        M = sum([1 << i for i in S])
+        # the sign s_{S+j} takes when row j is positive at v_S, for p = 0
+        t = -1 if (ns.minors[M] > 0) == (m % 2 == 0) else 1
+        side = 0
+        for j in range(n):
+            if M >> j & 1:
+                t = -t
+            elif signs[M | 1 << j] == t:
+                side |= 1 << j
+        sides[S] = side
+    return sides
 
 
 def _generic_table(arr):

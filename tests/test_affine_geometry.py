@@ -36,7 +36,8 @@ from golden_data import FIVE_LINE_CLASS_SIGNATURES
 from oracles import (MAX_REGIONS, _regions, _unbounded, census_by_regions,
                      census_by_vertex_table, genericity_witness_da,
                      iso_by_vertex_orders, regions_by_vertex_table,
-                     regions_lp, signature_by_vertex_table, triangles_lp,
+                     regions_lp, sides_by_wall_lookup,
+                     signature_by_vertex_table, triangles_lp,
                      unbounded_by_directions, vertex_orders_fraction,
                      vertex_table)
 
@@ -267,6 +268,24 @@ def test_signature_equals_vertex_table_oracle_on_seeded_classes():
                 Arrangement(ns, tuple(-x for x in plus.witness))) == sig
             classes += 1
     assert classes == 1338
+
+
+@pytest.mark.parametrize("n,m", [(5, 2), (8, 2), (13, 2), (6, 3), (9, 3)])
+def test_sides_equal_the_wall_lookup_oracle(n, m):
+    # the one pass over the walls of sign -1 gives the side masks that a
+    # lookup of each wall by its mask gives, on seeded systems at random
+    # b of both signs, and the vertex table agrees with both
+    rng = random.Random(n * 10 + m)
+    for seed in range(1, 4):
+        ns = random_normal_system(n, m, seed=seed, bound=9)
+        for _ in range(3):
+            arr = Arrangement(ns, [rng.randint(-10 ** 6, 10 ** 6)
+                                   for _ in range(n)])
+            want = sides_by_wall_lookup(arr)
+            assert list(affine_geometry._sides(arr).items()) == \
+                list(want.items())
+            assert want == {S: side for S, (_, side)
+                            in vertex_table(arr).items()}
 
 
 def test_signature_rejects_non_planar():
@@ -536,7 +555,7 @@ def test_affine_reads_do_no_fraction_linear_algebra(monkeypatch):
     assert swap_check(cat.da, cat, a, b)["ok"]
 
 
-def test_region_guard_comes_before_any_work():
+def test_region_census_answers_seeded_16_6_past_the_oracle_limit():
     # the census reads the count off the shape after its one pass over
     # the walls, so no region limit applies to it: seeded (16,6) has
     # 11440 walls and more regions than the enumeration oracle makes

@@ -36,7 +36,8 @@ from arrcensus.exact_linalg import (dot, feasible_strict,
 from arrcensus.normal_system import NormalSystem, random_normal_system
 
 from oracles import (catalog_by_entry, integer_texts_by_regex,
-                     sign_cells_fraction, walk_catalog)
+                     sign_cells_fraction, walk_catalog,
+                     wall_is_facet_by_nullspace)
 from test_concurrency import rational_draw, scaled_draw
 
 GALLERY = ["three_lines", "four_lines", "five_lines",
@@ -307,6 +308,29 @@ def test_shared_wall():
     assert shared_wall(da, a, far) is None
 
 
+def test_wall_is_facet_matches_the_nullspace_oracle():
+    # the facet LP on the integer annihilator basis of the wall gives the
+    # verdict of the Fraction nullspace basis, for every sign pattern of
+    # random rows: most patterns are no cone, so both verdicts occur
+    assert not _wall_is_facet([(1, 0), (0, 1), (1, 1)], "++-", 2)
+    assert _wall_is_facet([(1, 0), (0, 1), (1, 1)], "+--", 2)
+    rng = random.Random(43)
+    verdicts = set()
+    for _ in range(60):
+        d = rng.randint(1, 3)
+        rows = [tuple(rng.choice([rng.randint(-3, 3),
+                                  Fraction(rng.randint(-3, 3), 2)])
+                      for _ in range(d)) for _ in range(rng.randint(1, 4))]
+        for bits in range(1 << len(rows)):
+            signs = "".join("+" if bits >> j & 1 else "-"
+                            for j in range(len(rows)))
+            i = rng.randrange(len(rows))
+            got = _wall_is_facet(rows, signs, i)
+            assert got == wall_is_facet_by_nullspace(rows, signs, i)
+            verdicts.add(got)
+    assert verdicts == {True, False}
+
+
 LP_LAYER = {"feasible_strict", "sign_cells", "shared_wall",
             "nullspace_basis", "rref"}
 
@@ -349,13 +373,14 @@ ONE_ENGINE = [
     ({"da_from_dict", "arrangement_to_dict", "arrangement_from_dict"},
      set()),
     ({"echelon_residual", "echelon_insert", "_cocircuit"}, set()),
+    ({"rational", "dot", "nullspace_basis", "rref"}, {"exact_linalg.py"}),
 ]
 
 
 def test_only_build_makes_arrangements_and_only_whitney_runs():
     # build is the one way to an arrangement, so nothing in the library
-    # cuts columns by rank, reads arrangement files or runs the poset
-    # cross-check
+    # cuts columns by rank, reads arrangement files, runs the poset
+    # cross-check or reaches the Fraction algebra of exact_linalg
     for name, used in library_names().items():
         for names, exempt in ONE_ENGINE:
             if name not in exempt:

@@ -737,8 +737,9 @@ def _main_streams(argv):
 
 FOUR_LINES_CATALOG = catalog_to_dict(enumerate_chambers(
     build(gallery.four_lines())))
-# witness entries of the wrong type or form; "+7", " 7", "1.5" and JSON 7
-# are exact rationals that parse_rational reads, "-0" is a zero
+# witness entries of the wrong type or form; JSON 7 is an exact rational
+# that parse_rational reads, "-0" is a zero, and "+7", " 7" and "1.5" are
+# outside the forms a catalog is written in
 _ENTRIES = [True, 1.5, 7, "x", "1/0", "+7", " 7", "1.5", "-0"]
 # fresh copies, so that a document never holds one list or dict twice
 # (nor, through a later fault, itself)
@@ -901,28 +902,70 @@ _VERIFY_OK = {"catalog": {"class_count_matches": True, "classes": 4,
                           "zaslavsky": 8},
               "cross_validation": {"mismatches": 0, "pairs": 50},
               "ok": True}
-_VERIFY_BAD = {"catalog": dict(_VERIFY_OK["catalog"], witnesses_ok=False),
-               "cross_validation": {"mismatches": 5, "pairs": 50},
-               "ok": False}
 
 
 @pytest.mark.parametrize("entry,verified", [
-    ("+7", _VERIFY_OK), (7, _VERIFY_OK), ("1.5", _VERIFY_BAD),
+    ("+7", None), (7, _VERIFY_OK), ("1.5", None),
 ], ids=["plus_seven", "json_seven", "one_point_five"])
 def test_catalog_entries_outside_the_integer_form(tmp_path, ns_files, entry,
                                                   verified):
-    # forms the loader's plain-integer path leaves to parse_rational keep
-    # their answers: the third chamber's witness becomes (-1, entry, 0, 0)
+    # the third chamber's witness becomes (-1, entry, 0, 0): a JSON integer
+    # keeps its answers, and a string outside the forms catalog files are
+    # written in ("p", "p/q") is refused by both commands, as "x" is
     doc = json.loads(json.dumps(FOUR_LINES_CATALOG))
     doc["chambers"][2]["witness"][1] = entry
     path = tmp_path / "catalog.json"
     path.write_text(json.dumps(doc))
     argv = ["--ns", ns_files["four_lines"], "--catalog", str(path)]
-    code, out, _ = _main_streams(["classify", "--b", "1,2,4,8"] + argv)
-    assert code == 0 and json.loads(out)["payload"] == {
-        "signs": "---+", "class": 1, "on_wall": None}
-    code, out, _ = _main_streams(["catalog-verify"] + argv)
-    assert code == 0 and json.loads(out)["payload"] == verified
+    for extra in (["classify", "--b", "1,2,4,8"], ["catalog-verify"]):
+        code, out, err = _main_streams(extra[:1] + argv + extra[1:])
+        if verified is None:
+            assert code == 1 and out == ""
+            assert json.loads(err)["error"] == {
+                "type": "BadRational", "got": entry, "chamber": 3,
+                "position": 2,
+                "message": "not an exact rational p or p/q with q != 0"}
+        elif extra[0] == "classify":
+            assert code == 0 and json.loads(out)["payload"] == {
+                "signs": "---+", "class": 1, "on_wall": None}
+        else:
+            assert code == 0 and json.loads(out)["payload"] == verified
+
+
+@pytest.mark.parametrize("form", ["+7", "1.5", ".5", "1e2", "1_0", " 7"])
+def test_forms_outside_the_written_grammar_are_refused(capsys, tmp_path,
+                                                       ns_files, form):
+    # an input value is read only in the forms the tool writes, "p" and
+    # "p/q": in an ns file, a catalog and --b, any other form is one
+    # BadRational that names it and its place; --b strips the blanks
+    # around each part, so " 7" is read there as 7
+    message = "not an exact rational p or p/q with q != 0"
+    four = ns_files["four_lines"]
+    ns = json.loads(open(four).read())
+    ns["rows"][1][0] = form
+    path = tmp_path / "ns.json"
+    path.write_text(json.dumps(ns))
+    code, _, err, cap = run(capsys, "count", "--ns", str(path))
+    assert code == 1 and cap.out == ""
+    assert err["error"] == {"type": "BadRational", "got": form, "row": 2,
+                            "column": 1, "message": message}
+    doc = json.loads(json.dumps(FOUR_LINES_CATALOG))
+    doc["chambers"][2]["witness"][1] = form
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(doc))
+    code, _, err, cap = run(capsys, "classify", "--ns", four, "--catalog",
+                            str(path), "--b", "1,2,4,8")
+    assert code == 1 and cap.out == ""
+    assert err["error"] == {"type": "BadRational", "got": form, "chamber": 3,
+                            "position": 2, "message": message}
+    code, out, err, cap = run(capsys, "classify", "--ns", four,
+                              "--b=1,%s,4,8" % form)
+    if form.strip() != form:
+        assert code == 0 and out["payload"]["signs"]
+    else:
+        assert code == 1 and cap.out == ""
+        assert err["error"] == {"type": "BadRational", "got": form,
+                                "position": 2, "message": message}
 
 
 @pytest.mark.parametrize("key,value", [("class", [1]), ("class", "1"),

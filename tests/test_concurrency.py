@@ -20,9 +20,12 @@ from arrcensus.charpoly import combinatorial_charpoly
 from arrcensus.concurrency import (
     FreeVerdict,
     SubsetCollection,
+    _closure_size,
     _collection,
     _corank_one,
     _corank_two,
+    _family,
+    _families,
     _lattice,
     _pivot_levels,
     _products,
@@ -165,6 +168,34 @@ def test_orders_golden():
         ((1, 2, 3, 4, 5, 6), 6)]
     single = SubsetCollection(5, 2, [(2, 4, 5)])
     assert concurrency_orders(single) == [((2, 4, 5), 3)]
+
+
+def test_closure_size_counts_the_expansion():
+    # two members of a closed family share fewer than m indices, so its
+    # closure has sum C(|S|, m+1) members, with no subset listed: checked
+    # against the expansion on every closed family up to n = 7, and
+    # closedness by that count against the closure on random collections
+    families = 0
+    for n in range(2, 8):
+        for m in range(1, n):
+            for family in _families(n, m):
+                assert _closure_size(m, family) == \
+                    len(_collection(n, m, family))
+                families += 1
+    assert families == 9932
+    rng = random.Random(44)
+    for _ in range(400):
+        n = rng.randint(3, 7)
+        m = rng.randint(1, n - 2)
+        col = random_collection(rng, n, m, rng.randint(0, comb(n, m + 1)))
+        closed = concurrency_closure(col)
+        assert _closure_size(m, _family(col)) == len(closed)
+        assert is_closed(col) == (closed == col)
+        assert is_closed(closed)
+        if closed != col:
+            with pytest.raises(NotClosed) as err:
+                concurrency_orders(col)
+            assert err.value.payload["missing"] == len(closed) - len(col)
 
 
 def test_orders_requires_closed_input():

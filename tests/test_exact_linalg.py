@@ -271,27 +271,34 @@ def test_parse_rational_names_the_bad_value():
 
 
 def test_parse_rational_fast_path_keeps_values_and_errors():
-    # canonical forms take the int fast path; the rest go through
-    # Fraction(str) as before, with the same values and the same errors
-    for text in ["0", "-0", "7", "-12", "3/2", "-3/2", "2/4", "10/5",
-                 "+3", " 1/2", "1.5", "1e2", "-7/1", "1_000"]:
+    # the forms rational_str writes are read with their values, 'p' as an
+    # int and 'p/q' as a Fraction; every other string is refused with the
+    # same error, whatever Fraction(str) would read
+    for text in ["0", "-0", "7", "-12", "007", "12345678901234567890123"]:
+        got = parse_rational(text)
+        assert type(got) is int and got == int(text), text
+    for text in ["3/2", "-3/2", "2/4", "10/5", "-7/1", "0/5", "1/007"]:
         got = parse_rational(text)
         assert type(got) is Fraction and got == Fraction(text), text
-    for bad in ["x", "1/0", "0/0", "-1/0", "1/-2", "--1", "1/", "/2"]:
+    for bad in ["x", "1/0", "0/0", "-1/0", "1/00", "1/-2", "--1", "1/",
+                "/2", "", "-", "+3", " 1/2", "7 ", "1.5", ".5", "1e2",
+                "1_000", "1/2_0", "-7/+1"]:
         with pytest.raises(BadRational) as exc:
             parse_rational(bad, position=1)
         assert exc.value.payload == {"got": bad, "position": 1}
     assert parse_rational(Fraction(-5, 3)) == Fraction(-5, 3)
-    assert parse_rational(4) == 4
+    got = parse_rational(4)
+    assert type(got) is Fraction and got == 4
 
 
 def test_parse_rational_refuses_bools_and_floats():
-    # JSON true, false and 1.5 are not exact rationals, in any input file
-    for bad in [True, False, 1.5, 2.0, float("inf")]:
+    # JSON true, false and 1.5 are not exact rationals, in any input file,
+    # and neither is the text "1.5"
+    for bad in [True, False, 1.5, 2.0, float("inf"), None, [1], "1.5"]:
         with pytest.raises(BadRational) as exc:
             parse_rational(bad, row=1, column=2)
         assert exc.value.payload == {"got": str(bad), "row": 1, "column": 2}
-    assert parse_rational(2) == 2 and parse_rational("1.5") == Fraction(3, 2)
+    assert parse_rational(2) == 2 and parse_rational("3/2") == Fraction(3, 2)
 
 
 def test_parse_rational_refuses_non_ascii_strings():
