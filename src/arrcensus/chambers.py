@@ -22,14 +22,12 @@ The cones are composed on the quotient rows, the walls cut to their first
 n - m coordinates, where they have full rank (discriminantal.quotient_rows),
 and witnesses are lifted back by appending m zeros.  A point is located by
 the signs of its wall values (discriminantal._wall_values), the one kernel
-that classify_b, verify_catalog and the affine readings share.
+that classify_b, verify_catalog and the affine readings share.  A loaded
+catalog's witness entries become numbers in exact_linalg.
 
-sign_cells, the insertion walk that enumerate_chambers ran before, stays
-as the oracle the tests compare the catalog with: it inserts hyperplanes
-one at a time and splits every cell the new hyperplane meets, deciding
-each split with the exact phase-1 simplex of exact_linalg.  shared_wall
-decides one pair of cones by a facet LP on the rows of quotient_rows.
-No other library module calls either; both stay for the tests.
+sign_cells, the insertion walk that enumerate_chambers ran before (one
+exact phase-1 simplex per split cell), and shared_wall, a facet LP on
+one pair of cones, stay only as oracles for the tests.
 """
 
 from fractions import Fraction
@@ -550,17 +548,13 @@ def catalog_from_dict(da, data):
     a witness entry that is not an exact rational raises BadRational.
     The whole catalog is checked in one pass first: every "signs" a
     string, every "witness" a list of n strings, every "class" a JSON
-    integer, and all witness entries, joined by commas, plain integers
-    "p" (ASCII, checked with string methods, no regex) with
-    n * count - 1 commas, so that no entry can hide a comma.  Such a
-    catalog, the form catalog_to_dict writes for a built one, keeps each
-    witness as its comma-joined text, parsed to ints only when its
-    chamber is read (ChamberCatalog).  Any other
-    catalog is read entry by entry, in file order, so the first bad entry
-    is named, each by parse_rational ("p" as an int, "p/q" and a JSON
-    integer as a Fraction, any other form refused).  Last, a witness
-    without n entries or a class id that is not a JSON integer raises
-    BadArtifact.
+    integer, and the witnesses passed by exact_linalg._plain_integer_texts.
+    Such a catalog, the form catalog_to_dict writes for a built one, keeps
+    each witness as its comma-joined text, parsed to ints only when its
+    chamber is read (ChamberCatalog).  Any other catalog is read entry by
+    entry, in file order, by parse_rational, so the first bad entry is
+    named.  Last, a witness without n entries or a class id that is not
+    a JSON integer raises BadArtifact.
     """
     need = ('catalog needs integer "n" and "m" and a list "chambers" of '
             'entries with "signs", "witness" and "class"')
@@ -633,12 +627,13 @@ def verify_catalog(da, catalog):
         pairing_ok = False
     chi = whitney_charpoly(da)
     expected = zaslavsky_regions(chi)
+    classes = catalog.class_count
     report = {
         "count": len(catalog),
         "zaslavsky": expected,
         "count_matches": len(catalog) == expected,
-        "classes": catalog.class_count,
-        "class_count_matches": catalog.class_count == iso_class_count(chi),
+        "classes": classes,
+        "class_count_matches": classes == iso_class_count(chi),
         "witnesses_ok": witnesses_ok,
         "pairing_ok": pairing_ok,
     }

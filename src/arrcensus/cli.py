@@ -7,7 +7,9 @@ catalog-verify, the two commands that sample).  Payloads are deterministic
 given inputs and seed; timings are not and live outside the payload.
 Artifacts written with --out are the bare payload files: a normal system
 (gen) or a catalog (chambers) can be fed back in, and the discriminantal
-arrangement (disc) is written for reading only.
+arrangement (disc) is written for reading only.  Input values become
+numbers in exact_linalg: --b parts by parse_rational, files through the
+library loaders; integer options by _integer.
 
 A subcommand takes only the options it reads, and any other is a usage
 error: --format on all, --max-subsets on all but closure, --seed on gen
@@ -43,7 +45,7 @@ from .concurrency import (SubsetCollection, base_collection,
                           concurrency_orders, is_concurrency_free)
 from .discriminantal import build, da_to_dict
 from .errors import ArrangementError, NotGeneric, TooLarge
-from .exact_linalg import _INTEGER, parse_rational
+from .exact_linalg import _CANONICAL, parse_rational
 from .normal_system import (Arrangement, arrangement_from_b, ns_from_dict,
                             ns_to_dict, random_normal_system)
 
@@ -71,20 +73,19 @@ def _load_ns(path, max_subsets):
 
 
 def _integer(text):
-    """The type of every integer option: ASCII digits after an optional
-    minus sign, nothing else.  int would also read '٤' (as 4), '+4',
-    '4_0' and ' 4'; here they are usage errors, as 'x' is."""
-    if not _INTEGER(text):
+    """The type of every integer option: the 'p' of exact_linalg's
+    grammar, ASCII digits after an optional minus sign.  int would also
+    read '٤' (as 4), '+4', '4_0' and ' 4'; here they are usage errors,
+    as 'x' is."""
+    hit = _CANONICAL(text)
+    if not hit or hit[2] is not None:
         raise argparse.ArgumentTypeError("invalid int value: %r" % text)
     return int(text)
 
 
 def _parse_b(text):
-    # a plain integer part is read by int, with no Fraction made
-    parts = [part.strip() for part in text.split(",")]
-    return tuple(int(part) if _INTEGER(part)
-                 else parse_rational(part, position=i)
-                 for i, part in enumerate(parts, start=1))
+    return tuple(parse_rational(part.strip(), position=i)
+                 for i, part in enumerate(text.split(","), start=1))
 
 
 def _parse_members(text):

@@ -1,23 +1,21 @@
 """Exact rational linear algebra: rank, determinant, nullspace, feasibility.
 
-Scalars are fractions.Fraction (always reduced, positive denominator) or
-plain ints: primitive_int_rows and _direction, the packed annihilator
-kernel (_slot_width, _pack, _zero_slots and _pivot) with the one crawl of
-the lattice of flats on it (flat_levels), the table of maximal minors
-(minor_table) and the elimination inside rank, determinant and
-feasible_strict run on integers only.  Matrices are plain
-sequences of rows; rows are sequences of Fractions or ints.  A row whose
-entries are all ints enters those kernels as it is; any other row is scaled
-once by the lcm of its denominators.  No floating point anywhere: region
-counts downstream hinge on exact degeneracies that rounding destroys.
+Outside text becomes a number here only: parse_rational reads one value
+in the forms rational_str writes, and _plain_integer_texts clears a
+whole table of plain integers for int.  _int_row is the one way a row
+becomes integers, times the lcm of its denominators; rank, determinant,
+feasible_strict, minor_table and the packed annihilator kernel with
+flat_levels run on such rows only.  No floating point: region counts
+hinge on exact degeneracies that rounding destroys.
 """
 
 import re
+import sys
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 from operator import lshift, mul
 
-from .errors import BadRational, BadShape
+from .errors import BadRational, BadShape, TooLarge
 
 
 def rational(s):
@@ -31,19 +29,22 @@ def rational(s):
 
 
 _CANONICAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?").fullmatch
-_INTEGER = re.compile(r"-?[0-9]+").fullmatch  # the 'p' form of _CANONICAL
+# the most digits int reads or writes; 0, or a Python before 3.10.7,
+# sets no limit
+_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
 def _plain_integer_texts(rows, count):
     """The lists of strings rows, each joined by commas, when they hold
-    count entries in all and each is a plain integer that _INTEGER
-    matches; otherwise None.
+    count entries in all and int reads each as the 'p' of _CANONICAL;
+    otherwise None.
 
     One test over the whole text, with no regex: once the minus sign
     after each comma is dropped, "," and the joined rows must be ASCII
     digits cut into nonempty runs by exactly count commas.  Any other
     minus, or an entry "-", leaves a minus or an empty run, and an entry
-    that holds a comma adds one.
+    that holds a comma adds one.  Last, no joined row may be longer than
+    _digit_limit, so no entry is.
     """
     try:
         texts = list(map(",".join, rows))
@@ -53,7 +54,9 @@ def _plain_integer_texts(rows, count):
     digits = text.replace(",", "")
     if (digits.isascii() and digits.isdigit() and ",," not in text
             and text[-1] != "," and text.count(",") == count):
-        return texts
+        limit = _digit_limit()
+        if not limit or max(map(len, texts), default=0) <= limit:
+            return texts
     return None
 
 
@@ -83,18 +86,19 @@ def parse_rational(s, **where):
 def rational_str(q):
     """Serialize a Fraction as 'p/q', or 'p' when the denominator is 1.
 
-    An int is written as 'p' with no Fraction made.
+    An int is written as 'p' with no Fraction made.  A number with more
+    digits than _digit_limit raises TooLarge.
     """
-    if type(q) is int:
-        return str(q)
-    q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return "%d/%d" % (q.numerator, q.denominator)
-
-
-def dot(u, v):
-    return sum((Fraction(a) * b for a, b in zip(u, v)), Fraction(0))
+    try:
+        if type(q) is int:
+            return str(q)
+        q = Fraction(q)
+        if q.denominator == 1:
+            return str(q.numerator)
+        return "%d/%d" % (q.numerator, q.denominator)
+    except ValueError:
+        raise TooLarge("number has more digits than int writes",
+                       limit=_digit_limit()) from None
 
 
 def _int_row(row):
@@ -114,13 +118,9 @@ def _idot(u, v):
     return sum(map(mul, u, v))
 
 
-def _int_rows(mat):
-    return [_int_row(row)[0] for row in mat]
-
-
 def rank(mat):
     """Exact rank by fraction-free (Bareiss) elimination."""
-    a = _int_rows(mat)
+    a = [_int_row(row)[0] for row in mat]
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
     r = 0
@@ -244,19 +244,6 @@ def rref(mat):
         pivots.append(c)
         r += 1
     return [tuple(row) for row in a[:r]], pivots
-
-
-def primitive_int_rows(mat):
-    """Each row scaled by a positive factor to coprime integers.
-
-    Spans, flats and signs are unchanged, so everything downstream of a
-    flat key can run on these rows in integer arithmetic.
-    """
-    out = []
-    for row in _int_rows(mat):
-        g = gcd(*row)
-        out.append(tuple(x // g for x in row) if g > 1 else tuple(row))
-    return out
 
 
 def _direction(v):

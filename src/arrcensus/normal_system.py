@@ -4,15 +4,15 @@ A normal system is the input datum for everything downstream: its rows are
 the normals of n affine hyperplanes in R^m, and the defining condition is
 that every subset of at most m rows is linearly independent.  Rows are kept
 verbatim (never rescaled): cone labels downstream depend on the chosen
-matrix, not just on the lines it defines.  A system whose entries are
-all ints keeps them as ints, and any other system holds Fractions, so
-an integer system is read, tabled and written with no Fraction made.
+matrix, not just on the lines it defines.  Rows of ints stay ints, any
+other rows hold Fractions, and exact_linalg decides which text is which.
 
 A system carries one integer table of its m x m minors, made once from
-the rows scaled to integers (exact_linalg.minor_table).  Since n > m,
-every <= m rows are independent exactly when no entry of it is zero, so
-validate and random_normal_system accept by that one test, and the walls
-of discriminantal.build read their coefficients from the same table.
+the rows scaled by exact_linalg._int_row (exact_linalg.minor_table).
+Since n > m, every <= m rows are independent exactly when no entry of it
+is zero, so validate and random_normal_system accept by that one test,
+and the walls of discriminantal.build read their coefficients from the
+same table.
 The lex-first dependent subset is searched for only to name it in a
 DependentRows error.
 """
@@ -23,8 +23,7 @@ from fractions import Fraction
 from .errors import (BadArtifact, BadShape, DependentRows, GivesUp,
                      LengthMismatch)
 from .exact_linalg import (_idot, _int_row, _pivot, _plain_integer_texts,
-                           _units, minor_table, parse_rational,
-                           primitive_int_rows, rational_str)
+                           _units, minor_table, parse_rational, rational_str)
 
 
 class NormalSystem:
@@ -124,7 +123,7 @@ def first_dependent_subset(rows, m):
     has a zero dot on its last row.
     """
     n = len(rows)
-    ints = primitive_int_rows(rows)
+    ints = [_int_row(row)[0] for row in rows]
 
     def walk(prefix, zs):
         for i in range(prefix[-1] if prefix else 0, n):
@@ -214,13 +213,10 @@ def ns_from_dict(data):
     """Validated NormalSystem from {"m": int, "rows": [[rational, ...]]}.
 
     "m" must be a JSON integer: 2.9 or true is a BadArtifact, not 2 or 1.
-    When every entry is a plain integer string "p", the form ns_to_dict
-    writes for an integer, which one test over all the entries decides
-    (exact_linalg._plain_integer_texts), each is read by int, with no
-    Fraction made.  Otherwise each entry is read by parse_rational ("p"
-    as an int, "p/q" and a JSON integer as a Fraction, any other form
-    refused), which names the first bad one by row and column.  So a
-    system of "p" entries has int rows, and any other Fraction rows.
+    Entries that exact_linalg._plain_integer_texts passes are read by
+    int; any others each by parse_rational, which names the first bad
+    one by row and column.  So a system of "p" entries has int rows,
+    and any other Fraction rows.
     """
     need = 'normal system needs an integer "m" and "rows"'
     try:

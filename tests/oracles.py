@@ -18,12 +18,28 @@ from arrcensus.concurrency import SubsetCollection, _rank, _step, _universe
 from arrcensus.discriminantal import build, quotient_rows
 from arrcensus.errors import (BadArtifact, BadShape, BadSubsetSize,
                               NotGeneric, NotInCatalog, TooLarge)
-from arrcensus.exact_linalg import (_direction, _idot, _int_det, _int_row,
-                                    determinant, dot, feasible_strict,
-                                    integer_primitive,
+from arrcensus.exact_linalg import (_digit_limit, _direction, _idot,
+                                    _int_det, _int_row, determinant,
+                                    feasible_strict, integer_primitive,
                                     lex_independent_columns, nullspace_basis,
                                     parse_rational, rank, solve_particular)
 from arrcensus.normal_system import validate
+
+
+def dot(u, v):
+    """The exact dot product of two rational vectors, as a Fraction."""
+    return sum((Fraction(a) * b for a, b in zip(u, v)), Fraction(0))
+
+
+def primitive_int_rows(mat):
+    """Each row scaled by a positive factor to coprime integers, as a
+    tuple: spans, flats and signs are unchanged."""
+    out = []
+    for row in mat:
+        ints = _int_row(row)[0]
+        g = gcd(*ints)
+        out.append(tuple(x // g for x in ints) if g > 1 else tuple(ints))
+    return out
 
 
 def matvec(mat, x):
@@ -513,7 +529,7 @@ _INTEGERS = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*").fullmatch
 def integer_texts_by_regex(n, signs, witnesses, classes):
     """chambers._integer_texts with one regex match over all the witness
     entries joined by commas, and n * count - 1 commas, so that no entry
-    holds one."""
+    holds one; no joined witness may be longer than int's digit limit."""
     if not (set(map(type, signs)) == {str}
             and set(map(type, witnesses)) == {list}
             and set(map(len, witnesses)) == {n}
@@ -524,16 +540,18 @@ def integer_texts_by_regex(n, signs, witnesses, classes):
     except TypeError:
         return None
     text = ",".join(texts)
-    if _INTEGERS(text) and text.count(",") == n * len(texts) - 1:
+    limit = _digit_limit()
+    if (_INTEGERS(text) and text.count(",") == n * len(texts) - 1
+            and not (limit and any(len(t) > limit for t in texts))):
         return texts
     return None
 
 
 def catalog_by_entry(da, data):
     """chambers.catalog_from_dict read chamber by chamber: a witness of
-    plain integer strings in one match of its comma-joined text, any
-    other entry by entry through parse_rational, every Chamber made at
-    once and sorted by signs."""
+    plain integer strings in one match of its comma-joined text, if that
+    is no longer than int's digit limit, any other entry by entry through
+    parse_rational, every Chamber made at once and sorted by signs."""
     need = ('catalog needs integer "n" and "m" and a list "chambers" of '
             'entries with "signs", "witness" and "class"')
     try:
@@ -557,7 +575,9 @@ def catalog_by_entry(da, data):
             text = ",".join(witness)
         except TypeError:  # an entry that is not a string
             text = ""
-        if _INTEGERS(text) and text.count(",") == len(witness) - 1:
+        limit = _digit_limit()
+        if (_INTEGERS(text) and text.count(",") == len(witness) - 1
+                and (not limit or len(text) <= limit)):
             point = tuple(map(int, text.split(",")))
         else:
             point = tuple([parse_rational(x, chamber=k, position=i)

@@ -30,13 +30,12 @@ from arrcensus.discriminantal import build, quotient_rows
 from arrcensus.errors import (ArrangementError, BadArtifact, BadRational,
                               CountMismatch, LengthMismatch, NotInCatalog,
                               TooLarge, UnpairedChamber)
-from arrcensus.exact_linalg import (dot, feasible_strict,
-                                    lex_independent_columns,
-                                    primitive_int_rows, rank)
+from arrcensus.exact_linalg import (feasible_strict,
+                                    lex_independent_columns, rank)
 from arrcensus.normal_system import NormalSystem, random_normal_system
 
-from oracles import (catalog_by_entry, integer_texts_by_regex,
-                     sign_cells_fraction, walk_catalog,
+from oracles import (catalog_by_entry, dot, integer_texts_by_regex,
+                     primitive_int_rows, sign_cells_fraction, walk_catalog,
                      wall_is_facet_by_nullspace)
 from test_concurrency import rational_draw, scaled_draw
 
@@ -373,7 +372,9 @@ ONE_ENGINE = [
     ({"da_from_dict", "arrangement_to_dict", "arrangement_from_dict"},
      set()),
     ({"echelon_residual", "echelon_insert", "_cocircuit"}, set()),
-    ({"rational", "dot", "nullspace_basis", "rref"}, {"exact_linalg.py"}),
+    ({"rational", "nullspace_basis", "rref"}, {"exact_linalg.py"}),
+    # one way into the integers: _int_row and exact_linalg's grammar
+    ({"dot", "_INTEGER", "primitive_int_rows", "_int_rows"}, set()),
 ]
 
 

@@ -30,12 +30,11 @@ from arrcensus.concurrency import SubsetCollection, combinatorial_rank
 from arrcensus.discriminantal import build, da_to_dict, quotient_rows
 from arrcensus.errors import OddRegionCount, TooLarge
 from arrcensus.exact_linalg import (_direction, _slot_width, flat_levels,
-                                    lex_independent_columns,
-                                    primitive_int_rows, rank)
+                                    lex_independent_columns, rank)
 from arrcensus.normal_system import (first_dependent_subset, ns_from_dict,
                                      random_normal_system, validate)
 
-from oracles import disc_normals, planes_by_pairs
+from oracles import disc_normals, planes_by_pairs, primitive_int_rows
 
 
 @lru_cache(maxsize=None)

@@ -30,6 +30,7 @@ from arrcensus import (affine_geometry, chambers, cli, discriminantal,
 from arrcensus.chambers import catalog_to_dict, enumerate_chambers
 from arrcensus.cli import main
 from arrcensus.discriminantal import build
+from arrcensus.errors import BadRational
 from arrcensus.normal_system import ns_to_dict
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -213,9 +214,10 @@ def test_classify_accepts_rationals(capsys, ns_files):
 @pytest.mark.parametrize("name", ["five_lines", "six_planes_free"])
 def test_plain_integer_loads_parse_no_rational(capsys, monkeypatch,
                                                tmp_path, name):
-    # a gallery ns file, its catalog and a plain-integer --b are read by
-    # int, with no parse_rational call, and classify --catalog turns the
-    # witness of the one chamber it looks up into ints, no other
+    # a gallery ns file and its catalog are read by int, with no
+    # parse_rational call, and classify --catalog turns the witness of
+    # the one chamber it looks up into ints, no other; --b is read part
+    # by part by parse_rational, which reads a "p" as an int
     ns = getattr(gallery, name)()
     cat = enumerate_chambers(build(ns))
     ns_path, cat_path = tmp_path / "ns.json", tmp_path / "catalog.json"
@@ -225,8 +227,13 @@ def test_plain_integer_loads_parse_no_rational(capsys, monkeypatch,
     def refuse(*args, **where):
         raise AssertionError("parse_rational called")
 
-    for module in (exact_linalg, normal_system, chambers, cli):
+    read = exact_linalg.parse_rational
+    for module in (exact_linalg, normal_system, chambers):
         monkeypatch.setattr(module, "parse_rational", refuse)
+    b_parts = []
+    monkeypatch.setattr(cli, "parse_rational",
+                        lambda s, **where: b_parts.append(where)
+                        or read(s, **where))
     parsed = []
     ints = chambers._ints
     monkeypatch.setattr(chambers, "_ints",
@@ -238,6 +245,7 @@ def test_plain_integer_loads_parse_no_rational(capsys, monkeypatch,
     assert code == 0 and rep["payload"] == {
         "signs": target.signs, "class": target.class_id, "on_wall": None}
     assert parsed == [",".join(map(str, target.witness))]
+    assert b_parts == [{"position": i} for i in range(1, ns.n + 1)]
 
 
 def test_catalog_verify(capsys, ns_files, tmp_path):
@@ -966,6 +974,58 @@ def test_forms_outside_the_written_grammar_are_refused(capsys, tmp_path,
         assert code == 1 and cap.out == ""
         assert err["error"] == {"type": "BadRational", "got": form,
                                 "position": 2, "message": message}
+
+
+@pytest.mark.parametrize("place", ["ns", "b", "catalog"])
+def test_integers_past_the_digit_limit_are_bad_rationals(
+        tmp_path, ns_files, digit_limit, place):
+    # an otherwise plain ns file, --b and an otherwise plain catalog with
+    # one integer longer than int reads: the value is read entry by
+    # entry, and the command fails with the BadRational that
+    # parse_rational gives for it at its place, not a ValueError
+    huge = "1" + "0" * digit_limit
+    four = ns_files["four_lines"]
+    if place == "ns":
+        where = {"row": 2, "column": 1}
+        ns = json.loads(open(four).read())
+        ns["rows"][1][0] = huge
+        path = tmp_path / "ns.json"
+        path.write_text(json.dumps(ns))
+        argv = ["count", "--ns", str(path)]
+    elif place == "b":
+        where = {"position": 2}
+        argv = ["classify", "--ns", four, "--b=1,%s,4,8" % huge]
+    else:
+        where = {"chamber": 3, "position": 2}
+        doc = json.loads(json.dumps(FOUR_LINES_CATALOG))
+        doc["chambers"][2]["witness"][1] = huge
+        path = tmp_path / "catalog.json"
+        path.write_text(json.dumps(doc))
+        argv = ["catalog-verify", "--ns", four, "--catalog", str(path)]
+    with pytest.raises(BadRational) as exc:
+        exact_linalg.parse_rational(huge, **where)
+    code, out, err = _main_streams(argv)
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert json.loads(err) == {"error": exc.value.as_dict()}
+
+
+def test_disc_past_the_digit_limit_is_too_large(tmp_path, digit_limit):
+    # a valid system whose 2501-digit entries are read, and answered by
+    # count and chambers, has a minor of 5001 digits, more than int
+    # writes: disc, which writes the wall normals, refuses it
+    path = tmp_path / "ns.json"
+    path.write_text(json.dumps({"m": 2, "rows": [
+        ["3" + "0" * 2500, "2"], ["3", "7" + "1" * 2500], ["1", "1"]]}))
+    for command in ("count", "chambers"):
+        code, out, err = _main_streams([command, "--ns", str(path)])
+        assert code == 0 and err == ""
+        assert json.loads(out)["payload"]["count" if command == "chambers"
+                                          else "cones"] == 2
+    code, out, err = _main_streams(["disc", "--ns", str(path)])
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert json.loads(err) == {"error": {
+        "type": "TooLarge", "message": "number has more digits than int "
+        "writes", "limit": digit_limit}}
 
 
 @pytest.mark.parametrize("key,value", [("class", [1]), ("class", "1"),

@@ -19,12 +19,13 @@ from arrcensus.discriminantal import (DiscriminantalArrangement,
                                       _wall_values, build, da_to_dict,
                                       quotient_rows)
 from arrcensus.errors import BadSubsetSize, DependentRows
-from arrcensus.exact_linalg import _int_row, dot, primitive_int_rows
+from arrcensus.exact_linalg import _int_row
 from arrcensus.normal_system import (NormalSystem, random_normal_system,
                                      validate)
 
 from oracles import (brute_build, build_by_minors, common_intersection_dim,
-                     disc_normals, matvec, quotient_by_cut, subset_rank)
+                     disc_normals, dot, matvec, primitive_int_rows,
+                     quotient_by_cut, subset_rank)
 
 GOLDEN_SIX_LINE_NORMALS = {
     (1, 2, 3): (-5, -2, 3, 0, 0, 0),

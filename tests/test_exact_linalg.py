@@ -6,6 +6,7 @@ extreme-ray oracle that needs no LP at all.
 """
 
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb, gcd
@@ -20,7 +21,6 @@ from arrcensus.exact_linalg import (
     _int_det,
     _int_row,
     determinant,
-    dot,
     feasible_strict,
     flat_levels,
     integer_primitive,
@@ -28,7 +28,6 @@ from arrcensus.exact_linalg import (
     minor_table,
     nullspace_basis,
     parse_rational,
-    primitive_int_rows,
     rank,
     rational,
     rational_str,
@@ -38,10 +37,10 @@ from arrcensus.exact_linalg import (
 
 from arrcensus.normal_system import random_normal_system
 
-from oracles import (brute_flats, cocircuit_by_echelon, echelon_insert,
+from oracles import (brute_flats, cocircuit_by_echelon, dot, echelon_insert,
                      echelon_residual, feasible_strict_full_tableau,
                      find_interior_point, matvec,
-                     minor_table_by_combinations)
+                     minor_table_by_combinations, primitive_int_rows)
 
 
 def cofactor_det(mat):
@@ -260,6 +259,28 @@ def test_flat_levels_work_counts(monkeypatch):
 def test_primitive_int_rows_keep_signs_and_spans():
     rows = [[Fraction(3, 2), Fraction(-6, 4)], [0, Fraction(-2, 3)], [0, 0]]
     assert primitive_int_rows(rows) == [(1, -1), (0, -1), (0, 0)]
+
+
+def test_plain_integer_texts_stop_at_the_digit_limit(digit_limit):
+    # a table passes only when no joined row is longer than int reads,
+    # so int reads every entry of a table that passes; a table refused
+    # for its length goes entry by entry, where parse_rational reads each
+    # entry within the limit; a limit of 0 is no limit
+    check = exact_linalg._plain_integer_texts
+    edge = ["1" * (digit_limit - 3), "-1"]  # joined: digit_limit chars
+    rows = [["2", "-3"], edge]
+    assert check(rows, 4) == ["2,-3", ",".join(edge)]
+    assert [list(map(int, t.split(","))) for t in check(rows, 4)] == \
+        [[2, -3], [int(edge[0]), -1]]
+    for long in (["1" * (digit_limit - 2), "-1"],
+                 ["1" * (digit_limit // 2)] * 2, ["1" * (digit_limit + 1)]):
+        rows = [["2", "-3"], long]
+        assert check(rows, 2 + len(long)) is None
+        within = [x for x in long if len(x) <= digit_limit]
+        assert [parse_rational(x) for x in within] == list(map(int, within))
+        sys.set_int_max_str_digits(0)
+        assert check(rows, 2 + len(long)) == ["2,-3", ",".join(long)]
+        sys.set_int_max_str_digits(digit_limit)
 
 
 def test_parse_rational_names_the_bad_value():

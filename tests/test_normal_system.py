@@ -1,6 +1,7 @@
 """Tests for normal system validation, generation, and serialization."""
 
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 from math import prod
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from arrcensus import gallery, normal_system
 from arrcensus.errors import (ArrangementError, BadShape, DependentRows,
                               LengthMismatch)
-from arrcensus.exact_linalg import _INTEGER, determinant, rank
+from arrcensus.exact_linalg import determinant, rank
 from arrcensus.normal_system import (
     Arrangement,
     NormalSystem,
@@ -25,6 +26,9 @@ from arrcensus.normal_system import (
 )
 
 from oracles import ns_by_parse_rational
+
+# a plain integer entry "p": ASCII digits after an optional minus sign
+PLAIN = re.compile(r"-?[0-9]+").fullmatch
 
 SIX_LINES = [(1, 0), (2, 3), (3, 2), (0, 1), (3, -2), (2, -3)]
 SIX_PLANES = [(1, 0, 0), (0, 1, 0), (0, 0, 1),
@@ -313,7 +317,7 @@ def test_ns_from_dict_matches_the_parse_rational_oracle(doc):
     got = _load_outcome(ns_from_dict, doc)
     assert got == _load_outcome(ns_by_parse_rational, doc)
     if type(got[0]) is int:
-        plain = all(type(a) is str and _INTEGER(a)
+        plain = all(type(a) is str and PLAIN(a)
                     for row in doc["rows"] for a in row)
         assert {type(a) for row in got[1] for a in row} == \
             {int if plain else Fraction}
